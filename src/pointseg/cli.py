@@ -12,7 +12,6 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import CliUsageError, PointsegError
 from .grids import (
+    DEFAULT_CONNECTIVITY,
     ClassScoreMap,
     LabelGrid,
     decode_label_pgm,
@@ -191,7 +191,7 @@ def _cmd_s2i(argv: list[str]) -> int:
 
     semantic = decode_label_pgm(Path(args.semantic).read_bytes())
     points = decode_points_csv(Path(args.points).read_text())
-    connectivity = int(_resolve(args, cfg, "connectivity", 8))
+    connectivity = int(_resolve(args, cfg, "connectivity", DEFAULT_CONNECTIVITY))
 
     regions = extract_regions(semantic, connectivity)
     instances = assign_points(regions, points, semantic.shape)
@@ -234,8 +234,8 @@ def _cmd_i2s(argv: list[str]) -> int:
     if class_map.data.shape[:2] != instances.shape:
         raise PointsegError("instances and classmap disagree on the grid")
     i2s_cfg = I2SConfig(
-        beta=float(_resolve(args, cfg, "beta", 2.0)),
-        pair_radius=int(_resolve(args, cfg, "pair_radius", 8)),
+        beta=float(_resolve(args, cfg, "beta", I2SConfig.beta)),
+        pair_radius=int(_resolve(args, cfg, "pair_radius", I2SConfig.pair_radius)),
     )
     flat = instances.data.ravel()
 
@@ -272,48 +272,54 @@ def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
 
 
 def _mdm_config_from(args, cfg) -> MdmConfig:
+    """Flags and config-file keys over the dataclass defaults."""
     return MdmConfig(
-        n_stages=int(_resolve(args, cfg, "stages", 3)),
-        warmup_iters=int(_resolve(args, cfg, "warmup", 200)),
-        iters_per_stage=int(_resolve(args, cfg, "iters", 800)),
-        learning_rate=float(_resolve(args, cfg, "lr", 0.05)),
+        n_stages=int(_resolve(args, cfg, "stages", MdmConfig.n_stages)),
+        warmup_iters=int(_resolve(args, cfg, "warmup", MdmConfig.warmup_iters)),
+        iters_per_stage=int(_resolve(args, cfg, "iters", MdmConfig.iters_per_stage)),
+        learning_rate=float(_resolve(args, cfg, "lr", MdmConfig.learning_rate)),
         loss_weights=LossWeights(
-            hard_pixel_ratio=float(_resolve(args, cfg, "hard_pixel_ratio", 0.2))
+            hard_pixel_ratio=float(
+                _resolve(args, cfg, "hard_pixel_ratio", LossWeights.hard_pixel_ratio)
+            )
         ),
         grouping=GroupingConfig(
-            vote_radius_tau=_resolve(args, cfg, "tau", None),
-            pseudo_box_side=int(_resolve(args, cfg, "box_side", 16)),
+            vote_radius_tau=_resolve(args, cfg, "tau", GroupingConfig.vote_radius_tau),
+            pseudo_box_side=int(
+                _resolve(args, cfg, "box_side", GroupingConfig.pseudo_box_side)
+            ),
         ),
         i2s=I2SConfig(
-            beta=float(_resolve(args, cfg, "beta", 2.0)),
-            pair_radius=int(_resolve(args, cfg, "pair_radius", 8)),
-            max_pairs=int(_resolve(args, cfg, "max_pairs", 4096)),
+            beta=float(_resolve(args, cfg, "beta", I2SConfig.beta)),
+            pair_radius=int(_resolve(args, cfg, "pair_radius", I2SConfig.pair_radius)),
+            max_pairs=int(_resolve(args, cfg, "max_pairs", I2SConfig.max_pairs)),
         ),
-        seed=int(_resolve(args, cfg, "seed", 0)),
+        seed=int(_resolve(args, cfg, "seed", MdmConfig.seed)),
     )
 
 
-def _train_one(task: tuple[str, str, dict]) -> str:
-    scene_path, out_path, cfg_echo = task
+def _train_echo(cfg: MdmConfig) -> dict:
+    """The manifest's config record, keyed by the train flags that set it."""
+    return {
+        "stages": cfg.n_stages,
+        "warmup": cfg.warmup_iters,
+        "iters": cfg.iters_per_stage,
+        "lr": cfg.learning_rate,
+        "hard_pixel_ratio": cfg.loss_weights.hard_pixel_ratio,
+        "tau": cfg.grouping.vote_radius_tau,
+        "box_side": cfg.grouping.pseudo_box_side,
+        "beta": cfg.i2s.beta,
+        "pair_radius": cfg.i2s.pair_radius,
+        "max_pairs": cfg.i2s.max_pairs,
+        "seed": cfg.seed,
+    }
+
+
+def _train_one(task: tuple[str, str, MdmConfig]) -> str:
+    scene_path, out_path, cfg = task
     scene_dir, out_dir = Path(scene_path), Path(out_path)
     t0 = time.time()
     scene, semantic_in = _load_scene_dir(scene_dir)
-    cfg = MdmConfig(
-        n_stages=cfg_echo["stages"],
-        warmup_iters=cfg_echo["warmup"],
-        iters_per_stage=cfg_echo["iters"],
-        learning_rate=cfg_echo["lr"],
-        loss_weights=LossWeights(hard_pixel_ratio=cfg_echo["hard_pixel_ratio"]),
-        grouping=GroupingConfig(
-            vote_radius_tau=cfg_echo["tau"], pseudo_box_side=cfg_echo["box_side"]
-        ),
-        i2s=I2SConfig(
-            beta=cfg_echo["beta"],
-            pair_radius=cfg_echo["pair_radius"],
-            max_pairs=cfg_echo["max_pairs"],
-        ),
-        seed=cfg_echo["seed"],
-    )
     result = run_mdm(scene, semantic_in, cfg)
     gt_classes = scene.points.class_of()
     for stage in result.stages:
@@ -340,7 +346,7 @@ def _train_one(task: tuple[str, str, dict]) -> str:
     warm = [json.dumps(r.as_dict()) for r in result.warmup_losses]
     _write(out_dir / "warmup_losses.jsonl", "\n".join(warm) + ("\n" if warm else ""))
     _write_manifest(
-        out_dir, "train", cfg_echo,
+        out_dir, "train", _train_echo(cfg),
         [scene_dir / name for name in (
             "gt_instances.pgm", "gt_semantic.pgm", "semantic_in.pgm",
             "points.csv", "features.mdmt",
@@ -372,26 +378,13 @@ def _cmd_train(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     cfg = _load_config_file(args.config)
     mdm_cfg = _mdm_config_from(args, cfg)
-    cfg_echo = {
-        "stages": mdm_cfg.n_stages,
-        "warmup": mdm_cfg.warmup_iters,
-        "iters": mdm_cfg.iters_per_stage,
-        "lr": mdm_cfg.learning_rate,
-        "hard_pixel_ratio": mdm_cfg.loss_weights.hard_pixel_ratio,
-        "tau": mdm_cfg.grouping.vote_radius_tau,
-        "box_side": mdm_cfg.grouping.pseudo_box_side,
-        "beta": mdm_cfg.i2s.beta,
-        "pair_radius": mdm_cfg.i2s.pair_radius,
-        "max_pairs": mdm_cfg.i2s.max_pairs,
-        "seed": mdm_cfg.seed,
-    }
 
     out_root = Path(args.out)
     tasks = []
     for scene_path in args.scene:
         scene_dir = Path(scene_path)
         out_dir = out_root / scene_dir.name if len(args.scene) > 1 else out_root
-        tasks.append((str(scene_dir), str(out_dir), cfg_echo))
+        tasks.append((str(scene_dir), str(out_dir), mdm_cfg))
 
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -407,10 +400,19 @@ def _cmd_train(argv: list[str]) -> int:
 
 
 def _read_classes_csv(path: Path) -> dict[int, int]:
-    rows = [r.strip() for r in path.read_text().splitlines() if r.strip()]
-    if not rows or rows[0].replace(" ", "") != "instance_id,class_id":
+    rows = [(n, r.strip()) for n, r in enumerate(path.read_text().splitlines(), 1) if r.strip()]
+    if not rows or rows[0][1].replace(" ", "") != "instance_id,class_id":
         raise PointsegError(f"{path}: expected header instance_id,class_id")
-    return {int(a): int(b) for a, b in (row.split(",") for row in rows[1:])}
+    table = {}
+    for n, row in rows[1:]:
+        try:
+            inst, cls = (int(f) for f in row.split(","))
+        except ValueError:
+            raise PointsegError(
+                f"{path} line {n}: expected two integers instance_id,class_id, got {row!r}"
+            ) from None
+        table[inst] = cls
+    return table
 
 
 def _eval_one(task: tuple[str, str, str | None, str | None, str]) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 PGM_MAX_ID = 65535
+DEFAULT_CONNECTIVITY = 8
 TENSOR_MAGIC = b"MDMT"
 
 # Fixed render palette; instance id i > 0 maps to PALETTE[i % 16], background is black.
@@ -82,9 +83,6 @@ class LabelGrid:
         """Sorted foreground ids present in the grid."""
         u = np.unique(self.data)
         return [int(i) for i in u if i > 0]
-
-    def mask_of(self, label_id: int) -> np.ndarray:
-        return self.data == label_id
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +197,6 @@ class PointAnnotationSet:
     def __iter__(self):
         return iter(self.points)
 
-    def by_instance(self) -> dict[int, Point]:
-        return {p.instance_id: p for p in self.points}
-
     def positions(self) -> np.ndarray:
         """K x 2 float array of (y, x), ordered by instance id."""
         return np.array([[p.y, p.x] for p in self.points], dtype=np.float64).reshape(-1, 2)
@@ -221,7 +216,9 @@ _NEIGHBORS = {
 }
 
 
-def connected_components(mask: np.ndarray, connectivity: int = 8) -> LabelGrid:
+def connected_components(
+    mask: np.ndarray, connectivity: int = DEFAULT_CONNECTIVITY
+) -> LabelGrid:
     """Label connected true-regions of a boolean mask.
 
     Component ids are assigned in raster-scan order of each component's first

@@ -103,12 +103,15 @@ def build_affinity_targets(
 
     Pairs of two background pixels are excluded. With balance on, positives
     and negatives differ by at most one unless one side runs out. Sampling is
-    deterministic per seed.
+    deterministic per seed. A radius past the grid samples as the largest
+    radius that fits.
     """
     lab = instances.data
     h, w = lab.shape
     all_a, all_b, all_t = [], [], []
     for dy, dx in _half_plane_offsets(cfg.pair_radius):
+        if dy >= h or abs(dx) >= w:
+            continue  # no pixel pair spans this offset
         ys = slice(0, h - dy)
         xs = slice(max(0, -dx), w - max(0, dx))
         la = lab[ys, xs]
@@ -177,7 +180,8 @@ def refresh_semantic(
     Hadamard power affinity (diagonal included). `affinity` is either the
     dense H*W x H*W matrix (must be symmetric, unit diagonal) or a callable
     f(flat_i, flat_j) -> values in [0, 1], evaluated only within
-    cfg.pair_radius; the callable path forces unit self-affinity.
+    cfg.pair_radius (clipped to the grid); the callable path forces unit
+    self-affinity.
     """
     h, w, ch = class_map.data.shape
     n = h * w
@@ -189,7 +193,7 @@ def refresh_semantic(
         r = cfg.pair_radius
         for dy in range(-r, r + 1):
             for dx in range(-r, r + 1):
-                if dy == 0 and dx == 0:
+                if (dy == 0 and dx == 0) or abs(dy) >= h or abs(dx) >= w:
                     continue
                 ys = slice(max(0, -dy), h - max(0, dy))
                 xs = slice(max(0, -dx), w - max(0, dx))

@@ -22,7 +22,6 @@ from .losses import (
     LossWeights,
     affinity_loss,
     offset_loss,
-    offset_pixel_weights,
     seg_loss_ohem,
     sigmoid,
     softmax_rows,
@@ -32,11 +31,11 @@ from .metrics import MatchReport, greedy_match
 from .s2i import (
     GroupingConfig,
     assign_points,
-    class_grid_from_instances,
     compute_offset_field,
     extract_regions,
     finalize_pseudo_labels,
     group_instances,
+    point_window,
 )
 from .synth import Scene, features_from_semantic
 
@@ -147,6 +146,34 @@ class PredictorOutputs:
     embeddings: np.ndarray  # (H, W, D)
 
 
+def _offset_head(
+    params: TinyPredictorParams, y: np.ndarray, shape: tuple[int, int]
+) -> OffsetField:
+    """Offset field from the raw (H*W, outputs) head values, every pixel valid."""
+    h, w = shape
+    _, off_sl, _ = params.head_slices()
+    return OffsetField(
+        params.offset_scale * y[:, off_sl].reshape(h, w, 2),
+        np.ones((h, w), dtype=bool),
+    )
+
+
+def _logit_scale(embed_dim: int) -> float:
+    return 1.0 / math.sqrt(embed_dim)
+
+
+def _pair_logits(emb: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Affinity logits dot(emb[ia], emb[ib]) / sqrt(D) over (N, D) embeddings."""
+    return (emb[ia] * emb[ib]).sum(axis=1) * _logit_scale(emb.shape[1])
+
+
+def _pair_index(samples: AffinitySampleSet, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat raster indices of both ends of every sampled pair."""
+    ia = samples.a[:, 0].astype(np.int64) * width + samples.a[:, 1]
+    ib = samples.b[:, 0].astype(np.int64) * width + samples.b[:, 1]
+    return ia, ib
+
+
 def predict(params: TinyPredictorParams, features: np.ndarray) -> PredictorOutputs:
     """Deterministic forward pass over a (H, W, F) feature tensor."""
     h, w, f = features.shape
@@ -155,23 +182,16 @@ def predict(params: TinyPredictorParams, features: np.ndarray) -> PredictorOutpu
             f"feature dim {f} does not match predictor fan-in {params.weights.shape[0]}"
         )
     y = expand_features(features) @ params.weights + params.biases
-    cls_sl, off_sl, emb_sl = params.head_slices()
+    cls_sl, _, emb_sl = params.head_slices()
     class_map = ClassScoreMap(y[:, cls_sl].reshape(h, w, -1))
-    offsets = OffsetField(
-        params.offset_scale * y[:, off_sl].reshape(h, w, 2),
-        np.ones((h, w), dtype=bool),
-    )
     embeddings = y[:, emb_sl].reshape(h, w, params.embed_dim)
-    return PredictorOutputs(class_map, offsets, embeddings)
+    return PredictorOutputs(class_map, _offset_head(params, y, (h, w)), embeddings)
 
 
 def affinity_logits(embeddings: np.ndarray, samples: AffinitySampleSet) -> np.ndarray:
     """Pairwise logits dot(embed_i, embed_j) / sqrt(D) at the sampled pairs."""
     h, w, d = embeddings.shape
-    flat = embeddings.reshape(h * w, d)
-    ia = samples.a[:, 0].astype(np.int64) * w + samples.a[:, 1]
-    ib = samples.b[:, 0].astype(np.int64) * w + samples.b[:, 1]
-    return (flat[ia] * flat[ib]).sum(axis=1) / math.sqrt(d)
+    return _pair_logits(embeddings.reshape(h * w, d), *_pair_index(samples, w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +201,6 @@ class StageTargets:
     initial: LabelGrid
     classes: LabelGrid
     offsets: OffsetField | None
-    offset_weights: np.ndarray | None
     affinity: AffinitySampleSet | None
 
 
@@ -194,8 +213,6 @@ class MdmConfig:
     loss_weights: LossWeights = field(default_factory=LossWeights)
     grouping: GroupingConfig = field(default_factory=GroupingConfig)
     i2s: I2SConfig = field(default_factory=I2SConfig)
-    connectivity: int = 8
-    embed_dim: int = DEFAULT_EMBED_DIM
     offset_scale: float = OFFSET_OUTPUT_SCALE
     seed: int = 0
 
@@ -217,24 +234,21 @@ def _paint_fallback_boxes(
 
     A point whose matched region is missing or has collapsed to a sliver
     would otherwise lose its class from the stage supervision entirely, and
-    the recurrence could never bring the instance back. Boxes claim
-    background pixels only, lowest instance id first, mirroring the grouping
-    fallback.
+    the recurrence could never bring the instance back. A box overwrites
+    every pixel in its window, background and other instances' labels alike,
+    except pixels that carry another degenerate point's id, from its sliver
+    or its box. Boxes are painted in instance-id order, so of two
+    overlapping boxes the lower id keeps the shared pixels.
     """
     min_pixels = max(1, (box_side * box_side) // 2)
     sizes = np.bincount(initial.data.ravel(), minlength=len(points) + 1)
     needy = [p for p in points if sizes[p.instance_id] < min_pixels]
     if not needy:
         return initial
-    h, w = initial.shape
     data = initial.data.copy()
     needy_ids = {p.instance_id for p in needy}
-    half_lo = (box_side - 1) // 2
-    half_hi = box_side // 2
     for p in needy:
-        y0, y1 = max(0, p.y - half_lo), min(h, p.y + half_hi + 1)
-        x0, x1 = max(0, p.x - half_lo), min(w, p.x + half_hi + 1)
-        box = data[y0:y1, x0:x1]
+        box = data[point_window(p, box_side, initial.shape)]
         # The annotated point is certain; its box outranks labels inherited
         # from region matching, but never another degenerate point's box.
         replace_mask = ~np.isin(box, [i for i in needy_ids if i != p.instance_id])
@@ -254,7 +268,7 @@ def build_stage_targets(
     and affinity targets are also skipped when no region matched any point.
     """
     shape = semantic_in.shape
-    regions = extract_regions(semantic_in, cfg.connectivity)
+    regions = extract_regions(semantic_in)
     initial = assign_points(regions, points, shape)
     initial = _paint_fallback_boxes(initial, points, cfg.grouping.pseudo_box_side)
     # The class head is supervised by the stage's semantic map itself; the
@@ -264,15 +278,10 @@ def build_stage_targets(
     classes = semantic_in
     has_fg = int(initial.data.max()) > 0
     offsets = compute_offset_field(initial, points) if has_fg else None
-    weights = (
-        offset_pixel_weights(initial, cfg.loss_weights.offset_pixel_weight_mode)
-        if has_fg
-        else None
-    )
     affinity = None
     if affinity_seed is not None and has_fg:
         affinity = build_affinity_targets(initial, cfg.i2s, seed=affinity_seed)
-    return StageTargets(initial, classes, offsets, weights, affinity)
+    return StageTargets(initial, classes, offsets, affinity)
 
 
 def _objective(
@@ -298,11 +307,7 @@ def _objective(
     off = 0.0
     n_off = 0
     if targets.offsets is not None:
-        pred_off = OffsetField(
-            params.offset_scale * y[:, off_sl].reshape(h, w, 2),
-            np.ones((h, w), dtype=bool),
-        )
-        off, g_off = offset_loss(pred_off, targets.offsets, targets.offset_weights)
+        off, g_off = offset_loss(_offset_head(params, y, shape), targets.offsets)
         n_off = int(targets.offsets.valid.sum())
         d_y[:, off_sl] = (
             weights.lambda_off * params.offset_scale * g_off.reshape(h * w, 2)
@@ -312,15 +317,12 @@ def _objective(
     n_pos = n_neg = 0
     if targets.affinity is not None:
         emb = y[:, emb_sl]
-        ia = targets.affinity.a[:, 0].astype(np.int64) * w + targets.affinity.a[:, 1]
-        ib = targets.affinity.b[:, 0].astype(np.int64) * w + targets.affinity.b[:, 1]
-        scale = 1.0 / math.sqrt(params.embed_dim)
-        logits = (emb[ia] * emb[ib]).sum(axis=1) * scale
-        filled = targets.affinity.with_logits(logits)
+        ia, ib = _pair_index(targets.affinity, w)
+        filled = targets.affinity.with_logits(_pair_logits(emb, ia, ib))
         aff, g_logit = affinity_loss(filled)
         n_pos, n_neg = filled.n_pos, filled.n_neg
         g_emb = np.zeros_like(emb)
-        coeff = (weights.lambda_aff * scale) * g_logit
+        coeff = (weights.lambda_aff * _logit_scale(params.embed_dim)) * g_logit
         np.add.at(g_emb, ia, coeff[:, None] * emb[ib])
         np.add.at(g_emb, ib, coeff[:, None] * emb[ia])
         d_y[:, emb_sl] = g_emb
@@ -348,10 +350,24 @@ def objective_on_flat(
     return report.total, np.concatenate([gw.ravel(), gb.ravel()])
 
 
-def _check_finite(report: LossReport) -> None:
+def _step(
+    params: TinyPredictorParams,
+    xmat: np.ndarray,
+    shape: tuple[int, int],
+    targets: StageTargets,
+    cfg: MdmConfig,
+) -> tuple[TinyPredictorParams, LossReport]:
+    """One gradient-descent update on the expanded feature matrix."""
+    report, (gw, gb) = _objective(params, xmat, shape, targets, cfg.loss_weights)
     for name in ("seg", "off", "aff"):
         if not math.isfinite(getattr(report, name)):
             raise PipelineError(f"diverged: {name} loss is non-finite")
+    updated = replace(
+        params,
+        weights=params.weights - cfg.learning_rate * gw,
+        biases=params.biases - cfg.learning_rate * gb,
+    )
+    return updated, report
 
 
 def train_step(
@@ -361,35 +377,22 @@ def train_step(
     cfg: MdmConfig,
 ) -> tuple[TinyPredictorParams, LossReport]:
     """One gradient-descent update; returns the pre-update loss report."""
-    xmat = expand_features(features)
-    report, (gw, gb) = _objective(params, xmat, features.shape[:2], targets, cfg.loss_weights)
-    _check_finite(report)
-    updated = replace(
-        params,
-        weights=params.weights - cfg.learning_rate * gw,
-        biases=params.biases - cfg.learning_rate * gb,
-    )
-    return updated, report
+    return _step(params, expand_features(features), features.shape[:2], targets, cfg)
 
 
 def _fit(
     params: TinyPredictorParams,
-    xmat: np.ndarray,
-    shape: tuple[int, int],
+    features: np.ndarray,
     targets: StageTargets,
     cfg: MdmConfig,
     iters: int,
 ) -> tuple[TinyPredictorParams, list[LossReport]]:
+    """iters updates; the features are expanded once for all of them."""
+    xmat = expand_features(features)
     history = []
     for _ in range(iters):
-        report, (gw, gb) = _objective(params, xmat, shape, targets, cfg.loss_weights)
-        _check_finite(report)
+        params, report = _step(params, xmat, features.shape[:2], targets, cfg)
         history.append(report)
-        params = replace(
-            params,
-            weights=params.weights - cfg.learning_rate * gw,
-            biases=params.biases - cfg.learning_rate * gb,
-        )
     return params, history
 
 
@@ -423,12 +426,9 @@ def _points_first(semantic: LabelGrid, points: PointAnnotationSet) -> LabelGrid:
     the next stage's region matching. The patch radius covers the corruption
     reach so a pinned point reconnects to its surviving region.
     """
-    h, w = semantic.shape
     data = semantic.data.copy()
     for p in points:
-        y0, y1 = max(0, p.y - 2), min(h, p.y + 3)
-        x0, x1 = max(0, p.x - 2), min(w, p.x + 3)
-        data[y0:y1, x0:x1] = p.class_id
+        data[point_window(p, 5, semantic.shape)] = p.class_id
     return LabelGrid(data)
 
 
@@ -449,22 +449,17 @@ def run_stage(
     targets = build_stage_targets(
         semantic_in, points, cfg, affinity_seed=_derive_seed(cfg.seed, stage_idx, 1)
     )
-    xmat = expand_features(scene.features)
-    params, history = _fit(
-        params, xmat, (scene.height, scene.width), targets, cfg, cfg.iters_per_stage
-    )
+    params, history = _fit(params, scene.features, targets, cfg, cfg.iters_per_stage)
 
     outs = predict(params, scene.features)
     offsets_used = offset_override if offset_override is not None else outs.offsets
     grouped = group_instances(offsets_used, semantic_in, points, cfg.grouping)
     pseudo, classes = finalize_pseudo_labels(grouped, semantic_in, points)
 
-    h, w = scene.height, scene.width
-    emb_flat = outs.embeddings.reshape(h * w, cfg.embed_dim)
-    scale = 1.0 / math.sqrt(cfg.embed_dim)
+    emb_flat = outs.embeddings.reshape(scene.height * scene.width, -1)
 
     def predicted_affinity(i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
-        return sigmoid((emb_flat[i_idx] * emb_flat[j_idx]).sum(axis=1) * scale)
+        return sigmoid(_pair_logits(emb_flat, i_idx, j_idx))
 
     # Refresh bounded probabilities rather than raw scores: convex mixing
     # keeps the recurrence stable (confident raw scores snowball).
@@ -510,7 +505,6 @@ def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmR
         seed=_derive_seed(cfg.seed, 0, 0),
         feature_dim=features.shape[2],
         n_classes=scene.n_classes,
-        embed_dim=cfg.embed_dim,
         offset_scale=cfg.offset_scale,
     )
 
@@ -519,10 +513,7 @@ def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmR
         warm_targets = build_stage_targets(
             corrupted_semantic, scene.points, cfg, affinity_seed=None
         )
-        xmat = expand_features(features)
-        params, warmup_history = _fit(
-            params, xmat, (scene.height, scene.width), warm_targets, cfg, cfg.warmup_iters
-        )
+        params, warmup_history = _fit(params, features, warm_targets, cfg, cfg.warmup_iters)
 
     gt_classes = scene.points.class_of()
     stages: list[StageResult] = []

@@ -42,15 +42,12 @@ class LossWeights:
     lambda_off: float = 0.01
     lambda_aff: float = 1.0
     hard_pixel_ratio: float = 0.2
-    offset_pixel_weight_mode: str = "uniform"
 
     def __post_init__(self):
         if min(self.lambda_seg, self.lambda_off, self.lambda_aff) < 0:
             raise LossError("loss weights must be >= 0")
         if not (0.0 < self.hard_pixel_ratio <= 1.0):
             raise LossError(f"hard pixel ratio must be in (0, 1], got {self.hard_pixel_ratio}")
-        if self.offset_pixel_weight_mode not in ("uniform", "inverse_instance_size"):
-            raise LossError(f"unknown weight mode {self.offset_pixel_weight_mode!r}")
 
 
 @dataclass(frozen=True)

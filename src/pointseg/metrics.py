@@ -37,10 +37,6 @@ class MatchReport:
     counts: dict[float, int]
     overall_iou: float
 
-    @property
-    def n_gt(self) -> int:
-        return len(self.ious)
-
 
 @dataclass(frozen=True)
 class ApReport:
@@ -73,12 +69,11 @@ def greedy_match(
     pred_classes: Mapping[int, int] | None = None,
     gt_classes: Mapping[int, int] | None = None,
     class_aware: bool = False,
-    scores: Mapping[int, float] | None = None,
 ) -> MatchReport:
     """Greedy one-to-one matching of predictions onto ground truth.
 
-    Predictions are visited by descending confidence; without scores the
-    proxy order is descending size, then id. Each claims the unmatched
+    Predictions are visited by descending size, then ascending id, size
+    standing in for confidence. Each claims the unmatched
     ground-truth instance (same class when class_aware) with the highest
     positive IoU, ties to the lowest gt id.
     """
@@ -88,14 +83,7 @@ def greedy_match(
         raise EvalError("class-aware matching needs class maps for both sides")
     pred_masks = _instance_masks(pred)
     gt_masks = _instance_masks(gt)
-    order = sorted(
-        pred_masks,
-        key=lambda i: (
-            -(scores.get(i, 0.0) if scores else 0.0),
-            -int(pred_masks[i].sum()),
-            i,
-        ),
-    )
+    order = sorted(pred_masks, key=lambda i: (-int(pred_masks[i].sum()), i))
     ious = {g: 0.0 for g in gt_masks}
     matches: dict[int, int | None] = {g: None for g in gt_masks}
     taken: set[int] = set()
@@ -161,6 +149,23 @@ def _ap_single_class(
     return float(ap)
 
 
+def _per_class_ap(
+    preds: Sequence[tuple[np.ndarray, float, int]],
+    gts: Sequence[tuple[np.ndarray, int]],
+    iou_threshold: float,
+) -> dict[int, float]:
+    """AP of every class on either side, in class order; preds tie by index."""
+    classes = sorted({c for _, _, c in preds} | {c for _, c in gts})
+    return {
+        c: _ap_single_class(
+            [(mask, score, i) for i, (mask, score, pc) in enumerate(preds) if pc == c],
+            [mask for mask, gc in gts if gc == c],
+            iou_threshold,
+        )
+        for c in classes
+    }
+
+
 def average_precision(
     preds: Sequence[tuple[np.ndarray, float, int]],
     gts: Sequence[tuple[np.ndarray, int]],
@@ -170,17 +175,10 @@ def average_precision(
 
     A class with predictions but no ground truth contributes AP 0.
     """
-    classes = sorted({c for _, _, c in preds} | {c for _, c in gts})
-    if not classes:
+    table = _per_class_ap(preds, gts, iou_threshold)
+    if not table:
         raise EvalError("no instances on either side")
-    aps = []
-    for c in classes:
-        class_preds = [
-            (mask, score, i) for i, (mask, score, pc) in enumerate(preds) if pc == c
-        ]
-        class_gts = [mask for mask, gc in gts if gc == c]
-        aps.append(_ap_single_class(class_preds, class_gts, iou_threshold))
-    return float(np.mean(aps))
+    return float(np.mean(list(table.values())))
 
 
 def ap_report(
@@ -188,30 +186,24 @@ def ap_report(
     gt: LabelGrid,
     pred_classes: Mapping[int, int] | None = None,
     gt_classes: Mapping[int, int] | None = None,
-    scores: Mapping[int, float] | None = None,
 ) -> ApReport:
-    """AP at the fixed threshold trio; size stands in for missing confidences."""
+    """AP at the fixed threshold trio; instance size stands in for confidence."""
     pred_masks = _instance_masks(pred)
     gt_masks = _instance_masks(gt)
     get_pc = (pred_classes or {}).get
     get_gc = (gt_classes or {}).get
     preds = [
-        (mask, float(scores[i]) if scores else float(mask.sum()), get_pc(i, 1))
+        (mask, float(mask.sum()), get_pc(i, 1))
         for i, mask in sorted(pred_masks.items())
     ]
     gts = [(mask, get_gc(i, 1)) for i, mask in sorted(gt_masks.items())]
-    classes = sorted({c for _, _, c in preds} | {c for _, c in gts})
     per_class: dict[float, dict[int, float]] = {}
     maps = {}
     flagged = sorted(
         {c for _, _, c in preds} - {c for _, c in gts}
     )
     for t in AP_THRESHOLDS:
-        table = {}
-        for c in classes:
-            cp = [(m, s, i) for i, (m, s, pc) in enumerate(preds) if pc == c]
-            cg = [m for m, gc in gts if gc == c]
-            table[c] = _ap_single_class(cp, cg, t)
+        table = _per_class_ap(preds, gts, t)
         per_class[t] = table
         maps[t] = float(np.mean(list(table.values()))) if table else 0.0
     return ApReport(

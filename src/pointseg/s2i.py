@@ -12,7 +12,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PipelineError
-from .grids import LabelGrid, OffsetField, PointAnnotationSet, connected_components
+from .grids import (
+    DEFAULT_CONNECTIVITY,
+    LabelGrid,
+    OffsetField,
+    Point,
+    PointAnnotationSet,
+    connected_components,
+)
 
 __all__ = [
     "InstanceRegion",
@@ -22,6 +29,7 @@ __all__ = [
     "assign_points",
     "class_grid_from_instances",
     "compute_offset_field",
+    "point_window",
     "group_instances",
     "finalize_pseudo_labels",
 ]
@@ -48,7 +56,6 @@ class GroupingConfig:
 
     vote_radius_tau: float | None = None
     pseudo_box_side: int = 16
-    require_foreground: bool = True
 
     def __post_init__(self):
         if self.pseudo_box_side < 1:
@@ -57,7 +64,9 @@ class GroupingConfig:
             raise PipelineError("vote radius must be positive")
 
 
-def extract_regions(semantic: LabelGrid, connectivity: int = 8) -> list[InstanceRegion]:
+def extract_regions(
+    semantic: LabelGrid, connectivity: int = DEFAULT_CONNECTIVITY
+) -> list[InstanceRegion]:
     """One region per connected component per class, in (class, raster) order."""
     regions: list[InstanceRegion] = []
     next_id = 1
@@ -130,16 +139,25 @@ def assign_points(
     return LabelGrid(out)
 
 
+def _require_points(instances: LabelGrid, points: PointAnnotationSet) -> None:
+    orphan = set(instances.ids()) - {p.instance_id for p in points}
+    if orphan:
+        raise PipelineError(f"instance ids without annotation points: {sorted(orphan)}")
+
+
+def _class_table(instances: LabelGrid, points: PointAnnotationSet) -> np.ndarray:
+    """Lookup table from instance id to its point's class; 0 maps to 0.
+
+    Raises on an instance id that has no annotation point.
+    """
+    _require_points(instances, points)
+    # Point ids are exactly 1..K and the set iterates in id order.
+    return np.array([0, *(p.class_id for p in points)], dtype=np.int32)
+
+
 def class_grid_from_instances(instances: LabelGrid, points: PointAnnotationSet) -> LabelGrid:
     """Class-index grid with each instance painted in its point's class."""
-    class_of = points.class_of()
-    lut = np.zeros(max([0, *class_of.keys()]) + 1, dtype=np.int32)
-    for inst, cls in class_of.items():
-        lut[inst] = cls
-    orphan = set(instances.ids()) - set(class_of)
-    if orphan:
-        raise PipelineError(f"instance without annotation point: {sorted(orphan)}")
-    return LabelGrid(lut[instances.data])
+    return LabelGrid(_class_table(instances, points)[instances.data])
 
 
 def compute_offset_field(instances: LabelGrid, points: PointAnnotationSet) -> OffsetField:
@@ -147,10 +165,8 @@ def compute_offset_field(instances: LabelGrid, points: PointAnnotationSet) -> Of
 
     Background pixels are invalid with vector (0, 0).
     """
+    _require_points(instances, points)
     pos = {p.instance_id: (p.y, p.x) for p in points}
-    orphan = set(instances.ids()) - set(pos)
-    if orphan:
-        raise PipelineError(f"instance without annotation point: {sorted(orphan)}")
     h, w = instances.shape
     max_id = max([0, *pos.keys()])
     anchor_y = np.zeros(max_id + 1, dtype=np.float64)
@@ -163,6 +179,19 @@ def compute_offset_field(instances: LabelGrid, points: PointAnnotationSet) -> Of
     vec[:, :, 0] = np.where(valid, anchor_y[instances.data] - yy, 0.0)
     vec[:, :, 1] = np.where(valid, anchor_x[instances.data] - xx, 0.0)
     return OffsetField(vec, valid)
+
+
+def point_window(point: Point, side: int, shape: tuple[int, int]) -> tuple[slice, slice]:
+    """The side x side window at a point, clipped to the grid: the pseudo-box.
+
+    An even side puts the extra row and column below and right of the point.
+    """
+    h, w = shape
+    half_lo, half_hi = (side - 1) // 2, side // 2
+    return (
+        slice(max(0, point.y - half_lo), min(h, point.y + half_hi + 1)),
+        slice(max(0, point.x - half_lo), min(w, point.x + half_hi + 1)),
+    )
 
 
 def group_instances(
@@ -184,7 +213,7 @@ def group_instances(
 
     yy, xx = np.mgrid[0:h, 0:w]
     votes = np.stack([yy + pred_offsets.vectors[:, :, 0], xx + pred_offsets.vectors[:, :, 1]], axis=2)
-    candidates = semantic.data > 0 if cfg.require_foreground else np.ones((h, w), dtype=bool)
+    candidates = semantic.data > 0
 
     out = np.zeros((h, w), dtype=np.int32)
     flat_votes = votes[candidates]
@@ -196,14 +225,10 @@ def group_instances(
         out[candidates] = assigned
 
     present = set(np.unique(out[out > 0]).tolist())
-    half_lo = (cfg.pseudo_box_side - 1) // 2
-    half_hi = cfg.pseudo_box_side // 2
     for p in points:
         if p.instance_id in present:
             continue
-        y0, y1 = max(0, p.y - half_lo), min(h, p.y + half_hi + 1)
-        x0, x1 = max(0, p.x - half_lo), min(w, p.x + half_hi + 1)
-        box = out[y0:y1, x0:x1]
+        box = out[point_window(p, cfg.pseudo_box_side, (h, w))]
         box[box == 0] = p.instance_id
     return LabelGrid(out)
 
@@ -220,14 +245,8 @@ def finalize_pseudo_labels(
     included) is cleared. Returns the cleaned grid and the instance-to-class
     map of the surviving instances.
     """
-    class_of = points.class_of()
-    stray = set(grouped.ids()) - set(class_of)
-    if stray:
-        raise PipelineError(f"grouped ids without annotation points: {sorted(stray)}")
-    lut = np.zeros(max([0, *class_of.keys()]) + 1, dtype=np.int32)
-    for inst, cls in class_of.items():
-        lut[inst] = cls
+    lut = _class_table(grouped, points)
     keep = (grouped.data > 0) & (semantic.data == lut[grouped.data])
     cleaned = np.where(keep, grouped.data, 0).astype(np.int32)
     grid = LabelGrid(cleaned)
-    return grid, {i: class_of[i] for i in grid.ids()}
+    return grid, {i: int(lut[i]) for i in grid.ids()}

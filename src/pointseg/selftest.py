@@ -5,8 +5,6 @@ oracles; prints one line per suite and exits nonzero on any failure.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .grids import ClassScoreMap, LabelGrid, OffsetField

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SceneError
+from .errors import GridError, SceneError
 from .grids import LabelGrid, Point, PointAnnotationSet
 
 __all__ = [
@@ -32,12 +32,32 @@ _MAX_OCCLUDED_FRACTION = 0.35
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Ground truth plus predictor inputs for one synthetic image."""
+    """Ground truth plus predictor inputs for one synthetic image.
+
+    Construction checks that both gt grids and the features share one H x W,
+    that every point lies on it, and that no point's class exceeds n_classes.
+    """
 
     gt_instances: LabelGrid
     gt_semantic: LabelGrid
     points: PointAnnotationSet
     features: np.ndarray  # (H, W, C+1+3) float64
+
+    def __post_init__(self):
+        shape = self.gt_instances.shape
+        if self.gt_semantic.shape != shape:
+            raise SceneError(
+                f"gt semantic grid {self.gt_semantic.shape} differs from gt instance grid {shape}"
+            )
+        if np.ndim(self.features) != 3 or self.features.shape[:2] != shape:
+            raise SceneError(f"features of shape {np.shape(self.features)} on a {shape} grid")
+        try:
+            self.points.validate_on(*shape)
+        except GridError as err:
+            raise SceneError(str(err)) from None
+        top = max((p.class_id for p in self.points), default=0)
+        if top > self.n_classes:
+            raise SceneError(f"point class {top} exceeds the scene's {self.n_classes} classes")
 
     @property
     def height(self) -> int:

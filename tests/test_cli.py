@@ -1,11 +1,18 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pointseg.cli import dispatch, fnv1a64
-from pointseg.grids import decode_label_pgm, decode_tensor
+from pointseg.grids import (
+    LabelGrid,
+    decode_label_pgm,
+    decode_tensor,
+    encode_label_pgm,
+    encode_tensor,
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +142,80 @@ class TestTrainEvalCli:
         for sub in ("pair_000", "pair_001"):
             metrics = json.loads((out / sub / "metrics.json").read_text())
             assert metrics["overall_iou"] == 100.0
+
+    def test_jobs_2_writes_what_jobs_1_writes(self, tmp_path):
+        # Each scene's config crosses the process pool; the outputs must not
+        # depend on which side of it the scene ran.
+        scenes = tmp_path / "scenes"
+        assert dispatch(["synth", "--out", str(scenes), "--seed", "11", "--count", "2",
+                         "--height", "24", "--width", "24"]) == 0
+        scene_flags = [f for d in sorted(scenes.iterdir()) for f in ("--scene", str(d))]
+        for jobs in ("1", "2"):
+            assert dispatch(["train", *scene_flags, "--out", str(tmp_path / f"jobs{jobs}"),
+                             "--stages", "2", "--warmup", "3", "--iters", "4",
+                             "--jobs", jobs]) == 0
+        one, two = tmp_path / "jobs1", tmp_path / "jobs2"
+        files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+        assert len([f for f in files if f.name == "pseudo_instances.pgm"]) == 4
+        for rel in files:
+            if rel.name == "manifest.json":
+                configs = [json.loads((d / rel).read_text())["config"] for d in (one, two)]
+                assert configs[0] == configs[1], rel
+            else:
+                assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("row", ["1,x", "1"])
+    def test_malformed_classes_row_exit_2(self, scene_dir, tmp_path, capsys, row):
+        classes = tmp_path / "classes.csv"
+        classes.write_text(f"instance_id,class_id\n{row}\n")
+        gt = str(scene_dir / "gt_instances.pgm")
+        code = dispatch(["eval", "--pred", gt, "--gt", gt, "--pred-classes", str(classes),
+                         "--gt-classes", str(classes), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "line 2" in err
+
+
+def _damage_features(scene: Path) -> None:
+    feats = decode_tensor((scene / "features.mdmt").read_bytes())
+    (scene / "features.mdmt").write_bytes(encode_tensor(feats[1:]))
+
+
+def _damage_point_class(scene: Path) -> None:
+    rows = (scene / "points.csv").read_text().splitlines()
+    y, x, _, inst = rows[1].split(",")
+    rows[1] = f"{y},{x},7,{inst}"
+    (scene / "points.csv").write_text("\n".join(rows) + "\n")
+
+
+def _damage_gt_semantic(scene: Path) -> None:
+    sem = decode_label_pgm((scene / "gt_semantic.pgm").read_bytes())
+    (scene / "gt_semantic.pgm").write_bytes(encode_label_pgm(LabelGrid(sem.data[:, 2:])))
+
+
+def _damage_point_position(scene: Path) -> None:
+    rows = (scene / "points.csv").read_text().splitlines()
+    _, x, cls, inst = rows[1].split(",")
+    rows[1] = f"500,{x},{cls},{inst}"
+    (scene / "points.csv").write_text("\n".join(rows) + "\n")
+
+
+class TestSceneValidationCli:
+    @pytest.mark.parametrize("damage", [
+        _damage_features, _damage_point_class, _damage_gt_semantic, _damage_point_position,
+    ])
+    def test_broken_scene_exit_2(self, scene_dir, tmp_path, capsys, damage):
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        damage(scene)
+        code = dispatch(["train", "--scene", str(scene), "--out", str(tmp_path / "t"),
+                         "--stages", "1", "--warmup", "1", "--iters", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "t").exists()
 
 
 class TestRenderCli:

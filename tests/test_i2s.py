@@ -212,3 +212,27 @@ class TestI2SConfig:
             I2SConfig(max_pairs=1)
         with pytest.raises(PipelineError):
             I2SConfig(pair_radius=0)
+
+
+class TestRadiusPastGrid:
+    # On a 32x32 grid no pixel pair is 32 or more steps apart, so radius 40
+    # must behave exactly as radius 31.
+    def test_affinity_targets_match_largest_fitting_radius(self):
+        inst = generate_scene(8, 32, 32, 3, 2).gt_instances
+        wide = build_affinity_targets(inst, I2SConfig(pair_radius=40, max_pairs=512), seed=4)
+        fit = build_affinity_targets(inst, I2SConfig(pair_radius=31, max_pairs=512), seed=4)
+        assert np.array_equal(wide.a, fit.a)
+        assert np.array_equal(wide.b, fit.b)
+        assert np.array_equal(wide.targets, fit.targets)
+
+    def test_refresh_matches_largest_fitting_radius(self):
+        inst = generate_scene(8, 32, 32, 3, 2).gt_instances
+        cmap = ClassScoreMap(np.random.default_rng(3).random((32, 32, 3)))
+        flat = inst.data.ravel()
+
+        def same_instance(i_idx, j_idx):
+            return ((flat[i_idx] == flat[j_idx]) & (flat[i_idx] > 0)).astype(np.float64)
+
+        wide = refresh_semantic(same_instance, cmap, I2SConfig(pair_radius=40))
+        fit = refresh_semantic(same_instance, cmap, I2SConfig(pair_radius=31))
+        assert np.array_equal(wide.data, fit.data)
