@@ -90,14 +90,26 @@ def _load_config_file(path: str | None) -> dict:
     return blob
 
 
-def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default):
-    """Flags beat the config file, which beats the built-in default."""
+def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, kind: type, default):
+    """Flags beat the config file, which beats the built-in default.
+
+    A config-file value is converted to `kind`; one that does not convert is
+    a usage error naming the key. A JSON null counts as unset.
+    """
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+    value = file_cfg.get(key)
+    if value is None:
+        return default
+    try:
+        if kind is bool and not isinstance(value, bool):
+            raise ValueError  # bool("false") would read as true
+        return kind(value)
+    except (TypeError, ValueError):
+        raise CliUsageError(
+            f"config key {key!r}: expected {kind.__name__}, got {value!r}"
+        ) from None
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
@@ -126,26 +138,26 @@ def _cmd_synth(argv: list[str]) -> int:
     cfg = _load_config_file(args.config)
 
     t0 = time.time()
-    seed = int(_resolve(args, cfg, "seed", 0))
-    count = int(_resolve(args, cfg, "count", 1))
-    height = int(_resolve(args, cfg, "height", 64))
-    width = int(_resolve(args, cfg, "width", 64))
-    n_classes = int(_resolve(args, cfg, "classes", 3))
-    shapes = _resolve(args, cfg, "shapes", "mixed")
-    fixed_instances = _resolve(args, cfg, "instances", None)
+    seed = _resolve(args, cfg, "seed", int, 0)
+    count = _resolve(args, cfg, "count", int, 1)
+    height = _resolve(args, cfg, "height", int, 64)
+    width = _resolve(args, cfg, "width", int, 64)
+    n_classes = _resolve(args, cfg, "classes", int, 3)
+    shapes = _resolve(args, cfg, "shapes", str, "mixed")
+    fixed_instances = _resolve(args, cfg, "instances", int, None)
     corruption = dict(
-        dilation_px=int(_resolve(args, cfg, "dilation", 2)),
-        erosion_px=int(_resolve(args, cfg, "erosion", 0)),
-        merge_adjacent=bool(_resolve(args, cfg, "merge_adjacent", True)),
-        flip_rate=float(_resolve(args, cfg, "flip_rate", 0.02)),
+        dilation_px=_resolve(args, cfg, "dilation", int, 2),
+        erosion_px=_resolve(args, cfg, "erosion", int, 0),
+        merge_adjacent=_resolve(args, cfg, "merge_adjacent", bool, True),
+        flip_rate=_resolve(args, cfg, "flip_rate", float, 0.02),
     )
 
-    out_root = Path(_resolve(args, cfg, "out", None))
+    out_root = Path(_resolve(args, cfg, "out", str, None))
     for index in range(count):
         scene_seed = seed + index
         rng = np.random.default_rng(scene_seed)
         n_instances = (
-            int(fixed_instances) if fixed_instances is not None else int(rng.integers(2, 7))
+            fixed_instances if fixed_instances is not None else int(rng.integers(2, 7))
         )
         scene = generate_scene(scene_seed, height, width, n_instances, n_classes, shapes)
         corr_cfg = CorruptionConfig(rng_seed=scene_seed + 1, **corruption)
@@ -191,7 +203,7 @@ def _cmd_s2i(argv: list[str]) -> int:
 
     semantic = decode_label_pgm(Path(args.semantic).read_bytes())
     points = decode_points_csv(Path(args.points).read_text())
-    connectivity = int(_resolve(args, cfg, "connectivity", DEFAULT_CONNECTIVITY))
+    connectivity = _resolve(args, cfg, "connectivity", int, DEFAULT_CONNECTIVITY)
 
     regions = extract_regions(semantic, connectivity)
     instances = assign_points(regions, points, semantic.shape)
@@ -234,13 +246,14 @@ def _cmd_i2s(argv: list[str]) -> int:
     if class_map.data.shape[:2] != instances.shape:
         raise PointsegError("instances and classmap disagree on the grid")
     i2s_cfg = I2SConfig(
-        beta=float(_resolve(args, cfg, "beta", I2SConfig.beta)),
-        pair_radius=int(_resolve(args, cfg, "pair_radius", I2SConfig.pair_radius)),
+        beta=_resolve(args, cfg, "beta", float, I2SConfig.beta),
+        pair_radius=_resolve(args, cfg, "pair_radius", int, I2SConfig.pair_radius),
     )
-    flat = instances.data.ravel()
+    lab = instances.data
 
-    def binary_affinity(i_idx, j_idx):
-        return ((flat[i_idx] == flat[j_idx]) & (flat[i_idx] > 0)).astype(np.float64)
+    def binary_affinity(win_i, win_j):
+        li = lab[win_i]
+        return ((li == lab[win_j]) & (li > 0)).astype(np.float64).ravel()
 
     refreshed = refresh_semantic(binary_affinity, class_map, i2s_cfg)
     out_dir = Path(args.out)
@@ -274,27 +287,25 @@ def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
 def _mdm_config_from(args, cfg) -> MdmConfig:
     """Flags and config-file keys over the dataclass defaults."""
     return MdmConfig(
-        n_stages=int(_resolve(args, cfg, "stages", MdmConfig.n_stages)),
-        warmup_iters=int(_resolve(args, cfg, "warmup", MdmConfig.warmup_iters)),
-        iters_per_stage=int(_resolve(args, cfg, "iters", MdmConfig.iters_per_stage)),
-        learning_rate=float(_resolve(args, cfg, "lr", MdmConfig.learning_rate)),
+        n_stages=_resolve(args, cfg, "stages", int, MdmConfig.n_stages),
+        warmup_iters=_resolve(args, cfg, "warmup", int, MdmConfig.warmup_iters),
+        iters_per_stage=_resolve(args, cfg, "iters", int, MdmConfig.iters_per_stage),
+        learning_rate=_resolve(args, cfg, "lr", float, MdmConfig.learning_rate),
         loss_weights=LossWeights(
-            hard_pixel_ratio=float(
-                _resolve(args, cfg, "hard_pixel_ratio", LossWeights.hard_pixel_ratio)
+            hard_pixel_ratio=_resolve(
+                args, cfg, "hard_pixel_ratio", float, LossWeights.hard_pixel_ratio
             )
         ),
         grouping=GroupingConfig(
-            vote_radius_tau=_resolve(args, cfg, "tau", GroupingConfig.vote_radius_tau),
-            pseudo_box_side=int(
-                _resolve(args, cfg, "box_side", GroupingConfig.pseudo_box_side)
-            ),
+            vote_radius_tau=_resolve(args, cfg, "tau", float, GroupingConfig.vote_radius_tau),
+            pseudo_box_side=_resolve(args, cfg, "box_side", int, GroupingConfig.pseudo_box_side),
         ),
         i2s=I2SConfig(
-            beta=float(_resolve(args, cfg, "beta", I2SConfig.beta)),
-            pair_radius=int(_resolve(args, cfg, "pair_radius", I2SConfig.pair_radius)),
-            max_pairs=int(_resolve(args, cfg, "max_pairs", I2SConfig.max_pairs)),
+            beta=_resolve(args, cfg, "beta", float, I2SConfig.beta),
+            pair_radius=_resolve(args, cfg, "pair_radius", int, I2SConfig.pair_radius),
+            max_pairs=_resolve(args, cfg, "max_pairs", int, I2SConfig.max_pairs),
         ),
-        seed=int(_resolve(args, cfg, "seed", MdmConfig.seed)),
+        seed=_resolve(args, cfg, "seed", int, MdmConfig.seed),
     )
 
 
@@ -399,7 +410,8 @@ def _cmd_train(argv: list[str]) -> int:
 # ---------------------------------------------------------------- eval
 
 
-def _read_classes_csv(path: Path) -> dict[int, int]:
+def _read_classes_csv(path: Path, grid: LabelGrid) -> dict[int, int]:
+    """The instance -> class table of `grid`; every id of the grid needs a row."""
     rows = [(n, r.strip()) for n, r in enumerate(path.read_text().splitlines(), 1) if r.strip()]
     if not rows or rows[0][1].replace(" ", "") != "instance_id,class_id":
         raise PointsegError(f"{path}: expected header instance_id,class_id")
@@ -412,6 +424,9 @@ def _read_classes_csv(path: Path) -> dict[int, int]:
                 f"{path} line {n}: expected two integers instance_id,class_id, got {row!r}"
             ) from None
         table[inst] = cls
+    missing = sorted(set(grid.ids()) - table.keys())
+    if missing:
+        raise PointsegError(f"{path}: no row for instance ids {missing} of the label grid")
     return table
 
 
@@ -420,8 +435,8 @@ def _eval_one(task: tuple[str, str, str | None, str | None, str]) -> str:
     t0 = time.time()
     pred = decode_label_pgm(Path(pred_path).read_bytes())
     gt = decode_label_pgm(Path(gt_path).read_bytes())
-    pred_classes = _read_classes_csv(Path(pred_cls_path)) if pred_cls_path else None
-    gt_classes = _read_classes_csv(Path(gt_cls_path)) if gt_cls_path else None
+    pred_classes = _read_classes_csv(Path(pred_cls_path), pred) if pred_cls_path else None
+    gt_classes = _read_classes_csv(Path(gt_cls_path), gt) if gt_cls_path else None
     class_aware = pred_classes is not None and gt_classes is not None
     match = greedy_match(
         pred, gt, pred_classes=pred_classes, gt_classes=gt_classes, class_aware=class_aware

@@ -4,6 +4,9 @@ Builds binary pixel-pair affinity targets from an instance map and refreshes
 a class score map through a row-normalized Hadamard-powered affinity
 operator. The dense H*W x H*W matrix is a small-grid oracle; production code
 evaluates affinity only at sampled pairs or within a neighborhood radius.
+Within the radius, affinity is a callable over two aligned slice windows of
+the grid, one per offset, so every pair of an offset is evaluated and added
+in one vectorised step.
 """
 from __future__ import annotations
 
@@ -26,7 +29,8 @@ __all__ = [
 DENSE_GUARD_PIXELS = 4096
 SYMMETRY_TOL = 1e-6
 
-AffinityFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Window = tuple[slice, slice]
+AffinityFn = Callable[[Window, Window], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,13 @@ def _half_plane_offsets(radius: int) -> list[tuple[int, int]]:
     return offsets
 
 
+def _offset_windows(h: int, w: int, dy: int, dx: int) -> tuple[Window, Window]:
+    """Equal-shape windows of the pixels i and their partners j = i + (dy, dx)."""
+    win_i = (slice(max(0, -dy), h - max(0, dy)), slice(max(0, -dx), w - max(0, dx)))
+    win_j = (slice(max(0, dy), h + min(0, dy)), slice(max(0, dx), w + min(0, dx)))
+    return win_i, win_j
+
+
 def build_affinity_targets(
     instances: LabelGrid, cfg: I2SConfig, seed: int = 0
 ) -> AffinitySampleSet:
@@ -112,10 +123,9 @@ def build_affinity_targets(
     for dy, dx in _half_plane_offsets(cfg.pair_radius):
         if dy >= h or abs(dx) >= w:
             continue  # no pixel pair spans this offset
-        ys = slice(0, h - dy)
-        xs = slice(max(0, -dx), w - max(0, dx))
-        la = lab[ys, xs]
-        lb = lab[dy : h, slice(max(0, dx), w + min(0, dx))]
+        win_a, win_b = _offset_windows(h, w, dy, dx)
+        la = lab[win_a]
+        lb = lab[win_b]
         keep = (la > 0) | (lb > 0)
         if not keep.any():
             continue
@@ -179,33 +189,35 @@ def refresh_semantic(
     Each output row is sum_j W_ij * C(j, .) with W the row-normalized
     Hadamard power affinity (diagonal included). `affinity` is either the
     dense H*W x H*W matrix (must be symmetric, unit diagonal) or a callable
-    f(flat_i, flat_j) -> values in [0, 1], evaluated only within
-    cfg.pair_radius (clipped to the grid); the callable path forces unit
-    self-affinity.
+    f(win_i, win_j) -> values in [0, 1]. Each win is a (row slice, column
+    slice) window of the grid; the two have equal shape, pixel j = i +
+    (dy, dx) sits at the same place in win_j as i in win_i, and f returns
+    one value per pair as a 1-D array in raster order of the window. The
+    callable is evaluated once per offset within cfg.pair_radius (clipped to
+    the grid), from (-r, -r) to (r, r), and each pixel's sums accumulate in
+    that order; the callable path forces unit self-affinity.
     """
     h, w, ch = class_map.data.shape
-    n = h * w
-    flat_c = class_map.data.reshape(n, ch)
     if callable(affinity):
-        acc = flat_c.copy()  # diagonal term with weight 1^beta = 1
-        wsum = np.ones(n, dtype=np.float64)
-        grid = np.arange(n, dtype=np.int64).reshape(h, w)
+        # One (H, W) plane per class keeps every update a 2-D elementwise
+        # step; broadcasting over a short trailing class axis is ~2x slower.
+        planes = np.ascontiguousarray(class_map.data.transpose(2, 0, 1))
+        acc = planes.copy()  # diagonal term with weight 1^beta = 1
+        wsum = np.ones((h, w), dtype=np.float64)
         r = cfg.pair_radius
         for dy in range(-r, r + 1):
             for dx in range(-r, r + 1):
                 if (dy == 0 and dx == 0) or abs(dy) >= h or abs(dx) >= w:
                     continue
-                ys = slice(max(0, -dy), h - max(0, dy))
-                xs = slice(max(0, -dx), w - max(0, dx))
-                i_idx = grid[ys, xs].ravel()
-                j_idx = grid[
-                    slice(max(0, dy), h + min(0, dy)), slice(max(0, dx), w + min(0, dx))
-                ].ravel()
-                vals = np.asarray(affinity(i_idx, j_idx), dtype=np.float64) ** cfg.beta
-                acc[i_idx] += vals[:, None] * flat_c[j_idx]
-                wsum[i_idx] += vals
-        out = acc / wsum[:, None]
+                win_i, win_j = _offset_windows(h, w, dy, dx)
+                vals = np.asarray(affinity(win_i, win_j), dtype=np.float64) ** cfg.beta
+                vals = vals.reshape(h - abs(dy), w - abs(dx))
+                acc[(slice(None), *win_i)] += vals * planes[(slice(None), *win_j)]
+                wsum[win_i] += vals
+        out = (acc / wsum).transpose(1, 2, 0)
     else:
+        n = h * w
+        flat_c = class_map.data.reshape(n, ch)
         aff = np.asarray(affinity, dtype=np.float64)
         if aff.shape != (n, n):
             raise PipelineError(f"dense affinity must be {n}x{n}, got {aff.shape}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PipelineError
 from .grids import ClassScoreMap, LabelGrid, OffsetField, PointAnnotationSet
-from .i2s import AffinitySampleSet, I2SConfig, build_affinity_targets, refresh_semantic
+from .i2s import AffinitySampleSet, I2SConfig, Window, build_affinity_targets, refresh_semantic
 from .losses import (
     LossReport,
     LossWeights,
@@ -162,9 +162,13 @@ def _logit_scale(embed_dim: int) -> float:
     return 1.0 / math.sqrt(embed_dim)
 
 
-def _pair_logits(emb: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Affinity logits dot(emb[ia], emb[ib]) / sqrt(D) over (N, D) embeddings."""
-    return (emb[ia] * emb[ib]).sum(axis=1) * _logit_scale(emb.shape[1])
+def _pair_logits(emb: np.ndarray, ia, ib) -> np.ndarray:
+    """Affinity logits dot(emb[ia], emb[ib]) / sqrt(D) over emb's last axis.
+
+    ia and ib are flat pixel indices into (N, D) embeddings, or aligned
+    windows into (H, W, D) embeddings.
+    """
+    return (emb[ia] * emb[ib]).sum(axis=-1) * _logit_scale(emb.shape[-1])
 
 
 def _pair_index(samples: AffinitySampleSet, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -456,10 +460,8 @@ def run_stage(
     grouped = group_instances(offsets_used, semantic_in, points, cfg.grouping)
     pseudo, classes = finalize_pseudo_labels(grouped, semantic_in, points)
 
-    emb_flat = outs.embeddings.reshape(scene.height * scene.width, -1)
-
-    def predicted_affinity(i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
-        return sigmoid(_pair_logits(emb_flat, i_idx, j_idx))
+    def predicted_affinity(win_i: Window, win_j: Window) -> np.ndarray:
+        return sigmoid(_pair_logits(outs.embeddings, win_i, win_j).ravel())
 
     # Refresh bounded probabilities rather than raw scores: convex mixing
     # keeps the recurrence stable (confident raw scores snowball).

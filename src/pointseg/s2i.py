@@ -69,13 +69,18 @@ def extract_regions(
 ) -> list[InstanceRegion]:
     """One region per connected component per class, in (class, raster) order."""
     regions: list[InstanceRegion] = []
-    next_id = 1
+    width = semantic.width
     for class_id in semantic.ids():
-        comps = connected_components(semantic.data == class_id, connectivity)
-        for comp_id in range(1, int(comps.data.max()) + 1):
-            pixels = np.argwhere(comps.data == comp_id).astype(np.int32)
-            regions.append(InstanceRegion(next_id, class_id, pixels))
-            next_id += 1
+        comps = connected_components(semantic.data == class_id, connectivity).data.ravel()
+        # One stable sort groups the foreground by component id and keeps
+        # raster order inside each group; bincount gives the group sizes.
+        flat = np.flatnonzero(comps)
+        ids = comps[flat]
+        flat = flat[np.argsort(ids, kind="stable")]
+        yx = np.stack(np.divmod(flat, width), axis=1).astype(np.int32)
+        sizes = np.bincount(ids)[1:]
+        for pixels in np.split(yx, np.cumsum(sizes)[:-1]):
+            regions.append(InstanceRegion(len(regions) + 1, class_id, pixels))
     return regions
 
 

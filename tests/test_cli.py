@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pointseg
 from pointseg.cli import dispatch, fnv1a64
 from pointseg.grids import (
     LabelGrid,
@@ -176,6 +180,79 @@ class TestTrainEvalCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "line 2" in err
+
+    @pytest.mark.parametrize("short", ["--pred-classes", "--gt-classes"])
+    def test_classes_file_missing_an_instance_exit_2(self, scene_dir, tmp_path, capsys, short):
+        s2i = tmp_path / "s2i"
+        assert dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
+                         "--points", str(scene_dir / "points.csv"), "--out", str(s2i)]) == 0
+        instances = s2i / "instances.pgm"
+        assert decode_label_pgm(instances.read_bytes()).ids() == [1, 2, 3]
+        full = s2i / "classes.csv"
+        one_row = tmp_path / "one_row.csv"
+        one_row.write_text("\n".join(full.read_text().splitlines()[:2]) + "\n")
+        tables = {"--pred-classes": full, "--gt-classes": full, short: one_row}
+        code = dispatch(["eval", "--pred", str(instances), "--gt", str(instances),
+                         *(str(a) for flag in tables.items() for a in flag),
+                         "--out", str(tmp_path / "ev")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "[2, 3]" in err
+
+    @pytest.mark.parametrize("command,key,value,kind", [
+        ("train", "stages", "x", "int"),
+        ("train", "tau", "abc", "float"),
+        ("synth", "merge_adjacent", "false", "bool"),
+    ])
+    def test_config_value_of_wrong_type_exit_1(
+        self, scene_dir, tmp_path, capsys, command, key, value, kind
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        scene = ["--scene", str(scene_dir)] if command == "train" else []
+        code = dispatch([command, *scene, "--out", str(tmp_path / "t"),
+                         "--config", str(cfg_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert repr(key) in err and f"expected {kind}" in err
+        assert not (tmp_path / "t").exists()
+
+
+_LABEL_WITHOUT_SCIPY = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from pointseg.cli import dispatch
+from pointseg.grids import decode_label_pgm, encode_tensor
+
+scene, out = Path(sys.argv[1]), Path(sys.argv[2])
+semantic = decode_label_pgm((scene / "semantic_in.pgm").read_bytes())
+onehot = np.eye(int(semantic.data.max()) + 1)[semantic.data]
+(out / "classmap_in.mdmt").write_bytes(encode_tensor(onehot))
+assert dispatch(["s2i", "--semantic", str(scene / "semantic_in.pgm"),
+                 "--points", str(scene / "points.csv"), "--out", str(out / "s2i")]) == 0
+assert dispatch(["i2s", "--instances", str(out / "s2i" / "instances.pgm"),
+                 "--classmap", str(out / "classmap_in.mdmt"), "--out", str(out / "i2s")]) == 0
+print("scipy loaded:", any(m.split(".")[0] == "scipy" for m in sys.modules))
+"""
+
+
+class TestRuntimeImports:
+    def test_s2i_and_i2s_do_not_import_scipy(self, scene_dir, tmp_path):
+        # SciPy is a test-only extra: importing scipy.ndimage alone costs
+        # about 27 MiB of resident memory per process.
+        src = Path(pointseg.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", _LABEL_WITHOUT_SCIPY, str(scene_dir), str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "scipy loaded: False"
 
 
 def _damage_features(scene: Path) -> None:

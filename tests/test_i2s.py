@@ -11,6 +11,8 @@ from pointseg import (
     generate_scene,
     refresh_semantic,
 )
+from pointseg.loop import _pair_logits
+from pointseg.losses import sigmoid, softmax_rows
 
 
 def grid(rows):
@@ -183,9 +185,10 @@ class TestRefreshSemantic:
         inst = LabelGrid(rng.integers(0, 3, size=(6, 6)).astype(np.int32))
         cmap = ClassScoreMap(rng.standard_normal((6, 6, 3)))
         dense = dense_affinity_from_instances(inst)
+        index = np.arange(36).reshape(6, 6)
 
-        def fn(i_idx, j_idx):
-            return dense[i_idx, j_idx]
+        def fn(win_i, win_j):
+            return dense[index[win_i].ravel(), index[win_j].ravel()]
 
         # radius >= grid diameter makes the neighborhood path exhaustive
         cfg = I2SConfig(beta=2.0, pair_radius=6)
@@ -198,7 +201,9 @@ class TestRefreshSemantic:
         inst = grid([[1, 1, 1]])
         cmap = ClassScoreMap(np.array([[[1.0], [0.0], [0.0]]]))
         out = refresh_semantic(
-            lambda i, j: np.ones(len(i)), cmap, I2SConfig(beta=1.0, pair_radius=1)
+            lambda win_i, win_j: np.ones(inst.data[win_i].size),
+            cmap,
+            I2SConfig(beta=1.0, pair_radius=1),
         )
         assert out.data[0, 2, 0] == 0.0
         assert out.data[0, 1, 0] > 0.0
@@ -228,11 +233,88 @@ class TestRadiusPastGrid:
     def test_refresh_matches_largest_fitting_radius(self):
         inst = generate_scene(8, 32, 32, 3, 2).gt_instances
         cmap = ClassScoreMap(np.random.default_rng(3).random((32, 32, 3)))
-        flat = inst.data.ravel()
+        lab = inst.data
 
-        def same_instance(i_idx, j_idx):
-            return ((flat[i_idx] == flat[j_idx]) & (flat[i_idx] > 0)).astype(np.float64)
+        def same_instance(win_i, win_j):
+            li = lab[win_i]
+            return ((li == lab[win_j]) & (li > 0)).astype(np.float64).ravel()
 
         wide = refresh_semantic(same_instance, cmap, I2SConfig(pair_radius=40))
         fit = refresh_semantic(same_instance, cmap, I2SConfig(pair_radius=31))
         assert np.array_equal(wide.data, fit.data)
+
+
+def flat_index_refresh(affinity, class_map, cfg):
+    """The refresh as a flat-index gather and scatter per offset: the oracle.
+
+    affinity(i_idx, j_idx) takes flat pixel indices. Offsets run from
+    (-r, -r) to (r, r) with one add per offset, the order refresh_semantic
+    keeps, so the two must agree bit for bit.
+    """
+    h, w, ch = class_map.data.shape
+    n = h * w
+    flat_c = class_map.data.reshape(n, ch)
+    acc = flat_c.copy()
+    wsum = np.ones(n, dtype=np.float64)
+    grid_idx = np.arange(n, dtype=np.int64).reshape(h, w)
+    r = cfg.pair_radius
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            if (dy == 0 and dx == 0) or abs(dy) >= h or abs(dx) >= w:
+                continue
+            ys = slice(max(0, -dy), h - max(0, dy))
+            xs = slice(max(0, -dx), w - max(0, dx))
+            i_idx = grid_idx[ys, xs].ravel()
+            j_idx = grid_idx[
+                slice(max(0, dy), h + min(0, dy)), slice(max(0, dx), w + min(0, dx))
+            ].ravel()
+            vals = np.asarray(affinity(i_idx, j_idx), dtype=np.float64) ** cfg.beta
+            acc[i_idx] += vals[:, None] * flat_c[j_idx]
+            wsum[i_idx] += vals
+    return acc / wsum[:, None]
+
+
+class TestWindowRefreshMatchesFlatIndexOracle:
+    # 13x9 so that rows and columns differ; radius 20 lies past the grid.
+    H, W = 13, 9
+
+    def _probs(self, rng, ch=4):
+        return ClassScoreMap(
+            softmax_rows(rng.standard_normal((self.H, self.W, ch)))
+        )
+
+    @pytest.mark.parametrize("radius", [1, 3, 20])
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_binary_affinity(self, radius, beta):
+        rng = np.random.default_rng(radius)
+        lab = rng.integers(0, 4, size=(self.H, self.W)).astype(np.int32)
+        flat = lab.ravel()
+
+        def by_index(i_idx, j_idx):
+            return ((flat[i_idx] == flat[j_idx]) & (flat[i_idx] > 0)).astype(np.float64)
+
+        def by_window(win_i, win_j):
+            li = lab[win_i]
+            return ((li == lab[win_j]) & (li > 0)).astype(np.float64).ravel()
+
+        cmap = self._probs(rng)
+        cfg = I2SConfig(beta=beta, pair_radius=radius)
+        out = refresh_semantic(by_window, cmap, cfg)
+        assert np.array_equal(out.data.reshape(-1, 4), flat_index_refresh(by_index, cmap, cfg))
+
+    @pytest.mark.parametrize("radius", [1, 3, 20])
+    def test_sigmoid_embedding_affinity(self, radius):
+        rng = np.random.default_rng(100 + radius)
+        emb = rng.standard_normal((self.H, self.W, 8))
+        emb_flat = emb.reshape(-1, 8)
+
+        def by_index(i_idx, j_idx):
+            return sigmoid(_pair_logits(emb_flat, i_idx, j_idx))
+
+        def by_window(win_i, win_j):
+            return sigmoid(_pair_logits(emb, win_i, win_j).ravel())
+
+        cmap = self._probs(rng)
+        cfg = I2SConfig(pair_radius=radius)
+        out = refresh_semantic(by_window, cmap, cfg)
+        assert np.array_equal(out.data.reshape(-1, 4), flat_index_refresh(by_index, cmap, cfg))

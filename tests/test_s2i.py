@@ -16,6 +16,7 @@ from pointseg import (
     generate_scene,
     group_instances,
 )
+from pointseg.grids import connected_components
 
 
 def grid(rows):
@@ -44,6 +45,33 @@ class TestExtractRegions:
     def test_owner_points_start_empty(self):
         sem = grid([[1, 1]])
         assert extract_regions(sem)[0].owner_points == ()
+
+
+def argwhere_regions(semantic, connectivity):
+    """extract_regions as one argwhere per component: the oracle."""
+    out = []
+    for class_id in semantic.ids():
+        comps = connected_components(semantic.data == class_id, connectivity).data
+        for comp_id in range(1, int(comps.max()) + 1):
+            out.append((class_id, np.argwhere(comps == comp_id).astype(np.int32)))
+    return out
+
+
+class TestExtractRegionsMatchesArgwhereOracle:
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_random_label_grids(self, connectivity):
+        rng = np.random.default_rng(connectivity)
+        for _ in range(30):
+            h, w = int(rng.integers(1, 20)), int(rng.integers(1, 20))
+            sem = LabelGrid(rng.integers(0, 4, size=(h, w)).astype(np.int32))
+            regions = extract_regions(sem, connectivity)
+            expected = argwhere_regions(sem, connectivity)
+            assert [r.region_id for r in regions] == list(range(1, len(expected) + 1))
+            assert [r.class_id for r in regions] == [c for c, _ in expected]
+            for region, (_, pixels) in zip(regions, expected):
+                assert region.pixels.dtype == np.int32
+                assert region.pixels.shape == pixels.shape
+                assert np.array_equal(region.pixels, pixels)
 
 
 class TestAssignPoints:
