@@ -53,7 +53,6 @@ from .losses import (
     affinity_loss,
     grad_check,
     offset_loss,
-    offset_pixel_weights,
     seg_loss_ohem,
     smooth_l1,
     total_loss,
@@ -63,7 +62,6 @@ from .metrics import (
     MatchReport,
     ap_report,
     average_precision,
-    dataset_pixel_iou,
     greedy_match,
     mask_iou,
 )

@@ -1,6 +1,6 @@
 """Command-line entry point binding all modules into reproducible pipelines.
 
-Subcommands: synth | s2i | i2s | train | eval | render | selftest. Every
+Subcommands: synth | s2i | i2s | train | eval | render. Every
 output directory receives a manifest.json with the tool version, the full
 configuration echo, FNV-1a digests of the inputs, and wall-clock seconds.
 Exit codes: 0 success, 1 usage error, 2 data error.
@@ -93,8 +93,8 @@ def _load_config_file(path: str | None) -> dict:
 def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, kind: type, default):
     """Flags beat the config file, which beats the built-in default.
 
-    A config-file value is converted to `kind`; one that does not convert is
-    a usage error naming the key. A JSON null counts as unset.
+    A config-file value is converted to `kind`; one that does not convert
+    exactly is a usage error naming the key. A JSON null counts as unset.
     """
     value = getattr(args, key, None)
     if value is not None:
@@ -103,8 +103,11 @@ def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, kind: type, def
     if value is None:
         return default
     try:
-        if kind is bool and not isinstance(value, bool):
-            raise ValueError  # bool("false") would read as true
+        # bool("false") would read as true, int(True) as 1 and int(2.7) as 2
+        if isinstance(value, bool) != (kind is bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError):
         raise CliUsageError(
@@ -114,6 +117,17 @@ def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, kind: type, def
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with defaults for any flag")
+
+
+def _run_tasks(worker, tasks: list, jobs: int) -> None:
+    """Print each task's line in task order, over a process pool when jobs > 1."""
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for line in pool.map(worker, tasks):
+                print(line)
+    else:
+        for task in tasks:
+            print(worker(task))
 
 
 # ---------------------------------------------------------------- synth
@@ -272,14 +286,22 @@ def _cmd_i2s(argv: list[str]) -> int:
 
 
 def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
-    meta = json.loads((scene_dir / "scene.json").read_text())
+    meta_path = scene_dir / "scene.json"
+    meta = json.loads(meta_path.read_text())
+    try:
+        declared = meta.get("n_classes")
+        declared = None if declared is None else int(declared)
+    except (AttributeError, TypeError, ValueError):
+        raise PointsegError(
+            f"{meta_path}: expected a JSON object with an integer n_classes"
+        ) from None
     gt_instances = decode_label_pgm((scene_dir / "gt_instances.pgm").read_bytes())
     gt_semantic = decode_label_pgm((scene_dir / "gt_semantic.pgm").read_bytes())
     semantic_in = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
     points = decode_points_csv((scene_dir / "points.csv").read_text())
     features = decode_tensor((scene_dir / "features.mdmt").read_bytes())
     scene = Scene(gt_instances, gt_semantic, points, features)
-    if meta.get("n_classes") is not None and scene.n_classes != int(meta["n_classes"]):
+    if declared is not None and scene.n_classes != declared:
         raise PointsegError(f"{scene_dir}: feature channels disagree with scene.json")
     return scene, semantic_in
 
@@ -397,13 +419,7 @@ def _cmd_train(argv: list[str]) -> int:
         out_dir = out_root / scene_dir.name if len(args.scene) > 1 else out_root
         tasks.append((str(scene_dir), str(out_dir), mdm_cfg))
 
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for line in pool.map(_train_one, tasks):
-                print(line)
-    else:
-        for task in tasks:
-            print(_train_one(task))
+    _run_tasks(_train_one, tasks, args.jobs)
     return 0
 
 
@@ -487,13 +503,7 @@ def _cmd_eval(argv: list[str]) -> int:
     for i in range(n):
         out_dir = out_root / f"pair_{i:03d}" if n > 1 else out_root
         tasks.append((args.pred[i], args.gt[i], pred_cls[i], gt_cls[i], str(out_dir)))
-    if args.jobs > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for line in pool.map(_eval_one, tasks):
-                print(line)
-    else:
-        for task in tasks:
-            print(_eval_one(task))
+    _run_tasks(_eval_one, tasks, args.jobs)
     return 0
 
 
@@ -511,17 +521,6 @@ def _cmd_render(argv: list[str]) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- selftest
-
-
-def _cmd_selftest(argv: list[str]) -> int:
-    parser = _Parser(prog="pointseg selftest")
-    parser.parse_args(argv)
-    from .selftest import run_selftest
-
-    return run_selftest()
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "s2i": _cmd_s2i,
@@ -529,12 +528,11 @@ _COMMANDS = {
     "train": _cmd_train,
     "eval": _cmd_eval,
     "render": _cmd_render,
-    "selftest": _cmd_selftest,
 }
 
 _USAGE = (
     "usage: pointseg <subcommand> [options]\n"
-    "subcommands: synth | s2i | i2s | train | eval | render | selftest\n"
+    "subcommands: synth | s2i | i2s | train | eval | render\n"
     "run `pointseg <subcommand> --help` for details\n"
 )
 

@@ -158,13 +158,6 @@ class OffsetField:
             [self.vectors, self.valid[:, :, None].astype(np.float64)], axis=2
         )
 
-    @classmethod
-    def from_tensor(cls, arr: np.ndarray) -> "OffsetField":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise GridError("packed offset tensor must be H x W x 3")
-        return cls(arr[:, :, :2], arr[:, :, 2] > 0.5)
-
 
 class Point(NamedTuple):
     y: int

@@ -41,7 +41,7 @@ class I2SConfig:
     balance: bool = True
 
     def __post_init__(self):
-        if self.beta < 1.0:
+        if not self.beta >= 1.0:  # NaN fails too
             raise PipelineError(f"beta must be >= 1, got {self.beta}")
         if self.pair_radius < 1:
             raise PipelineError("pair radius must be >= 1")
@@ -62,8 +62,6 @@ class AffinitySampleSet:
     b: np.ndarray
     targets: np.ndarray
     pred_logits: np.ndarray
-    radius: int
-    seed: int
 
     def __post_init__(self):
         for name in ("a", "b", "targets", "pred_logits"):
@@ -161,8 +159,6 @@ def build_affinity_targets(
         b=b[chosen],
         targets=t[chosen].astype(np.float64),
         pred_logits=np.zeros(len(chosen), dtype=np.float64),
-        radius=cfg.pair_radius,
-        seed=seed,
     )
 
 

@@ -93,7 +93,6 @@ class TinyPredictorParams:
     biases: np.ndarray  # (C+1+2+D,)
     n_classes: int
     embed_dim: int
-    rng_seed: int
     offset_scale: float = OFFSET_OUTPUT_SCALE
 
     @classmethod
@@ -102,25 +101,19 @@ class TinyPredictorParams:
         seed: int,
         feature_dim: int,
         n_classes: int,
-        embed_dim: int = DEFAULT_EMBED_DIM,
         offset_scale: float = OFFSET_OUTPUT_SCALE,
     ) -> "TinyPredictorParams":
         fan_in = 2 * feature_dim
-        n_out = (n_classes + 1) + 2 + embed_dim
+        n_out = (n_classes + 1) + 2 + DEFAULT_EMBED_DIM
         bound = 1.0 / math.sqrt(fan_in)
         rng = np.random.default_rng(seed)
         return cls(
             weights=rng.uniform(-bound, bound, size=(fan_in, n_out)),
             biases=rng.uniform(-bound, bound, size=n_out),
             n_classes=n_classes,
-            embed_dim=embed_dim,
-            rng_seed=seed,
+            embed_dim=DEFAULT_EMBED_DIM,
             offset_scale=offset_scale,
         )
-
-    @property
-    def n_outputs(self) -> int:
-        return self.weights.shape[1]
 
     def head_slices(self) -> tuple[slice, slice, slice]:
         c1 = self.n_classes + 1
@@ -227,8 +220,8 @@ class MdmConfig:
             raise PipelineError("iters_per_stage must be >= 1")
         if self.warmup_iters < 0:
             raise PipelineError("warmup_iters must be >= 0")
-        if self.learning_rate < 0:
-            raise PipelineError("learning rate must be >= 0")
+        if not self.learning_rate >= 0:  # NaN fails too
+            raise PipelineError(f"learning rate must be >= 0, got {self.learning_rate}")
 
 
 def _paint_fallback_boxes(

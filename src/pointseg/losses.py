@@ -23,7 +23,6 @@ __all__ = [
     "sigmoid",
     "softmax_rows",
     "smooth_l1",
-    "offset_pixel_weights",
     "offset_loss",
     "seg_loss_ohem",
     "affinity_loss",
@@ -44,8 +43,9 @@ class LossWeights:
     hard_pixel_ratio: float = 0.2
 
     def __post_init__(self):
-        if min(self.lambda_seg, self.lambda_off, self.lambda_aff) < 0:
-            raise LossError("loss weights must be >= 0")
+        for name in ("lambda_seg", "lambda_off", "lambda_aff"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise LossError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (0.0 < self.hard_pixel_ratio <= 1.0):
             raise LossError(f"hard pixel ratio must be in (0, 1], got {self.hard_pixel_ratio}")
 
@@ -95,23 +95,8 @@ def smooth_l1(x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
     return value, deriv
 
 
-def offset_pixel_weights(instances: LabelGrid, mode: str = "uniform") -> np.ndarray:
-    """Per-pixel offset-loss weights; inverse mode evens out instance sizes."""
-    if mode == "uniform":
-        return np.ones(instances.shape, dtype=np.float64)
-    if mode != "inverse_instance_size":
-        raise LossError(f"unknown weight mode {mode!r}")
-    counts = np.bincount(instances.data.ravel())
-    counts[0] = 1
-    return 1.0 / counts[instances.data].astype(np.float64)
-
-
-def offset_loss(
-    pred: OffsetField,
-    target: OffsetField,
-    weights: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Weighted smooth-L1 over target-valid pixels, both vector components.
+def offset_loss(pred: OffsetField, target: OffsetField) -> tuple[float, np.ndarray]:
+    """Mean smooth-L1 over target-valid pixels, both vector components summed.
 
     Returns the scalar loss and its gradient w.r.t. the predicted vectors
     (zero outside the valid set).
@@ -122,12 +107,11 @@ def offset_loss(
     n = int(valid.sum())
     if n == 0:
         raise LossError("empty pseudo set")
-    w = np.ones(pred.shape, dtype=np.float64) if weights is None else np.asarray(weights, dtype=np.float64)
     diff = pred.vectors - target.vectors
     value, deriv = smooth_l1(diff)
-    per_pixel = (value.sum(axis=2) * w)[valid]
+    per_pixel = value.sum(axis=2)[valid]
     grad = np.zeros_like(pred.vectors)
-    grad[valid] = deriv[valid] * w[valid, None] / n
+    grad[valid] = deriv[valid] / n
     return float(per_pixel.sum() / n), grad
 
 

@@ -16,7 +16,6 @@ __all__ = [
     "greedy_match",
     "average_precision",
     "ap_report",
-    "dataset_pixel_iou",
 ]
 
 MATCH_THRESHOLDS = (0.5, 0.7, 0.9)
@@ -104,11 +103,6 @@ def greedy_match(
     counts = {t: sum(1 for v in ious.values() if v > t) for t in MATCH_THRESHOLDS}
     overall = 100.0 * (sum(ious.values()) / len(ious)) if ious else 0.0
     return MatchReport(ious=ious, matches=matches, counts=counts, overall_iou=overall)
-
-
-def dataset_pixel_iou(pred: LabelGrid, gt: LabelGrid) -> float:
-    """Alternative overall measure: foreground pixel IoU over the whole grid."""
-    return mask_iou(pred.data > 0, gt.data > 0)
 
 
 def _ap_single_class(

@@ -60,8 +60,8 @@ class GroupingConfig:
     def __post_init__(self):
         if self.pseudo_box_side < 1:
             raise PipelineError("pseudo box side must be >= 1")
-        if self.vote_radius_tau is not None and self.vote_radius_tau <= 0:
-            raise PipelineError("vote radius must be positive")
+        if self.vote_radius_tau is not None and not self.vote_radius_tau > 0:  # NaN fails too
+            raise PipelineError(f"vote radius tau must be > 0, got {self.vote_radius_tau}")
 
 
 def extract_regions(

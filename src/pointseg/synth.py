@@ -250,7 +250,7 @@ def _generate_scene_once(
 
     gt_instances = LabelGrid(instances)
     gt_semantic = LabelGrid(semantic)
-    points = pick_points(gt_instances, "random_interior", seed, semantic=gt_semantic)
+    points = pick_points(gt_instances, seed, semantic=gt_semantic)
     features = _assemble_features(gt_semantic, n_classes, h, w, intensity)
     return Scene(gt_instances, gt_semantic, points, features)
 
@@ -354,19 +354,14 @@ def _interior_depth(mask: np.ndarray) -> np.ndarray:
 
 def pick_points(
     gt_instances: LabelGrid,
-    mode: str,
     seed: int,
     semantic: LabelGrid | None = None,
 ) -> PointAnnotationSet:
     """One annotated point per instance, always a pixel of that instance.
 
-    centroid: the region pixel nearest the true centroid (snaps inward when
-    the centroid falls outside, e.g. L-shaped regions).
-    random_interior: a seeded draw over the region's pixels, weighted toward
-    the interior the way human clicks are; every region pixel stays possible.
+    Each point is a seeded draw over the region's pixels, weighted toward the
+    interior the way human clicks are; every region pixel stays possible.
     """
-    if mode not in ("centroid", "random_interior"):
-        raise SceneError(f"unknown point mode {mode!r}")
     ids = gt_instances.ids()
     if ids != list(range(1, len(ids) + 1)):
         raise SceneError(f"instance ids must be dense 1..K, got {ids}")
@@ -375,13 +370,8 @@ def pick_points(
     for inst in ids:
         mask = gt_instances.data == inst
         pix = np.argwhere(mask)
-        if mode == "centroid":
-            center = pix.mean(axis=0)
-            d2 = ((pix - center) ** 2).sum(axis=1)
-            y, x = pix[int(np.argmin(d2))]
-        else:
-            weights = _interior_depth(mask)[pix[:, 0], pix[:, 1]] ** 2
-            y, x = pix[int(rng.choice(len(pix), p=weights / weights.sum()))]
+        weights = _interior_depth(mask)[pix[:, 0], pix[:, 1]] ** 2
+        y, x = pix[int(rng.choice(len(pix), p=weights / weights.sum()))]
         class_id = int(semantic.data[y, x]) if semantic is not None else 1
         pts.append(Point(int(y), int(x), class_id, inst))
     return PointAnnotationSet(tuple(pts))

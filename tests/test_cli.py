@@ -204,6 +204,9 @@ class TestTrainEvalCli:
         ("train", "stages", "x", "int"),
         ("train", "tau", "abc", "float"),
         ("synth", "merge_adjacent", "false", "bool"),
+        ("train", "stages", 2.7, "int"),
+        ("train", "stages", True, "int"),
+        ("train", "tau", True, "float"),
     ])
     def test_config_value_of_wrong_type_exit_1(
         self, scene_dir, tmp_path, capsys, command, key, value, kind
@@ -217,6 +220,18 @@ class TestTrainEvalCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert repr(key) in err and f"expected {kind}" in err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("flag,name", [
+        ("--tau", "tau"), ("--beta", "beta"), ("--lr", "learning rate"),
+    ])
+    def test_nan_parameter_exit_2(self, scene_dir, tmp_path, capsys, flag, name):
+        code = dispatch(["train", "--scene", str(scene_dir), "--out", str(tmp_path / "t"),
+                         "--stages", "1", "--warmup", "1", "--iters", "1", flag, "nan"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert name in err and "nan" in err
         assert not (tmp_path / "t").exists()
 
 
@@ -292,6 +307,19 @@ class TestSceneValidationCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("meta", ["[]", '{"n_classes": "x"}'])
+    def test_malformed_scene_json_exit_2(self, scene_dir, tmp_path, capsys, meta):
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        (scene / "scene.json").write_text(meta)
+        code = dispatch(["train", "--scene", str(scene), "--out", str(tmp_path / "t"),
+                         "--stages", "1", "--warmup", "1", "--iters", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "scene.json" in err
         assert not (tmp_path / "t").exists()
 
 

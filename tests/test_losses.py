@@ -13,7 +13,6 @@ from pointseg import (
     affinity_loss,
     grad_check,
     offset_loss,
-    offset_pixel_weights,
     seg_loss_ohem,
     smooth_l1,
     total_loss,
@@ -28,7 +27,7 @@ def make_samples(targets, logits):
     b = np.stack([np.zeros(n, dtype=np.int32), np.arange(1, n + 1, dtype=np.int32)], axis=1)
     return AffinitySampleSet(
         a=a, b=b, targets=np.asarray(targets, dtype=np.float64),
-        pred_logits=np.asarray(logits, dtype=np.float64), radius=8, seed=0,
+        pred_logits=np.asarray(logits, dtype=np.float64),
     )
 
 
@@ -98,21 +97,14 @@ class TestOffsetLoss:
         target_vec = rng.standard_normal((8, 8, 2)) * valid[:, :, None]
         target = OffsetField(target_vec, valid)
         pred0 = target.vectors + diffs
-        weights = rng.uniform(0.5, 2.0, size=(8, 8))
 
         def f(flat):
             pred = OffsetField(flat.reshape(8, 8, 2), np.ones((8, 8), dtype=bool))
-            loss, grad = offset_loss(pred, target, weights)
+            loss, grad = offset_loss(pred, target)
             return loss, grad.ravel()
 
         report = grad_check(f, pred0.ravel(), h=1e-3, tol=1e-4)
         assert report.passed, report
-
-    def test_inverse_size_weights(self):
-        inst = LabelGrid(np.array([[1, 1, 2, 0]], dtype=np.int32))
-        w = offset_pixel_weights(inst, "inverse_instance_size")
-        assert w[0, 0] == pytest.approx(0.5)
-        assert w[0, 2] == pytest.approx(1.0)
 
 
 class TestSegLossOhem:

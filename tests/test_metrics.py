@@ -6,7 +6,6 @@ from pointseg import (
     LabelGrid,
     ap_report,
     average_precision,
-    dataset_pixel_iou,
     greedy_match,
     mask_iou,
 )
@@ -202,10 +201,3 @@ class TestAveragePrecision:
         g = grid([[1, 1], [0, 0]])
         report = ap_report(g, g, pred_classes={1: 1}, gt_classes={1: 1})
         assert report.map50 == report.map70 == report.map75 == 1.0
-
-
-class TestDatasetPixelIou:
-    def test_matches_mask_iou_of_foreground(self):
-        a = grid([[1, 0], [2, 0]])
-        b = grid([[3, 3], [1, 0]])
-        assert dataset_pixel_iou(a, b) == pytest.approx(2.0 / 3.0)

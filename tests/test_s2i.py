@@ -231,6 +231,9 @@ class TestGroupInstances:
             offsets = compute_offset_field(sc.gt_instances, sc.points)
             out = group_instances(offsets, sc.gt_semantic, sc.points, GroupingConfig())
             assert np.array_equal(out.data, sc.gt_instances.data)
+            pseudo, classes = finalize_pseudo_labels(out, sc.gt_semantic, sc.points)
+            assert np.array_equal(pseudo.data, out.data)
+            assert classes == sc.points.class_of()
 
 
 class TestFinalizePseudoLabels:

@@ -118,40 +118,26 @@ class TestCorruptSemantic:
 
 
 class TestPickPoints:
-    def test_centroid_of_square(self):
-        grid = np.zeros((5, 5), dtype=np.int32)
-        grid[0:3, 0:3] = 1
-        pts = pick_points(LabelGrid(grid), "centroid", 0)
-        assert (pts.points[0].y, pts.points[0].x) == (1, 1)
-
     def test_random_interior_deterministic_and_inside(self):
         grid = np.zeros((8, 8), dtype=np.int32)
         grid[2:6, 1:7] = 1
-        a = pick_points(LabelGrid(grid), "random_interior", 5)
-        b = pick_points(LabelGrid(grid), "random_interior", 5)
+        a = pick_points(LabelGrid(grid), 5)
+        b = pick_points(LabelGrid(grid), 5)
         assert a == b
         assert grid[a.points[0].y, a.points[0].x] == 1
-
-    def test_l_shape_centroid_snaps_inside(self):
-        grid = np.zeros((10, 10), dtype=np.int32)
-        grid[0:10, 0:2] = 1
-        grid[8:10, 0:10] = 1
-        pts = pick_points(LabelGrid(grid), "centroid", 0)
-        p = pts.points[0]
-        assert grid[p.y, p.x] == 1
 
     def test_class_from_semantic(self):
         grid = np.zeros((4, 4), dtype=np.int32)
         grid[0:2, 0:2] = 1
         sem = np.where(grid > 0, 2, 0).astype(np.int32)
-        pts = pick_points(LabelGrid(grid), "centroid", 0, semantic=LabelGrid(sem))
+        pts = pick_points(LabelGrid(grid), 0, semantic=LabelGrid(sem))
         assert pts.points[0].class_id == 2
 
     def test_rejects_sparse_ids(self):
         grid = np.zeros((4, 4), dtype=np.int32)
         grid[0, 0] = 2
         with pytest.raises(SceneError, match="dense"):
-            pick_points(LabelGrid(grid), "centroid", 0)
+            pick_points(LabelGrid(grid), 0)
 
 
 class TestFeaturesFromSemantic:
