@@ -50,9 +50,12 @@ from .losses import (
     GradCheckReport,
     LossReport,
     LossWeights,
+    affinity_floor,
     affinity_loss,
     grad_check,
     offset_loss,
+    offset_target,
+    ohem_target,
     seg_loss_ohem,
     smooth_l1,
     total_loss,

@@ -6,6 +6,15 @@ whose pairwise dot products give affinity logits. Each stage trains on
 targets synthesized from the stage's semantic input, groups the predicted
 offsets into pseudo instances, and refreshes the semantic map through the
 predicted affinity for the next stage.
+
+Training is full-batch gradient descent on a fixed objective per stage. Its
+constants (the expanded features, the OHEM target index, the offset targets
+at their valid pixels, the pair indices and the affinity floor terms) are
+built once per stage, where the stage's targets are checked too; each of
+the thousands of evaluations then works on raw arrays and checks only what
+the parameters can break, the finiteness of the outputs and of the losses.
+Validated types (ClassScoreMap, OffsetField, LabelGrid) stay at the API:
+predict, build_stage_targets, run_stage.
 """
 from __future__ import annotations
 
@@ -14,14 +23,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import PipelineError
+from .errors import LossError, PipelineError
 from .grids import ClassScoreMap, LabelGrid, OffsetField, PointAnnotationSet
 from .i2s import AffinitySampleSet, I2SConfig, Window, build_affinity_targets, refresh_semantic
 from .losses import (
     LossReport,
     LossWeights,
+    affinity_floor,
     affinity_loss,
     offset_loss,
+    offset_target,
+    ohem_target,
     seg_loss_ohem,
     sigmoid,
     softmax_rows,
@@ -139,29 +151,20 @@ class PredictorOutputs:
     embeddings: np.ndarray  # (H, W, D)
 
 
-def _offset_head(
-    params: TinyPredictorParams, y: np.ndarray, shape: tuple[int, int]
-) -> OffsetField:
-    """Offset field from the raw (H*W, outputs) head values, every pixel valid."""
-    h, w = shape
+def _offset_head(params: TinyPredictorParams, y: np.ndarray) -> np.ndarray:
+    """(H*W, 2) pixel offsets from the raw (H*W, outputs) head values."""
     _, off_sl, _ = params.head_slices()
-    return OffsetField(
-        params.offset_scale * y[:, off_sl].reshape(h, w, 2),
-        np.ones((h, w), dtype=bool),
-    )
+    return params.offset_scale * y[:, off_sl]
 
 
 def _logit_scale(embed_dim: int) -> float:
     return 1.0 / math.sqrt(embed_dim)
 
 
-def _pair_logits(emb: np.ndarray, ia, ib) -> np.ndarray:
-    """Affinity logits dot(emb[ia], emb[ib]) / sqrt(D) over emb's last axis.
-
-    ia and ib are flat pixel indices into (N, D) embeddings, or aligned
-    windows into (H, W, D) embeddings.
-    """
-    return (emb[ia] * emb[ib]).sum(axis=-1) * _logit_scale(emb.shape[-1])
+def _pair_logits(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
+    """Affinity logits dot(emb_a, emb_b) / sqrt(D) over the last axis of the
+    two aligned embedding arrays, one per end of each pair."""
+    return (emb_a * emb_b).sum(axis=-1) * _logit_scale(emb_a.shape[-1])
 
 
 def _pair_index(samples: AffinitySampleSet, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,14 +184,19 @@ def predict(params: TinyPredictorParams, features: np.ndarray) -> PredictorOutpu
     y = expand_features(features) @ params.weights + params.biases
     cls_sl, _, emb_sl = params.head_slices()
     class_map = ClassScoreMap(y[:, cls_sl].reshape(h, w, -1))
+    offsets = OffsetField(
+        _offset_head(params, y).reshape(h, w, 2), np.ones((h, w), dtype=bool)
+    )
     embeddings = y[:, emb_sl].reshape(h, w, params.embed_dim)
-    return PredictorOutputs(class_map, _offset_head(params, y, (h, w)), embeddings)
+    return PredictorOutputs(class_map, offsets, embeddings)
 
 
 def affinity_logits(embeddings: np.ndarray, samples: AffinitySampleSet) -> np.ndarray:
     """Pairwise logits dot(embed_i, embed_j) / sqrt(D) at the sampled pairs."""
     h, w, d = embeddings.shape
-    return _pair_logits(embeddings.reshape(h * w, d), *_pair_index(samples, w))
+    emb = embeddings.reshape(h * w, d)
+    ia, ib = _pair_index(samples, w)
+    return _pair_logits(emb[ia], emb[ib])
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +228,10 @@ class MdmConfig:
             raise PipelineError("iters_per_stage must be >= 1")
         if self.warmup_iters < 0:
             raise PipelineError("warmup_iters must be >= 0")
-        if not self.learning_rate >= 0:  # NaN fails too
-            raise PipelineError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise PipelineError(
+                f"learning rate must be finite and >= 0, got {self.learning_rate}"
+            )
 
 
 def _paint_fallback_boxes(
@@ -281,53 +291,95 @@ def build_stage_targets(
     return StageTargets(initial, classes, offsets, affinity)
 
 
-def _objective(
-    params: TinyPredictorParams,
-    xmat: np.ndarray,
-    shape: tuple[int, int],
-    targets: StageTargets,
-    weights: LossWeights,
-) -> tuple[LossReport, tuple[np.ndarray, np.ndarray]]:
-    """Forward pass, three losses, and the analytic parameter gradient."""
-    h, w = shape
-    y = xmat @ params.weights + params.biases
-    if not np.all(np.isfinite(y)):
-        raise PipelineError("diverged: predictor outputs are non-finite")
-    cls_sl, off_sl, emb_sl = params.head_slices()
-    d_y = np.zeros_like(y)
+class _Objective:
+    """The training objective over one stage's fixed features and targets.
 
-    scores = ClassScoreMap(y[:, cls_sl].reshape(h, w, -1))
-    seg, g_seg = seg_loss_ohem(scores, targets.classes, weights.hard_pixel_ratio)
-    n_seg = int(math.ceil(weights.hard_pixel_ratio * h * w))
-    d_y[:, cls_sl] = weights.lambda_seg * g_seg.reshape(h * w, -1)
+    Everything that does not depend on the parameters is built once, here:
+    the expanded features, the OHEM target index and kept count, the offset
+    targets at their valid pixels, the flat pair indices with the embedding
+    scatter index, and the constant floor terms of the affinity loss. The
+    per-stage input checks run here too, so an evaluation only checks what
+    the parameters can break: that the outputs and the scaled offsets are
+    finite.
+    """
 
-    off = 0.0
-    n_off = 0
-    if targets.offsets is not None:
-        off, g_off = offset_loss(_offset_head(params, y, shape), targets.offsets)
-        n_off = int(targets.offsets.valid.sum())
-        d_y[:, off_sl] = (
-            weights.lambda_off * params.offset_scale * g_off.reshape(h * w, 2)
+    def __init__(
+        self,
+        template: TinyPredictorParams,
+        features: np.ndarray,
+        targets: StageTargets,
+        weights: LossWeights,
+    ) -> None:
+        h, w = features.shape[:2]
+        n = h * w
+        self.xmat = expand_features(features)
+        self.loss_weights = weights
+        self.slices = template.head_slices()
+        if targets.classes.shape != (h, w):
+            raise LossError("target shape mismatch")
+        self.seg_target = ohem_target(
+            targets.classes.data, template.n_classes + 1, weights.hard_pixel_ratio
         )
+        n_off = n_pos = n_neg = 0
+        self.off_target = None
+        if targets.offsets is not None:
+            if targets.offsets.shape != (h, w):
+                raise LossError("offset field shape mismatch")
+            vectors, valid = offset_target(targets.offsets)
+            self.off_target = (vectors, valid.ravel())
+            self.off_coeff = weights.lambda_off * template.offset_scale
+            n_off = len(vectors)
+        self.aff_target = None
+        if targets.affinity is not None:
+            pos, pos_floor, neg_floor = affinity_floor(targets.affinity.targets)
+            self.aff_target = (pos, pos_floor, neg_floor)
+            self.aff_coeff = weights.lambda_aff * _logit_scale(template.embed_dim)
+            # Both pair ends gathered at once: ia rows, then ib rows.
+            self.ends = np.concatenate(_pair_index(targets.affinity, w))
+            # The embedding gradient sums, per element, the ia terms in pair
+            # order and then the ib terms, the order of one add.at per end.
+            d = template.embed_dim
+            self.scatter = (self.ends[:, None] * d + np.arange(d)).ravel()
+            self.emb_size = n * d
+            n_pos, n_neg = len(pos_floor), len(neg_floor)
+        self.counts = (self.seg_target[1], n_off, n_pos, n_neg)
 
-    aff = 0.0
-    n_pos = n_neg = 0
-    if targets.affinity is not None:
-        emb = y[:, emb_sl]
-        ia, ib = _pair_index(targets.affinity, w)
-        filled = targets.affinity.with_logits(_pair_logits(emb, ia, ib))
-        aff, g_logit = affinity_loss(filled)
-        n_pos, n_neg = filled.n_pos, filled.n_neg
-        g_emb = np.zeros_like(emb)
-        coeff = (weights.lambda_aff * _logit_scale(params.embed_dim)) * g_logit
-        np.add.at(g_emb, ia, coeff[:, None] * emb[ib])
-        np.add.at(g_emb, ib, coeff[:, None] * emb[ia])
-        d_y[:, emb_sl] = g_emb
+    def __call__(
+        self, params: TinyPredictorParams
+    ) -> tuple[LossReport, tuple[np.ndarray, np.ndarray]]:
+        """Forward pass, three losses, and the analytic parameter gradient."""
+        y = self.xmat @ params.weights + params.biases
+        if not np.all(np.isfinite(y)):
+            raise PipelineError("diverged: predictor outputs are non-finite")
+        cls_sl, off_sl, emb_sl = self.slices
+        d_y = np.zeros_like(y)
 
-    report = total_loss((seg, off, aff), weights, (n_seg, n_off, n_pos, n_neg))
-    grad_w = xmat.T @ d_y
-    grad_b = d_y.sum(axis=0)
-    return report, (grad_w, grad_b)
+        seg, g_seg = seg_loss_ohem(y[:, cls_sl], *self.seg_target)
+        d_y[:, cls_sl] = self.loss_weights.lambda_seg * g_seg
+
+        off = 0.0
+        if self.off_target is not None:
+            pred = _offset_head(params, y)
+            if not np.all(np.isfinite(pred)):
+                raise PipelineError("diverged: predicted offsets are non-finite")
+            off, g_off = offset_loss(pred, *self.off_target)
+            d_y[:, off_sl] = self.off_coeff * g_off
+
+        aff = 0.0
+        if self.aff_target is not None:
+            n_pairs = len(self.ends) // 2
+            ends = y[:, emb_sl][self.ends]
+            emb_a, emb_b = ends[:n_pairs], ends[n_pairs:]
+            aff, g_logit = affinity_loss(_pair_logits(emb_a, emb_b), *self.aff_target)
+            coeff = (self.aff_coeff * g_logit)[:, None]
+            terms = np.empty_like(ends)
+            np.multiply(coeff, emb_b, out=terms[:n_pairs])
+            np.multiply(coeff, emb_a, out=terms[n_pairs:])
+            g_emb = np.bincount(self.scatter, terms.ravel(), minlength=self.emb_size)
+            d_y[:, emb_sl] = g_emb.reshape(len(y), -1)
+
+        report = total_loss((seg, off, aff), self.loss_weights, self.counts)
+        return report, (self.xmat.T @ d_y, d_y.sum(axis=0))
 
 
 def objective_on_flat(
@@ -341,29 +393,29 @@ def objective_on_flat(
 
     This is the hook the finite-difference checker drives.
     """
-    params = template.with_flat(flat)
-    xmat = expand_features(features)
-    report, (gw, gb) = _objective(params, xmat, features.shape[:2], targets, weights)
+    objective = _Objective(template, features, targets, weights)
+    report, (gw, gb) = objective(template.with_flat(flat))
     return report.total, np.concatenate([gw.ravel(), gb.ravel()])
 
 
 def _step(
-    params: TinyPredictorParams,
-    xmat: np.ndarray,
-    shape: tuple[int, int],
-    targets: StageTargets,
-    cfg: MdmConfig,
+    params: TinyPredictorParams, objective: _Objective, learning_rate: float
 ) -> tuple[TinyPredictorParams, LossReport]:
-    """One gradient-descent update on the expanded feature matrix."""
-    report, (gw, gb) = _objective(params, xmat, shape, targets, cfg.loss_weights)
-    for name in ("seg", "off", "aff"):
-        if not math.isfinite(getattr(report, name)):
-            raise PipelineError(f"diverged: {name} loss is non-finite")
-    updated = replace(
-        params,
-        weights=params.weights - cfg.learning_rate * gw,
-        biases=params.biases - cfg.learning_rate * gb,
-    )
+    """One gradient-descent update; returns the pre-update loss report.
+
+    Overflow and invalid values raise no NumPy warning here: the explicit
+    finiteness checks catch them and raise a PipelineError instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        report, (gw, gb) = objective(params)
+        for name in ("seg", "off", "aff"):
+            if not math.isfinite(getattr(report, name)):
+                raise PipelineError(f"diverged: {name} loss is non-finite")
+        updated = replace(
+            params,
+            weights=params.weights - learning_rate * gw,
+            biases=params.biases - learning_rate * gb,
+        )
     return updated, report
 
 
@@ -374,7 +426,8 @@ def train_step(
     cfg: MdmConfig,
 ) -> tuple[TinyPredictorParams, LossReport]:
     """One gradient-descent update; returns the pre-update loss report."""
-    return _step(params, expand_features(features), features.shape[:2], targets, cfg)
+    objective = _Objective(params, features, targets, cfg.loss_weights)
+    return _step(params, objective, cfg.learning_rate)
 
 
 def _fit(
@@ -383,12 +436,24 @@ def _fit(
     targets: StageTargets,
     cfg: MdmConfig,
     iters: int,
+    phase: str,
 ) -> tuple[TinyPredictorParams, list[LossReport]]:
-    """iters updates; the features are expanded once for all of them."""
-    xmat = expand_features(features)
+    """iters updates of one training phase ("warm-up" or "stage <index>").
+
+    The objective, with the expanded features and every other constant of
+    the stage, is built once for all of them. A divergence names the phase
+    and the step it happened at.
+    """
+    objective = _Objective(params, features, targets, cfg.loss_weights)
     history = []
-    for _ in range(iters):
-        params, report = _step(params, xmat, features.shape[:2], targets, cfg)
+    for it in range(iters):
+        try:
+            params, report = _step(params, objective, cfg.learning_rate)
+        except PipelineError as err:
+            raise PipelineError(
+                f"{err} in {phase}, step {it + 1} of {iters};"
+                " try a lower learning rate (--lr)"
+            ) from None
         history.append(report)
     return params, history
 
@@ -446,7 +511,9 @@ def run_stage(
     targets = build_stage_targets(
         semantic_in, points, cfg, affinity_seed=_derive_seed(cfg.seed, stage_idx, 1)
     )
-    params, history = _fit(params, scene.features, targets, cfg, cfg.iters_per_stage)
+    params, history = _fit(
+        params, scene.features, targets, cfg, cfg.iters_per_stage, f"stage {stage_idx}"
+    )
 
     outs = predict(params, scene.features)
     offsets_used = offset_override if offset_override is not None else outs.offsets
@@ -454,7 +521,8 @@ def run_stage(
     pseudo, classes = finalize_pseudo_labels(grouped, semantic_in, points)
 
     def predicted_affinity(win_i: Window, win_j: Window) -> np.ndarray:
-        return sigmoid(_pair_logits(outs.embeddings, win_i, win_j).ravel())
+        emb = outs.embeddings
+        return sigmoid(_pair_logits(emb[win_i], emb[win_j]).ravel())
 
     # Refresh bounded probabilities rather than raw scores: convex mixing
     # keeps the recurrence stable (confident raw scores snowball).
@@ -508,7 +576,9 @@ def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmR
         warm_targets = build_stage_targets(
             corrupted_semantic, scene.points, cfg, affinity_seed=None
         )
-        params, warmup_history = _fit(params, features, warm_targets, cfg, cfg.warmup_iters)
+        params, warmup_history = _fit(
+            params, features, warm_targets, cfg, cfg.warmup_iters, "warm-up"
+        )
 
     gt_classes = scene.points.class_of()
     stages: list[StageResult] = []

@@ -4,6 +4,11 @@ Three losses: smooth-L1 offset regression over pseudo-labeled pixels,
 online-hard-example-mined cross entropy over the class map, and the
 sigmoid pixel-pair affinity loss. A central-finite-difference checker
 verifies every analytic gradient.
+
+The losses take raw arrays, since the training loop evaluates them thousands
+of times against the same targets. What depends on the targets alone is
+built and checked once by offset_target, ohem_target and affinity_floor,
+whose results are passed on to offset_loss, seg_loss_ohem and affinity_loss.
 """
 from __future__ import annotations
 
@@ -13,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LossError
-from .grids import ClassScoreMap, LabelGrid, OffsetField
-from .i2s import AffinitySampleSet
+from .grids import OffsetField
 
 __all__ = [
     "LossWeights",
@@ -23,8 +27,11 @@ __all__ = [
     "sigmoid",
     "softmax_rows",
     "smooth_l1",
+    "offset_target",
     "offset_loss",
+    "ohem_target",
     "seg_loss_ohem",
+    "affinity_floor",
     "affinity_loss",
     "total_loss",
     "grad_check",
@@ -44,8 +51,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_seg", "lambda_off", "lambda_aff"):
-            if not getattr(self, name) >= 0:  # NaN fails too
-                raise LossError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise LossError(f"{name} must be finite and >= 0, got {value}")
         if not (0.0 < self.hard_pixel_ratio <= 1.0):
             raise LossError(f"hard pixel ratio must be in (0, 1], got {self.hard_pixel_ratio}")
 
@@ -81,8 +89,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Normalized exponential along the last axis, max-shifted for stability."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
+    # The max one channel at a time: exact, and far cheaper than a reduction
+    # over a short last axis.
+    top = scores[..., 0]
+    for ch in range(1, scores.shape[-1]):
+        top = np.maximum(top, scores[..., ch])
+    ex = np.exp(scores - top[..., None])
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
@@ -95,82 +107,107 @@ def smooth_l1(x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
     return value, deriv
 
 
-def offset_loss(pred: OffsetField, target: OffsetField) -> tuple[float, np.ndarray]:
-    """Mean smooth-L1 over target-valid pixels, both vector components summed.
-
-    Returns the scalar loss and its gradient w.r.t. the predicted vectors
-    (zero outside the valid set).
-    """
-    if pred.shape != target.shape:
-        raise LossError("offset field shape mismatch")
+def offset_target(target: OffsetField) -> tuple[np.ndarray, np.ndarray]:
+    """The offset loss's fixed inputs: the target vectors at the valid
+    pixels, in raster order, and the validity mask."""
     valid = target.valid
-    n = int(valid.sum())
-    if n == 0:
+    if not valid.any():
         raise LossError("empty pseudo set")
-    diff = pred.vectors - target.vectors
-    value, deriv = smooth_l1(diff)
-    per_pixel = value.sum(axis=2)[valid]
-    grad = np.zeros_like(pred.vectors)
-    grad[valid] = deriv[valid] / n
-    return float(per_pixel.sum() / n), grad
+    return target.vectors[valid], valid
+
+
+def offset_loss(
+    pred: np.ndarray, target: np.ndarray, valid: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean smooth-L1 over the valid pixels, both vector components summed.
+
+    pred holds (..., 2) predicted vectors, valid a boolean mask over its
+    leading axes, and target the (M, 2) vectors at the M >= 1 valid pixels
+    in raster order (see offset_target). Returns the scalar loss and its
+    gradient w.r.t. pred (zero outside the valid set).
+    """
+    n = len(target)
+    value, deriv = smooth_l1(pred[valid] - target)
+    grad = np.zeros_like(pred)
+    grad[valid] = deriv / n
+    return float(value.sum(axis=-1).sum() / n), grad
+
+
+def ohem_target(
+    target_classes: np.ndarray, channels: int, ratio: float
+) -> tuple[np.ndarray, int]:
+    """The OHEM loss's fixed inputs: the flat index of each pixel's target
+    score in a raster-ordered (N, channels) score array, and the number of
+    pixels kept, ceil(ratio * N)."""
+    if not (0.0 < ratio <= 1.0):
+        raise LossError(f"ratio must be in (0, 1], got {ratio}")
+    target = np.asarray(target_classes).ravel()
+    n = len(target)
+    if n == 0:
+        raise LossError("empty seg set")
+    if int(target.max()) >= channels:
+        raise LossError("target class id exceeds score channels")
+    return np.arange(n) * channels + target, int(math.ceil(ratio * n))
 
 
 def seg_loss_ohem(
-    pred_scores: ClassScoreMap,
-    target_classes: LabelGrid,
-    ratio: float,
+    scores: np.ndarray, target_index: np.ndarray, n_keep: int
 ) -> tuple[float, np.ndarray]:
-    """Cross entropy over the hardest ceil(ratio * N) pixels.
+    """Cross entropy over the n_keep hardest pixels.
 
-    Ties at the cutoff break by raster order. Returns the loss and its
-    gradient w.r.t. the raw scores (softmax minus one-hot on kept pixels).
+    scores holds raw (..., C) class scores, one row per pixel in raster
+    order; target_index and n_keep come from ohem_target. Ties at the cutoff
+    break by raster order. Returns the loss and its gradient w.r.t. the
+    scores (softmax minus one-hot on kept pixels).
     """
-    if not (0.0 < ratio <= 1.0):
-        raise LossError(f"ratio must be in (0, 1], got {ratio}")
-    h, w, ch = pred_scores.data.shape
-    if target_classes.shape != (h, w):
-        raise LossError("target shape mismatch")
-    if int(target_classes.data.max()) >= ch:
-        raise LossError("target class id exceeds score channels")
-    n = h * w
-    if n == 0:
-        raise LossError("empty seg set")
-    probs = softmax_rows(pred_scores.data.reshape(n, ch))
-    target = target_classes.data.ravel()
-    p_true = probs[np.arange(n), target]
+    probs = softmax_rows(scores).reshape(-1, scores.shape[-1])
+    p_true = probs.take(target_index)
     ce = -np.log(np.maximum(p_true, CE_PROB_FLOOR))
-    n_keep = int(math.ceil(ratio * n))
-    kept = np.argsort(-ce, kind="stable")[:n_keep]
+    # A stable sort of the candidates at or above the cutoff keeps the order
+    # a stable sort of every pixel would give: descending CE, then raster.
+    hardness = -ce
+    cutoff = np.partition(hardness, n_keep - 1)[n_keep - 1]
+    candidates = np.flatnonzero(hardness <= cutoff)
+    kept = candidates[np.argsort(hardness[candidates], kind="stable")[:n_keep]]
     loss = float(ce[kept].mean())
-    grad_flat = np.zeros((n, ch), dtype=np.float64)
-    grad_flat[kept] = probs[kept]
-    grad_flat[kept, target[kept]] -= 1.0
-    grad_flat[kept] /= n_keep
-    return loss, grad_flat.reshape(h, w, ch)
+    np.put(probs, target_index, p_true - 1.0)  # softmax minus one-hot
+    grad = np.zeros_like(probs)
+    grad[kept] = probs[kept] / n_keep
+    return loss, grad.reshape(scores.shape)
 
 
-def affinity_loss(samples: AffinitySampleSet) -> tuple[float, np.ndarray]:
+def affinity_floor(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The affinity loss's fixed inputs: the positive-pair mask and the
+    constant floor terms of the positive and the negative pairs."""
+    if len(targets) == 0:
+        raise LossError("empty sample set")
+    pos = targets > 0.5
+    return pos, 2.0 - sigmoid(targets[pos]), sigmoid(targets[~pos])
+
+
+def affinity_loss(
+    logits: np.ndarray, pos: np.ndarray, pos_floor: np.ndarray, neg_floor: np.ndarray
+) -> tuple[float, np.ndarray]:
     """Sigmoid pair loss, implemented literally with the binary targets fed
     through the sigmoid as well, which leaves a constant floor of
     (1 - sigmoid(1)) per positive and sigmoid(0) per negative.
 
-    Returns the loss and its gradient w.r.t. the predicted logits.
+    logits holds the predicted pair logits; pos, pos_floor and neg_floor
+    come from affinity_floor. Returns the loss and its gradient w.r.t. the
+    logits.
     """
-    if len(samples) == 0:
-        raise LossError("empty sample set")
-    pos = samples.targets > 0.5
-    n_pos = int(pos.sum())
-    n_neg = len(samples) - n_pos
-    s = sigmoid(samples.pred_logits)
+    n_pos, n_neg = len(pos_floor), len(neg_floor)
+    s = sigmoid(logits)
     ds = s * (1.0 - s)
     loss = 0.0
-    grad = np.zeros(len(samples), dtype=np.float64)
+    grad = np.zeros(len(logits), dtype=np.float64)
     if n_pos:
-        loss += float(np.sum(2.0 - sigmoid(samples.targets[pos]) - s[pos]) / n_pos)
+        loss += float(np.sum(pos_floor - s[pos]) / n_pos)
         grad[pos] = -ds[pos] / n_pos
     if n_neg:
-        loss += float(np.sum(sigmoid(samples.targets[~pos]) + s[~pos]) / n_neg)
-        grad[~pos] = ds[~pos] / n_neg
+        neg = ~pos
+        loss += float(np.sum(neg_floor + s[neg]) / n_neg)
+        grad[neg] = ds[neg] / n_neg
     return loss, grad
 
 

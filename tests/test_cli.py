@@ -235,6 +235,23 @@ class TestTrainEvalCli:
         assert not (tmp_path / "t").exists()
 
 
+    @pytest.mark.parametrize("lr", ["inf", "1e300"])
+    def test_unusable_learning_rate_exit_2(self, scene_dir, tmp_path, lr):
+        # Run apart so that anything NumPy prints reaches the captured stderr.
+        src = Path(pointseg.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "pointseg.cli", "train", "--scene", str(scene_dir),
+             "--out", str(tmp_path / "t"), "--stages", "1", "--warmup", "1",
+             "--iters", "2", "--lr", lr],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+        assert "learning rate" in done.stderr
+        assert not (tmp_path / "t").exists()
+
+
 _LABEL_WITHOUT_SCIPY = """
 import sys
 from pathlib import Path

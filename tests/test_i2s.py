@@ -309,10 +309,10 @@ class TestWindowRefreshMatchesFlatIndexOracle:
         emb_flat = emb.reshape(-1, 8)
 
         def by_index(i_idx, j_idx):
-            return sigmoid(_pair_logits(emb_flat, i_idx, j_idx))
+            return sigmoid(_pair_logits(emb_flat[i_idx], emb_flat[j_idx]))
 
         def by_window(win_i, win_j):
-            return sigmoid(_pair_logits(emb, win_i, win_j).ravel())
+            return sigmoid(_pair_logits(emb[win_i], emb[win_j]).ravel())
 
         cmap = self._probs(rng)
         cfg = I2SConfig(pair_radius=radius)

@@ -25,7 +25,10 @@ from pointseg import (
     run_stage,
     train_step,
 )
-from pointseg.loop import objective_on_flat
+from pointseg import loop
+from pointseg.grids import ClassScoreMap, OffsetField
+from pointseg.loop import _derive_seed, _fit, _logit_scale, objective_on_flat
+from pointseg.losses import CE_PROB_FLOOR, sigmoid, smooth_l1, total_loss
 from pointseg.synth import features_from_semantic
 
 
@@ -192,6 +195,17 @@ class TestTrainStep:
         with pytest.raises(PipelineError, match="diverged"):
             train_step(params, sc.features, targets, cfg)
 
+    def test_divergence_names_phase_and_step(self):
+        # A finite but far too large rate overflows; the run must stop at the
+        # explicit checks, without a NumPy warning on the way.
+        sc = small_scene()
+        cfg = make_cfg(learning_rate=1e300)
+        params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
+        targets = self.targets_for(sc, sc.gt_semantic, cfg)
+        with pytest.raises(PipelineError, match=r"^diverged: .* in stage 2, step \d+ of 9;"
+                           r" try a lower learning rate \(--lr\)$"):
+            _fit(params, sc.features, targets, cfg, 9, "stage 2")
+
 
 class TestRunStage:
     def test_oracle_offsets_reproduce_gt(self):
@@ -289,3 +303,229 @@ class TestMdmConfigValidation:
             MdmConfig(iters_per_stage=0)
         with pytest.raises(PipelineError):
             MdmConfig(warmup_iters=-1)
+
+    @pytest.mark.parametrize("lr", [math.inf, -1.0, math.nan])
+    def test_rejects_unusable_learning_rate(self, lr):
+        with pytest.raises(PipelineError, match="learning rate must be finite and >= 0"):
+            MdmConfig(learning_rate=lr)
+
+
+# ---------------------------------------------------------------- reference
+# The objective as it stood before its per-stage constants were built once
+# per stage: validated types at every evaluation, pair indices rebuilt per
+# call, and the embedding gradient scattered with two np.add.at calls. The
+# training objective must reproduce it bit for bit.
+
+
+def _ref_softmax_rows(scores):
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def _ref_offset_loss(pred, target):
+    valid = target.valid
+    n = int(valid.sum())
+    diff = pred.vectors - target.vectors
+    value, deriv = smooth_l1(diff)
+    per_pixel = value.sum(axis=2)[valid]
+    grad = np.zeros_like(pred.vectors)
+    grad[valid] = deriv[valid] / n
+    return float(per_pixel.sum() / n), grad
+
+
+def _ref_seg_loss_ohem(pred_scores, target_classes, ratio):
+    h, w, ch = pred_scores.data.shape
+    n = h * w
+    probs = _ref_softmax_rows(pred_scores.data.reshape(n, ch))
+    target = target_classes.data.ravel()
+    p_true = probs[np.arange(n), target]
+    ce = -np.log(np.maximum(p_true, CE_PROB_FLOOR))
+    n_keep = int(math.ceil(ratio * n))
+    kept = np.argsort(-ce, kind="stable")[:n_keep]
+    loss = float(ce[kept].mean())
+    grad_flat = np.zeros((n, ch), dtype=np.float64)
+    grad_flat[kept] = probs[kept]
+    grad_flat[kept, target[kept]] -= 1.0
+    grad_flat[kept] /= n_keep
+    return loss, grad_flat.reshape(h, w, ch)
+
+
+def _ref_affinity_loss(samples):
+    pos = samples.targets > 0.5
+    n_pos = int(pos.sum())
+    n_neg = len(samples) - n_pos
+    s = sigmoid(samples.pred_logits)
+    ds = s * (1.0 - s)
+    loss = 0.0
+    grad = np.zeros(len(samples), dtype=np.float64)
+    if n_pos:
+        loss += float(np.sum(2.0 - sigmoid(samples.targets[pos]) - s[pos]) / n_pos)
+        grad[pos] = -ds[pos] / n_pos
+    if n_neg:
+        loss += float(np.sum(sigmoid(samples.targets[~pos]) + s[~pos]) / n_neg)
+        grad[~pos] = ds[~pos] / n_neg
+    return loss, grad
+
+
+def _ref_offset_head(params, y, shape):
+    h, w = shape
+    _, off_sl, _ = params.head_slices()
+    return OffsetField(
+        params.offset_scale * y[:, off_sl].reshape(h, w, 2),
+        np.ones((h, w), dtype=bool),
+    )
+
+
+def _ref_pair_logits(emb, ia, ib):
+    return (emb[ia] * emb[ib]).sum(axis=-1) * _logit_scale(emb.shape[-1])
+
+
+def _ref_pair_index(samples, width):
+    ia = samples.a[:, 0].astype(np.int64) * width + samples.a[:, 1]
+    ib = samples.b[:, 0].astype(np.int64) * width + samples.b[:, 1]
+    return ia, ib
+
+
+def _ref_objective(params, xmat, shape, targets, weights):
+    h, w = shape
+    y = xmat @ params.weights + params.biases
+    if not np.all(np.isfinite(y)):
+        raise PipelineError("diverged: predictor outputs are non-finite")
+    cls_sl, off_sl, emb_sl = params.head_slices()
+    d_y = np.zeros_like(y)
+
+    scores = ClassScoreMap(y[:, cls_sl].reshape(h, w, -1))
+    seg, g_seg = _ref_seg_loss_ohem(scores, targets.classes, weights.hard_pixel_ratio)
+    n_seg = int(math.ceil(weights.hard_pixel_ratio * h * w))
+    d_y[:, cls_sl] = weights.lambda_seg * g_seg.reshape(h * w, -1)
+
+    off = 0.0
+    n_off = 0
+    if targets.offsets is not None:
+        off, g_off = _ref_offset_loss(_ref_offset_head(params, y, shape), targets.offsets)
+        n_off = int(targets.offsets.valid.sum())
+        d_y[:, off_sl] = (
+            weights.lambda_off * params.offset_scale * g_off.reshape(h * w, 2)
+        )
+
+    aff = 0.0
+    n_pos = n_neg = 0
+    if targets.affinity is not None:
+        emb = y[:, emb_sl]
+        ia, ib = _ref_pair_index(targets.affinity, w)
+        filled = targets.affinity.with_logits(_ref_pair_logits(emb, ia, ib))
+        aff, g_logit = _ref_affinity_loss(filled)
+        n_pos, n_neg = filled.n_pos, filled.n_neg
+        g_emb = np.zeros_like(emb)
+        coeff = (weights.lambda_aff * _logit_scale(params.embed_dim)) * g_logit
+        np.add.at(g_emb, ia, coeff[:, None] * emb[ib])
+        np.add.at(g_emb, ib, coeff[:, None] * emb[ia])
+        d_y[:, emb_sl] = g_emb
+
+    report = total_loss((seg, off, aff), weights, (n_seg, n_off, n_pos, n_neg))
+    grad_w = xmat.T @ d_y
+    grad_b = d_y.sum(axis=0)
+    return report, (grad_w, grad_b)
+
+
+def _ref_fit(params, features, targets, cfg, iters):
+    xmat = expand_features(features)
+    history = []
+    for _ in range(iters):
+        report, (gw, gb) = _ref_objective(
+            params, xmat, features.shape[:2], targets, cfg.loss_weights
+        )
+        params = replace(
+            params,
+            weights=params.weights - cfg.learning_rate * gw,
+            biases=params.biases - cfg.learning_rate * gb,
+        )
+        history.append(report)
+    return params, history
+
+
+def _scene_64(seed):
+    """A 64x64 scene and its corrupted semantic map, as `pointseg synth` makes them."""
+    sc = generate_scene(seed, 64, 64, 4, 3)
+    corr = corrupt_semantic(sc, CorruptionConfig(
+        dilation_px=2, merge_adjacent=True, flip_rate=0.02, rng_seed=seed + 1,
+    ))
+    return replace(sc, features=features_from_semantic(sc, corr)), corr
+
+
+def _targets_of_kind(sc, semantic, cfg, kind):
+    if kind == "warm-up":
+        return build_stage_targets(semantic, sc.points, cfg, affinity_seed=None)
+    targets = build_stage_targets(
+        semantic, sc.points, cfg, affinity_seed=_derive_seed(cfg.seed, 0, 1)
+    )
+    return targets if kind == "stage" else replace(targets, offsets=None)
+
+
+TARGET_KINDS = ["warm-up", "stage", "no-offsets"]
+
+
+class TestObjectiveMatchesReference:
+    @pytest.mark.parametrize("seed", [100, 101])
+    @pytest.mark.parametrize("kind", [*TARGET_KINDS, "tied"])
+    def test_fit_bit_identical(self, seed, kind):
+        sc, corr = _scene_64(seed)
+        if kind == "tied":
+            # Rounded features give many pixels equal scores, so the OHEM
+            # cutoff falls inside runs of equal CE and the tie rule matters.
+            sc, kind = replace(sc, features=np.round(sc.features)), "stage"
+        cfg = MdmConfig()
+        targets = _targets_of_kind(sc, corr, cfg, kind)
+        assert (targets.affinity is None) == (kind == "warm-up")
+        params = TinyPredictorParams.initialize(
+            _derive_seed(cfg.seed, 0, 0), sc.features.shape[2], sc.n_classes
+        )
+        got, got_history = _fit(params, sc.features, targets, cfg, 50, kind)
+        want, want_history = _ref_fit(params, sc.features, targets, cfg, 50)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.biases, want.biases)
+        assert got_history == want_history
+
+
+class TestLossNamesSeeEveryEvaluation:
+    """The objective calls each loss through the name pointseg.loop imports,
+    once per evaluation, so a wrapper rebound there sees every call."""
+
+    NAMES = ("seg_loss_ohem", "offset_loss", "affinity_loss", "total_loss")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            original = getattr(loop, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(loop, name, counted)
+        return counts
+
+    def _setup(self, kind):
+        sc = small_scene(seed=9)
+        cfg = make_cfg()
+        params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
+        return sc, cfg, params, _targets_of_kind(sc, sc.gt_semantic, cfg, kind)
+
+    @pytest.mark.parametrize("kind", TARGET_KINDS)
+    def test_fit_calls_each_loss_once_per_step(self, calls, kind):
+        sc, cfg, params, targets = self._setup(kind)
+        _fit(params, sc.features, targets, cfg, 7, kind)
+        assert calls == {
+            "seg_loss_ohem": 7,
+            "offset_loss": 7 if kind != "no-offsets" else 0,
+            "affinity_loss": 7 if kind != "warm-up" else 0,
+            "total_loss": 7,
+        }
+
+    def test_train_step_and_objective_on_flat_call_them(self, calls):
+        sc, cfg, params, targets = self._setup("stage")
+        train_step(params, sc.features, targets, cfg)
+        objective_on_flat(params.flatten(), params, sc.features, targets, cfg.loss_weights)
+        assert calls == dict.fromkeys(self.NAMES, 2)

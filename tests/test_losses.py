@@ -10,15 +10,33 @@ from pointseg import (
     LossError,
     LossWeights,
     OffsetField,
+    affinity_floor,
     affinity_loss,
     grad_check,
     offset_loss,
+    offset_target,
+    ohem_target,
     seg_loss_ohem,
     smooth_l1,
     total_loss,
 )
 
 SIGMOID_1 = 1.0 / (1.0 + math.exp(-1.0))
+
+
+def offset_loss_of(pred, target):
+    """offset_loss over two offset fields."""
+    return offset_loss(pred.vectors, *offset_target(target))
+
+
+def seg_loss_of(scores, target, ratio):
+    """seg_loss_ohem over a class score map and its target class grid."""
+    return seg_loss_ohem(scores.data, *ohem_target(target.data, scores.channels, ratio))
+
+
+def affinity_loss_of(samples):
+    """affinity_loss over a sample set's logits and targets."""
+    return affinity_loss(samples.pred_logits, *affinity_floor(samples.targets))
 
 
 def make_samples(targets, logits):
@@ -62,14 +80,14 @@ class TestOffsetLoss:
 
     def test_zero_residual(self):
         t = self.field(np.random.default_rng(0).standard_normal((4, 4, 2)))
-        loss, grad = offset_loss(t, t)
+        loss, grad = offset_loss_of(t, t)
         assert loss == 0.0
         assert (grad == 0).all()
 
     def test_single_pixel_half_diff(self):
         pred = self.field([[[0.5, 0.0]]])
         target = self.field([[[0.0, 0.0]]])
-        loss, _ = offset_loss(pred, target)
+        loss, _ = offset_loss_of(pred, target)
         assert loss == pytest.approx(0.125)
 
     def test_gradient_zero_outside_valid(self):
@@ -78,14 +96,14 @@ class TestOffsetLoss:
         valid[1, 1] = True
         target = OffsetField(rng.standard_normal((3, 3, 2)) * valid[:, :, None], valid)
         pred = self.field(rng.standard_normal((3, 3, 2)))
-        _, grad = offset_loss(pred, target)
+        _, grad = offset_loss_of(pred, target)
         assert (grad[~valid] == 0).all()
         assert (grad[valid] != 0).any()
 
     def test_empty_pseudo_set(self):
         empty = OffsetField(np.zeros((2, 2, 2)), np.zeros((2, 2), dtype=bool))
         with pytest.raises(LossError, match="empty pseudo set"):
-            offset_loss(self.field(np.zeros((2, 2, 2))), empty)
+            offset_loss_of(self.field(np.zeros((2, 2, 2))), empty)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -100,7 +118,7 @@ class TestOffsetLoss:
 
         def f(flat):
             pred = OffsetField(flat.reshape(8, 8, 2), np.ones((8, 8), dtype=bool))
-            loss, grad = offset_loss(pred, target)
+            loss, grad = offset_loss_of(pred, target)
             return loss, grad.ravel()
 
         report = grad_check(f, pred0.ravel(), h=1e-3, tol=1e-4)
@@ -120,7 +138,7 @@ class TestSegLossOhem:
         rng = np.random.default_rng(3)
         scores = ClassScoreMap(rng.standard_normal((5, 5, 4)))
         target = LabelGrid(rng.integers(0, 4, size=(5, 5)).astype(np.int32))
-        loss, _ = seg_loss_ohem(scores, target, 1.0)
+        loss, _ = seg_loss_of(scores, target, 1.0)
         probs = np.exp(scores.data - scores.data.max(axis=2, keepdims=True))
         probs /= probs.sum(axis=2, keepdims=True)
         ce = -np.log(probs.reshape(-1, 4)[np.arange(25), target.data.ravel()])
@@ -129,21 +147,21 @@ class TestSegLossOhem:
     def test_top_one_selection(self):
         scores = ClassScoreMap(self.scores_for_ce([0.1, 2.3]).reshape(1, 2, 2))
         target = LabelGrid(np.zeros((1, 2), dtype=np.int32))
-        loss, _ = seg_loss_ohem(scores, target, 0.5)
+        loss, _ = seg_loss_of(scores, target, 0.5)
         assert loss == pytest.approx(2.3, abs=1e-9)
 
     def test_non_increasing_in_ratio(self):
         rng = np.random.default_rng(4)
         scores = ClassScoreMap(rng.standard_normal((6, 6, 3)))
         target = LabelGrid(rng.integers(0, 3, size=(6, 6)).astype(np.int32))
-        values = [seg_loss_ohem(scores, target, r)[0] for r in (0.2, 0.5, 0.8, 1.0)]
+        values = [seg_loss_of(scores, target, r)[0] for r in (0.2, 0.5, 0.8, 1.0)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_cutoff_ties_break_by_raster_order(self):
         # all CEs equal: the kept set must be the first ceil(r*N) raster pixels
         scores = ClassScoreMap(np.zeros((2, 3, 2)))
         target = LabelGrid(np.zeros((2, 3), dtype=np.int32))
-        _, grad = seg_loss_ohem(scores, target, 0.5)
+        _, grad = seg_loss_of(scores, target, 0.5)
         contributing = np.abs(grad).sum(axis=2) > 0
         assert contributing.ravel().tolist() == [True, True, True, False, False, False]
 
@@ -163,7 +181,7 @@ class TestSegLossOhem:
                     break
 
             def f(flat):
-                loss, grad = seg_loss_ohem(
+                loss, grad = seg_loss_of(
                     ClassScoreMap(flat.reshape(4, 4, 3)), target, ratio
                 )
                 return loss, grad.ravel()
@@ -174,24 +192,24 @@ class TestSegLossOhem:
     def test_target_class_bounds(self):
         scores = ClassScoreMap(np.zeros((1, 1, 2)))
         with pytest.raises(LossError, match="exceeds"):
-            seg_loss_ohem(scores, LabelGrid(np.array([[2]], dtype=np.int32)), 1.0)
+            seg_loss_of(scores, LabelGrid(np.array([[2]], dtype=np.int32)), 1.0)
 
 
 class TestAffinityLoss:
     def test_positive_pair_literal_value(self):
         s = make_samples([1.0], [0.0])
-        loss, _ = affinity_loss(s)
+        loss, _ = affinity_loss_of(s)
         assert loss == pytest.approx(2.0 - SIGMOID_1 - 0.5, abs=1e-9)
         assert loss == pytest.approx(0.76894, abs=1e-5)
 
     def test_negative_pair_literal_value(self):
         s = make_samples([0.0], [0.0])
-        loss, _ = affinity_loss(s)
+        loss, _ = affinity_loss_of(s)
         assert loss == pytest.approx(1.0, abs=1e-12)
 
     def test_saturated_logits_reach_analytic_floor(self):
         s = make_samples([1.0, 0.0], [30.0, -30.0])
-        loss, _ = affinity_loss(s)
+        loss, _ = affinity_loss_of(s)
         floor = (1.0 - SIGMOID_1) + 0.5
         assert loss == pytest.approx(floor, abs=1e-6)
         assert loss == pytest.approx(0.26894 + 0.5, abs=1e-5)
@@ -202,22 +220,22 @@ class TestAffinityLoss:
             n = int(rng.integers(2, 20))
             targets = rng.integers(0, 2, size=n).astype(np.float64)
             s = make_samples(targets, rng.standard_normal(n) * 3)
-            loss, _ = affinity_loss(s)
+            loss, _ = affinity_loss_of(s)
             floor = (1.0 - SIGMOID_1) * (s.n_pos > 0) + 0.5 * (s.n_neg > 0)
             assert loss >= floor - 1e-12
 
     def test_monotonicity(self):
         s = make_samples([1.0, 0.0], [0.3, -0.2])
-        base, _ = affinity_loss(s)
-        up_pos, _ = affinity_loss(s.with_logits(np.array([0.4, -0.2])))
-        up_neg, _ = affinity_loss(s.with_logits(np.array([0.3, -0.1])))
+        base, _ = affinity_loss_of(s)
+        up_pos, _ = affinity_loss_of(s.with_logits(np.array([0.4, -0.2])))
+        up_neg, _ = affinity_loss_of(s.with_logits(np.array([0.3, -0.1])))
         assert up_pos < base
         assert up_neg > base
 
     def test_empty_sample_set(self):
         s = make_samples([], [])
         with pytest.raises(LossError, match="empty sample set"):
-            affinity_loss(s)
+            affinity_loss_of(s)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -226,7 +244,7 @@ class TestAffinityLoss:
         base = make_samples(targets, logits0)
 
         def f(flat):
-            loss, grad = affinity_loss(base.with_logits(flat))
+            loss, grad = affinity_loss_of(base.with_logits(flat))
             return loss, grad
 
         assert grad_check(f, logits0, h=1e-3, tol=1e-4).passed
@@ -265,6 +283,12 @@ class TestTotalLoss:
             LossWeights(lambda_seg=-1.0)
         with pytest.raises(LossError):
             LossWeights(hard_pixel_ratio=0.0)
+
+    @pytest.mark.parametrize("name", ["lambda_seg", "lambda_off", "lambda_aff"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_weight(self, name, value):
+        with pytest.raises(LossError, match=f"{name} must be finite and >= 0"):
+            LossWeights(**{name: value})
 
 
 class TestGradCheck:
