@@ -44,7 +44,6 @@ from .loop import (
     predict,
     run_mdm,
     run_stage,
-    train_step,
 )
 from .losses import (
     GradCheckReport,

@@ -59,6 +59,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+def _read_text(path: Path) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise PointsegError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+
+
 def _write(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(payload, bytes):
@@ -84,7 +92,7 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, inputs: list[P
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    blob = json.loads(Path(path).read_text())
+    blob = json.loads(_read_text(Path(path)))
     if not isinstance(blob, dict):
         raise CliUsageError("config file must hold a JSON object")
     return blob
@@ -216,7 +224,7 @@ def _cmd_s2i(argv: list[str]) -> int:
     t0 = time.time()
 
     semantic = decode_label_pgm(Path(args.semantic).read_bytes())
-    points = decode_points_csv(Path(args.points).read_text())
+    points = decode_points_csv(_read_text(Path(args.points)))
     connectivity = _resolve(args, cfg, "connectivity", int, DEFAULT_CONNECTIVITY)
 
     regions = extract_regions(semantic, connectivity)
@@ -287,7 +295,7 @@ def _cmd_i2s(argv: list[str]) -> int:
 
 def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
     meta_path = scene_dir / "scene.json"
-    meta = json.loads(meta_path.read_text())
+    meta = json.loads(_read_text(meta_path))
     try:
         declared = meta.get("n_classes")
         declared = None if declared is None else int(declared)
@@ -298,7 +306,7 @@ def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
     gt_instances = decode_label_pgm((scene_dir / "gt_instances.pgm").read_bytes())
     gt_semantic = decode_label_pgm((scene_dir / "gt_semantic.pgm").read_bytes())
     semantic_in = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
-    points = decode_points_csv((scene_dir / "points.csv").read_text())
+    points = decode_points_csv(_read_text(scene_dir / "points.csv"))
     features = decode_tensor((scene_dir / "features.mdmt").read_bytes())
     scene = Scene(gt_instances, gt_semantic, points, features)
     if declared is not None and scene.n_classes != declared:
@@ -397,9 +405,12 @@ def _cmd_train(argv: list[str]) -> int:
                         help="scene directory (repeatable)")
     parser.add_argument("--out", required=True)
     parser.add_argument("--stages", type=int)
-    parser.add_argument("--warmup", type=int)
-    parser.add_argument("--iters", type=int)
-    parser.add_argument("--lr", type=float)
+    parser.add_argument("--warmup", type=int,
+                        help=f"Adam steps before stage 0 (default {MdmConfig.warmup_iters})")
+    parser.add_argument("--iters", type=int,
+                        help=f"Adam steps per stage (default {MdmConfig.iters_per_stage})")
+    parser.add_argument("--lr", type=float,
+                        help=f"Adam step size (default {MdmConfig.learning_rate})")
     parser.add_argument("--hard-pixel-ratio", type=float, dest="hard_pixel_ratio")
     parser.add_argument("--tau", type=float)
     parser.add_argument("--box-side", type=int, dest="box_side")
@@ -428,7 +439,7 @@ def _cmd_train(argv: list[str]) -> int:
 
 def _read_classes_csv(path: Path, grid: LabelGrid) -> dict[int, int]:
     """The instance -> class table of `grid`; every id of the grid needs a row."""
-    rows = [(n, r.strip()) for n, r in enumerate(path.read_text().splitlines(), 1) if r.strip()]
+    rows = [(n, r.strip()) for n, r in enumerate(_read_text(path).splitlines(), 1) if r.strip()]
     if not rows or rows[0][1].replace(" ", "") != "instance_id,class_id":
         raise PointsegError(f"{path}: expected header instance_id,class_id")
     table = {}

@@ -10,7 +10,7 @@ in one vectorised step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -54,37 +54,22 @@ class AffinitySampleSet:
     """Sampled pixel pairs with binary same-instance targets.
 
     a and b are (n, 2) int arrays of (y, x); targets are 1.0 for same-instance
-    pairs and 0.0 otherwise; pred_logits holds the predictor's pairwise logits
-    (zeros until filled in).
+    pairs and 0.0 otherwise.
     """
 
     a: np.ndarray
     b: np.ndarray
     targets: np.ndarray
-    pred_logits: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "b", "targets", "pred_logits"):
+        for name in ("a", "b", "targets"):
             arr = np.asarray(getattr(self, name))
             object.__setattr__(self, name, arr)
         if len(self.a) != len(self.b) or len(self.a) != len(self.targets):
             raise PipelineError("pair arrays must have equal length")
-        if len(self.pred_logits) != len(self.targets):
-            raise PipelineError("logits length mismatch")
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    @property
-    def n_pos(self) -> int:
-        return int(np.sum(self.targets > 0.5))
-
-    @property
-    def n_neg(self) -> int:
-        return len(self.targets) - self.n_pos
-
-    def with_logits(self, logits: np.ndarray) -> "AffinitySampleSet":
-        return replace(self, pred_logits=np.asarray(logits, dtype=np.float64))
 
 
 def _half_plane_offsets(radius: int) -> list[tuple[int, int]]:
@@ -158,7 +143,6 @@ def build_affinity_targets(
         a=a[chosen],
         b=b[chosen],
         targets=t[chosen].astype(np.float64),
-        pred_logits=np.zeros(len(chosen), dtype=np.float64),
     )
 
 

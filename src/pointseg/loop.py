@@ -7,12 +7,13 @@ targets synthesized from the stage's semantic input, groups the predicted
 offsets into pseudo instances, and refreshes the semantic map through the
 predicted affinity for the next stage.
 
-Training is full-batch gradient descent on a fixed objective per stage. Its
-constants (the expanded features, the OHEM target index, the offset targets
-at their valid pixels, the pair indices and the affinity floor terms) are
-built once per stage, where the stage's targets are checked too; each of
-the thousands of evaluations then works on raw arrays and checks only what
-the parameters can break, the finiteness of the outputs and of the losses.
+Training runs full-batch Adam on a fixed objective per phase (the warm-up
+and each stage). Its constants (the expanded features, the OHEM target
+index, the offset targets at their valid pixels, the pair indices and the
+affinity floor terms) are built once per phase, where the targets are
+checked too; each of the phase's evaluations, one per Adam step, then works
+on raw arrays and checks only what the parameters can break, the finiteness
+of the outputs and of the losses.
 Validated types (ClassScoreMap, OffsetField, LabelGrid) stay at the API:
 predict, build_stage_targets, run_stage.
 """
@@ -62,7 +63,6 @@ __all__ = [
     "predict",
     "affinity_logits",
     "build_stage_targets",
-    "train_step",
     "run_stage",
     "run_mdm",
 ]
@@ -70,6 +70,8 @@ __all__ = [
 DEFAULT_EMBED_DIM = 8
 # Offsets are regressed in units of this many pixels so head weights stay O(1).
 OFFSET_OUTPUT_SCALE = 8.0
+# Adam's moment decay rates and denominator floor, as Kingma & Ba recommend.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _derive_seed(base: int, *keys: int) -> int:
@@ -211,10 +213,17 @@ class StageTargets:
 
 @dataclass(frozen=True)
 class MdmConfig:
+    """Settings of one run_mdm call.
+
+    Training takes warmup_iters Adam steps before stage 0 and
+    iters_per_stage Adam steps in each of the n_stages stages, with Adam
+    step size learning_rate.
+    """
+
     n_stages: int = 3
-    warmup_iters: int = 200
-    iters_per_stage: int = 800
-    learning_rate: float = 0.05
+    warmup_iters: int = 25
+    iters_per_stage: int = 100
+    learning_rate: float = 0.01
     loss_weights: LossWeights = field(default_factory=LossWeights)
     grouping: GroupingConfig = field(default_factory=GroupingConfig)
     i2s: I2SConfig = field(default_factory=I2SConfig)
@@ -398,38 +407,6 @@ def objective_on_flat(
     return report.total, np.concatenate([gw.ravel(), gb.ravel()])
 
 
-def _step(
-    params: TinyPredictorParams, objective: _Objective, learning_rate: float
-) -> tuple[TinyPredictorParams, LossReport]:
-    """One gradient-descent update; returns the pre-update loss report.
-
-    Overflow and invalid values raise no NumPy warning here: the explicit
-    finiteness checks catch them and raise a PipelineError instead.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        report, (gw, gb) = objective(params)
-        for name in ("seg", "off", "aff"):
-            if not math.isfinite(getattr(report, name)):
-                raise PipelineError(f"diverged: {name} loss is non-finite")
-        updated = replace(
-            params,
-            weights=params.weights - learning_rate * gw,
-            biases=params.biases - learning_rate * gb,
-        )
-    return updated, report
-
-
-def train_step(
-    params: TinyPredictorParams,
-    features: np.ndarray,
-    targets: StageTargets,
-    cfg: MdmConfig,
-) -> tuple[TinyPredictorParams, LossReport]:
-    """One gradient-descent update; returns the pre-update loss report."""
-    objective = _Objective(params, features, targets, cfg.loss_weights)
-    return _step(params, objective, cfg.learning_rate)
-
-
 def _fit(
     params: TinyPredictorParams,
     features: np.ndarray,
@@ -438,22 +415,38 @@ def _fit(
     iters: int,
     phase: str,
 ) -> tuple[TinyPredictorParams, list[LossReport]]:
-    """iters updates of one training phase ("warm-up" or "stage <index>").
+    """iters Adam updates of one training phase ("warm-up" or "stage <index>").
 
-    The objective, with the expanded features and every other constant of
-    the stage, is built once for all of them. A divergence names the phase
-    and the step it happened at.
+    Adam (Kingma & Ba, ICLR 2015) with step size cfg.learning_rate; its
+    moments start at zero in every phase. Each report is the loss before its
+    update. The objective, with the expanded features and every other
+    constant of the stage, is built once for all of them. Overflow and
+    invalid values raise no NumPy warning: the explicit finiteness checks
+    catch them, and a divergence names the phase and the step it happened at.
     """
     objective = _Objective(params, features, targets, cfg.loss_weights)
+    m = v = (0.0, 0.0)  # first and second moments of (weights, biases)
     history = []
-    for it in range(iters):
-        try:
-            params, report = _step(params, objective, cfg.learning_rate)
-        except PipelineError as err:
-            raise PipelineError(
-                f"{err} in {phase}, step {it + 1} of {iters};"
-                " try a lower learning rate (--lr)"
-            ) from None
+    for t in range(1, iters + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                report, grads = objective(params)
+                for name in ("seg", "off", "aff"):
+                    if not math.isfinite(getattr(report, name)):
+                        raise PipelineError(f"diverged: {name} loss is non-finite")
+            except PipelineError as err:
+                raise PipelineError(
+                    f"{err} in {phase}, step {t} of {iters};"
+                    " try a lower learning rate (--lr)"
+                ) from None
+            m = tuple(ADAM_BETA1 * mi + (1.0 - ADAM_BETA1) * g for mi, g in zip(m, grads))
+            v = tuple(ADAM_BETA2 * vi + (1.0 - ADAM_BETA2) * (g * g) for vi, g in zip(v, grads))
+            weights, biases = (
+                p - cfg.learning_rate * (mi / (1.0 - ADAM_BETA1**t))
+                / (np.sqrt(vi / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+                for p, mi, vi in zip((params.weights, params.biases), m, v)
+            )
+        params = replace(params, weights=weights, biases=biases)
         history.append(report)
     return params, history
 

@@ -35,7 +35,8 @@ class Scene:
     """Ground truth plus predictor inputs for one synthetic image.
 
     Construction checks that both gt grids and the features share one H x W,
-    that every point lies on it, and that no point's class exceeds n_classes.
+    that every point lies on it, that no point's class exceeds n_classes and
+    that every gt instance has a point.
     """
 
     gt_instances: LabelGrid
@@ -58,6 +59,9 @@ class Scene:
         top = max((p.class_id for p in self.points), default=0)
         if top > self.n_classes:
             raise SceneError(f"point class {top} exceeds the scene's {self.n_classes} classes")
+        unpointed = sorted(set(self.gt_instances.ids()) - self.points.class_of().keys())
+        if unpointed:
+            raise SceneError(f"gt instance ids {unpointed} have no annotated point")
 
     @property
     def height(self) -> int:

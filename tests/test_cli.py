@@ -304,6 +304,14 @@ def _damage_gt_semantic(scene: Path) -> None:
     (scene / "gt_semantic.pgm").write_bytes(encode_label_pgm(LabelGrid(sem.data[:, 2:])))
 
 
+def _damage_gt_instance_id(scene: Path) -> None:
+    # An id with no point used to end in a KeyError from greedy_match.
+    inst = decode_label_pgm((scene / "gt_instances.pgm").read_bytes())
+    data = inst.data.copy()
+    data[0, 0] = 119
+    (scene / "gt_instances.pgm").write_bytes(encode_label_pgm(LabelGrid(data)))
+
+
 def _damage_point_position(scene: Path) -> None:
     rows = (scene / "points.csv").read_text().splitlines()
     _, x, cls, inst = rows[1].split(",")
@@ -314,6 +322,7 @@ def _damage_point_position(scene: Path) -> None:
 class TestSceneValidationCli:
     @pytest.mark.parametrize("damage", [
         _damage_features, _damage_point_class, _damage_gt_semantic, _damage_point_position,
+        _damage_gt_instance_id,
     ])
     def test_broken_scene_exit_2(self, scene_dir, tmp_path, capsys, damage):
         scene = tmp_path / "scene"
@@ -360,3 +369,102 @@ class TestFnv:
         # standard FNV-1a 64-bit test vectors
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+
+@pytest.mark.parametrize("target", ["points", "scene_json", "scene_points", "classes", "config"])
+def test_non_utf8_text_input_exit_2(scene_dir, tmp_path, capsys, target):
+    scene = tmp_path / "scene"
+    shutil.copytree(scene_dir, scene)
+    s2i = tmp_path / "s2i"
+    assert dispatch(["s2i", "--semantic", str(scene / "semantic_in.pgm"),
+                     "--points", str(scene / "points.csv"), "--out", str(s2i)]) == 0
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    train = ["train", "--scene", str(scene), "--out", str(tmp_path / "t"),
+             "--stages", "1", "--warmup", "1", "--iters", "1"]
+    bad, argv = {
+        "points": (scene / "points.csv", ["s2i", "--semantic", str(scene / "semantic_in.pgm"),
+                                          "--points", str(scene / "points.csv"),
+                                          "--out", str(tmp_path / "t")]),
+        "scene_json": (scene / "scene.json", train),
+        "scene_points": (scene / "points.csv", train),
+        "classes": (s2i / "classes.csv", ["eval", "--pred", str(s2i / "instances.pgm"),
+                                          "--gt", str(s2i / "instances.pgm"),
+                                          "--pred-classes", str(s2i / "classes.csv"),
+                                          "--gt-classes", str(s2i / "classes.csv"),
+                                          "--out", str(tmp_path / "t")]),
+        "config": (config, [*train, "--config", str(config)]),
+    }[target]
+    bad.write_bytes(bad.read_bytes() + b"\xff")
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err and "not UTF-8" in err
+    assert not (tmp_path / "t").exists()
+
+
+def _mutate(blob: bytes, rng: np.random.Generator) -> bytes:
+    """Overwrite one to three bytes, half of them within the first 16, where
+    the headers are."""
+    data = bytearray(blob)
+    for _ in range(int(rng.integers(1, 4))):
+        span = min(16, len(data)) if rng.random() < 0.5 else len(data)
+        data[int(rng.integers(span))] = int(rng.integers(256))
+    return bytes(data)
+
+
+class TestCliFuzz:
+    """Mutated input bytes must end in exit code 0, 1 or 2, never in an
+    exception that escapes dispatch."""
+
+    CASES = 200
+
+    def test_mutated_inputs_exit_cleanly(self, tmp_path, capsys):
+        clean = tmp_path / "clean"
+        assert dispatch(["synth", "--out", str(clean), "--seed", "11", "--height", "24",
+                         "--width", "24", "--instances", "3"]) == 0
+        scene = clean / "scene_00000011"
+        assert dispatch(["s2i", "--semantic", str(scene / "semantic_in.pgm"),
+                         "--points", str(scene / "points.csv"),
+                         "--out", str(clean / "s2i")]) == 0
+        semantic = decode_label_pgm((scene / "semantic_in.pgm").read_bytes())
+        (clean / "classmap.mdmt").write_bytes(
+            encode_tensor(np.eye(int(semantic.data.max()) + 1)[semantic.data])
+        )
+
+        def commands(root: Path, out: str) -> dict[str, list[str]]:
+            sc, s2i = root / scene.name, root / "s2i"
+            return {
+                "s2i": ["s2i", "--semantic", str(sc / "semantic_in.pgm"),
+                        "--points", str(sc / "points.csv"), "--out", out],
+                "i2s": ["i2s", "--instances", str(sc / "gt_instances.pgm"),
+                        "--classmap", str(root / "classmap.mdmt"), "--out", out],
+                "train": ["train", "--scene", str(sc), "--out", out,
+                          "--stages", "1", "--warmup", "1", "--iters", "1"],
+                "eval": ["eval", "--pred", str(s2i / "instances.pgm"),
+                         "--gt", str(sc / "gt_instances.pgm"),
+                         "--pred-classes", str(s2i / "classes.csv"),
+                         "--gt-classes", str(s2i / "classes.csv"), "--out", out],
+            }
+
+        readers = {
+            f"{scene.name}/semantic_in.pgm": ["s2i", "train"],
+            f"{scene.name}/points.csv": ["s2i", "train"],
+            f"{scene.name}/features.mdmt": ["train"],
+            "classmap.mdmt": ["i2s"],
+            f"{scene.name}/gt_instances.pgm": ["i2s", "train", "eval"],
+            f"{scene.name}/scene.json": ["train"],
+            "s2i/classes.csv": ["eval"],
+        }
+        rng = np.random.default_rng(2024)
+        names = sorted(readers)
+        for case in range(self.CASES):
+            root = tmp_path / f"case_{case:03d}"
+            shutil.copytree(clean, root)
+            name = names[case % len(names)]
+            target = root / name
+            target.write_bytes(_mutate(target.read_bytes(), rng))
+            command = readers[name][int(rng.integers(len(readers[name])))]
+            code = dispatch(commands(root, str(root / "out"))[command])
+            assert code in (0, 1, 2), (name, command, code)
+        capsys.readouterr()

@@ -59,15 +59,16 @@ class TestBuildAffinityTargets:
     def test_balance_within_one(self):
         g = grid([[1, 1, 1, 1, 0, 2, 2, 2, 2]])
         s = build_affinity_targets(g, I2SConfig(pair_radius=4, max_pairs=20, balance=True))
-        assert abs(s.n_pos - s.n_neg) <= 1
+        n_pos = int((s.targets > 0.5).sum())
+        assert abs(n_pos - (len(s) - n_pos)) <= 1
 
     def test_balance_exhausted_side_backfills(self):
         # a 2-pixel instance: one positive pair, three eligible negatives;
         # with the positives exhausted the negatives fill the remaining quota
         g = grid([[1, 1] + [0] * 10])
         s = build_affinity_targets(g, I2SConfig(pair_radius=2, max_pairs=8, balance=True))
-        assert s.n_pos == 1
-        assert s.n_neg == 3
+        assert int((s.targets > 0.5).sum()) == 1
+        assert int((s.targets < 0.5).sum()) == 3
 
     def test_deterministic_per_seed(self):
         g = LabelGrid((np.arange(64).reshape(8, 8) % 3).astype(np.int32))

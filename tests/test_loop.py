@@ -23,7 +23,6 @@ from pointseg import (
     predict,
     run_mdm,
     run_stage,
-    train_step,
 )
 from pointseg import loop
 from pointseg.grids import ClassScoreMap, OffsetField
@@ -125,7 +124,7 @@ class TestTrainStep:
         cfg = make_cfg(learning_rate=0.0)
         params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
-        updated, report = train_step(params, sc.features, targets, cfg)
+        updated, (report,) = _fit(params, sc.features, targets, cfg, 1, "stage 0")
         assert np.array_equal(updated.weights, params.weights)
         assert np.array_equal(updated.biases, params.biases)
         assert report.total > 0
@@ -135,7 +134,7 @@ class TestTrainStep:
         cfg = make_cfg()
         params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
-        _, report = train_step(params, sc.features, targets, cfg)
+        _, (report,) = _fit(params, sc.features, targets, cfg, 1, "stage 0")
         assert report.n_off_pixels == int(targets.offsets.valid.sum())
         assert report.n_pos_pairs + report.n_neg_pairs == len(targets.affinity)
         assert report.n_seg_pixels == math.ceil(0.2 * 16 * 16)
@@ -146,7 +145,7 @@ class TestTrainStep:
         targets = self.targets_for(sc, sc.gt_semantic, cfg, with_affinity=False)
         assert targets.affinity is None
         params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
-        _, report = train_step(params, sc.features, targets, cfg)
+        _, (report,) = _fit(params, sc.features, targets, cfg, 1, "warm-up")
         assert report.aff == 0.0
         assert report.n_pos_pairs == report.n_neg_pairs == 0
 
@@ -161,10 +160,8 @@ class TestTrainStep:
                 run_seed, sc.features.shape[2], sc.n_classes
             )
             targets = self.targets_for(sc, sc.gt_semantic, cfg)
-            history = []
-            for _ in range(120):
-                params, report = train_step(params, sc.features, targets, cfg)
-                history.append(report.total)
+            _, reports = _fit(params, sc.features, targets, cfg, 120, "stage 0")
+            history = [report.total for report in reports]
             windows_ok = all(
                 history[t + 50] <= history[t] + 1e-9 for t in range(len(history) - 50)
             )
@@ -193,7 +190,7 @@ class TestTrainStep:
         params = replace(params, weights=params.weights * np.inf)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
         with pytest.raises(PipelineError, match="diverged"):
-            train_step(params, sc.features, targets, cfg)
+            _fit(params, sc.features, targets, cfg, 1, "stage 0")
 
     def test_divergence_names_phase_and_step(self):
         # A finite but far too large rate overflows; the run must stop at the
@@ -313,8 +310,8 @@ class TestMdmConfigValidation:
 # ---------------------------------------------------------------- reference
 # The objective as it stood before its per-stage constants were built once
 # per stage: validated types at every evaluation, pair indices rebuilt per
-# call, and the embedding gradient scattered with two np.add.at calls. The
-# training objective must reproduce it bit for bit.
+# call, and the embedding gradient scattered with two np.add.at calls. Adam
+# over the training objective must reproduce Adam over it bit for bit.
 
 
 def _ref_softmax_rows(scores):
@@ -351,21 +348,21 @@ def _ref_seg_loss_ohem(pred_scores, target_classes, ratio):
     return loss, grad_flat.reshape(h, w, ch)
 
 
-def _ref_affinity_loss(samples):
-    pos = samples.targets > 0.5
+def _ref_affinity_loss(logits, targets):
+    pos = targets > 0.5
     n_pos = int(pos.sum())
-    n_neg = len(samples) - n_pos
-    s = sigmoid(samples.pred_logits)
+    n_neg = len(targets) - n_pos
+    s = sigmoid(logits)
     ds = s * (1.0 - s)
     loss = 0.0
-    grad = np.zeros(len(samples), dtype=np.float64)
+    grad = np.zeros(len(targets), dtype=np.float64)
     if n_pos:
-        loss += float(np.sum(2.0 - sigmoid(samples.targets[pos]) - s[pos]) / n_pos)
+        loss += float(np.sum(2.0 - sigmoid(targets[pos]) - s[pos]) / n_pos)
         grad[pos] = -ds[pos] / n_pos
     if n_neg:
-        loss += float(np.sum(sigmoid(samples.targets[~pos]) + s[~pos]) / n_neg)
+        loss += float(np.sum(sigmoid(targets[~pos]) + s[~pos]) / n_neg)
         grad[~pos] = ds[~pos] / n_neg
-    return loss, grad
+    return loss, grad, n_pos, n_neg
 
 
 def _ref_offset_head(params, y, shape):
@@ -414,9 +411,9 @@ def _ref_objective(params, xmat, shape, targets, weights):
     if targets.affinity is not None:
         emb = y[:, emb_sl]
         ia, ib = _ref_pair_index(targets.affinity, w)
-        filled = targets.affinity.with_logits(_ref_pair_logits(emb, ia, ib))
-        aff, g_logit = _ref_affinity_loss(filled)
-        n_pos, n_neg = filled.n_pos, filled.n_neg
+        aff, g_logit, n_pos, n_neg = _ref_affinity_loss(
+            _ref_pair_logits(emb, ia, ib), targets.affinity.targets
+        )
         g_emb = np.zeros_like(emb)
         coeff = (weights.lambda_aff * _logit_scale(params.embed_dim)) * g_logit
         np.add.at(g_emb, ia, coeff[:, None] * emb[ib])
@@ -430,19 +427,26 @@ def _ref_objective(params, xmat, shape, targets, weights):
 
 
 def _ref_fit(params, features, targets, cfg, iters):
+    """Adam as Algorithm 1 of Kingma & Ba (ICLR 2015) states it, one
+    parameter array at a time, over the reference objective."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     xmat = expand_features(features)
+    theta = {"weights": params.weights, "biases": params.biases}
+    m = {name: np.zeros_like(p) for name, p in theta.items()}
+    v = {name: np.zeros_like(p) for name, p in theta.items()}
     history = []
-    for _ in range(iters):
+    for t in range(1, iters + 1):
         report, (gw, gb) = _ref_objective(
-            params, xmat, features.shape[:2], targets, cfg.loss_weights
+            replace(params, **theta), xmat, features.shape[:2], targets, cfg.loss_weights
         )
-        params = replace(
-            params,
-            weights=params.weights - cfg.learning_rate * gw,
-            biases=params.biases - cfg.learning_rate * gb,
-        )
+        for name, g in (("weights", gw), ("biases", gb)):
+            m[name] = beta1 * m[name] + (1 - beta1) * g
+            v[name] = beta2 * v[name] + (1 - beta2) * g**2
+            m_hat = m[name] / (1 - beta1**t)
+            v_hat = v[name] / (1 - beta2**t)
+            theta[name] = theta[name] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         history.append(report)
-    return params, history
+    return replace(params, **theta), history
 
 
 def _scene_64(seed):
@@ -526,6 +530,6 @@ class TestLossNamesSeeEveryEvaluation:
 
     def test_train_step_and_objective_on_flat_call_them(self, calls):
         sc, cfg, params, targets = self._setup("stage")
-        train_step(params, sc.features, targets, cfg)
+        _fit(params, sc.features, targets, cfg, 1, "stage 0")
         objective_on_flat(params.flatten(), params, sc.features, targets, cfg.loss_weights)
         assert calls == dict.fromkeys(self.NAMES, 2)

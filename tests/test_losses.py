@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pointseg import (
-    AffinitySampleSet,
     ClassScoreMap,
     LabelGrid,
     LossError,
@@ -34,18 +33,11 @@ def seg_loss_of(scores, target, ratio):
     return seg_loss_ohem(scores.data, *ohem_target(target.data, scores.channels, ratio))
 
 
-def affinity_loss_of(samples):
-    """affinity_loss over a sample set's logits and targets."""
-    return affinity_loss(samples.pred_logits, *affinity_floor(samples.targets))
-
-
-def make_samples(targets, logits):
-    n = len(targets)
-    a = np.zeros((n, 2), dtype=np.int32)
-    b = np.stack([np.zeros(n, dtype=np.int32), np.arange(1, n + 1, dtype=np.int32)], axis=1)
-    return AffinitySampleSet(
-        a=a, b=b, targets=np.asarray(targets, dtype=np.float64),
-        pred_logits=np.asarray(logits, dtype=np.float64),
+def affinity_loss_of(targets, logits):
+    """affinity_loss over pair targets and the predictor's pair logits."""
+    return affinity_loss(
+        np.asarray(logits, dtype=np.float64),
+        *affinity_floor(np.asarray(targets, dtype=np.float64)),
     )
 
 
@@ -197,19 +189,16 @@ class TestSegLossOhem:
 
 class TestAffinityLoss:
     def test_positive_pair_literal_value(self):
-        s = make_samples([1.0], [0.0])
-        loss, _ = affinity_loss_of(s)
+        loss, _ = affinity_loss_of([1.0], [0.0])
         assert loss == pytest.approx(2.0 - SIGMOID_1 - 0.5, abs=1e-9)
         assert loss == pytest.approx(0.76894, abs=1e-5)
 
     def test_negative_pair_literal_value(self):
-        s = make_samples([0.0], [0.0])
-        loss, _ = affinity_loss_of(s)
+        loss, _ = affinity_loss_of([0.0], [0.0])
         assert loss == pytest.approx(1.0, abs=1e-12)
 
     def test_saturated_logits_reach_analytic_floor(self):
-        s = make_samples([1.0, 0.0], [30.0, -30.0])
-        loss, _ = affinity_loss_of(s)
+        loss, _ = affinity_loss_of([1.0, 0.0], [30.0, -30.0])
         floor = (1.0 - SIGMOID_1) + 0.5
         assert loss == pytest.approx(floor, abs=1e-6)
         assert loss == pytest.approx(0.26894 + 0.5, abs=1e-5)
@@ -219,32 +208,29 @@ class TestAffinityLoss:
         for _ in range(50):
             n = int(rng.integers(2, 20))
             targets = rng.integers(0, 2, size=n).astype(np.float64)
-            s = make_samples(targets, rng.standard_normal(n) * 3)
-            loss, _ = affinity_loss_of(s)
-            floor = (1.0 - SIGMOID_1) * (s.n_pos > 0) + 0.5 * (s.n_neg > 0)
+            loss, _ = affinity_loss_of(targets, rng.standard_normal(n) * 3)
+            n_pos = int(targets.sum())
+            floor = (1.0 - SIGMOID_1) * (n_pos > 0) + 0.5 * (n_pos < n)
             assert loss >= floor - 1e-12
 
     def test_monotonicity(self):
-        s = make_samples([1.0, 0.0], [0.3, -0.2])
-        base, _ = affinity_loss_of(s)
-        up_pos, _ = affinity_loss_of(s.with_logits(np.array([0.4, -0.2])))
-        up_neg, _ = affinity_loss_of(s.with_logits(np.array([0.3, -0.1])))
+        base, _ = affinity_loss_of([1.0, 0.0], [0.3, -0.2])
+        up_pos, _ = affinity_loss_of([1.0, 0.0], [0.4, -0.2])
+        up_neg, _ = affinity_loss_of([1.0, 0.0], [0.3, -0.1])
         assert up_pos < base
         assert up_neg > base
 
     def test_empty_sample_set(self):
-        s = make_samples([], [])
         with pytest.raises(LossError, match="empty sample set"):
-            affinity_loss_of(s)
+            affinity_loss_of([], [])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         targets = rng.integers(0, 2, size=12).astype(np.float64)
         logits0 = rng.standard_normal(12)
-        base = make_samples(targets, logits0)
 
         def f(flat):
-            loss, grad = affinity_loss_of(base.with_logits(flat))
+            loss, grad = affinity_loss_of(targets, flat)
             return loss, grad
 
         assert grad_check(f, logits0, h=1e-3, tol=1e-4).passed
