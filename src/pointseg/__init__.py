@@ -28,7 +28,6 @@ from .i2s import (
     AffinitySampleSet,
     I2SConfig,
     build_affinity_targets,
-    dense_affinity_from_instances,
     refresh_semantic,
 )
 from .loop import (
@@ -38,7 +37,6 @@ from .loop import (
     StageResult,
     StageTargets,
     TinyPredictorParams,
-    affinity_logits,
     build_stage_targets,
     expand_features,
     predict,
@@ -46,12 +44,9 @@ from .loop import (
     run_stage,
 )
 from .losses import (
-    GradCheckReport,
     LossReport,
-    LossWeights,
     affinity_floor,
     affinity_loss,
-    grad_check,
     offset_loss,
     offset_target,
     ohem_target,
@@ -63,7 +58,6 @@ from .metrics import (
     ApReport,
     MatchReport,
     ap_report,
-    average_precision,
     greedy_match,
     mask_iou,
 )

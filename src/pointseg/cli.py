@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CliUsageError, PointsegError
+from .errors import CliUsageError, PointsegError, SceneError
 from .grids import (
     DEFAULT_CONNECTIVITY,
     ClassScoreMap,
@@ -32,7 +32,6 @@ from .grids import (
 )
 from .i2s import I2SConfig, refresh_semantic
 from .loop import MdmConfig, run_mdm
-from .losses import LossWeights
 from .metrics import ap_report, greedy_match
 from .s2i import (
     GroupingConfig,
@@ -174,6 +173,8 @@ def _cmd_synth(argv: list[str]) -> int:
         flip_rate=_resolve(args, cfg, "flip_rate", float, 0.02),
     )
 
+    if seed < 0:  # before generate_scene checks it: the instance count is drawn from it
+        raise SceneError(f"seed must be >= 0, got {seed}")
     out_root = Path(_resolve(args, cfg, "out", str, None))
     for index in range(count):
         scene_seed = seed + index
@@ -321,10 +322,8 @@ def _mdm_config_from(args, cfg) -> MdmConfig:
         warmup_iters=_resolve(args, cfg, "warmup", int, MdmConfig.warmup_iters),
         iters_per_stage=_resolve(args, cfg, "iters", int, MdmConfig.iters_per_stage),
         learning_rate=_resolve(args, cfg, "lr", float, MdmConfig.learning_rate),
-        loss_weights=LossWeights(
-            hard_pixel_ratio=_resolve(
-                args, cfg, "hard_pixel_ratio", float, LossWeights.hard_pixel_ratio
-            )
+        hard_pixel_ratio=_resolve(
+            args, cfg, "hard_pixel_ratio", float, MdmConfig.hard_pixel_ratio
         ),
         grouping=GroupingConfig(
             vote_radius_tau=_resolve(args, cfg, "tau", float, GroupingConfig.vote_radius_tau),
@@ -346,7 +345,7 @@ def _train_echo(cfg: MdmConfig) -> dict:
         "warmup": cfg.warmup_iters,
         "iters": cfg.iters_per_stage,
         "lr": cfg.learning_rate,
-        "hard_pixel_ratio": cfg.loss_weights.hard_pixel_ratio,
+        "hard_pixel_ratio": cfg.hard_pixel_ratio,
         "tau": cfg.grouping.vote_radius_tau,
         "box_side": cfg.grouping.pseudo_box_side,
         "beta": cfg.i2s.beta,
@@ -503,6 +502,8 @@ def _cmd_eval(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if len(args.pred) != len(args.gt):
         raise CliUsageError("--pred and --gt must be given the same number of times")
+    if (args.pred_classes is None) != (args.gt_classes is None):
+        raise CliUsageError("--pred-classes and --gt-classes must be given together")
     n = len(args.pred)
     pred_cls = args.pred_classes or [None] * n
     gt_cls = args.gt_classes or [None] * n

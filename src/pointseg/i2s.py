@@ -2,11 +2,10 @@
 
 Builds binary pixel-pair affinity targets from an instance map and refreshes
 a class score map through a row-normalized Hadamard-powered affinity
-operator. The dense H*W x H*W matrix is a small-grid oracle; production code
-evaluates affinity only at sampled pairs or within a neighborhood radius.
-Within the radius, affinity is a callable over two aligned slice windows of
-the grid, one per offset, so every pair of an offset is evaluated and added
-in one vectorised step.
+operator. Affinity is evaluated only at sampled pairs or within a
+neighborhood radius. Within the radius, affinity is a callable over two
+aligned slice windows of the grid, one per offset, so every pair of an
+offset is evaluated and added in one vectorised step.
 """
 from __future__ import annotations
 
@@ -22,12 +21,8 @@ __all__ = [
     "I2SConfig",
     "AffinitySampleSet",
     "build_affinity_targets",
-    "dense_affinity_from_instances",
     "refresh_semantic",
 ]
-
-DENSE_GUARD_PIXELS = 4096
-SYMMETRY_TOL = 1e-6
 
 Window = tuple[slice, slice]
 AffinityFn = Callable[[Window, Window], np.ndarray]
@@ -38,7 +33,6 @@ class I2SConfig:
     beta: float = 2.0
     pair_radius: int = 8
     max_pairs: int = 4096
-    balance: bool = True
 
     def __post_init__(self):
         if not self.beta >= 1.0:  # NaN fails too
@@ -95,10 +89,9 @@ def build_affinity_targets(
 ) -> AffinitySampleSet:
     """Sample up to max_pairs pixel pairs within pair_radius.
 
-    Pairs of two background pixels are excluded. With balance on, positives
-    and negatives differ by at most one unless one side runs out. Sampling is
-    deterministic per seed. A radius past the grid samples as the largest
-    radius that fits.
+    Pairs of two background pixels are excluded. Positives and negatives
+    differ by at most one unless one side runs out. Sampling is deterministic
+    per seed. A radius past the grid samples as the largest radius that fits.
     """
     lab = instances.data
     h, w = lab.shape
@@ -127,17 +120,13 @@ def build_affinity_targets(
     rng = np.random.default_rng(seed)
     pos_idx = np.flatnonzero(t)
     neg_idx = np.flatnonzero(~t)
-    if cfg.balance:
-        n_pos = min(len(pos_idx), (cfg.max_pairs + 1) // 2)
-        n_neg = min(len(neg_idx), cfg.max_pairs - n_pos)
-        n_pos = min(len(pos_idx), cfg.max_pairs - n_neg)
-        chosen = np.concatenate([
-            rng.choice(pos_idx, n_pos, replace=False) if n_pos else np.empty(0, dtype=np.int64),
-            rng.choice(neg_idx, n_neg, replace=False) if n_neg else np.empty(0, dtype=np.int64),
-        ])
-    else:
-        take = min(cfg.max_pairs, len(t))
-        chosen = rng.choice(len(t), take, replace=False)
+    n_pos = min(len(pos_idx), (cfg.max_pairs + 1) // 2)
+    n_neg = min(len(neg_idx), cfg.max_pairs - n_pos)
+    n_pos = min(len(pos_idx), cfg.max_pairs - n_neg)
+    chosen = np.concatenate([
+        rng.choice(pos_idx, n_pos, replace=False) if n_pos else np.empty(0, dtype=np.int64),
+        rng.choice(neg_idx, n_neg, replace=False) if n_neg else np.empty(0, dtype=np.int64),
+    ])
     chosen.sort()
     return AffinitySampleSet(
         a=a[chosen],
@@ -146,67 +135,37 @@ def build_affinity_targets(
     )
 
 
-def dense_affinity_from_instances(instances: LabelGrid) -> np.ndarray:
-    """Full binary affinity matrix; test oracle, guarded to small grids."""
-    h, w = instances.shape
-    n = h * w
-    if n > DENSE_GUARD_PIXELS:
-        raise PipelineError(f"dense affinity guard: {n} pixels exceeds {DENSE_GUARD_PIXELS}")
-    flat = instances.data.ravel()
-    same = (flat[:, None] == flat[None, :]) & (flat[:, None] > 0)
-    aff = same.astype(np.float64)
-    np.fill_diagonal(aff, 1.0)
-    return aff
-
-
 def refresh_semantic(
-    affinity: np.ndarray | AffinityFn,
+    affinity: AffinityFn,
     class_map: ClassScoreMap,
     cfg: I2SConfig,
 ) -> ClassScoreMap:
     """Refresh class scores through the affinity operator.
 
     Each output row is sum_j W_ij * C(j, .) with W the row-normalized
-    Hadamard power affinity (diagonal included). `affinity` is either the
-    dense H*W x H*W matrix (must be symmetric, unit diagonal) or a callable
-    f(win_i, win_j) -> values in [0, 1]. Each win is a (row slice, column
-    slice) window of the grid; the two have equal shape, pixel j = i +
-    (dy, dx) sits at the same place in win_j as i in win_i, and f returns
-    one value per pair as a 1-D array in raster order of the window. The
-    callable is evaluated once per offset within cfg.pair_radius (clipped to
-    the grid), from (-r, -r) to (r, r), and each pixel's sums accumulate in
-    that order; the callable path forces unit self-affinity.
+    Hadamard power affinity, self-affinity fixed at 1. `affinity` is a
+    callable f(win_i, win_j) -> values in [0, 1]. Each win is a (row slice,
+    column slice) window of the grid; the two have equal shape, pixel
+    j = i + (dy, dx) sits at the same place in win_j as i in win_i, and f
+    returns one value per pair as a 1-D array in raster order of the window.
+    It is evaluated once per offset within cfg.pair_radius (clipped to the
+    grid), from (-r, -r) to (r, r), and each pixel's sums accumulate in that
+    order.
     """
-    h, w, ch = class_map.data.shape
-    if callable(affinity):
-        # One (H, W) plane per class keeps every update a 2-D elementwise
-        # step; broadcasting over a short trailing class axis is ~2x slower.
-        planes = np.ascontiguousarray(class_map.data.transpose(2, 0, 1))
-        acc = planes.copy()  # diagonal term with weight 1^beta = 1
-        wsum = np.ones((h, w), dtype=np.float64)
-        r = cfg.pair_radius
-        for dy in range(-r, r + 1):
-            for dx in range(-r, r + 1):
-                if (dy == 0 and dx == 0) or abs(dy) >= h or abs(dx) >= w:
-                    continue
-                win_i, win_j = _offset_windows(h, w, dy, dx)
-                vals = np.asarray(affinity(win_i, win_j), dtype=np.float64) ** cfg.beta
-                vals = vals.reshape(h - abs(dy), w - abs(dx))
-                acc[(slice(None), *win_i)] += vals * planes[(slice(None), *win_j)]
-                wsum[win_i] += vals
-        out = (acc / wsum).transpose(1, 2, 0)
-    else:
-        n = h * w
-        flat_c = class_map.data.reshape(n, ch)
-        aff = np.asarray(affinity, dtype=np.float64)
-        if aff.shape != (n, n):
-            raise PipelineError(f"dense affinity must be {n}x{n}, got {aff.shape}")
-        if np.abs(aff - aff.T).max() > SYMMETRY_TOL:
-            raise PipelineError("affinity not symmetric")
-        powered = aff**cfg.beta
-        sums = powered.sum(axis=1)
-        degenerate = sums == 0.0
-        sums[degenerate] = 1.0
-        out = (powered @ flat_c) / sums[:, None]
-        out[degenerate] = flat_c[degenerate]
-    return ClassScoreMap(out.reshape(h, w, ch))
+    h, w, _ = class_map.data.shape
+    # One (H, W) plane per class keeps every update a 2-D elementwise step;
+    # broadcasting over a short trailing class axis is ~2x slower.
+    planes = np.ascontiguousarray(class_map.data.transpose(2, 0, 1))
+    acc = planes.copy()  # diagonal term with weight 1^beta = 1
+    wsum = np.ones((h, w), dtype=np.float64)
+    r = cfg.pair_radius
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            if (dy == 0 and dx == 0) or abs(dy) >= h or abs(dx) >= w:
+                continue
+            win_i, win_j = _offset_windows(h, w, dy, dx)
+            vals = np.asarray(affinity(win_i, win_j), dtype=np.float64) ** cfg.beta
+            vals = vals.reshape(h - abs(dy), w - abs(dx))
+            acc[(slice(None), *win_i)] += vals * planes[(slice(None), *win_j)]
+            wsum[win_i] += vals
+    return ClassScoreMap((acc / wsum).transpose(1, 2, 0))

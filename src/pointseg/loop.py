@@ -28,8 +28,10 @@ from .errors import LossError, PipelineError
 from .grids import ClassScoreMap, LabelGrid, OffsetField, PointAnnotationSet
 from .i2s import AffinitySampleSet, I2SConfig, Window, build_affinity_targets, refresh_semantic
 from .losses import (
+    LAMBDA_AFF,
+    LAMBDA_OFF,
+    LAMBDA_SEG,
     LossReport,
-    LossWeights,
     affinity_floor,
     affinity_loss,
     offset_loss,
@@ -61,7 +63,6 @@ __all__ = [
     "MdmResult",
     "expand_features",
     "predict",
-    "affinity_logits",
     "build_stage_targets",
     "run_stage",
     "run_mdm",
@@ -107,16 +108,9 @@ class TinyPredictorParams:
     biases: np.ndarray  # (C+1+2+D,)
     n_classes: int
     embed_dim: int
-    offset_scale: float = OFFSET_OUTPUT_SCALE
 
     @classmethod
-    def initialize(
-        cls,
-        seed: int,
-        feature_dim: int,
-        n_classes: int,
-        offset_scale: float = OFFSET_OUTPUT_SCALE,
-    ) -> "TinyPredictorParams":
+    def initialize(cls, seed: int, feature_dim: int, n_classes: int) -> "TinyPredictorParams":
         fan_in = 2 * feature_dim
         n_out = (n_classes + 1) + 2 + DEFAULT_EMBED_DIM
         bound = 1.0 / math.sqrt(fan_in)
@@ -126,24 +120,11 @@ class TinyPredictorParams:
             biases=rng.uniform(-bound, bound, size=n_out),
             n_classes=n_classes,
             embed_dim=DEFAULT_EMBED_DIM,
-            offset_scale=offset_scale,
         )
 
     def head_slices(self) -> tuple[slice, slice, slice]:
         c1 = self.n_classes + 1
         return slice(0, c1), slice(c1, c1 + 2), slice(c1 + 2, c1 + 2 + self.embed_dim)
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.weights.ravel(), self.biases.ravel()])
-
-    def with_flat(self, flat: np.ndarray) -> "TinyPredictorParams":
-        flat = np.asarray(flat, dtype=np.float64)
-        n_w = self.weights.size
-        return replace(
-            self,
-            weights=flat[:n_w].reshape(self.weights.shape),
-            biases=flat[n_w:].copy(),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +137,7 @@ class PredictorOutputs:
 def _offset_head(params: TinyPredictorParams, y: np.ndarray) -> np.ndarray:
     """(H*W, 2) pixel offsets from the raw (H*W, outputs) head values."""
     _, off_sl, _ = params.head_slices()
-    return params.offset_scale * y[:, off_sl]
+    return OFFSET_OUTPUT_SCALE * y[:, off_sl]
 
 
 def _logit_scale(embed_dim: int) -> float:
@@ -193,14 +174,6 @@ def predict(params: TinyPredictorParams, features: np.ndarray) -> PredictorOutpu
     return PredictorOutputs(class_map, offsets, embeddings)
 
 
-def affinity_logits(embeddings: np.ndarray, samples: AffinitySampleSet) -> np.ndarray:
-    """Pairwise logits dot(embed_i, embed_j) / sqrt(D) at the sampled pairs."""
-    h, w, d = embeddings.shape
-    emb = embeddings.reshape(h * w, d)
-    ia, ib = _pair_index(samples, w)
-    return _pair_logits(emb[ia], emb[ib])
-
-
 @dataclass(frozen=True, eq=False)
 class StageTargets:
     """Supervision synthesized from one stage's semantic input."""
@@ -217,17 +190,17 @@ class MdmConfig:
 
     Training takes warmup_iters Adam steps before stage 0 and
     iters_per_stage Adam steps in each of the n_stages stages, with Adam
-    step size learning_rate.
+    step size learning_rate. The segmentation loss keeps the hardest
+    hard_pixel_ratio of the pixels.
     """
 
     n_stages: int = 3
     warmup_iters: int = 25
     iters_per_stage: int = 100
     learning_rate: float = 0.01
-    loss_weights: LossWeights = field(default_factory=LossWeights)
+    hard_pixel_ratio: float = 0.2
     grouping: GroupingConfig = field(default_factory=GroupingConfig)
     i2s: I2SConfig = field(default_factory=I2SConfig)
-    offset_scale: float = OFFSET_OUTPUT_SCALE
     seed: int = 0
 
     def __post_init__(self):
@@ -241,6 +214,12 @@ class MdmConfig:
             raise PipelineError(
                 f"learning rate must be finite and >= 0, got {self.learning_rate}"
             )
+        if not (0.0 < self.hard_pixel_ratio <= 1.0):  # NaN fails too
+            raise PipelineError(
+                f"hard pixel ratio must be in (0, 1], got {self.hard_pixel_ratio}"
+            )
+        if self.seed < 0:
+            raise PipelineError(f"seed must be >= 0, got {self.seed}")
 
 
 def _paint_fallback_boxes(
@@ -317,17 +296,16 @@ class _Objective:
         template: TinyPredictorParams,
         features: np.ndarray,
         targets: StageTargets,
-        weights: LossWeights,
+        hard_pixel_ratio: float,
     ) -> None:
         h, w = features.shape[:2]
         n = h * w
         self.xmat = expand_features(features)
-        self.loss_weights = weights
         self.slices = template.head_slices()
         if targets.classes.shape != (h, w):
             raise LossError("target shape mismatch")
         self.seg_target = ohem_target(
-            targets.classes.data, template.n_classes + 1, weights.hard_pixel_ratio
+            targets.classes.data, template.n_classes + 1, hard_pixel_ratio
         )
         n_off = n_pos = n_neg = 0
         self.off_target = None
@@ -336,13 +314,13 @@ class _Objective:
                 raise LossError("offset field shape mismatch")
             vectors, valid = offset_target(targets.offsets)
             self.off_target = (vectors, valid.ravel())
-            self.off_coeff = weights.lambda_off * template.offset_scale
+            self.off_coeff = LAMBDA_OFF * OFFSET_OUTPUT_SCALE
             n_off = len(vectors)
         self.aff_target = None
         if targets.affinity is not None:
             pos, pos_floor, neg_floor = affinity_floor(targets.affinity.targets)
             self.aff_target = (pos, pos_floor, neg_floor)
-            self.aff_coeff = weights.lambda_aff * _logit_scale(template.embed_dim)
+            self.aff_coeff = LAMBDA_AFF * _logit_scale(template.embed_dim)
             # Both pair ends gathered at once: ia rows, then ib rows.
             self.ends = np.concatenate(_pair_index(targets.affinity, w))
             # The embedding gradient sums, per element, the ia terms in pair
@@ -364,7 +342,7 @@ class _Objective:
         d_y = np.zeros_like(y)
 
         seg, g_seg = seg_loss_ohem(y[:, cls_sl], *self.seg_target)
-        d_y[:, cls_sl] = self.loss_weights.lambda_seg * g_seg
+        d_y[:, cls_sl] = LAMBDA_SEG * g_seg
 
         off = 0.0
         if self.off_target is not None:
@@ -387,24 +365,8 @@ class _Objective:
             g_emb = np.bincount(self.scatter, terms.ravel(), minlength=self.emb_size)
             d_y[:, emb_sl] = g_emb.reshape(len(y), -1)
 
-        report = total_loss((seg, off, aff), self.loss_weights, self.counts)
+        report = total_loss((seg, off, aff), self.counts)
         return report, (self.xmat.T @ d_y, d_y.sum(axis=0))
-
-
-def objective_on_flat(
-    flat: np.ndarray,
-    template: TinyPredictorParams,
-    features: np.ndarray,
-    targets: StageTargets,
-    weights: LossWeights,
-) -> tuple[float, np.ndarray]:
-    """Total objective as a function of the flat parameter vector.
-
-    This is the hook the finite-difference checker drives.
-    """
-    objective = _Objective(template, features, targets, weights)
-    report, (gw, gb) = objective(template.with_flat(flat))
-    return report.total, np.concatenate([gw.ravel(), gb.ravel()])
 
 
 def _fit(
@@ -424,7 +386,7 @@ def _fit(
     invalid values raise no NumPy warning: the explicit finiteness checks
     catch them, and a divergence names the phase and the step it happened at.
     """
-    objective = _Objective(params, features, targets, cfg.loss_weights)
+    objective = _Objective(params, features, targets, cfg.hard_pixel_ratio)
     m = v = (0.0, 0.0)  # first and second moments of (weights, biases)
     history = []
     for t in range(1, iters + 1):
@@ -493,13 +455,8 @@ def run_stage(
     scene: Scene,
     params: TinyPredictorParams,
     cfg: MdmConfig,
-    offset_override: OffsetField | None = None,
 ) -> StageResult:
-    """One S2I -> train -> group -> I2S refresh round.
-
-    offset_override replaces the predicted offsets at the grouping step only
-    (diagnostic hook for oracle runs).
-    """
+    """One S2I -> train -> group -> I2S refresh round."""
     points = scene.points
     targets = build_stage_targets(
         semantic_in, points, cfg, affinity_seed=_derive_seed(cfg.seed, stage_idx, 1)
@@ -509,8 +466,7 @@ def run_stage(
     )
 
     outs = predict(params, scene.features)
-    offsets_used = offset_override if offset_override is not None else outs.offsets
-    grouped = group_instances(offsets_used, semantic_in, points, cfg.grouping)
+    grouped = group_instances(outs.offsets, semantic_in, points, cfg.grouping)
     pseudo, classes = finalize_pseudo_labels(grouped, semantic_in, points)
 
     def predicted_affinity(win_i: Window, win_j: Window) -> np.ndarray:
@@ -561,7 +517,6 @@ def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmR
         seed=_derive_seed(cfg.seed, 0, 0),
         feature_dim=features.shape[2],
         n_classes=scene.n_classes,
-        offset_scale=cfg.offset_scale,
     )
 
     warmup_history: list[LossReport] = []

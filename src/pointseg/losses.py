@@ -2,8 +2,8 @@
 
 Three losses: smooth-L1 offset regression over pseudo-labeled pixels,
 online-hard-example-mined cross entropy over the class map, and the
-sigmoid pixel-pair affinity loss. A central-finite-difference checker
-verifies every analytic gradient.
+sigmoid pixel-pair affinity loss, weighted by the fixed constants of the
+published operating point.
 
 The losses take raw arrays, since the training loop evaluates them thousands
 of times against the same targets. What depends on the targets alone is
@@ -21,9 +21,7 @@ from .errors import LossError
 from .grids import OffsetField
 
 __all__ = [
-    "LossWeights",
     "LossReport",
-    "GradCheckReport",
     "sigmoid",
     "softmax_rows",
     "smooth_l1",
@@ -34,28 +32,12 @@ __all__ = [
     "affinity_floor",
     "affinity_loss",
     "total_loss",
-    "grad_check",
 ]
 
 CE_PROB_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Objective weights; defaults follow the published operating point."""
-
-    lambda_seg: float = 1.0
-    lambda_off: float = 0.01
-    lambda_aff: float = 1.0
-    hard_pixel_ratio: float = 0.2
-
-    def __post_init__(self):
-        for name in ("lambda_seg", "lambda_off", "lambda_aff"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise LossError(f"{name} must be finite and >= 0, got {value}")
-        if not (0.0 < self.hard_pixel_ratio <= 1.0):
-            raise LossError(f"hard pixel ratio must be in (0, 1], got {self.hard_pixel_ratio}")
+# Weights of the segmentation, offset and affinity losses in the objective,
+# the published operating point.
+LAMBDA_SEG, LAMBDA_OFF, LAMBDA_AFF = 1.0, 0.01, 1.0
 
 
 @dataclass(frozen=True)
@@ -213,56 +195,13 @@ def affinity_loss(
 
 def total_loss(
     parts: tuple[float, float, float],
-    weights: LossWeights,
     counts: tuple[int, int, int, int] = (0, 0, 0, 0),
 ) -> LossReport:
     """Weighted sum of (seg, off, aff) with the bookkeeping counts."""
     seg, off, aff = (float(p) for p in parts)
-    total = weights.lambda_seg * seg + weights.lambda_off * off + weights.lambda_aff * aff
+    total = LAMBDA_SEG * seg + LAMBDA_OFF * off + LAMBDA_AFF * aff
     return LossReport(
         seg=seg, off=off, aff=aff, total=total,
         n_seg_pixels=counts[0], n_off_pixels=counts[1],
         n_pos_pairs=counts[2], n_neg_pairs=counts[3],
-    )
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_error: float
-    worst_index: int
-    n_params: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error <= self.tol
-
-
-def grad_check(f, x0: np.ndarray, h: float = 1e-3, tol: float = 1e-4) -> GradCheckReport:
-    """Compare f's analytic gradient against central finite differences.
-
-    f maps a flat parameter vector to (value, gradient). The relative error
-    denominator is floored at 1e-6, the checker's noise floor; f should be
-    smooth near x0 (keep away from OHEM cutoffs and smooth-L1 kinks).
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    _, analytic = f(x0)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    if analytic.shape != x0.shape:
-        raise LossError("gradient shape mismatch")
-    numeric = np.zeros_like(x0)
-    for i in range(x0.size):
-        step = np.zeros_like(x0)
-        step[i] = h
-        up, _ = f(x0 + step)
-        down, _ = f(x0 - step)
-        numeric[i] = (up - down) / (2.0 * h)
-    denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
-    rel = np.abs(analytic - numeric) / denom
-    worst = int(np.argmax(rel)) if rel.size else 0
-    return GradCheckReport(
-        max_rel_error=float(rel.max()) if rel.size else 0.0,
-        worst_index=worst,
-        n_params=int(x0.size),
-        tol=tol,
     )

@@ -14,7 +14,6 @@ __all__ = [
     "ApReport",
     "mask_iou",
     "greedy_match",
-    "average_precision",
     "ap_report",
 ]
 
@@ -42,8 +41,6 @@ class ApReport:
     map50: float
     map70: float
     map75: float
-    per_class: dict[float, dict[int, float]]
-    flagged_classes: tuple[int, ...] = ()
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -160,28 +157,18 @@ def _per_class_ap(
     }
 
 
-def average_precision(
-    preds: Sequence[tuple[np.ndarray, float, int]],
-    gts: Sequence[tuple[np.ndarray, int]],
-    iou_threshold: float,
-) -> float:
-    """Mean AP over classes; preds are (mask, score, class_id), gts (mask, class_id).
-
-    A class with predictions but no ground truth contributes AP 0.
-    """
-    table = _per_class_ap(preds, gts, iou_threshold)
-    if not table:
-        raise EvalError("no instances on either side")
-    return float(np.mean(list(table.values())))
-
-
 def ap_report(
     pred: LabelGrid,
     gt: LabelGrid,
     pred_classes: Mapping[int, int] | None = None,
     gt_classes: Mapping[int, int] | None = None,
 ) -> ApReport:
-    """AP at the fixed threshold trio; instance size stands in for confidence."""
+    """AP at the fixed threshold trio; instance size stands in for confidence.
+
+    Each mAP is the mean AP over every class on either side; a class with
+    predictions but no ground truth contributes AP 0. An instance that its
+    side's class map does not list, or that has no class map, is class 1.
+    """
     pred_masks = _instance_masks(pred)
     gt_masks = _instance_masks(gt)
     get_pc = (pred_classes or {}).get
@@ -191,19 +178,8 @@ def ap_report(
         for i, mask in sorted(pred_masks.items())
     ]
     gts = [(mask, get_gc(i, 1)) for i, mask in sorted(gt_masks.items())]
-    per_class: dict[float, dict[int, float]] = {}
     maps = {}
-    flagged = sorted(
-        {c for _, _, c in preds} - {c for _, c in gts}
-    )
     for t in AP_THRESHOLDS:
         table = _per_class_ap(preds, gts, t)
-        per_class[t] = table
         maps[t] = float(np.mean(list(table.values()))) if table else 0.0
-    return ApReport(
-        map50=maps[0.5],
-        map70=maps[0.7],
-        map75=maps[0.75],
-        per_class=per_class,
-        flagged_classes=tuple(flagged),
-    )
+    return ApReport(map50=maps[0.5], map70=maps[0.7], map75=maps[0.75])

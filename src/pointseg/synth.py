@@ -35,8 +35,8 @@ class Scene:
     """Ground truth plus predictor inputs for one synthetic image.
 
     Construction checks that both gt grids and the features share one H x W,
-    that every point lies on it, that no point's class exceeds n_classes and
-    that every gt instance has a point.
+    that the features are finite, that every point lies on it, that no
+    point's class exceeds n_classes and that every gt instance has a point.
     """
 
     gt_instances: LabelGrid
@@ -52,6 +52,8 @@ class Scene:
             )
         if np.ndim(self.features) != 3 or self.features.shape[:2] != shape:
             raise SceneError(f"features of shape {np.shape(self.features)} on a {shape} grid")
+        if not np.all(np.isfinite(self.features)):
+            raise SceneError("features hold non-finite values")
         try:
             self.points.validate_on(*shape)
         except GridError as err:
@@ -151,6 +153,10 @@ def generate_scene(
     truth semantic map, normalized (y, x), and a per-instance jittered
     intensity channel.
     """
+    if seed < 0:
+        raise SceneError(f"seed must be >= 0, got {seed}")
+    if h < 1 or w < 1:
+        raise SceneError(f"grid must be at least 1 x 1, got {h} x {w}")
     if n_instances < 1 or n_classes < 1:
         raise SceneError("need at least one instance and one class")
     if shape_kind not in ("rect", "ellipse", "mixed"):
@@ -254,7 +260,7 @@ def _generate_scene_once(
 
     gt_instances = LabelGrid(instances)
     gt_semantic = LabelGrid(semantic)
-    points = pick_points(gt_instances, seed, semantic=gt_semantic)
+    points = pick_points(gt_instances, seed, gt_semantic)
     features = _assemble_features(gt_semantic, n_classes, h, w, intensity)
     return Scene(gt_instances, gt_semantic, points, features)
 
@@ -357,11 +363,10 @@ def _interior_depth(mask: np.ndarray) -> np.ndarray:
 
 
 def pick_points(
-    gt_instances: LabelGrid,
-    seed: int,
-    semantic: LabelGrid | None = None,
+    gt_instances: LabelGrid, seed: int, semantic: LabelGrid
 ) -> PointAnnotationSet:
-    """One annotated point per instance, always a pixel of that instance.
+    """One annotated point per instance, always a pixel of that instance,
+    with the class `semantic` holds there.
 
     Each point is a seeded draw over the region's pixels, weighted toward the
     interior the way human clicks are; every region pixel stays possible.
@@ -376,6 +381,5 @@ def pick_points(
         pix = np.argwhere(mask)
         weights = _interior_depth(mask)[pix[:, 0], pix[:, 1]] ** 2
         y, x = pix[int(rng.choice(len(pix), p=weights / weights.sum()))]
-        class_id = int(semantic.data[y, x]) if semantic is not None else 1
-        pts.append(Point(int(y), int(x), class_id, inst))
+        pts.append(Point(int(y), int(x), int(semantic.data[y, x]), inst))
     return PointAnnotationSet(tuple(pts))

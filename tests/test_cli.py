@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import shutil
@@ -200,6 +202,36 @@ class TestTrainEvalCli:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "[2, 3]" in err
 
+    @pytest.mark.parametrize("lone", ["--pred-classes", "--gt-classes"])
+    def test_lone_classes_flag_exit_1(self, scene_dir, tmp_path, capsys, lone):
+        # With one side's classes only, the other side would count every
+        # instance as class 1 and score a wrong mAP.
+        s2i = tmp_path / "s2i"
+        assert dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
+                         "--points", str(scene_dir / "points.csv"), "--out", str(s2i)]) == 0
+        gt = str(scene_dir / "gt_instances.pgm")
+        code = dispatch(["eval", "--pred", gt, "--gt", gt, lone, str(s2i / "classes.csv"),
+                         "--out", str(tmp_path / "ev")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--pred-classes" in err and "--gt-classes" in err
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("argv,value", [
+        (["synth", "--seed", "-1"], "got -1"),
+        (["synth", "--height", "-5"], "got -5 x 64"),
+        (["synth", "--width", "0"], "got 64 x 0"),
+        (["train", "--seed", "-1"], "got -1"),
+    ], ids=["synth-seed", "synth-height", "synth-width", "train-seed"])
+    def test_negative_seed_or_empty_grid_exit_2(self, scene_dir, tmp_path, capsys, argv, value):
+        scene = ["--scene", str(scene_dir)] if argv[0] == "train" else []
+        assert dispatch([*argv, *scene, "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert value in err
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("command,key,value,kind", [
         ("train", "stages", "x", "int"),
         ("train", "tau", "abc", "float"),
@@ -292,6 +324,13 @@ def _damage_features(scene: Path) -> None:
     (scene / "features.mdmt").write_bytes(encode_tensor(feats[1:]))
 
 
+def _damage_features_nan(scene: Path) -> None:
+    # encode_tensor refuses NaN, so the float32 is written as raw bytes.
+    blob = bytearray((scene / "features.mdmt").read_bytes())
+    blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    (scene / "features.mdmt").write_bytes(bytes(blob))
+
+
 def _damage_point_class(scene: Path) -> None:
     rows = (scene / "points.csv").read_text().splitlines()
     y, x, _, inst = rows[1].split(",")
@@ -322,7 +361,7 @@ def _damage_point_position(scene: Path) -> None:
 class TestSceneValidationCli:
     @pytest.mark.parametrize("damage", [
         _damage_features, _damage_point_class, _damage_gt_semantic, _damage_point_position,
-        _damage_gt_instance_id,
+        _damage_gt_instance_id, _damage_features_nan,
     ])
     def test_broken_scene_exit_2(self, scene_dir, tmp_path, capsys, damage):
         scene = tmp_path / "scene"
@@ -333,6 +372,9 @@ class TestSceneValidationCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "--lr" not in err
+        if damage is _damage_features_nan:
+            assert "features" in err
         assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("meta", ["[]", '{"n_classes": "x"}'])
@@ -468,3 +510,77 @@ class TestCliFuzz:
             code = dispatch(commands(root, str(root / "out"))[command])
             assert code in (0, 1, 2), (name, command, code)
         capsys.readouterr()
+
+
+class TestCliFlagFuzz:
+    """Each numeric flag, set alone to -1, 0, nan or inf, must end in exit
+    code 0, 1 or 2, never in an exception that escapes dispatch. --jobs is
+    left out so that no fuzzed value sizes a process pool, and no value is
+    large, since --count, --height and --instances allocate or loop in
+    proportion to theirs."""
+
+    VALUES = ("-1", "0", "nan", "inf")
+    FLAGS = {
+        "synth": ["--seed", "--count", "--height", "--width", "--instances", "--classes",
+                  "--dilation", "--erosion", "--flip-rate"],
+        "s2i": ["--connectivity"],
+        "i2s": ["--beta", "--pair-radius"],
+        "train": ["--stages", "--warmup", "--iters", "--lr", "--hard-pixel-ratio", "--tau",
+                  "--box-side", "--beta", "--pair-radius", "--max-pairs", "--seed"],
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("flag_fuzz")
+        assert dispatch(["synth", "--out", str(root), "--seed", "11", "--height", "24",
+                         "--width", "24", "--instances", "3"]) == 0
+        scene = root / "scene_00000011"
+        semantic = decode_label_pgm((scene / "semantic_in.pgm").read_bytes())
+        (root / "classmap.mdmt").write_bytes(
+            encode_tensor(np.eye(int(semantic.data.max()) + 1)[semantic.data])
+        )
+        return scene, root / "classmap.mdmt"
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_numeric_flags_exit_cleanly(self, inputs, tmp_path, capsys, command):
+        scene, classmap = inputs
+        base = {
+            "synth": ["--height", "24", "--width", "24", "--instances", "3"],
+            "s2i": ["--semantic", str(scene / "semantic_in.pgm"),
+                    "--points", str(scene / "points.csv")],
+            "i2s": ["--instances", str(scene / "gt_instances.pgm"),
+                    "--classmap", str(classmap)],
+            "train": ["--scene", str(scene), "--stages", "1", "--warmup", "1", "--iters", "1"],
+        }[command]
+        for flag in self.FLAGS[command]:
+            for value in self.VALUES:
+                out = tmp_path / f"{flag.strip('-')}_{value}"
+                code = dispatch([command, *base, flag, value, "--out", str(out)])
+                assert code in (0, 1, 2), (flag, value, code)
+        capsys.readouterr()
+
+
+def _load_perfbench_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPerfbenchLayerNames:
+    """perfbench traces pointseg by rebinding the names its LAYERS list; a
+    name deleted from pointseg would break the benchmark, not the suite."""
+
+    def test_every_layer_resolves(self):
+        tracer = _load_perfbench_tracer()
+        for module_name, attr, *_ in tracer.LAYERS:
+            assert callable(getattr(importlib.import_module(module_name), attr, None)), (
+                module_name, attr
+            )
+
+    def test_every_subcommand_is_registered(self):
+        tracer = _load_perfbench_tracer()
+        from pointseg.cli import _COMMANDS
+
+        assert set(tracer.SUBCOMMANDS) <= set(_COMMANDS)

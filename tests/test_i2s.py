@@ -7,7 +7,6 @@ from pointseg import (
     LabelGrid,
     PipelineError,
     build_affinity_targets,
-    dense_affinity_from_instances,
     generate_scene,
     refresh_semantic,
 )
@@ -19,26 +18,58 @@ def grid(rows):
     return LabelGrid(np.array(rows, dtype=np.int32))
 
 
+# ---------------------------------------------------------------- dense oracle
+# The refresh as one H*W x H*W matrix product: exact, and small grids only.
+
+
+def dense_affinity(instances):
+    """Binary same-instance affinity of every pixel pair, unit diagonal."""
+    flat = instances.data.ravel()
+    aff = ((flat[:, None] == flat[None, :]) & (flat[:, None] > 0)).astype(np.float64)
+    np.fill_diagonal(aff, 1.0)
+    return aff
+
+
+def dense_refresh(aff, class_map, beta):
+    """Row-normalised aff**beta applied to the class scores."""
+    h, w, ch = class_map.data.shape
+    powered = aff**beta
+    out = (powered @ class_map.data.reshape(h * w, ch)) / powered.sum(axis=1)[:, None]
+    return out.reshape(h, w, ch)
+
+
+def windowed(aff, shape):
+    """A dense pixel-pair matrix as the window callable refresh_semantic takes."""
+    index = np.arange(aff.shape[0]).reshape(shape)
+    return lambda win_i, win_j: aff[index[win_i].ravel(), index[win_j].ravel()]
+
+
+def no_affinity(win_i, win_j):
+    """Zero affinity between distinct pixels: the identity operator."""
+    ys, xs = win_i
+    return np.zeros((ys.stop - ys.start) * (xs.stop - xs.start))
+
+
 class TestBuildAffinityTargets:
     def test_same_instance_pair_is_positive(self):
         g = grid([[1, 1]])
-        s = build_affinity_targets(g, I2SConfig(pair_radius=1, max_pairs=16, balance=False))
+        s = build_affinity_targets(g, I2SConfig(pair_radius=1, max_pairs=16))
         assert len(s) == 1
         assert s.targets[0] == 1.0
 
     def test_cross_instance_pair_is_negative(self):
         g = grid([[1, 2]])
-        s = build_affinity_targets(g, I2SConfig(pair_radius=1, max_pairs=16, balance=False))
+        s = build_affinity_targets(g, I2SConfig(pair_radius=1, max_pairs=16))
         assert s.targets[0] == 0.0
 
     def test_instance_background_pair_is_negative(self):
         g = grid([[1, 0]])
-        s = build_affinity_targets(g, I2SConfig(pair_radius=1, max_pairs=16, balance=False))
+        s = build_affinity_targets(g, I2SConfig(pair_radius=1, max_pairs=16))
         assert s.targets[0] == 0.0
 
     def test_background_pairs_excluded(self):
         g = grid([[0, 0, 1]])
-        s = build_affinity_targets(g, I2SConfig(pair_radius=2, max_pairs=64, balance=False))
+        s = build_affinity_targets(g, I2SConfig(pair_radius=2, max_pairs=64))
         coords = np.concatenate([s.a, s.b])
         # the only pairs involve the foreground pixel
         for q in range(len(s)):
@@ -58,7 +89,7 @@ class TestBuildAffinityTargets:
 
     def test_balance_within_one(self):
         g = grid([[1, 1, 1, 1, 0, 2, 2, 2, 2]])
-        s = build_affinity_targets(g, I2SConfig(pair_radius=4, max_pairs=20, balance=True))
+        s = build_affinity_targets(g, I2SConfig(pair_radius=4, max_pairs=20))
         n_pos = int((s.targets > 0.5).sum())
         assert abs(n_pos - (len(s) - n_pos)) <= 1
 
@@ -66,7 +97,7 @@ class TestBuildAffinityTargets:
         # a 2-pixel instance: one positive pair, three eligible negatives;
         # with the positives exhausted the negatives fill the remaining quota
         g = grid([[1, 1] + [0] * 10])
-        s = build_affinity_targets(g, I2SConfig(pair_radius=2, max_pairs=8, balance=True))
+        s = build_affinity_targets(g, I2SConfig(pair_radius=2, max_pairs=8))
         assert int((s.targets > 0.5).sum()) == 1
         assert int((s.targets < 0.5).sum()) == 3
 
@@ -82,7 +113,7 @@ class TestBuildAffinityTargets:
         rng = np.random.default_rng(17)
         g = LabelGrid(rng.integers(0, 4, size=(12, 12)).astype(np.int32))
         s = build_affinity_targets(g, I2SConfig(pair_radius=4, max_pairs=256), seed=3)
-        dense = dense_affinity_from_instances(g)
+        dense = dense_affinity(g)
         w = 12
         for q in range(len(s)):
             i = s.a[q, 0] * w + s.a[q, 1]
@@ -92,30 +123,26 @@ class TestBuildAffinityTargets:
 
 class TestDenseAffinity:
     def test_single_instance_all_ones(self):
-        assert (dense_affinity_from_instances(grid([[1, 1]])) == 1.0).all()
+        assert (dense_affinity(grid([[1, 1]])) == 1.0).all()
 
     def test_distinct_instances_identity(self):
-        assert np.array_equal(dense_affinity_from_instances(grid([[1, 2]])), np.eye(2))
+        assert np.array_equal(dense_affinity(grid([[1, 2]])), np.eye(2))
 
     def test_background_identity_diagonal(self):
-        assert np.array_equal(dense_affinity_from_instances(grid([[1, 0]])), np.eye(2))
-
-    def test_guard_on_large_grids(self):
-        with pytest.raises(PipelineError, match="dense affinity guard"):
-            dense_affinity_from_instances(LabelGrid(np.ones((65, 64), dtype=np.int32)))
+        assert np.array_equal(dense_affinity(grid([[1, 0]])), np.eye(2))
 
 
 class TestRefreshSemantic:
     def test_identity_affinity_returns_input(self):
         rng = np.random.default_rng(1)
         cmap = ClassScoreMap(rng.standard_normal((3, 3, 4)))
-        out = refresh_semantic(np.eye(9), cmap, I2SConfig(beta=3.0))
+        out = refresh_semantic(no_affinity, cmap, I2SConfig(beta=3.0))
         assert np.allclose(out.data, cmap.data)
 
     def test_binary_affinity_averages_within_instance(self):
         inst = grid([[1, 1]])
         cmap = ClassScoreMap(np.array([[[0.6, 0.4], [0.2, 0.8]]]))
-        aff = dense_affinity_from_instances(inst)
+        aff = windowed(dense_affinity(inst), inst.shape)
         out = refresh_semantic(aff, cmap, I2SConfig(beta=2.0))
         assert np.allclose(out.data[0, 0], [0.4, 0.6])
         assert np.allclose(out.data[0, 1], [0.4, 0.6])
@@ -125,42 +152,28 @@ class TestRefreshSemantic:
         probs = rng.random((4, 4, 3))
         probs /= probs.sum(axis=2, keepdims=True)
         inst = LabelGrid(rng.integers(0, 3, size=(4, 4)).astype(np.int32))
-        aff = dense_affinity_from_instances(inst)
+        aff = windowed(dense_affinity(inst), inst.shape)
         out = refresh_semantic(aff, ClassScoreMap(probs), I2SConfig())
         assert np.allclose(out.data.sum(axis=2), 1.0, atol=1e-6)
 
     def test_argmax_invariant_under_identity(self):
         rng = np.random.default_rng(3)
         cmap = ClassScoreMap(rng.standard_normal((5, 5, 4)))
-        out = refresh_semantic(np.eye(25), cmap, I2SConfig())
+        out = refresh_semantic(no_affinity, cmap, I2SConfig())
         assert np.array_equal(out.argmax_grid().data, cmap.argmax_grid().data)
 
     def test_gt_affinity_gives_constant_argmax_within_instances(self):
+        # Radius 15 reaches every pixel pair of the 16x16 grid.
         for seed in range(40, 50):
             sc = generate_scene(seed, 16, 16, 2, 2)
             rng = np.random.default_rng(seed)
             cmap = ClassScoreMap(rng.standard_normal((16, 16, 3)))
-            aff = dense_affinity_from_instances(sc.gt_instances)
-            out = refresh_semantic(aff, cmap, I2SConfig())
+            aff = windowed(dense_affinity(sc.gt_instances), (16, 16))
+            out = refresh_semantic(aff, cmap, I2SConfig(pair_radius=15))
             labels = out.argmax_grid().data
             for inst in sc.gt_instances.ids():
                 vals = labels[sc.gt_instances.data == inst]
                 assert (vals == vals[0]).all()
-
-    def test_asymmetric_affinity_rejected(self):
-        aff = np.eye(4)
-        aff[0, 1] = 0.5
-        cmap = ClassScoreMap(np.zeros((2, 2, 2)))
-        with pytest.raises(PipelineError, match="affinity not symmetric"):
-            refresh_semantic(aff, cmap, I2SConfig())
-
-    def test_degenerate_row_copies_input(self):
-        aff = np.eye(4)
-        aff[2, 2] = 0.0  # this row sums to zero after the power
-        rng = np.random.default_rng(4)
-        cmap = ClassScoreMap(rng.standard_normal((2, 2, 3)))
-        out = refresh_semantic(aff, cmap, I2SConfig())
-        assert np.allclose(out.data.reshape(4, 3)[2], cmap.data.reshape(4, 3)[2])
 
     def test_beta_sharpens_diagonal_weight(self):
         # For soft affinities in (0,1), raising beta increases the diagonal's
@@ -169,8 +182,7 @@ class TestRefreshSemantic:
         rng = np.random.default_rng(5)
         n = 16
         soft = rng.uniform(0.05, 0.95, size=(n, n))
-        aff = (soft + soft.T) / 2.0
-        np.fill_diagonal(aff, 1.0)
+        aff = windowed((soft + soft.T) / 2.0, (4, 4))
         delta = np.zeros((4, 4, 2))
         delta[1, 1, 1] = 1.0  # pixel 5 carries a unit mass in channel 1
         prev = None
@@ -185,17 +197,10 @@ class TestRefreshSemantic:
         rng = np.random.default_rng(6)
         inst = LabelGrid(rng.integers(0, 3, size=(6, 6)).astype(np.int32))
         cmap = ClassScoreMap(rng.standard_normal((6, 6, 3)))
-        dense = dense_affinity_from_instances(inst)
-        index = np.arange(36).reshape(6, 6)
-
-        def fn(win_i, win_j):
-            return dense[index[win_i].ravel(), index[win_j].ravel()]
-
+        dense = dense_affinity(inst)
         # radius >= grid diameter makes the neighborhood path exhaustive
-        cfg = I2SConfig(beta=2.0, pair_radius=6)
-        out_callable = refresh_semantic(fn, cmap, cfg)
-        out_dense = refresh_semantic(dense, cmap, cfg)
-        assert np.allclose(out_callable.data, out_dense.data, atol=1e-12)
+        out = refresh_semantic(windowed(dense, (6, 6)), cmap, I2SConfig(beta=2.0, pair_radius=6))
+        assert np.allclose(out.data, dense_refresh(dense, cmap, 2.0), atol=1e-12)
 
     def test_callable_path_limited_to_radius(self):
         # With radius 1, a pixel two steps away must not influence the output.

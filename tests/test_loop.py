@@ -9,11 +9,9 @@ from pointseg import (
     GroupingConfig,
     I2SConfig,
     LabelGrid,
-    LossWeights,
     MdmConfig,
     PipelineError,
     TinyPredictorParams,
-    affinity_logits,
     build_affinity_targets,
     build_stage_targets,
     compute_offset_field,
@@ -26,13 +24,47 @@ from pointseg import (
 )
 from pointseg import loop
 from pointseg.grids import ClassScoreMap, OffsetField
-from pointseg.loop import _derive_seed, _fit, _logit_scale, objective_on_flat
-from pointseg.losses import CE_PROB_FLOOR, sigmoid, smooth_l1, total_loss
+from pointseg.loop import (
+    OFFSET_OUTPUT_SCALE,
+    _derive_seed,
+    _fit,
+    _logit_scale,
+    _Objective,
+    _pair_logits,
+)
+from pointseg.losses import (
+    CE_PROB_FLOOR,
+    LAMBDA_AFF,
+    LAMBDA_OFF,
+    LAMBDA_SEG,
+    sigmoid,
+    smooth_l1,
+    total_loss,
+)
 from pointseg.synth import features_from_semantic
+
+from gradcheck import grad_check
 
 
 def small_scene(seed=1, h=16, w=16, n=2, classes=2):
     return generate_scene(seed, h, w, n, classes)
+
+
+def flatten(params):
+    return np.concatenate([params.weights.ravel(), params.biases.ravel()])
+
+
+def objective_on_flat(flat, template, features, targets, hard_pixel_ratio):
+    """The training objective and its gradient as functions of the flat
+    parameter vector (see flatten), the form the finite-difference checker
+    drives."""
+    n_w = template.weights.size
+    params = replace(
+        template, weights=flat[:n_w].reshape(template.weights.shape), biases=flat[n_w:]
+    )
+    objective = _Objective(template, features, targets, hard_pixel_ratio)
+    report, (gw, gb) = objective(params)
+    return report.total, np.concatenate([gw.ravel(), gb.ravel()])
 
 
 def make_cfg(**kw):
@@ -76,8 +108,9 @@ class TestPredict:
         assert (outs.offsets.vectors == 0).all()
         assert (outs.embeddings == 0).all()
         samples = build_affinity_targets(sc.gt_instances, I2SConfig(max_pairs=16), seed=1)
-        logits = affinity_logits(outs.embeddings, samples)
-        assert (logits == 0).all()
+        emb = outs.embeddings
+        logits = _pair_logits(emb[tuple(samples.a.T)], emb[tuple(samples.b.T)])
+        assert len(logits) == len(samples) and (logits == 0).all()
 
     def test_deterministic(self):
         sc = small_scene()
@@ -173,14 +206,11 @@ class TestTrainStep:
         cfg = make_cfg()
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
         params = TinyPredictorParams.initialize(2, sc.features.shape[2], sc.n_classes)
-        weights = LossWeights(hard_pixel_ratio=1.0)
-
-        from pointseg import grad_check
 
         def f(flat):
-            return objective_on_flat(flat, params, sc.features, targets, weights)
+            return objective_on_flat(flat, params, sc.features, targets, 1.0)
 
-        report = grad_check(f, params.flatten(), h=1e-3, tol=1e-4)
+        report = grad_check(f, flatten(params), h=1e-3, tol=1e-4)
         assert report.passed, report
 
     def test_divergence_detected(self):
@@ -205,12 +235,18 @@ class TestTrainStep:
 
 
 class TestRunStage:
-    def test_oracle_offsets_reproduce_gt(self):
+    def test_oracle_offsets_reproduce_gt(self, monkeypatch):
+        # The stage groups whatever offsets its predictor returns; an oracle
+        # in their place must give back the ground truth.
         sc = generate_scene(21, 32, 32, 3, 3)
         cfg = make_cfg(iters_per_stage=5, warmup_iters=0)
         params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
         oracle = compute_offset_field(sc.gt_instances, sc.points)
-        result = run_stage(0, sc.gt_semantic, sc, params, cfg, offset_override=oracle)
+        real_predict = loop.predict
+        monkeypatch.setattr(
+            loop, "predict", lambda p, f: replace(real_predict(p, f), offsets=oracle)
+        )
+        result = run_stage(0, sc.gt_semantic, sc, params, cfg)
         assert np.array_equal(result.pseudo_instances.data, sc.gt_instances.data)
 
     def test_semantic_out_classes_subset_of_point_classes(self):
@@ -306,6 +342,15 @@ class TestMdmConfigValidation:
         with pytest.raises(PipelineError, match="learning rate must be finite and >= 0"):
             MdmConfig(learning_rate=lr)
 
+    def test_rejects_bad_hard_pixel_ratio(self):
+        for ratio in (0.0, 1.5, math.nan):
+            with pytest.raises(PipelineError, match=r"hard pixel ratio must be in \(0, 1\]"):
+                MdmConfig(hard_pixel_ratio=ratio)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(PipelineError, match="seed must be >= 0, got -1"):
+            MdmConfig(seed=-1)
+
 
 # ---------------------------------------------------------------- reference
 # The objective as it stood before its per-stage constants were built once
@@ -369,7 +414,7 @@ def _ref_offset_head(params, y, shape):
     h, w = shape
     _, off_sl, _ = params.head_slices()
     return OffsetField(
-        params.offset_scale * y[:, off_sl].reshape(h, w, 2),
+        OFFSET_OUTPUT_SCALE * y[:, off_sl].reshape(h, w, 2),
         np.ones((h, w), dtype=bool),
     )
 
@@ -384,7 +429,7 @@ def _ref_pair_index(samples, width):
     return ia, ib
 
 
-def _ref_objective(params, xmat, shape, targets, weights):
+def _ref_objective(params, xmat, shape, targets, ratio):
     h, w = shape
     y = xmat @ params.weights + params.biases
     if not np.all(np.isfinite(y)):
@@ -393,18 +438,16 @@ def _ref_objective(params, xmat, shape, targets, weights):
     d_y = np.zeros_like(y)
 
     scores = ClassScoreMap(y[:, cls_sl].reshape(h, w, -1))
-    seg, g_seg = _ref_seg_loss_ohem(scores, targets.classes, weights.hard_pixel_ratio)
-    n_seg = int(math.ceil(weights.hard_pixel_ratio * h * w))
-    d_y[:, cls_sl] = weights.lambda_seg * g_seg.reshape(h * w, -1)
+    seg, g_seg = _ref_seg_loss_ohem(scores, targets.classes, ratio)
+    n_seg = int(math.ceil(ratio * h * w))
+    d_y[:, cls_sl] = LAMBDA_SEG * g_seg.reshape(h * w, -1)
 
     off = 0.0
     n_off = 0
     if targets.offsets is not None:
         off, g_off = _ref_offset_loss(_ref_offset_head(params, y, shape), targets.offsets)
         n_off = int(targets.offsets.valid.sum())
-        d_y[:, off_sl] = (
-            weights.lambda_off * params.offset_scale * g_off.reshape(h * w, 2)
-        )
+        d_y[:, off_sl] = LAMBDA_OFF * OFFSET_OUTPUT_SCALE * g_off.reshape(h * w, 2)
 
     aff = 0.0
     n_pos = n_neg = 0
@@ -415,12 +458,12 @@ def _ref_objective(params, xmat, shape, targets, weights):
             _ref_pair_logits(emb, ia, ib), targets.affinity.targets
         )
         g_emb = np.zeros_like(emb)
-        coeff = (weights.lambda_aff * _logit_scale(params.embed_dim)) * g_logit
+        coeff = (LAMBDA_AFF * _logit_scale(params.embed_dim)) * g_logit
         np.add.at(g_emb, ia, coeff[:, None] * emb[ib])
         np.add.at(g_emb, ib, coeff[:, None] * emb[ia])
         d_y[:, emb_sl] = g_emb
 
-    report = total_loss((seg, off, aff), weights, (n_seg, n_off, n_pos, n_neg))
+    report = total_loss((seg, off, aff), (n_seg, n_off, n_pos, n_neg))
     grad_w = xmat.T @ d_y
     grad_b = d_y.sum(axis=0)
     return report, (grad_w, grad_b)
@@ -437,7 +480,7 @@ def _ref_fit(params, features, targets, cfg, iters):
     history = []
     for t in range(1, iters + 1):
         report, (gw, gb) = _ref_objective(
-            replace(params, **theta), xmat, features.shape[:2], targets, cfg.loss_weights
+            replace(params, **theta), xmat, features.shape[:2], targets, cfg.hard_pixel_ratio
         )
         for name, g in (("weights", gw), ("biases", gb)):
             m[name] = beta1 * m[name] + (1 - beta1) * g
@@ -531,5 +574,5 @@ class TestLossNamesSeeEveryEvaluation:
     def test_train_step_and_objective_on_flat_call_them(self, calls):
         sc, cfg, params, targets = self._setup("stage")
         _fit(params, sc.features, targets, cfg, 1, "stage 0")
-        objective_on_flat(params.flatten(), params, sc.features, targets, cfg.loss_weights)
+        objective_on_flat(flatten(params), params, sc.features, targets, cfg.hard_pixel_ratio)
         assert calls == dict.fromkeys(self.NAMES, 2)

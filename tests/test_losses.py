@@ -7,11 +7,9 @@ from pointseg import (
     ClassScoreMap,
     LabelGrid,
     LossError,
-    LossWeights,
     OffsetField,
     affinity_floor,
     affinity_loss,
-    grad_check,
     offset_loss,
     offset_target,
     ohem_target,
@@ -19,6 +17,9 @@ from pointseg import (
     smooth_l1,
     total_loss,
 )
+from pointseg.losses import LAMBDA_AFF, LAMBDA_OFF, LAMBDA_SEG
+
+from gradcheck import grad_check
 
 SIGMOID_1 = 1.0 / (1.0 + math.exp(-1.0))
 
@@ -238,43 +239,24 @@ class TestAffinityLoss:
 
 class TestTotalLoss:
     def test_published_weights_sum(self):
-        report = total_loss((1.0, 1.0, 1.0), LossWeights())
+        report = total_loss((1.0, 1.0, 1.0))
         assert report.total == pytest.approx(2.01, abs=1e-9)
 
     def test_zero_parts(self):
-        assert total_loss((0, 0, 0), LossWeights()).total == 0.0
+        assert total_loss((0, 0, 0)).total == 0.0
 
     def test_homogeneity(self):
-        w1 = LossWeights()
-        w2 = LossWeights(lambda_seg=2.0, lambda_off=0.02, lambda_aff=2.0)
-        r1 = total_loss((0.3, 0.7, 1.1), w1)
-        r2 = total_loss((0.3, 0.7, 1.1), w2)
+        r1 = total_loss((0.3, 0.7, 1.1))
+        r2 = total_loss((0.6, 1.4, 2.2))
         assert r2.total == pytest.approx(2 * r1.total)
 
     def test_invariant_total_equals_weighted_sum(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             parts = tuple(rng.uniform(0, 3, size=3))
-            w = LossWeights(
-                lambda_seg=rng.uniform(0, 2),
-                lambda_off=rng.uniform(0, 2),
-                lambda_aff=rng.uniform(0, 2),
-            )
-            r = total_loss(parts, w)
-            expected = w.lambda_seg * parts[0] + w.lambda_off * parts[1] + w.lambda_aff * parts[2]
+            r = total_loss(parts)
+            expected = LAMBDA_SEG * parts[0] + LAMBDA_OFF * parts[1] + LAMBDA_AFF * parts[2]
             assert r.total == pytest.approx(expected, abs=1e-6)
-
-    def test_weight_validation(self):
-        with pytest.raises(LossError):
-            LossWeights(lambda_seg=-1.0)
-        with pytest.raises(LossError):
-            LossWeights(hard_pixel_ratio=0.0)
-
-    @pytest.mark.parametrize("name", ["lambda_seg", "lambda_off", "lambda_aff"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_rejects_non_finite_weight(self, name, value):
-        with pytest.raises(LossError, match=f"{name} must be finite and >= 0"):
-            LossWeights(**{name: value})
 
 
 class TestGradCheck:

@@ -5,10 +5,10 @@ from pointseg import (
     EvalError,
     LabelGrid,
     ap_report,
-    average_precision,
     greedy_match,
     mask_iou,
 )
+from pointseg.metrics import _per_class_ap
 
 
 def grid(rows):
@@ -147,6 +147,11 @@ class TestGreedyMatch:
             assert r.counts[0.5] >= r.counts[0.7] >= r.counts[0.9]
 
 
+def class_1_ap(preds, gts, iou_threshold):
+    """AP of class 1, the only class these cases use."""
+    return _per_class_ap(preds, gts, iou_threshold)[1]
+
+
 class TestAveragePrecision:
     def mask(self, h, w, ys, xs):
         m = np.zeros((h, w), dtype=bool)
@@ -155,24 +160,24 @@ class TestAveragePrecision:
 
     def test_single_true_positive(self):
         m = self.mask(4, 4, slice(0, 2), slice(0, 2))
-        assert average_precision([(m, 1.0, 1)], [(m, 1)], 0.5) == 1.0
+        assert class_1_ap([(m, 1.0, 1)], [(m, 1)], 0.5) == 1.0
 
     def test_single_false_positive(self):
         a = self.mask(4, 4, slice(0, 2), slice(0, 2))
         b = self.mask(4, 4, slice(2, 4), slice(2, 4))
-        assert average_precision([(a, 1.0, 1)], [(b, 1)], 0.5) == 0.0
+        assert class_1_ap([(a, 1.0, 1)], [(b, 1)], 0.5) == 0.0
 
     def test_tp_then_fp_is_full_ap(self):
         gt = self.mask(6, 6, slice(0, 3), slice(0, 3))
         fp = self.mask(6, 6, slice(4, 6), slice(4, 6))
         preds = [(gt, 0.9, 1), (fp, 0.5, 1)]
-        assert average_precision(preds, [(gt, 1)], 0.5) == pytest.approx(1.0)
+        assert class_1_ap(preds, [(gt, 1)], 0.5) == pytest.approx(1.0)
 
     def test_fp_then_tp_halves_ap(self):
         gt = self.mask(6, 6, slice(0, 3), slice(0, 3))
         fp = self.mask(6, 6, slice(4, 6), slice(4, 6))
         preds = [(gt, 0.5, 1), (fp, 0.9, 1)]
-        assert average_precision(preds, [(gt, 1)], 0.5) == pytest.approx(0.5)
+        assert class_1_ap(preds, [(gt, 1)], 0.5) == pytest.approx(0.5)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(15)
@@ -183,19 +188,18 @@ class TestAveragePrecision:
             gts = [(gt.data == i, 1) for i in gt.ids()]
             if not preds or not gts:
                 continue
-            values = [average_precision(preds, gts, t) for t in (0.3, 0.5, 0.7, 0.9)]
+            values = [class_1_ap(preds, gts, t) for t in (0.3, 0.5, 0.7, 0.9)]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_class_with_predictions_but_no_gt_flagged(self):
-        m = self.mask(4, 4, slice(0, 2), slice(0, 2))
-        report = ap_report(
-            grid([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
-            grid([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 2], [0, 0, 2, 2]]),
-            pred_classes={1: 1},
-            gt_classes={2: 2},
-        )
-        assert 1 in report.flagged_classes
-        assert report.per_class[0.5][1] == 0.0
+        # Class 2 is found exactly; class 1 has a prediction and no gt, so it
+        # scores AP 0 and halves the mean.
+        pred = grid([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 2], [0, 0, 2, 2]])
+        gt = grid([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 2], [0, 0, 2, 2]])
+        report = ap_report(pred, gt, pred_classes={1: 1, 2: 2}, gt_classes={2: 2})
+        assert report.map50 == report.map70 == report.map75 == 0.5
+        preds = [(pred.data == i, float((pred.data == i).sum()), i) for i in (1, 2)]
+        assert _per_class_ap(preds, [(gt.data == 2, 2)], 0.5) == {1: 0.0, 2: 1.0}
 
     def test_report_thresholds(self):
         g = grid([[1, 1], [0, 0]])

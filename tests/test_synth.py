@@ -69,6 +69,15 @@ class TestGenerateScene:
         with pytest.raises(SceneError):
             generate_scene(1, 64, 64, 2, 3, shape_kind="triangle")
 
+    @pytest.mark.parametrize("args,message", [
+        ((-1, 64, 64), "seed must be >= 0, got -1"),
+        ((1, -5, 64), "grid must be at least 1 x 1, got -5 x 64"),
+        ((1, 64, 0), "grid must be at least 1 x 1, got 64 x 0"),
+    ], ids=["seed", "height", "width"])
+    def test_rejects_negative_seed_and_empty_grid(self, args, message):
+        with pytest.raises(SceneError, match=message):
+            generate_scene(*args, 2, 3)
+
 
 class TestCorruptSemantic:
     def test_zero_config_is_identity(self):
@@ -121,8 +130,8 @@ class TestPickPoints:
     def test_random_interior_deterministic_and_inside(self):
         grid = np.zeros((8, 8), dtype=np.int32)
         grid[2:6, 1:7] = 1
-        a = pick_points(LabelGrid(grid), 5)
-        b = pick_points(LabelGrid(grid), 5)
+        a = pick_points(LabelGrid(grid), 5, LabelGrid(grid))
+        b = pick_points(LabelGrid(grid), 5, LabelGrid(grid))
         assert a == b
         assert grid[a.points[0].y, a.points[0].x] == 1
 
@@ -130,14 +139,14 @@ class TestPickPoints:
         grid = np.zeros((4, 4), dtype=np.int32)
         grid[0:2, 0:2] = 1
         sem = np.where(grid > 0, 2, 0).astype(np.int32)
-        pts = pick_points(LabelGrid(grid), 0, semantic=LabelGrid(sem))
+        pts = pick_points(LabelGrid(grid), 0, LabelGrid(sem))
         assert pts.points[0].class_id == 2
 
     def test_rejects_sparse_ids(self):
         grid = np.zeros((4, 4), dtype=np.int32)
         grid[0, 0] = 2
         with pytest.raises(SceneError, match="dense"):
-            pick_points(LabelGrid(grid), 0)
+            pick_points(LabelGrid(grid), 0, LabelGrid(grid))
 
 
 class TestFeaturesFromSemantic:
