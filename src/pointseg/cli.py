@@ -175,6 +175,8 @@ def _cmd_synth(argv: list[str]) -> int:
 
     if seed < 0:  # before generate_scene checks it: the instance count is drawn from it
         raise SceneError(f"seed must be >= 0, got {seed}")
+    if count < 1:
+        raise SceneError(f"count must be >= 1, got {count}")
     out_root = Path(_resolve(args, cfg, "out", str, None))
     for index in range(count):
         scene_seed = seed + index
@@ -258,7 +260,12 @@ def _cmd_i2s(argv: list[str]) -> int:
     parser.add_argument("--instances", required=True)
     parser.add_argument("--classmap", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--beta", type=float)
+    parser.add_argument(
+        "--beta", type=float,
+        help=f"affinity power, finite and >= 1 (default {I2SConfig.beta}); it cannot "
+        "change the 0/1 same-instance affinity of --instances, so the output is "
+        "the same for every value",
+    )
     parser.add_argument("--pair-radius", type=int, dest="pair_radius")
     args = parser.parse_args(argv)
     cfg = _load_config_file(args.config)
@@ -266,19 +273,11 @@ def _cmd_i2s(argv: list[str]) -> int:
 
     instances = decode_label_pgm(Path(args.instances).read_bytes())
     class_map = ClassScoreMap(decode_tensor(Path(args.classmap).read_bytes()))
-    if class_map.data.shape[:2] != instances.shape:
-        raise PointsegError("instances and classmap disagree on the grid")
     i2s_cfg = I2SConfig(
         beta=_resolve(args, cfg, "beta", float, I2SConfig.beta),
         pair_radius=_resolve(args, cfg, "pair_radius", int, I2SConfig.pair_radius),
     )
-    lab = instances.data
-
-    def binary_affinity(win_i, win_j):
-        li = lab[win_i]
-        return ((li == lab[win_j]) & (li > 0)).astype(np.float64).ravel()
-
-    refreshed = refresh_semantic(binary_affinity, class_map, i2s_cfg)
+    refreshed = refresh_semantic(instances, class_map, i2s_cfg)
     out_dir = Path(args.out)
     _write(out_dir / "classmap.mdmt", encode_tensor(refreshed.data))
     _write(out_dir / "semantic_out.pgm", encode_label_pgm(refreshed.argmax_grid()))

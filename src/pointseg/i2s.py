@@ -3,12 +3,18 @@
 Builds binary pixel-pair affinity targets from an instance map and refreshes
 a class score map through a row-normalized Hadamard-powered affinity
 operator. Affinity is evaluated only at sampled pairs or within a
-neighborhood radius. Within the radius, affinity is a callable over two
-aligned slice windows of the grid, one per offset, so every pair of an
-offset is evaluated and added in one vectorised step.
+neighborhood radius. The refresh takes one of two affinity sources:
+
+  * a callable over two aligned slice windows of the grid, one per offset,
+    so every pair of an offset is evaluated and added in one vectorised
+    step (the predicted affinity of the training loop);
+  * an instance LabelGrid, whose 0/1 same-instance affinity reduces the
+    refresh to box sums over each instance's mask, taken from cumulative
+    sums over the instance's bounding box (`pointseg i2s`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,8 +41,8 @@ class I2SConfig:
     max_pairs: int = 4096
 
     def __post_init__(self):
-        if not self.beta >= 1.0:  # NaN fails too
-            raise PipelineError(f"beta must be >= 1, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 1.0):
+            raise PipelineError(f"beta must be finite and >= 1, got {self.beta}")
         if self.pair_radius < 1:
             raise PipelineError("pair radius must be >= 1")
         if self.max_pairs < 2:
@@ -136,22 +142,37 @@ def build_affinity_targets(
 
 
 def refresh_semantic(
-    affinity: AffinityFn,
+    affinity: AffinityFn | LabelGrid,
     class_map: ClassScoreMap,
     cfg: I2SConfig,
 ) -> ClassScoreMap:
     """Refresh class scores through the affinity operator.
 
     Each output row is sum_j W_ij * C(j, .) with W the row-normalized
-    Hadamard power affinity, self-affinity fixed at 1. `affinity` is a
-    callable f(win_i, win_j) -> values in [0, 1]. Each win is a (row slice,
-    column slice) window of the grid; the two have equal shape, pixel
-    j = i + (dy, dx) sits at the same place in win_j as i in win_i, and f
-    returns one value per pair as a 1-D array in raster order of the window.
-    It is evaluated once per offset within cfg.pair_radius (clipped to the
-    grid), from (-r, -r) to (r, r), and each pixel's sums accumulate in that
-    order.
+    Hadamard power affinity over the pixels j within cfg.pair_radius
+    (Chebyshev, clipped to the grid), self-affinity fixed at 1.
+
+    `affinity` is either a callable f(win_i, win_j) -> values in [0, 1] or
+    an instance LabelGrid of the class map's grid.
+
+    A callable is evaluated once per offset from (-r, -r) to (r, r), and each
+    pixel's sums accumulate in that order. Each win is a (row slice, column
+    slice) window of the grid; the two have equal shape, pixel j = i + (dy,
+    dx) sits at the same place in win_j as i in win_i, and f returns one
+    value per pair as a 1-D array in raster order of the window.
+
+    A LabelGrid makes two pixels affine (1) when they carry the same nonzero
+    id and not affine (0) otherwise. cfg.beta cannot change a 0/1 affinity:
+    a foreground row becomes the mean of its instance's rows within the
+    window, and a background row is kept. On integer-valued scores, one-hot
+    maps included, every partial sum is exact, so the result equals the
+    callable path's bit for bit; on other scores the two differ only by
+    the order of summation.
     """
+    if isinstance(affinity, LabelGrid):
+        if affinity.shape != class_map.data.shape[:2]:
+            raise PipelineError("instances and classmap disagree on the grid")
+        return _refresh_by_instances(affinity, class_map, cfg.pair_radius)
     h, w, _ = class_map.data.shape
     # One (H, W) plane per class keeps every update a 2-D elementwise step;
     # broadcasting over a short trailing class axis is ~2x slower.
@@ -169,3 +190,44 @@ def refresh_semantic(
             acc[(slice(None), *win_i)] += vals * planes[(slice(None), *win_j)]
             wsum[win_i] += vals
     return ClassScoreMap((acc / wsum).transpose(1, 2, 0))
+
+
+def _box_sum(values: np.ndarray, r: int) -> np.ndarray:
+    """Sum over each (2r+1)-square window, clipped to the array, of axes 0 and 1."""
+    for axis in (0, 1):
+        n = values.shape[axis]
+        pad = [(0, 0)] * values.ndim
+        pad[axis] = (1, 0)  # prefix[k] sums the first k entries
+        prefix = np.cumsum(np.pad(values, pad), axis=axis)
+        at = np.arange(n)
+        values = prefix.take(np.minimum(at + r + 1, n), axis=axis) - prefix.take(
+            np.maximum(at - r, 0), axis=axis
+        )
+    return values
+
+
+def _refresh_by_instances(
+    instances: LabelGrid, class_map: ClassScoreMap, r: int
+) -> ClassScoreMap:
+    """The refresh under the 0/1 same-instance affinity of `instances`."""
+    scores = class_map.data
+    out = scores.copy()  # a background row is affine to itself alone: kept
+    width = instances.width
+    flat_lab = instances.data.ravel()
+    # One stable sort groups the foreground pixels by id.
+    flat = np.flatnonzero(flat_lab)
+    flat = flat[np.argsort(flat_lab[flat], kind="stable")]
+    cuts = np.flatnonzero(np.diff(flat_lab[flat])) + 1
+    for pixels in np.split(flat, cuts):
+        if not len(pixels):
+            continue  # an all-background grid
+        ys, xs = np.divmod(pixels, width)
+        y0, x0 = ys.min(), xs.min()
+        local = (ys - y0, xs - x0)
+        mask = np.zeros((ys.max() - y0 + 1, xs.max() - x0 + 1))
+        mask[local] = 1.0
+        crop = scores[y0 : y0 + mask.shape[0], x0 : x0 + mask.shape[1]]
+        num = _box_sum(crop * mask[:, :, None], r)[local]
+        den = _box_sum(mask, r)[local]
+        out[ys, xs] = num / den[:, None]
+    return ClassScoreMap(out)

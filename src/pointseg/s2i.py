@@ -7,6 +7,7 @@ center voting with a pseudo-box fallback.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,8 +61,9 @@ class GroupingConfig:
     def __post_init__(self):
         if self.pseudo_box_side < 1:
             raise PipelineError("pseudo box side must be >= 1")
-        if self.vote_radius_tau is not None and not self.vote_radius_tau > 0:  # NaN fails too
-            raise PipelineError(f"vote radius tau must be > 0, got {self.vote_radius_tau}")
+        tau = self.vote_radius_tau
+        if tau is not None and not (math.isfinite(tau) and tau > 0):
+            raise PipelineError(f"vote radius tau must be finite and > 0, got {tau}")
 
 
 def extract_regions(

@@ -223,7 +223,10 @@ class TestTrainEvalCli:
         (["synth", "--height", "-5"], "got -5 x 64"),
         (["synth", "--width", "0"], "got 64 x 0"),
         (["train", "--seed", "-1"], "got -1"),
-    ], ids=["synth-seed", "synth-height", "synth-width", "train-seed"])
+        (["synth", "--count", "0"], "count must be >= 1, got 0"),
+        (["synth", "--count", "-1"], "count must be >= 1, got -1"),
+    ], ids=["synth-seed", "synth-height", "synth-width", "train-seed", "synth-count-0",
+            "synth-count-neg"])
     def test_negative_seed_or_empty_grid_exit_2(self, scene_dir, tmp_path, capsys, argv, value):
         scene = ["--scene", str(scene_dir)] if argv[0] == "train" else []
         assert dispatch([*argv, *scene, "--out", str(tmp_path / "t")]) == 2
@@ -303,6 +306,20 @@ assert dispatch(["i2s", "--instances", str(out / "s2i" / "instances.pgm"),
                  "--classmap", str(out / "classmap_in.mdmt"), "--out", str(out / "i2s")]) == 0
 print("scipy loaded:", any(m.split(".")[0] == "scipy" for m in sys.modules))
 """
+
+
+class TestI2sCli:
+    def test_beta_cannot_change_instance_refresh(self, scene_dir, tmp_path):
+        semantic = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
+        classmap = tmp_path / "classmap_in.mdmt"
+        classmap.write_bytes(encode_tensor(np.eye(int(semantic.data.max()) + 1)[semantic.data]))
+        for beta in ("1", "5"):
+            assert dispatch(["i2s", "--instances", str(scene_dir / "gt_instances.pgm"),
+                             "--classmap", str(classmap), "--beta", beta,
+                             "--out", str(tmp_path / beta)]) == 0
+        assert (tmp_path / "1" / "classmap.mdmt").read_bytes() == (
+            tmp_path / "5" / "classmap.mdmt"
+        ).read_bytes()
 
 
 class TestRuntimeImports:
@@ -517,9 +534,16 @@ class TestCliFlagFuzz:
     code 0, 1 or 2, never in an exception that escapes dispatch. --jobs is
     left out so that no fuzzed value sizes a process pool, and no value is
     large, since --count, --height and --instances allocate or loop in
-    proportion to theirs."""
+    proportion to theirs. PINNED holds the codes some values must give."""
 
     VALUES = ("-1", "0", "nan", "inf")
+    PINNED = {
+        ("synth", "--count", "-1"): 2,
+        ("synth", "--count", "0"): 2,
+        ("i2s", "--beta", "inf"): 2,
+        ("train", "--beta", "inf"): 2,
+        ("train", "--tau", "inf"): 2,
+    }
     FLAGS = {
         "synth": ["--seed", "--count", "--height", "--width", "--instances", "--classes",
                   "--dilation", "--erosion", "--flip-rate"],
@@ -557,6 +581,8 @@ class TestCliFlagFuzz:
                 out = tmp_path / f"{flag.strip('-')}_{value}"
                 code = dispatch([command, *base, flag, value, "--out", str(out)])
                 assert code in (0, 1, 2), (flag, value, code)
+                pinned = self.PINNED.get((command, flag, value))
+                assert pinned in (None, code), (flag, value, code)
         capsys.readouterr()
 
 
@@ -584,3 +610,38 @@ class TestPerfbenchLayerNames:
         from pointseg.cli import _COMMANDS
 
         assert set(tracer.SUBCOMMANDS) <= set(_COMMANDS)
+
+
+class TestPerfbenchTracerSpans:
+    """A layer name that resolves but is no longer called would record no
+    span, and perfbench would report that layer as 0 s."""
+
+    def test_label_pipeline_records_every_label_layer(self, tmp_path, capsys):
+        tracer = _load_perfbench_tracer()
+        scene = tmp_path / "scene_00000005"
+        with tracer.Tracer().installed() as trace:
+            assert dispatch(["synth", "--out", str(tmp_path), "--seed", "5", "--height", "32",
+                             "--width", "32", "--instances", "3"]) == 0
+            semantic = decode_label_pgm((scene / "semantic_in.pgm").read_bytes())
+            onehot = np.eye(int(semantic.data.max()) + 1)[semantic.data]
+            (tmp_path / "classmap_in.mdmt").write_bytes(encode_tensor(onehot))
+            assert dispatch(["s2i", "--semantic", str(scene / "semantic_in.pgm"),
+                             "--points", str(scene / "points.csv"),
+                             "--out", str(tmp_path / "s2i")]) == 0
+            assert dispatch(["i2s", "--instances", str(tmp_path / "s2i" / "instances.pgm"),
+                             "--classmap", str(tmp_path / "classmap_in.mdmt"),
+                             "--out", str(tmp_path / "i2s")]) == 0
+            assert dispatch(["eval", "--pred", str(tmp_path / "s2i" / "instances.pgm"),
+                             "--gt", str(scene / "gt_instances.pgm"),
+                             "--out", str(tmp_path / "eval")]) == 0
+        capsys.readouterr()
+        names = [span[0] for span in trace.spans]
+        refresh = [span for span in trace.spans if span[0] == "i2s.refresh_semantic"]
+        assert len(refresh) == 1
+        assert trace.spans[refresh[0][3]][0] == "cli.i2s"
+        assert trace.counts["i2s.affinity_values"] == 0  # an instance map, not a callable
+        label_layers = {
+            name for module, attr, name, _ in tracer.LAYERS
+            if module in ("pointseg.cli", "pointseg.s2i") and attr != "run_mdm"
+        }
+        assert label_layers <= set(names), label_layers - set(names)

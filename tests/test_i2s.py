@@ -44,6 +44,16 @@ def windowed(aff, shape):
     return lambda win_i, win_j: aff[index[win_i].ravel(), index[win_j].ravel()]
 
 
+def same_instance(lab):
+    """The binary same-instance affinity of a label array as a window callable."""
+
+    def affinity(win_i, win_j):
+        li = lab[win_i]
+        return ((li == lab[win_j]) & (li > 0)).astype(np.float64).ravel()
+
+    return affinity
+
+
 def no_affinity(win_i, win_j):
     """Zero affinity between distinct pixels: the identity operator."""
     ys, xs = win_i
@@ -223,6 +233,9 @@ class TestI2SConfig:
             I2SConfig(max_pairs=1)
         with pytest.raises(PipelineError):
             I2SConfig(pair_radius=0)
+        for beta in (float("nan"), float("inf")):
+            with pytest.raises(PipelineError, match="finite"):
+                I2SConfig(beta=beta)
 
 
 class TestRadiusPastGrid:
@@ -239,15 +252,105 @@ class TestRadiusPastGrid:
     def test_refresh_matches_largest_fitting_radius(self):
         inst = generate_scene(8, 32, 32, 3, 2).gt_instances
         cmap = ClassScoreMap(np.random.default_rng(3).random((32, 32, 3)))
-        lab = inst.data
+        for affinity in (same_instance(inst.data), inst):
+            wide = refresh_semantic(affinity, cmap, I2SConfig(pair_radius=40))
+            fit = refresh_semantic(affinity, cmap, I2SConfig(pair_radius=31))
+            assert np.array_equal(wide.data, fit.data)
 
-        def same_instance(win_i, win_j):
-            li = lab[win_i]
-            return ((li == lab[win_j]) & (li > 0)).astype(np.float64).ravel()
 
-        wide = refresh_semantic(same_instance, cmap, I2SConfig(pair_radius=40))
-        fit = refresh_semantic(same_instance, cmap, I2SConfig(pair_radius=31))
-        assert np.array_equal(wide.data, fit.data)
+def _label_cases():
+    """(instance grid, pair radius) pairs that cover the instance path's edges."""
+    rng = np.random.default_rng(31)
+    borders = np.zeros((9, 11), dtype=np.int32)
+    borders[0, 1:] = 1
+    borders[1:, -1] = 2
+    borders[-1, :-1] = 3
+    borders[:-1, 0] = 4
+    borders[3:6, 4:7] = 5
+    pieces = np.zeros((12, 12), dtype=np.int32)
+    pieces[1:4, 1:4] = 6  # one id in two disconnected pieces
+    pieces[8:11, 7:11] = 6
+    pieces[5:7, 5:7] = 2
+    single = np.zeros((6, 6), dtype=np.int32)
+    single[3, 2] = 7
+    return {
+        "1x1-instance": (np.ones((1, 1), dtype=np.int32), 1),
+        "1x1-background": (np.zeros((1, 1), dtype=np.int32), 1),
+        "7x5": (rng.integers(0, 4, size=(7, 5)), 2),
+        "7x5-radius-past-grid": (rng.integers(0, 4, size=(7, 5)), 9),
+        "borders": (borders, 3),
+        "borders-radius-past-grid": (borders, 15),
+        "two-pieces": (pieces, 4),
+        "single-pixel": (single, 2),
+        "all-background": (np.zeros((5, 8), dtype=np.int32), 2),
+        "non-contiguous-ids": (rng.choice([0, 3, 40, 1000, 65535], size=(20, 17)), 3),
+        "64x64": (generate_scene(12, 64, 64, 4, 3).gt_instances.data, 8),
+        "256x256": (generate_scene(13, 256, 256, 5, 3).gt_instances.data, 8),
+    }
+
+
+LABEL_CASES = _label_cases()
+
+
+class TestInstanceRefresh:
+    """An instance LabelGrid as the affinity source: per-instance box sums
+    that must reproduce the window path under the binary callable."""
+
+    @pytest.fixture(params=sorted(LABEL_CASES))
+    def case(self, request):
+        lab, radius = LABEL_CASES[request.param]
+        return LabelGrid(lab), radius
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_one_hot_byte_identical_to_window_path(self, case, beta):
+        inst, radius = case
+        rng = np.random.default_rng(radius)
+        onehot = ClassScoreMap(np.eye(4)[rng.integers(0, 4, size=inst.shape)])
+        cfg = I2SConfig(beta=beta, pair_radius=radius)
+        window = refresh_semantic(same_instance(inst.data), onehot, cfg)
+        boxed = refresh_semantic(inst, onehot, cfg)
+        assert boxed.data.tobytes() == window.data.tobytes()
+
+    def test_soft_map_within_1e12_of_window_path(self, case):
+        inst, radius = case
+        rng = np.random.default_rng(radius + 1)
+        for scores in (softmax_rows(rng.standard_normal((*inst.shape, 4))),
+                       rng.standard_normal((*inst.shape, 4))):
+            cmap = ClassScoreMap(scores)
+            cfg = I2SConfig(pair_radius=radius)
+            window = refresh_semantic(same_instance(inst.data), cmap, cfg)
+            boxed = refresh_semantic(inst, cmap, cfg)
+            assert np.abs(boxed.data - window.data).max() <= 1e-12
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 5.0])
+    def test_matches_dense_oracle(self, beta):
+        # Radius 13 reaches every pixel pair of the 13x9 grid.
+        rng = np.random.default_rng(7)
+        inst = LabelGrid(rng.integers(0, 4, size=(13, 9)).astype(np.int32))
+        cmap = ClassScoreMap(softmax_rows(rng.standard_normal((13, 9, 3))))
+        out = refresh_semantic(inst, cmap, I2SConfig(beta=beta, pair_radius=13))
+        want = dense_refresh(dense_affinity(inst), cmap, beta)
+        assert np.allclose(out.data, want, rtol=0, atol=1e-12)
+
+    def test_background_rows_kept(self):
+        lab, radius = LABEL_CASES["two-pieces"]
+        cmap = ClassScoreMap(np.random.default_rng(8).standard_normal((*lab.shape, 3)))
+        out = refresh_semantic(LabelGrid(lab), cmap, I2SConfig(pair_radius=radius))
+        assert np.array_equal(out.data[lab == 0], cmap.data[lab == 0])
+
+    def test_beta_cannot_change_output(self):
+        lab, radius = LABEL_CASES["non-contiguous-ids"]
+        cmap = ClassScoreMap(np.random.default_rng(9).random((*lab.shape, 3)))
+        outs = [
+            refresh_semantic(LabelGrid(lab), cmap, I2SConfig(beta=b, pair_radius=radius))
+            for b in (1.0, 5.0)
+        ]
+        assert outs[0].data.tobytes() == outs[1].data.tobytes()
+
+    def test_grid_mismatch_rejected(self):
+        cmap = ClassScoreMap(np.zeros((4, 5, 2)))
+        with pytest.raises(PipelineError, match="disagree"):
+            refresh_semantic(LabelGrid(np.ones((5, 4), dtype=np.int32)), cmap, I2SConfig())
 
 
 def flat_index_refresh(affinity, class_map, cfg):
@@ -299,13 +402,9 @@ class TestWindowRefreshMatchesFlatIndexOracle:
         def by_index(i_idx, j_idx):
             return ((flat[i_idx] == flat[j_idx]) & (flat[i_idx] > 0)).astype(np.float64)
 
-        def by_window(win_i, win_j):
-            li = lab[win_i]
-            return ((li == lab[win_j]) & (li > 0)).astype(np.float64).ravel()
-
         cmap = self._probs(rng)
         cfg = I2SConfig(beta=beta, pair_radius=radius)
-        out = refresh_semantic(by_window, cmap, cfg)
+        out = refresh_semantic(same_instance(lab), cmap, cfg)
         assert np.array_equal(out.data.reshape(-1, 4), flat_index_refresh(by_index, cmap, cfg))
 
     @pytest.mark.parametrize("radius", [1, 3, 20])

@@ -194,6 +194,11 @@ class TestGroupInstances:
         out = group_instances(offsets, sem, pts, GroupingConfig(vote_radius_tau=2.0))
         assert out.data[3, 4] == 1
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_tau_rejected(self, tau):
+        with pytest.raises(PipelineError, match="tau"):
+            GroupingConfig(vote_radius_tau=tau)
+
     def test_all_votes_beyond_tau_yield_only_pseudo_boxes(self):
         h = w = 40
         sem = LabelGrid(np.ones((h, w), dtype=np.int32))
