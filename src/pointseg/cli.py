@@ -260,12 +260,6 @@ def _cmd_i2s(argv: list[str]) -> int:
     parser.add_argument("--instances", required=True)
     parser.add_argument("--classmap", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument(
-        "--beta", type=float,
-        help=f"affinity power, finite and >= 1 (default {I2SConfig.beta}); it cannot "
-        "change the 0/1 same-instance affinity of --instances, so the output is "
-        "the same for every value",
-    )
     parser.add_argument("--pair-radius", type=int, dest="pair_radius")
     args = parser.parse_args(argv)
     cfg = _load_config_file(args.config)
@@ -273,8 +267,9 @@ def _cmd_i2s(argv: list[str]) -> int:
 
     instances = decode_label_pgm(Path(args.instances).read_bytes())
     class_map = ClassScoreMap(decode_tensor(Path(args.classmap).read_bytes()))
+    # The 0/1 same-instance affinity of --instances is the same under every
+    # power, so the affinity's beta has no flag here.
     i2s_cfg = I2SConfig(
-        beta=_resolve(args, cfg, "beta", float, I2SConfig.beta),
         pair_radius=_resolve(args, cfg, "pair_radius", int, I2SConfig.pair_radius),
     )
     refreshed = refresh_semantic(instances, class_map, i2s_cfg)
@@ -283,7 +278,7 @@ def _cmd_i2s(argv: list[str]) -> int:
     _write(out_dir / "semantic_out.pgm", encode_label_pgm(refreshed.argmax_grid()))
     _write_manifest(
         out_dir, "i2s",
-        {"beta": i2s_cfg.beta, "pair_radius": i2s_cfg.pair_radius},
+        {"pair_radius": i2s_cfg.pair_radius},
         [Path(args.instances), Path(args.classmap)], t0,
     )
     print(f"i2s: wrote {out_dir}")

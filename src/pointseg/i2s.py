@@ -5,9 +5,10 @@ a class score map through a row-normalized Hadamard-powered affinity
 operator. Affinity is evaluated only at sampled pairs or within a
 neighborhood radius. The refresh takes one of two affinity sources:
 
-  * a callable over two aligned slice windows of the grid, one per offset,
-    so every pair of an offset is evaluated and added in one vectorised
-    step (the predicted affinity of the training loop);
+  * a symmetric callable over two aligned slice windows of the grid, called
+    once per unordered offset, so every pair of an offset is evaluated in
+    one vectorised step and added at both of its ends (the predicted
+    affinity of the training loop, a sigmoid of embedding dot products);
   * an instance LabelGrid, whose 0/1 same-instance affinity reduces the
     refresh to box sums over each instance's mask, taken from cumulative
     sums over the instance's bounding box (`pointseg i2s`).
@@ -155,11 +156,16 @@ def refresh_semantic(
     `affinity` is either a callable f(win_i, win_j) -> values in [0, 1] or
     an instance LabelGrid of the class map's grid.
 
-    A callable is evaluated once per offset from (-r, -r) to (r, r), and each
-    pixel's sums accumulate in that order. Each win is a (row slice, column
-    slice) window of the grid; the two have equal shape, pixel j = i + (dy,
-    dx) sits at the same place in win_j as i in win_i, and f returns one
-    value per pair as a 1-D array in raster order of the window.
+    A callable must be symmetric: f(win_j, win_i) would return the same
+    values as f(win_i, win_j). It is called once per unordered offset, for
+    the half-plane offsets (dy, dx) with dy > 0, or dy == 0 and dx > 0, in
+    the order _half_plane_offsets lists them, skipping offsets no pixel pair
+    of the grid spans. Each win is a (row slice, column slice) window of the
+    grid; the two have equal shape, pixel j = i + (dy, dx) sits at the same
+    place in win_j as i in win_i, and f returns one value per pair as a 1-D
+    array in raster order of the window. Each offset's values are added at
+    the i side (W_ij C(j, .) into row i) and then at the j side (W_ji C(i, .)
+    into row j), so each pixel's sums accumulate in that order.
 
     A LabelGrid makes two pixels affine (1) when they carry the same nonzero
     id and not affine (0) otherwise. cfg.beta cannot change a 0/1 affinity:
@@ -179,16 +185,15 @@ def refresh_semantic(
     planes = np.ascontiguousarray(class_map.data.transpose(2, 0, 1))
     acc = planes.copy()  # diagonal term with weight 1^beta = 1
     wsum = np.ones((h, w), dtype=np.float64)
-    r = cfg.pair_radius
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            if (dy == 0 and dx == 0) or abs(dy) >= h or abs(dx) >= w:
-                continue
-            win_i, win_j = _offset_windows(h, w, dy, dx)
-            vals = np.asarray(affinity(win_i, win_j), dtype=np.float64) ** cfg.beta
-            vals = vals.reshape(h - abs(dy), w - abs(dx))
-            acc[(slice(None), *win_i)] += vals * planes[(slice(None), *win_j)]
-            wsum[win_i] += vals
+    for dy, dx in _half_plane_offsets(cfg.pair_radius):
+        if dy >= h or abs(dx) >= w:
+            continue  # no pixel pair spans this offset
+        win_i, win_j = _offset_windows(h, w, dy, dx)
+        vals = np.asarray(affinity(win_i, win_j), dtype=np.float64) ** cfg.beta
+        vals = vals.reshape(h - dy, w - abs(dx))
+        for to, frm in ((win_i, win_j), (win_j, win_i)):
+            acc[(slice(None), *to)] += vals * planes[(slice(None), *frm)]
+            wsum[to] += vals
     return ClassScoreMap((acc / wsum).transpose(1, 2, 0))
 
 

@@ -14,6 +14,14 @@ affinity floor terms) are built once per phase, where the targets are
 checked too; each of the phase's evaluations, one per Adam step, then works
 on raw arrays and checks only what the parameters can break, the finiteness
 of the outputs and of the losses.
+
+The training hot path is channel-first. The objective holds the features as
+(2F + 1, N) planes, a row of ones last, and computes the outputs as (K, N)
+planes; each head's parameter gradient is then one small matmul of the
+feature columns its loss reads (the OHEM-kept pixels, the valid offset
+pixels, both ends of every sampled pair) with the loss's gradient at those
+columns, the ones row giving the bias gradient. The stage's refresh reads
+the embeddings as (D, H, W) planes, and one _pair_logits serves both.
 Validated types (ClassScoreMap, OffsetField, LabelGrid) stay at the API:
 predict, build_stage_targets, run_stage.
 """
@@ -134,20 +142,15 @@ class PredictorOutputs:
     embeddings: np.ndarray  # (H, W, D)
 
 
-def _offset_head(params: TinyPredictorParams, y: np.ndarray) -> np.ndarray:
-    """(H*W, 2) pixel offsets from the raw (H*W, outputs) head values."""
-    _, off_sl, _ = params.head_slices()
-    return OFFSET_OUTPUT_SCALE * y[:, off_sl]
-
-
 def _logit_scale(embed_dim: int) -> float:
     return 1.0 / math.sqrt(embed_dim)
 
 
 def _pair_logits(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
-    """Affinity logits dot(emb_a, emb_b) / sqrt(D) over the last axis of the
-    two aligned embedding arrays, one per end of each pair."""
-    return (emb_a * emb_b).sum(axis=-1) * _logit_scale(emb_a.shape[-1])
+    """Affinity logits dot(emb_a, emb_b) / sqrt(D) over the first axis of the
+    two aligned channel-first (D, ...) embedding arrays, one per end of each
+    pair. Swapping two arguments of one memory layout gives the same floats."""
+    return np.einsum("d...,d...->...", emb_a, emb_b) * _logit_scale(len(emb_a))
 
 
 def _pair_index(samples: AffinitySampleSet, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,10 +168,10 @@ def predict(params: TinyPredictorParams, features: np.ndarray) -> PredictorOutpu
             f"feature dim {f} does not match predictor fan-in {params.weights.shape[0]}"
         )
     y = expand_features(features) @ params.weights + params.biases
-    cls_sl, _, emb_sl = params.head_slices()
+    cls_sl, off_sl, emb_sl = params.head_slices()
     class_map = ClassScoreMap(y[:, cls_sl].reshape(h, w, -1))
     offsets = OffsetField(
-        _offset_head(params, y).reshape(h, w, 2), np.ones((h, w), dtype=bool)
+        OFFSET_OUTPUT_SCALE * y[:, off_sl].reshape(h, w, 2), np.ones((h, w), dtype=bool)
     )
     embeddings = y[:, emb_sl].reshape(h, w, params.embed_dim)
     return PredictorOutputs(class_map, offsets, embeddings)
@@ -283,12 +286,21 @@ class _Objective:
     """The training objective over one stage's fixed features and targets.
 
     Everything that does not depend on the parameters is built once, here:
-    the expanded features, the OHEM target index and kept count, the offset
-    targets at their valid pixels, the flat pair indices with the embedding
-    scatter index, and the constant floor terms of the affinity loss. The
-    per-stage input checks run here too, so an evaluation only checks what
-    the parameters can break: that the outputs and the scaled offsets are
-    finite.
+    the expanded features as (2F + 1, N) channel planes with a closing row of
+    ones, the OHEM target index and kept count, the offset targets with the
+    feature columns of their valid pixels, the flat pair indices with the
+    feature columns of both ends of every pair, and the constant floor
+    terms of the affinity loss. The per-stage input checks run here too, so
+    an evaluation only checks what the parameters can break: that the
+    outputs and the scaled offsets are finite.
+
+    An evaluation computes the (K, N) output planes W.T @ x + b and the
+    three losses on their heads' rows. Each head's gradient w.r.t. (W; b)
+    is one matmul of the feature columns its loss reads with the loss's
+    gradient at those columns: the kept pixels for the class head, the
+    valid pixels for the offset head, and the pair ends for the embedding
+    head, where the gradient at end a of a pair is its logit's gradient
+    times the embedding at end b, and the other way round.
     """
 
     def __init__(
@@ -300,7 +312,8 @@ class _Objective:
     ) -> None:
         h, w = features.shape[:2]
         n = h * w
-        self.xmat = expand_features(features)
+        # The ones row multiplies out to the bias gradient.
+        self.xT = np.vstack([expand_features(features).T, np.ones((1, n))])
         self.slices = template.head_slices()
         if targets.classes.shape != (h, w):
             raise LossError("target shape mismatch")
@@ -312,61 +325,57 @@ class _Objective:
         if targets.offsets is not None:
             if targets.offsets.shape != (h, w):
                 raise LossError("offset field shape mismatch")
-            vectors, valid = offset_target(targets.offsets)
-            self.off_target = (vectors, valid.ravel())
+            vectors, index = offset_target(targets.offsets)
+            self.off_target = (vectors, index)
+            self.off_x = self.xT[:, index]
             self.off_coeff = LAMBDA_OFF * OFFSET_OUTPUT_SCALE
-            n_off = len(vectors)
+            n_off = len(index)
         self.aff_target = None
         if targets.affinity is not None:
-            pos, pos_floor, neg_floor = affinity_floor(targets.affinity.targets)
-            self.aff_target = (pos, pos_floor, neg_floor)
+            self.aff_target = affinity_floor(targets.affinity.targets)
             self.aff_coeff = LAMBDA_AFF * _logit_scale(template.embed_dim)
-            # Both pair ends gathered at once: ia rows, then ib rows.
+            # Both pair ends at once: the a ends, then the b ends.
             self.ends = np.concatenate(_pair_index(targets.affinity, w))
-            # The embedding gradient sums, per element, the ia terms in pair
-            # order and then the ib terms, the order of one add.at per end.
-            d = template.embed_dim
-            self.scatter = (self.ends[:, None] * d + np.arange(d)).ravel()
-            self.emb_size = n * d
-            n_pos, n_neg = len(pos_floor), len(neg_floor)
+            self.ends_x = self.xT[:, self.ends]
+            n_pos = int(np.count_nonzero(self.aff_target[0] < 0))  # positives weigh < 0
+            n_neg = len(self.ends) // 2 - n_pos
         self.counts = (self.seg_target[1], n_off, n_pos, n_neg)
 
     def __call__(
         self, params: TinyPredictorParams
     ) -> tuple[LossReport, tuple[np.ndarray, np.ndarray]]:
         """Forward pass, three losses, and the analytic parameter gradient."""
-        y = self.xmat @ params.weights + params.biases
+        y = params.weights.T @ self.xT[:-1] + params.biases[:, None]
         if not np.all(np.isfinite(y)):
             raise PipelineError("diverged: predictor outputs are non-finite")
         cls_sl, off_sl, emb_sl = self.slices
-        d_y = np.zeros_like(y)
+        grad = np.zeros((len(self.xT), len(y)))  # rows: weights, then biases
 
-        seg, g_seg = seg_loss_ohem(y[:, cls_sl], *self.seg_target)
-        d_y[:, cls_sl] = LAMBDA_SEG * g_seg
+        seg, kept, g_seg = seg_loss_ohem(y[cls_sl], *self.seg_target)
+        grad[:, cls_sl] = self.xT[:, kept] @ (LAMBDA_SEG * g_seg).T
 
         off = 0.0
         if self.off_target is not None:
-            pred = _offset_head(params, y)
+            pred = OFFSET_OUTPUT_SCALE * y[off_sl]
             if not np.all(np.isfinite(pred)):
                 raise PipelineError("diverged: predicted offsets are non-finite")
             off, g_off = offset_loss(pred, *self.off_target)
-            d_y[:, off_sl] = self.off_coeff * g_off
+            grad[:, off_sl] = self.off_x @ (self.off_coeff * g_off).T
 
         aff = 0.0
         if self.aff_target is not None:
             n_pairs = len(self.ends) // 2
-            ends = y[:, emb_sl][self.ends]
-            emb_a, emb_b = ends[:n_pairs], ends[n_pairs:]
+            ends = y[emb_sl].take(self.ends, axis=1)
+            emb_a, emb_b = ends[:, :n_pairs], ends[:, n_pairs:]
             aff, g_logit = affinity_loss(_pair_logits(emb_a, emb_b), *self.aff_target)
-            coeff = (self.aff_coeff * g_logit)[:, None]
-            terms = np.empty_like(ends)
-            np.multiply(coeff, emb_b, out=terms[:n_pairs])
-            np.multiply(coeff, emb_a, out=terms[n_pairs:])
-            g_emb = np.bincount(self.scatter, terms.ravel(), minlength=self.emb_size)
-            d_y[:, emb_sl] = g_emb.reshape(len(y), -1)
+            coeff = self.aff_coeff * g_logit
+            g_ends = np.empty_like(ends)
+            np.multiply(coeff, emb_b, out=g_ends[:, :n_pairs])
+            np.multiply(coeff, emb_a, out=g_ends[:, n_pairs:])
+            grad[:, emb_sl] = self.ends_x @ g_ends.T
 
         report = total_loss((seg, off, aff), self.counts)
-        return report, (self.xmat.T @ d_y, d_y.sum(axis=0))
+        return report, (grad[:-1], grad[-1])
 
 
 def _fit(
@@ -469,9 +478,12 @@ def run_stage(
     grouped = group_instances(outs.offsets, semantic_in, points, cfg.grouping)
     pseudo, classes = finalize_pseudo_labels(grouped, semantic_in, points)
 
+    emb = np.ascontiguousarray(outs.embeddings.transpose(2, 0, 1))  # (D, H, W)
+
     def predicted_affinity(win_i: Window, win_j: Window) -> np.ndarray:
-        emb = outs.embeddings
-        return sigmoid(_pair_logits(emb[win_i], emb[win_j]).ravel())
+        # Symmetric, as refresh_semantic requires: one call serves both ends.
+        logits = _pair_logits(emb[(slice(None), *win_i)], emb[(slice(None), *win_j)])
+        return sigmoid(logits.ravel())
 
     # Refresh bounded probabilities rather than raw scores: convex mixing
     # keeps the recurrence stable (confident raw scores snowball).

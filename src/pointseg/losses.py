@@ -5,10 +5,17 @@ online-hard-example-mined cross entropy over the class map, and the
 sigmoid pixel-pair affinity loss, weighted by the fixed constants of the
 published operating point.
 
-The losses take raw arrays, since the training loop evaluates them thousands
+The losses take raw arrays, since the training loop evaluates them hundreds
 of times against the same targets. What depends on the targets alone is
 built and checked once by offset_target, ohem_target and affinity_floor,
 whose results are passed on to offset_loss, seg_loss_ohem and affinity_loss.
+
+Predictions come channel-first: (channels, pixels) planes with pixels in
+raster order, so every elementwise step and every reduction over the
+channels runs over long contiguous rows. The class and offset losses return
+their gradient only at the pixel columns they read (the OHEM-kept pixels,
+the valid offset pixels); every other column's gradient is zero, and the
+caller multiplies by the features at those columns alone.
 """
 from __future__ import annotations
 
@@ -60,24 +67,27 @@ class LossReport:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function, branch-free: exp(-|x|) never overflows.
+
+    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, the same
+    floats as evaluating the two branches on their own masks.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Normalized exponential along the last axis, max-shifted for stability."""
+def softmax_rows(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Normalized exponential along `axis` (the last by default), max-shifted
+    for stability."""
     # The max one channel at a time: exact, and far cheaper than a reduction
-    # over a short last axis.
-    top = scores[..., 0]
-    for ch in range(1, scores.shape[-1]):
-        top = np.maximum(top, scores[..., ch])
-    ex = np.exp(scores - top[..., None])
-    return ex / ex.sum(axis=-1, keepdims=True)
+    # over a short axis.
+    planes = np.moveaxis(scores, axis, 0)
+    top = planes[0]
+    for plane in planes[1:]:
+        top = np.maximum(top, plane)
+    ex = np.exp(scores - np.expand_dims(top, axis))
+    return ex / ex.sum(axis=axis, keepdims=True)
 
 
 def smooth_l1(x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -90,37 +100,34 @@ def smooth_l1(x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def offset_target(target: OffsetField) -> tuple[np.ndarray, np.ndarray]:
-    """The offset loss's fixed inputs: the target vectors at the valid
-    pixels, in raster order, and the validity mask."""
-    valid = target.valid
-    if not valid.any():
+    """The offset loss's fixed inputs: the target vectors at the M valid
+    pixels as (2, M) planes, and the flat raster index of those pixels."""
+    index = np.flatnonzero(target.valid)
+    if not len(index):
         raise LossError("empty pseudo set")
-    return target.vectors[valid], valid
+    return np.ascontiguousarray(target.vectors.reshape(-1, 2)[index].T), index
 
 
 def offset_loss(
-    pred: np.ndarray, target: np.ndarray, valid: np.ndarray
+    pred: np.ndarray, target: np.ndarray, index: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean smooth-L1 over the valid pixels, both vector components summed.
 
-    pred holds (..., 2) predicted vectors, valid a boolean mask over its
-    leading axes, and target the (M, 2) vectors at the M >= 1 valid pixels
-    in raster order (see offset_target). Returns the scalar loss and its
-    gradient w.r.t. pred (zero outside the valid set).
+    pred holds (2, N) predicted vector planes; target and index come from
+    offset_target. Returns the scalar loss and its (2, M) gradient w.r.t.
+    pred at the valid pixels, in index order; it is zero elsewhere.
     """
-    n = len(target)
-    value, deriv = smooth_l1(pred[valid] - target)
-    grad = np.zeros_like(pred)
-    grad[valid] = deriv / n
-    return float(value.sum(axis=-1).sum() / n), grad
+    n = len(index)
+    value, deriv = smooth_l1(pred.take(index, axis=1) - target)
+    return float(value.sum(axis=0).sum() / n), deriv / n
 
 
 def ohem_target(
     target_classes: np.ndarray, channels: int, ratio: float
 ) -> tuple[np.ndarray, int]:
     """The OHEM loss's fixed inputs: the flat index of each pixel's target
-    score in a raster-ordered (N, channels) score array, and the number of
-    pixels kept, ceil(ratio * N)."""
+    score in a (channels, N) array of raster-ordered score planes, and the
+    number of pixels kept, ceil(ratio * N)."""
     if not (0.0 < ratio <= 1.0):
         raise LossError(f"ratio must be in (0, 1], got {ratio}")
     target = np.asarray(target_classes).ravel()
@@ -129,20 +136,21 @@ def ohem_target(
         raise LossError("empty seg set")
     if int(target.max()) >= channels:
         raise LossError("target class id exceeds score channels")
-    return np.arange(n) * channels + target, int(math.ceil(ratio * n))
+    return target.astype(np.int64) * n + np.arange(n), int(math.ceil(ratio * n))
 
 
 def seg_loss_ohem(
     scores: np.ndarray, target_index: np.ndarray, n_keep: int
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross entropy over the n_keep hardest pixels.
 
-    scores holds raw (..., C) class scores, one row per pixel in raster
-    order; target_index and n_keep come from ohem_target. Ties at the cutoff
-    break by raster order. Returns the loss and its gradient w.r.t. the
-    scores (softmax minus one-hot on kept pixels).
+    scores holds raw (C, N) class score planes, pixels in raster order;
+    target_index and n_keep come from ohem_target. Ties at the cutoff break
+    by raster order. Returns the loss, the kept pixels (hardest first), and
+    the (C, n_keep) gradient w.r.t. their scores, softmax minus one-hot; the
+    gradient at every other pixel is zero.
     """
-    probs = softmax_rows(scores).reshape(-1, scores.shape[-1])
+    probs = softmax_rows(scores, axis=0)
     p_true = probs.take(target_index)
     ce = -np.log(np.maximum(p_true, CE_PROB_FLOOR))
     # A stable sort of the candidates at or above the cutoff keeps the order
@@ -152,45 +160,44 @@ def seg_loss_ohem(
     candidates = np.flatnonzero(hardness <= cutoff)
     kept = candidates[np.argsort(hardness[candidates], kind="stable")[:n_keep]]
     loss = float(ce[kept].mean())
-    np.put(probs, target_index, p_true - 1.0)  # softmax minus one-hot
-    grad = np.zeros_like(probs)
-    grad[kept] = probs[kept] / n_keep
-    return loss, grad.reshape(scores.shape)
+    np.put(probs, target_index[kept], p_true[kept] - 1.0)  # softmax minus one-hot
+    return loss, kept, probs[:, kept] / n_keep
 
 
-def affinity_floor(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The affinity loss's fixed inputs: the positive-pair mask and the
-    constant floor terms of the positive and the negative pairs."""
+def affinity_floor(targets: np.ndarray) -> tuple[np.ndarray, float]:
+    """The affinity loss's fixed inputs: each pair's weight in the mean over
+    its side, -1/n_pos on a positive and 1/n_neg on a negative, and the
+    loss's constant floor, the mean of 2 - sigmoid(target) over the
+    positives plus that of sigmoid(target) over the negatives."""
     if len(targets) == 0:
         raise LossError("empty sample set")
     pos = targets > 0.5
-    return pos, 2.0 - sigmoid(targets[pos]), sigmoid(targets[~pos])
+    n_pos = int(np.count_nonzero(pos))
+    n_neg = len(targets) - n_pos
+    floor = 0.0
+    if n_pos:
+        floor += float(np.sum(2.0 - sigmoid(targets[pos])) / n_pos)
+    if n_neg:
+        floor += float(np.sum(sigmoid(targets[~pos])) / n_neg)
+    # max(., 1): a side with no pairs has no pair to weigh.
+    weights = np.where(pos, -1.0 / max(n_pos, 1), 1.0 / max(n_neg, 1))
+    return weights, floor
 
 
 def affinity_loss(
-    logits: np.ndarray, pos: np.ndarray, pos_floor: np.ndarray, neg_floor: np.ndarray
+    logits: np.ndarray, weights: np.ndarray, floor: float
 ) -> tuple[float, np.ndarray]:
     """Sigmoid pair loss, implemented literally with the binary targets fed
     through the sigmoid as well, which leaves a constant floor of
-    (1 - sigmoid(1)) per positive and sigmoid(0) per negative.
+    (1 - sigmoid(1)) per positive and sigmoid(0) per negative. Above the
+    floor it is the mean of -sigmoid(logit) over the positive pairs plus
+    the mean of sigmoid(logit) over the negative ones.
 
-    logits holds the predicted pair logits; pos, pos_floor and neg_floor
-    come from affinity_floor. Returns the loss and its gradient w.r.t. the
-    logits.
+    logits holds the predicted pair logits; weights and floor come from
+    affinity_floor. Returns the loss and its gradient w.r.t. the logits.
     """
-    n_pos, n_neg = len(pos_floor), len(neg_floor)
     s = sigmoid(logits)
-    ds = s * (1.0 - s)
-    loss = 0.0
-    grad = np.zeros(len(logits), dtype=np.float64)
-    if n_pos:
-        loss += float(np.sum(pos_floor - s[pos]) / n_pos)
-        grad[pos] = -ds[pos] / n_pos
-    if n_neg:
-        neg = ~pos
-        loss += float(np.sum(neg_floor + s[neg]) / n_neg)
-        grad[neg] = ds[neg] / n_neg
-    return loss, grad
+    return floor + float(weights @ s), weights * (s * (1.0 - s))
 
 
 def total_loss(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pointseg
+from pointseg import I2SConfig
 from pointseg.cli import dispatch, fnv1a64
 from pointseg.grids import (
     LabelGrid,
@@ -309,17 +310,22 @@ print("scipy loaded:", any(m.split(".")[0] == "scipy" for m in sys.modules))
 
 
 class TestI2sCli:
-    def test_beta_cannot_change_instance_refresh(self, scene_dir, tmp_path):
+    def test_beta_flag_is_a_usage_error(self, scene_dir, tmp_path, capsys):
+        # The 0/1 same-instance affinity is the same under every power, so
+        # i2s has no --beta; the manifest echoes the pair radius alone.
         semantic = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
         classmap = tmp_path / "classmap_in.mdmt"
         classmap.write_bytes(encode_tensor(np.eye(int(semantic.data.max()) + 1)[semantic.data]))
-        for beta in ("1", "5"):
-            assert dispatch(["i2s", "--instances", str(scene_dir / "gt_instances.pgm"),
-                             "--classmap", str(classmap), "--beta", beta,
-                             "--out", str(tmp_path / beta)]) == 0
-        assert (tmp_path / "1" / "classmap.mdmt").read_bytes() == (
-            tmp_path / "5" / "classmap.mdmt"
-        ).read_bytes()
+        base = ["i2s", "--instances", str(scene_dir / "gt_instances.pgm"),
+                "--classmap", str(classmap)]
+        # Exit 1 is pointseg's code for every argparse usage error.
+        assert dispatch([*base, "--beta", "2", "--out", str(tmp_path / "beta")]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --beta 2" in err and "usage: pointseg i2s" in err
+        assert not (tmp_path / "beta").exists()
+        assert dispatch([*base, "--out", str(tmp_path / "plain")]) == 0
+        manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
+        assert manifest["config"] == {"pair_radius": I2SConfig.pair_radius}
 
 
 class TestRuntimeImports:
@@ -540,7 +546,6 @@ class TestCliFlagFuzz:
     PINNED = {
         ("synth", "--count", "-1"): 2,
         ("synth", "--count", "0"): 2,
-        ("i2s", "--beta", "inf"): 2,
         ("train", "--beta", "inf"): 2,
         ("train", "--tau", "inf"): 2,
     }
@@ -548,7 +553,7 @@ class TestCliFlagFuzz:
         "synth": ["--seed", "--count", "--height", "--width", "--instances", "--classes",
                   "--dilation", "--erosion", "--flip-rate"],
         "s2i": ["--connectivity"],
-        "i2s": ["--beta", "--pair-radius"],
+        "i2s": ["--pair-radius"],
         "train": ["--stages", "--warmup", "--iters", "--lr", "--hard-pixel-ratio", "--tau",
                   "--box-side", "--beta", "--pair-radius", "--max-pairs", "--seed"],
     }

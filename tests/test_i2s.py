@@ -225,6 +225,32 @@ class TestRefreshSemantic:
         assert out.data[0, 1, 0] > 0.0
 
 
+class TestCallableContract:
+    """The refresh calls a (symmetric) callable once per unordered offset
+    that some pixel pair of the grid spans, in half-plane order."""
+
+    @pytest.mark.parametrize("shape,radius", [
+        ((13, 9), 1), ((13, 9), 3), ((13, 9), 12), ((13, 9), 20), ((1, 6), 4), ((5, 1), 8),
+    ])
+    def test_one_call_per_unordered_in_grid_offset(self, shape, radius):
+        h, w = shape
+        seen = []
+
+        def affinity(win_i, win_j):
+            (yi, xi), (yj, xj) = win_i, win_j
+            seen.append((yj.start - yi.start, xj.start - xi.start))
+            return np.full((yi.stop - yi.start) * (xi.stop - xi.start), 0.5)
+
+        cmap = ClassScoreMap(np.random.default_rng(0).random((h, w, 3)))
+        refresh_semantic(affinity, cmap, I2SConfig(pair_radius=radius))
+        want = [(dy, dx) for dy, dx in half_plane(radius) if dy < h and abs(dx) < w]
+        assert seen == want
+        spanned = {(dy, dx) for dy in range(-h + 1, h) for dx in range(-w + 1, w)
+                   if max(abs(dy), abs(dx)) <= radius} - {(0, 0)}
+        assert len(seen) == len(spanned) // 2
+        assert {(-dy, -dx) for dy, dx in seen} | set(seen) == spanned
+
+
 class TestI2SConfig:
     def test_validation(self):
         with pytest.raises(PipelineError):
@@ -353,12 +379,20 @@ class TestInstanceRefresh:
             refresh_semantic(LabelGrid(np.ones((5, 4), dtype=np.int32)), cmap, I2SConfig())
 
 
+def half_plane(radius):
+    """Each unordered offset within Chebyshev radius once: dy > 0, or dy == 0
+    and dx > 0, rows first."""
+    return [(dy, dx) for dy in range(radius + 1) for dx in range(-radius, radius + 1)
+            if dy > 0 or dx > 0]
+
+
 def flat_index_refresh(affinity, class_map, cfg):
     """The refresh as a flat-index gather and scatter per offset: the oracle.
 
-    affinity(i_idx, j_idx) takes flat pixel indices. Offsets run from
-    (-r, -r) to (r, r) with one add per offset, the order refresh_semantic
-    keeps, so the two must agree bit for bit.
+    affinity(i_idx, j_idx) takes flat pixel indices and must be symmetric.
+    It is called once per unordered offset, in half-plane order, and each
+    offset adds at the i side and then at the j side, the order
+    refresh_semantic keeps, so the two must agree bit for bit.
     """
     h, w, ch = class_map.data.shape
     n = h * w
@@ -366,20 +400,15 @@ def flat_index_refresh(affinity, class_map, cfg):
     acc = flat_c.copy()
     wsum = np.ones(n, dtype=np.float64)
     grid_idx = np.arange(n, dtype=np.int64).reshape(h, w)
-    r = cfg.pair_radius
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            if (dy == 0 and dx == 0) or abs(dy) >= h or abs(dx) >= w:
-                continue
-            ys = slice(max(0, -dy), h - max(0, dy))
-            xs = slice(max(0, -dx), w - max(0, dx))
-            i_idx = grid_idx[ys, xs].ravel()
-            j_idx = grid_idx[
-                slice(max(0, dy), h + min(0, dy)), slice(max(0, dx), w + min(0, dx))
-            ].ravel()
-            vals = np.asarray(affinity(i_idx, j_idx), dtype=np.float64) ** cfg.beta
-            acc[i_idx] += vals[:, None] * flat_c[j_idx]
-            wsum[i_idx] += vals
+    for dy, dx in half_plane(cfg.pair_radius):
+        if dy >= h or abs(dx) >= w:
+            continue
+        i_idx = grid_idx[: h - dy, max(0, -dx) : w - max(0, dx)].ravel()
+        j_idx = i_idx + dy * w + dx
+        vals = np.asarray(affinity(i_idx, j_idx), dtype=np.float64) ** cfg.beta
+        for to, frm in ((i_idx, j_idx), (j_idx, i_idx)):
+            acc[to] += vals[:, None] * flat_c[frm]
+            wsum[to] += vals
     return acc / wsum[:, None]
 
 
@@ -410,14 +439,16 @@ class TestWindowRefreshMatchesFlatIndexOracle:
     @pytest.mark.parametrize("radius", [1, 3, 20])
     def test_sigmoid_embedding_affinity(self, radius):
         rng = np.random.default_rng(100 + radius)
-        emb = rng.standard_normal((self.H, self.W, 8))
-        emb_flat = emb.reshape(-1, 8)
+        emb = rng.standard_normal((8, self.H, self.W))  # channel-first planes
+        emb_flat = emb.reshape(8, -1)
 
         def by_index(i_idx, j_idx):
-            return sigmoid(_pair_logits(emb_flat[i_idx], emb_flat[j_idx]))
+            return sigmoid(_pair_logits(emb_flat.take(i_idx, axis=1),
+                                        emb_flat.take(j_idx, axis=1)))
 
         def by_window(win_i, win_j):
-            return sigmoid(_pair_logits(emb[win_i], emb[win_j]).ravel())
+            return sigmoid(_pair_logits(emb[(slice(None), *win_i)],
+                                        emb[(slice(None), *win_j)]).ravel())
 
         cmap = self._probs(rng)
         cfg = I2SConfig(pair_radius=radius)

@@ -109,7 +109,7 @@ class TestPredict:
         assert (outs.embeddings == 0).all()
         samples = build_affinity_targets(sc.gt_instances, I2SConfig(max_pairs=16), seed=1)
         emb = outs.embeddings
-        logits = _pair_logits(emb[tuple(samples.a.T)], emb[tuple(samples.b.T)])
+        logits = _pair_logits(emb[tuple(samples.a.T)].T, emb[tuple(samples.b.T)].T)
         assert len(logits) == len(samples) and (logits == 0).all()
 
     def test_deterministic(self):
@@ -354,9 +354,12 @@ class TestMdmConfigValidation:
 
 # ---------------------------------------------------------------- reference
 # The objective as it stood before its per-stage constants were built once
-# per stage: validated types at every evaluation, pair indices rebuilt per
-# call, and the embedding gradient scattered with two np.add.at calls. Adam
-# over the training objective must reproduce Adam over it bit for bit.
+# per stage and before it went channel-first: pixel-major (N, K) outputs,
+# validated types at every evaluation, pair indices rebuilt per call, the
+# embedding gradient scattered with two np.add.at calls, and the parameter
+# gradient taken from the full (N, K) output gradient. The training objective
+# sums some quantities in another order, so it must agree with this one to
+# rounding, and the labels of a whole run must not move.
 
 
 def _ref_softmax_rows(scores):
@@ -421,6 +424,39 @@ def _ref_offset_head(params, y, shape):
 
 def _ref_pair_logits(emb, ia, ib):
     return (emb[ia] * emb[ib]).sum(axis=-1) * _logit_scale(emb.shape[-1])
+
+
+class _RefObjective:
+    """_ref_objective behind the training objective's interface."""
+
+    def __init__(self, template, features, targets, hard_pixel_ratio):
+        self.xmat = expand_features(features)
+        self.shape = features.shape[:2]
+        self.targets, self.ratio = targets, hard_pixel_ratio
+
+    def __call__(self, params):
+        return _ref_objective(params, self.xmat, self.shape, self.targets, self.ratio)
+
+
+def _ref_refresh(affinity, class_map, cfg):
+    """The window refresh in its former order: every ordered offset from
+    (-r, -r) to (r, r), one call and one add per offset."""
+    h, w, _ = class_map.data.shape
+    planes = np.ascontiguousarray(class_map.data.transpose(2, 0, 1))
+    acc = planes.copy()
+    wsum = np.ones((h, w))
+    r = cfg.pair_radius
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            if (dy == 0 and dx == 0) or abs(dy) >= h or abs(dx) >= w:
+                continue
+            win_i = (slice(max(0, -dy), h - max(0, dy)), slice(max(0, -dx), w - max(0, dx)))
+            win_j = (slice(max(0, dy), h + min(0, dy)), slice(max(0, dx), w + min(0, dx)))
+            vals = np.asarray(affinity(win_i, win_j), dtype=np.float64) ** cfg.beta
+            vals = vals.reshape(h - abs(dy), w - abs(dx))
+            acc[(slice(None), *win_i)] += vals * planes[(slice(None), *win_j)]
+            wsum[win_i] += vals
+    return ClassScoreMap((acc / wsum).transpose(1, 2, 0))
 
 
 def _ref_pair_index(samples, width):
@@ -513,10 +549,15 @@ def _targets_of_kind(sc, semantic, cfg, kind):
 TARGET_KINDS = ["warm-up", "stage", "no-offsets"]
 
 
+def _close(got, want, rel=1e-12):
+    """got within rel of want, relative to want's largest magnitude."""
+    return np.abs(np.asarray(got) - want).max() <= rel * np.abs(want).max()
+
+
 class TestObjectiveMatchesReference:
     @pytest.mark.parametrize("seed", [100, 101])
     @pytest.mark.parametrize("kind", [*TARGET_KINDS, "tied"])
-    def test_fit_bit_identical(self, seed, kind):
+    def test_within_1e12_of_reference(self, seed, kind):
         sc, corr = _scene_64(seed)
         if kind == "tied":
             # Rounded features give many pixels equal scores, so the OHEM
@@ -525,14 +566,49 @@ class TestObjectiveMatchesReference:
         cfg = MdmConfig()
         targets = _targets_of_kind(sc, corr, cfg, kind)
         assert (targets.affinity is None) == (kind == "warm-up")
-        params = TinyPredictorParams.initialize(
+        initial = TinyPredictorParams.initialize(
             _derive_seed(cfg.seed, 0, 0), sc.features.shape[2], sc.n_classes
         )
-        got, got_history = _fit(params, sc.features, targets, cfg, 50, kind)
-        want, want_history = _ref_fit(params, sc.features, targets, cfg, 50)
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.biases, want.biases)
-        assert got_history == want_history
+        trained, _ = _ref_fit(initial, sc.features, targets, cfg, 50)
+        objective = _Objective(initial, sc.features, targets, cfg.hard_pixel_ratio)
+        xmat = expand_features(sc.features)
+        for params in (initial, trained):
+            got, (gw, gb) = objective(params)
+            want, (want_w, want_b) = _ref_objective(
+                params, xmat, sc.features.shape[:2], targets, cfg.hard_pixel_ratio
+            )
+            # Still summed in the reference order: the outputs, the softmax,
+            # the OHEM selection and the segmentation loss, the offset loss,
+            # and the counts. The pair logits (a sum over the embedding
+            # channels) and every gradient sum in another order.
+            assert got.seg == want.seg and got.off == want.off
+            assert got.as_dict().keys() == want.as_dict().keys()
+            assert (got.n_seg_pixels, got.n_off_pixels, got.n_pos_pairs, got.n_neg_pairs) == (
+                want.n_seg_pixels, want.n_off_pixels, want.n_pos_pairs, want.n_neg_pairs)
+            if kind == "warm-up":
+                assert got.aff == want.aff == 0.0 and got.total == want.total
+            assert _close(got.aff, want.aff) and _close(got.total, want.total)
+            assert gw.shape == want_w.shape and gb.shape == want_b.shape
+            assert _close(gw, want_w) and _close(gb, want_b)
+
+
+class TestLabelsMatchReference:
+    """A whole default-config run at 64x64 gives the same labels as one
+    with the reference objective and the refresh in its former order."""
+
+    @pytest.mark.parametrize("seed", [100, 101, 102, 103])
+    def test_run_mdm_labels_identical(self, seed, monkeypatch):
+        sc, corr = _scene_64(seed)
+        cfg = MdmConfig(seed=seed)
+        got = run_mdm(sc, corr, cfg)
+        monkeypatch.setattr(loop, "_Objective", _RefObjective)
+        monkeypatch.setattr(loop, "refresh_semantic", _ref_refresh)
+        want = run_mdm(sc, corr, cfg)
+        assert len(got.stages) == len(want.stages) == cfg.n_stages
+        for g, w in zip(got.stages, want.stages):
+            assert np.array_equal(g.pseudo_instances.data, w.pseudo_instances.data)
+            assert np.array_equal(g.semantic_out.data, w.semantic_out.data)
+            assert g.instance_classes == w.instance_classes
 
 
 class TestLossNamesSeeEveryEvaluation:

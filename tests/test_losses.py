@@ -17,21 +17,38 @@ from pointseg import (
     smooth_l1,
     total_loss,
 )
-from pointseg.losses import LAMBDA_AFF, LAMBDA_OFF, LAMBDA_SEG
+from pointseg.losses import LAMBDA_AFF, LAMBDA_OFF, LAMBDA_SEG, sigmoid
 
 from gradcheck import grad_check
 
 SIGMOID_1 = 1.0 / (1.0 + math.exp(-1.0))
 
 
+def planes(data):
+    """(H, W, C) pixel-major data as (C, H*W) channel planes."""
+    return np.ascontiguousarray(data.reshape(-1, data.shape[-1]).T)
+
+
+def scattered(columns, grad, shape):
+    """A loss's gradient at some pixel columns, zero elsewhere, as (H, W, C)."""
+    full = np.zeros((len(grad), shape[0] * shape[1]))
+    full[:, columns] = grad
+    return full.T.reshape(*shape, len(grad))
+
+
 def offset_loss_of(pred, target):
-    """offset_loss over two offset fields."""
-    return offset_loss(pred.vectors, *offset_target(target))
+    """offset_loss over two offset fields; the gradient as a full field."""
+    vectors, index = offset_target(target)
+    loss, grad = offset_loss(planes(pred.vectors), vectors, index)
+    return loss, scattered(index, grad, pred.shape)
 
 
 def seg_loss_of(scores, target, ratio):
-    """seg_loss_ohem over a class score map and its target class grid."""
-    return seg_loss_ohem(scores.data, *ohem_target(target.data, scores.channels, ratio))
+    """seg_loss_ohem over a class score map and its target class grid; the
+    gradient as a full score map."""
+    index, n_keep = ohem_target(target.data, scores.channels, ratio)
+    loss, kept, grad = seg_loss_ohem(planes(scores.data), index, n_keep)
+    return loss, scattered(kept, grad, scores.data.shape[:2])
 
 
 def affinity_loss_of(targets, logits):
@@ -40,6 +57,27 @@ def affinity_loss_of(targets, logits):
         np.asarray(logits, dtype=np.float64),
         *affinity_floor(np.asarray(targets, dtype=np.float64)),
     )
+
+
+def two_branch_sigmoid(x):
+    """The logistic function evaluated on the two sign masks separately."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_equals_two_branch_form_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        edges = np.array([0.0, 1e-300, 710.0, 745.0, 1e308])
+        for x in (rng.standard_normal(10**6) * 10, rng.standard_normal(10**5) * 800,
+                  np.concatenate([edges, -edges])):
+            got, want = sigmoid(x), two_branch_sigmoid(x)
+            # Compared as bits, so signed zeros must match as well.
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestSmoothL1:
