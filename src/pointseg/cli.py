@@ -44,12 +44,83 @@ from .synth import CorruptionConfig, Scene, corrupt_semantic, generate_scene
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
+_U64 = 0xFFFFFFFFFFFFFFFF
+FNV_BLOCK = 1 << 16  # bytes per NumPy pass; bounds the temporaries to a few MiB
+
+
+# FNV_PRIME**(FNV_BLOCK - j) modulo 2**64 at j: the last c entries weigh a
+# c-byte block. A uint64 array product wraps without a warning.
+_WEIGHTS = np.cumprod(np.full(FNV_BLOCK, FNV_PRIME, dtype=np.uint64))[::-1].copy()
+
+
+def _prefix_xor(bits: np.ndarray) -> np.ndarray:
+    """Inclusive prefix XOR of a non-empty 0/1 uint8 vector.
+
+    Bit i of the input is bit i % 64 of little-endian word i // 64. Six
+    shift-XORs scan within the words; an XOR accumulate of each word's top
+    bit (its parity) carries the scan across them.
+    """
+    n = len(bits)
+    packed = np.zeros(-(-n // 64) * 8, dtype=np.uint8)
+    packed[: -(-n // 8)] = np.packbits(bits, bitorder="little")
+    words = packed.view("<u8")
+    for shift in (1, 2, 4, 8, 16, 32):
+        words ^= words << np.uint64(shift)
+    carry = np.bitwise_xor.accumulate(words >> np.uint64(63))
+    words[1:] ^= carry[:-1] * np.uint64(_U64)
+    return np.unpackbits(packed, count=n, bitorder="little")
+
+
+def _fnv1a64_block(acc: int, block: np.ndarray) -> int:
+    """The FNV-1a state after `block` (non-empty uint8), from state `acc`."""
+    low = np.zeros(len(block), dtype=np.uint8)  # state's low byte before each byte
+    for k in range(8):
+        # Bit k of low flips, at each byte, by bit k of
+        # byte ^ ((low ^ byte) mod 2**k) * 0xB3, which the earlier passes fix.
+        flip = (low ^ block) & np.uint8((1 << k) - 1)
+        flip *= np.uint8(FNV_PRIME & 0xFF)
+        flip ^= block
+        flip >>= np.uint8(k)
+        flip &= np.uint8(1)
+        bit = _prefix_xor(flip) ^ flip  # exclusive: the flips before each byte
+        if acc >> k & 1:
+            bit ^= np.uint8(1)
+        low |= bit << np.uint8(k)
+    delta = (low ^ block).astype(np.int64)
+    delta -= low  # acc ^ byte == acc + delta, with delta in [-255, 255]
+    weights = _WEIGHTS[FNV_BLOCK - len(block) :]  # FNV_PRIME**c ... FNV_PRIME**1
+    tail = int(np.dot(delta.view(np.uint64), weights))
+    return (acc * int(weights[0]) + tail) & _U64
 
 
 def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a of `data`, equal to the byte loop
+    `acc = ((acc ^ byte) * FNV_PRIME) mod 2**64` from FNV_OFFSET.
+
+    The loop runs in NumPy over FNV_BLOCK-byte blocks, carrying only the
+    state from one block to the next, in a Python int. Within a block:
+
+    - Only the low byte is sequential. With `l` the state's low byte,
+      `acc ^ byte == acc + delta` for `delta = (l ^ byte) - l`, and the low
+      byte of the next state is `((l ^ byte) * 0xB3) mod 256`, because
+      FNV_PRIME is 0xB3 modulo 256.
+    - That 8-bit chain splits into eight prefix XORs. The prime is odd, so
+      bit k of the next low byte is bit k of `l ^ byte` XOR bit k of
+      `((l ^ byte) mod 2**k) * 0xB3`. The second term depends only on bits
+      below k, so once those are known for every byte, bit k is a prefix
+      XOR, solved in one vector pass.
+    - The state is then one wrapping sum. With P = FNV_PRIME and a block
+      of c bytes, `acc_end = acc * P**c + sum(delta_i * P**(c - i))` modulo
+      2**64, a uint64 dot product against a table of prime powers.
+
+    Each step is integer arithmetic modulo 2**64 (or mod 2 per bit), so the
+    result equals the byte loop's for every input. Scalars stay Python ints:
+    a NumPy uint64 scalar that overflows warns.
+    """
     acc = FNV_OFFSET
-    for byte in data:
-        acc = ((acc ^ byte) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    stream = np.frombuffer(data, dtype=np.uint8)
+    for start in range(0, len(stream), FNV_BLOCK):
+        acc = _fnv1a64_block(acc, stream[start : start + FNV_BLOCK])
     return acc
 
 
@@ -88,12 +159,20 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, inputs: list[P
     _write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
+def _load_config_file(args: argparse.Namespace) -> dict:
+    """The JSON object of `--config`. Its keys are flag names (argparse
+    dests) of the subcommand; any other key is a usage error, so a misspelt
+    or stale key cannot pass unused."""
+    if args.config is None:
         return {}
-    blob = json.loads(_read_text(Path(path)))
+    blob = json.loads(_read_text(Path(args.config)))
     if not isinstance(blob, dict):
         raise CliUsageError("config file must hold a JSON object")
+    unknown = sorted(blob.keys() - vars(args).keys())
+    if unknown:
+        raise CliUsageError(
+            f"config file keys name no flag of this subcommand: {', '.join(map(repr, unknown))}"
+        )
     return blob
 
 
@@ -156,7 +235,7 @@ def _cmd_synth(argv: list[str]) -> int:
     parser.add_argument("--merge-adjacent", action="store_const", const=True, dest="merge_adjacent")
     parser.add_argument("--flip-rate", type=float, dest="flip_rate")
     args = parser.parse_args(argv)
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args)
 
     t0 = time.time()
     seed = _resolve(args, cfg, "seed", int, 0)
@@ -223,7 +302,7 @@ def _cmd_s2i(argv: list[str]) -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--connectivity", type=int, choices=[4, 8])
     args = parser.parse_args(argv)
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args)
     t0 = time.time()
 
     semantic = decode_label_pgm(Path(args.semantic).read_bytes())
@@ -262,7 +341,7 @@ def _cmd_i2s(argv: list[str]) -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--pair-radius", type=int, dest="pair_radius")
     args = parser.parse_args(argv)
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args)
     t0 = time.time()
 
     instances = decode_label_pgm(Path(args.instances).read_bytes())
@@ -413,7 +492,7 @@ def _cmd_train(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args)
     mdm_cfg = _mdm_config_from(args, cfg)
 
     out_root = Path(args.out)
@@ -494,6 +573,7 @@ def _cmd_eval(argv: list[str]) -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
+    _load_config_file(args)  # no key is read from it, but each must name a flag
     if len(args.pred) != len(args.gt):
         raise CliUsageError("--pred and --gt must be given the same number of times")
     if (args.pred_classes is None) != (args.gt_classes is None):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,11 @@ import pytest
 
 import pointseg
 from pointseg import I2SConfig
-from pointseg.cli import dispatch, fnv1a64
+from pointseg.cli import FNV_BLOCK, FNV_OFFSET, FNV_PRIME, dispatch, fnv1a64
 from pointseg.grids import (
     LabelGrid,
     decode_label_pgm,
+    decode_points_csv,
     decode_tensor,
     encode_label_pgm,
     encode_tensor,
@@ -258,6 +260,43 @@ class TestTrainEvalCli:
         assert repr(key) in err and f"expected {kind}" in err
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("command,config,named", [
+        ("synth", {"seeds": 3, "seed": 2}, ["'seeds'"]),
+        ("s2i", {"connectivty": 8}, ["'connectivty'"]),
+        ("i2s", {"beta": 5, "pair_radius": 3}, ["'beta'"]),
+        ("train", {"stagez": 1, "beta": 5}, ["'stagez'"]),
+        ("eval", {"class_aware": True, "jobs": 1}, ["'class_aware'"]),
+        ("train", {"tua": 1.0, "stagez": 1}, ["'stagez'", "'tua'"]),
+    ], ids=["synth", "s2i", "i2s-beta", "train", "eval", "train-two-keys"])
+    def test_config_key_naming_no_flag_exit_1(
+        self, scene_dir, tmp_path, capsys, command, config, named
+    ):
+        # A misspelt or stale key would otherwise leave its default in force
+        # without a word.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        classmap = tmp_path / "classmap_in.mdmt"
+        semantic = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
+        classmap.write_bytes(encode_tensor(np.eye(int(semantic.data.max()) + 1)[semantic.data]))
+        inputs = {
+            "synth": [],
+            "s2i": ["--semantic", str(scene_dir / "semantic_in.pgm"),
+                    "--points", str(scene_dir / "points.csv")],
+            "i2s": ["--instances", str(scene_dir / "gt_instances.pgm"),
+                    "--classmap", str(classmap)],
+            "train": ["--scene", str(scene_dir)],
+            "eval": ["--pred", str(scene_dir / "gt_instances.pgm"),
+                     "--gt", str(scene_dir / "gt_instances.pgm")],
+        }[command]
+        code = dispatch([command, *inputs, "--out", str(tmp_path / "t"),
+                         "--config", str(cfg_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "name no flag" in err
+        assert err.count("'") == 2 * len(named) and all(key in err for key in named)
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("flag,name", [
         ("--tau", "tau"), ("--beta", "beta"), ("--lr", "learning rate"),
     ])
@@ -429,11 +468,87 @@ class TestRenderCli:
         assert len(pixels) >= 2
 
 
+def _fnv1a64_loop(data: bytes) -> int:
+    """FNV-1a one byte at a time: the definition `fnv1a64` must equal."""
+    acc = FNV_OFFSET
+    for byte in data:
+        acc = ((acc ^ byte) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return acc
+
+
+@pytest.fixture(scope="module")
+def labelled_256(tmp_path_factory):
+    """A 256x256 synth scene labelled by s2i, i2s and eval, as perfbench's
+    label_256 workload does: the i2s input is a one-hot class map of the
+    corrupted semantic map, and eval is class-aware."""
+    root = tmp_path_factory.mktemp("labelled_256")
+    assert dispatch(["synth", "--out", str(root), "--seed", "100",
+                     "--height", "256", "--width", "256"]) == 0
+    scene = root / "scene_00000100"
+    n_classes = json.loads((scene / "scene.json").read_text())["n_classes"]
+    semantic = decode_label_pgm((scene / "semantic_in.pgm").read_bytes())
+    (scene / "classmap_in.mdmt").write_bytes(encode_tensor(np.eye(n_classes + 1)[semantic.data]))
+    points = decode_points_csv((scene / "points.csv").read_text())
+    rows = ["instance_id,class_id"] + [f"{p.instance_id},{p.class_id}" for p in points]
+    (scene / "gt_classes.csv").write_text("\n".join(rows) + "\n")
+    s2i = root / "s2i"
+    assert dispatch(["s2i", "--semantic", str(scene / "semantic_in.pgm"),
+                     "--points", str(scene / "points.csv"), "--out", str(s2i)]) == 0
+    assert dispatch(["i2s", "--instances", str(s2i / "instances.pgm"),
+                     "--classmap", str(scene / "classmap_in.mdmt"),
+                     "--out", str(root / "i2s")]) == 0
+    assert dispatch(["eval", "--pred", str(s2i / "instances.pgm"),
+                     "--gt", str(scene / "gt_instances.pgm"),
+                     "--pred-classes", str(s2i / "classes.csv"),
+                     "--gt-classes", str(scene / "gt_classes.csv"),
+                     "--out", str(root / "eval")]) == 0
+    return root
+
+
 class TestFnv:
+    """`fnv1a64` hashes in NumPy blocks; the byte loop is its oracle."""
+
     def test_known_vectors(self):
         # standard FNV-1a 64-bit test vectors
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+    @pytest.mark.parametrize("fill", ["random", "zeros", "ones"])
+    @pytest.mark.parametrize("length", [
+        0, 1, 2, 63, 64, 65, FNV_BLOCK - 1, FNV_BLOCK, FNV_BLOCK + 1, 3 * FNV_BLOCK + 17,
+    ])
+    def test_equals_byte_loop(self, length, fill):
+        data = {
+            "random": np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8),
+            "zeros": np.zeros(length, dtype=np.uint8),
+            "ones": np.full(length, 0xFF, dtype=np.uint8),
+        }[fill].tobytes()
+        assert fnv1a64(data) == _fnv1a64_loop(data)
+
+    def test_equals_byte_loop_on_a_256_class_map(self, labelled_256):
+        data = (labelled_256 / "scene_00000100" / "classmap_in.mdmt").read_bytes()
+        assert len(data) > 8 * FNV_BLOCK
+        assert fnv1a64(data) == _fnv1a64_loop(data)
+
+    def test_manifest_digests_equal_byte_loop(self, labelled_256):
+        for command, n_inputs in (("s2i", 2), ("i2s", 2), ("eval", 4)):
+            manifest = json.loads((labelled_256 / command / "manifest.json").read_text())
+            assert len(manifest["inputs"]) == n_inputs, command
+            for path, digest in manifest["inputs"].items():
+                assert digest == f"fnv1a64:{_fnv1a64_loop(Path(path).read_bytes()):016x}", path
+
+    def test_memory_is_bounded_by_the_block(self):
+        # The largest temporary is one block's int64 deltas, 8 * FNV_BLOCK
+        # bytes (512 KiB); an 8 MiB input must not raise the peak past four
+        # of those, a quarter of the input's own size.
+        data = np.random.default_rng(8).integers(0, 256, 8 << 20, dtype=np.uint8).tobytes()
+        tracemalloc.start()
+        try:
+            fnv1a64(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * FNV_BLOCK, peak
 
 
 @pytest.mark.parametrize("target", ["points", "scene_json", "scene_points", "classes", "config"])
