@@ -4,6 +4,14 @@ Subcommands: synth | s2i | i2s | train | eval | render. Every
 output directory receives a manifest.json with the tool version, the full
 configuration echo, FNV-1a digests of the inputs, and wall-clock seconds.
 Exit codes: 0 success, 1 usage error, 2 data error.
+
+Each subcommand but render declares its settings once, in a flag table.
+`--config` names a JSON object whose keys are exactly that table's flags
+(argparse dests such as `pair_radius`); any other key, an input or output
+path among them, is a usage error. A flag beats the file, which beats the
+table's default. The manifest echoes the resolved table in its order: all
+of it for s2i and i2s, all but `jobs` for train; synth echoes each scene's
+parameters and eval whether it was class-aware.
 """
 from __future__ import annotations
 
@@ -13,6 +21,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,23 +168,6 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, inputs: list[P
     _write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def _load_config_file(args: argparse.Namespace) -> dict:
-    """The JSON object of `--config`. Its keys are flag names (argparse
-    dests) of the subcommand; any other key is a usage error, so a misspelt
-    or stale key cannot pass unused."""
-    if args.config is None:
-        return {}
-    blob = json.loads(_read_text(Path(args.config)))
-    if not isinstance(blob, dict):
-        raise CliUsageError("config file must hold a JSON object")
-    unknown = sorted(blob.keys() - vars(args).keys())
-    if unknown:
-        raise CliUsageError(
-            f"config file keys name no flag of this subcommand: {', '.join(map(repr, unknown))}"
-        )
-    return blob
-
-
 def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, kind: type, default):
     """Flags beat the config file, which beats the built-in default.
 
@@ -201,8 +193,41 @@ def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, kind: type, def
         ) from None
 
 
-def _add_config_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with defaults for any flag")
+class _Flag(NamedTuple):
+    """One file-settable flag of a subcommand: its type, its default, the
+    field it sets of the subcommand's config dataclass (dotted where nested)
+    if any, and its further add_argument keywords."""
+
+    name: str
+    kind: type
+    default: object
+    path: str | None = None
+    kw: dict = {}
+
+
+def _parse(parser: _Parser, argv: list[str], flags: list[_Flag]) -> tuple[argparse.Namespace, dict]:
+    """Add `--config` and the table's flags to `parser`, parse `argv`, and
+    resolve each flag: the parsed args and {dest: value} in table order.
+
+    The config file's keys must be table dests, so a misspelt or stale key,
+    or one naming a path flag, cannot pass unused."""
+    parser.add_argument("--config", help="JSON file with values for the flags below")
+    dests = []
+    for flag in flags:
+        kw = flag.kw if "action" in flag.kw else {"type": flag.kind, **flag.kw}
+        dests.append(parser.add_argument(flag.name, **kw).dest)
+    args = parser.parse_args(argv)
+    file_cfg = {}
+    if args.config is not None:
+        file_cfg = json.loads(_read_text(Path(args.config)))
+        if not isinstance(file_cfg, dict):
+            raise CliUsageError("config file must hold a JSON object")
+        unknown = sorted(file_cfg.keys() - set(dests))
+        if unknown:
+            raise CliUsageError(
+                f"config file keys name no flag of this subcommand: {', '.join(map(repr, unknown))}"
+            )
+    return args, {d: _resolve(args, file_cfg, d, f.kind, f.default) for d, f in zip(dests, flags)}
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> None:
@@ -219,49 +244,42 @@ def _run_tasks(worker, tasks: list, jobs: int) -> None:
 # ---------------------------------------------------------------- synth
 
 
+_SYNTH_FLAGS = [
+    _Flag("--seed", int, 0),
+    _Flag("--count", int, 1),
+    _Flag("--height", int, 64),
+    _Flag("--width", int, 64),
+    _Flag("--instances", int, None, kw={"help": "fixed count; default draws 2-6 per scene"}),
+    _Flag("--classes", int, 3),
+    _Flag("--shapes", str, "mixed", kw={"choices": ["rect", "ellipse", "mixed"]}),
+    _Flag("--dilation", int, 2, "dilation_px"),
+    _Flag("--erosion", int, 0, "erosion_px"),
+    _Flag("--merge-adjacent", bool, True, "merge_adjacent",
+          {"action": "store_const", "const": True}),
+    _Flag("--flip-rate", float, 0.02, "flip_rate"),
+]
+
+
 def _cmd_synth(argv: list[str]) -> int:
     parser = _Parser(prog="pointseg synth")
-    _add_config_flag(parser)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--count", type=int)
-    parser.add_argument("--height", type=int)
-    parser.add_argument("--width", type=int)
-    parser.add_argument("--instances", type=int, help="fixed count; default draws 2-6 per scene")
-    parser.add_argument("--classes", type=int)
-    parser.add_argument("--shapes", choices=["rect", "ellipse", "mixed"])
-    parser.add_argument("--dilation", type=int)
-    parser.add_argument("--erosion", type=int)
-    parser.add_argument("--merge-adjacent", action="store_const", const=True, dest="merge_adjacent")
-    parser.add_argument("--flip-rate", type=float, dest="flip_rate")
-    args = parser.parse_args(argv)
-    cfg = _load_config_file(args)
+    args, opt = _parse(parser, argv, _SYNTH_FLAGS)
 
     t0 = time.time()
-    seed = _resolve(args, cfg, "seed", int, 0)
-    count = _resolve(args, cfg, "count", int, 1)
-    height = _resolve(args, cfg, "height", int, 64)
-    width = _resolve(args, cfg, "width", int, 64)
-    n_classes = _resolve(args, cfg, "classes", int, 3)
-    shapes = _resolve(args, cfg, "shapes", str, "mixed")
-    fixed_instances = _resolve(args, cfg, "instances", int, None)
-    corruption = dict(
-        dilation_px=_resolve(args, cfg, "dilation", int, 2),
-        erosion_px=_resolve(args, cfg, "erosion", int, 0),
-        merge_adjacent=_resolve(args, cfg, "merge_adjacent", bool, True),
-        flip_rate=_resolve(args, cfg, "flip_rate", float, 0.02),
-    )
+    seed, count, height, width = opt["seed"], opt["count"], opt["height"], opt["width"]
+    n_classes, shapes = opt["classes"], opt["shapes"]
+    corruption = {f.path: v for f, v in zip(_SYNTH_FLAGS, opt.values(), strict=True) if f.path}
 
     if seed < 0:  # before generate_scene checks it: the instance count is drawn from it
         raise SceneError(f"seed must be >= 0, got {seed}")
     if count < 1:
         raise SceneError(f"count must be >= 1, got {count}")
-    out_root = Path(_resolve(args, cfg, "out", str, None))
+    out_root = Path(args.out)
     for index in range(count):
         scene_seed = seed + index
         rng = np.random.default_rng(scene_seed)
         n_instances = (
-            fixed_instances if fixed_instances is not None else int(rng.integers(2, 7))
+            opt["instances"] if opt["instances"] is not None else int(rng.integers(2, 7))
         )
         scene = generate_scene(scene_seed, height, width, n_instances, n_classes, shapes)
         corr_cfg = CorruptionConfig(rng_seed=scene_seed + 1, **corruption)
@@ -294,22 +312,21 @@ def _cmd_synth(argv: list[str]) -> int:
 # ---------------------------------------------------------------- s2i
 
 
+_S2I_FLAGS = [_Flag("--connectivity", int, DEFAULT_CONNECTIVITY, kw={"choices": [4, 8]})]
+
+
 def _cmd_s2i(argv: list[str]) -> int:
     parser = _Parser(prog="pointseg s2i")
-    _add_config_flag(parser)
     parser.add_argument("--semantic", required=True)
     parser.add_argument("--points", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--connectivity", type=int, choices=[4, 8])
-    args = parser.parse_args(argv)
-    cfg = _load_config_file(args)
+    args, opt = _parse(parser, argv, _S2I_FLAGS)
     t0 = time.time()
 
     semantic = decode_label_pgm(Path(args.semantic).read_bytes())
     points = decode_points_csv(_read_text(Path(args.points)))
-    connectivity = _resolve(args, cfg, "connectivity", int, DEFAULT_CONNECTIVITY)
 
-    regions = extract_regions(semantic, connectivity)
+    regions = extract_regions(semantic, opt["connectivity"])
     instances = assign_points(regions, points, semantic.shape)
     offsets = compute_offset_field(instances, points)
     classes = class_grid_from_instances(instances, points)
@@ -317,15 +334,10 @@ def _cmd_s2i(argv: list[str]) -> int:
     out_dir = Path(args.out)
     _write(out_dir / "instances.pgm", encode_label_pgm(instances))
     _write(out_dir / "offsets.mdmt", encode_tensor(offsets.to_tensor()))
-    class_rows = ["instance_id,class_id"] + [
-        f"{i},{points.class_of()[i]}" for i in instances.ids()
-    ]
-    _write(out_dir / "classes.csv", "\n".join(class_rows) + "\n")
+    class_of = points.class_of()
+    _write(out_dir / "classes.csv", _classes_csv({i: class_of[i] for i in instances.ids()}))
     _write(out_dir / "class_grid.pgm", encode_label_pgm(classes))
-    _write_manifest(
-        out_dir, "s2i", {"connectivity": connectivity},
-        [Path(args.semantic), Path(args.points)], t0,
-    )
+    _write_manifest(out_dir, "s2i", opt, [Path(args.semantic), Path(args.points)], t0)
     print(f"s2i: wrote {out_dir}")
     return 0
 
@@ -333,33 +345,26 @@ def _cmd_s2i(argv: list[str]) -> int:
 # ---------------------------------------------------------------- i2s
 
 
+# The 0/1 same-instance affinity of --instances is the same under every
+# power, so the affinity's beta has no flag here.
+_I2S_FLAGS = [_Flag("--pair-radius", int, I2SConfig.pair_radius)]
+
+
 def _cmd_i2s(argv: list[str]) -> int:
     parser = _Parser(prog="pointseg i2s")
-    _add_config_flag(parser)
     parser.add_argument("--instances", required=True)
     parser.add_argument("--classmap", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pair-radius", type=int, dest="pair_radius")
-    args = parser.parse_args(argv)
-    cfg = _load_config_file(args)
+    args, opt = _parse(parser, argv, _I2S_FLAGS)
     t0 = time.time()
 
     instances = decode_label_pgm(Path(args.instances).read_bytes())
     class_map = ClassScoreMap(decode_tensor(Path(args.classmap).read_bytes()))
-    # The 0/1 same-instance affinity of --instances is the same under every
-    # power, so the affinity's beta has no flag here.
-    i2s_cfg = I2SConfig(
-        pair_radius=_resolve(args, cfg, "pair_radius", int, I2SConfig.pair_radius),
-    )
-    refreshed = refresh_semantic(instances, class_map, i2s_cfg)
+    refreshed = refresh_semantic(instances, class_map, I2SConfig(**opt))
     out_dir = Path(args.out)
     _write(out_dir / "classmap.mdmt", encode_tensor(refreshed.data))
     _write(out_dir / "semantic_out.pgm", encode_label_pgm(refreshed.argmax_grid()))
-    _write_manifest(
-        out_dir, "i2s",
-        {"pair_radius": i2s_cfg.pair_radius},
-        [Path(args.instances), Path(args.classmap)], t0,
-    )
+    _write_manifest(out_dir, "i2s", opt, [Path(args.instances), Path(args.classmap)], t0)
     print(f"i2s: wrote {out_dir}")
     return 0
 
@@ -388,69 +393,64 @@ def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
     return scene, semantic_in
 
 
-def _mdm_config_from(args, cfg) -> MdmConfig:
-    """Flags and config-file keys over the dataclass defaults."""
+_TRAIN_FLAGS = [
+    _Flag("--stages", int, MdmConfig.n_stages, "n_stages"),
+    _Flag("--warmup", int, MdmConfig.warmup_iters, "warmup_iters",
+          {"help": f"Adam steps before stage 0 (default {MdmConfig.warmup_iters})"}),
+    _Flag("--iters", int, MdmConfig.iters_per_stage, "iters_per_stage",
+          {"help": f"Adam steps per stage (default {MdmConfig.iters_per_stage})"}),
+    _Flag("--lr", float, MdmConfig.learning_rate, "learning_rate",
+          {"help": f"Adam step size (default {MdmConfig.learning_rate})"}),
+    _Flag("--hard-pixel-ratio", float, MdmConfig.hard_pixel_ratio, "hard_pixel_ratio"),
+    _Flag("--tau", float, GroupingConfig.vote_radius_tau, "grouping.vote_radius_tau"),
+    _Flag("--box-side", int, GroupingConfig.pseudo_box_side, "grouping.pseudo_box_side"),
+    _Flag("--beta", float, I2SConfig.beta, "i2s.beta"),
+    _Flag("--pair-radius", int, I2SConfig.pair_radius, "i2s.pair_radius"),
+    _Flag("--max-pairs", int, I2SConfig.max_pairs, "i2s.max_pairs"),
+    _Flag("--seed", int, MdmConfig.seed, "seed"),
+    _Flag("--jobs", int, 1),
+]
+
+
+def _mdm_config(opt: dict) -> MdmConfig:
+    """The MdmConfig that sets each value of the resolved train table at its
+    row's path."""
+    fields = {"": {}, "grouping": {}, "i2s": {}}
+    for flag, value in zip(_TRAIN_FLAGS, opt.values(), strict=True):
+        if flag.path:
+            head, _, leaf = flag.path.rpartition(".")
+            fields[head][leaf] = value
     return MdmConfig(
-        n_stages=_resolve(args, cfg, "stages", int, MdmConfig.n_stages),
-        warmup_iters=_resolve(args, cfg, "warmup", int, MdmConfig.warmup_iters),
-        iters_per_stage=_resolve(args, cfg, "iters", int, MdmConfig.iters_per_stage),
-        learning_rate=_resolve(args, cfg, "lr", float, MdmConfig.learning_rate),
-        hard_pixel_ratio=_resolve(
-            args, cfg, "hard_pixel_ratio", float, MdmConfig.hard_pixel_ratio
-        ),
-        grouping=GroupingConfig(
-            vote_radius_tau=_resolve(args, cfg, "tau", float, GroupingConfig.vote_radius_tau),
-            pseudo_box_side=_resolve(args, cfg, "box_side", int, GroupingConfig.pseudo_box_side),
-        ),
-        i2s=I2SConfig(
-            beta=_resolve(args, cfg, "beta", float, I2SConfig.beta),
-            pair_radius=_resolve(args, cfg, "pair_radius", int, I2SConfig.pair_radius),
-            max_pairs=_resolve(args, cfg, "max_pairs", int, I2SConfig.max_pairs),
-        ),
-        seed=_resolve(args, cfg, "seed", int, MdmConfig.seed),
+        grouping=GroupingConfig(**fields["grouping"]), i2s=I2SConfig(**fields["i2s"]), **fields[""]
     )
 
 
-def _train_echo(cfg: MdmConfig) -> dict:
-    """The manifest's config record, keyed by the train flags that set it."""
-    return {
-        "stages": cfg.n_stages,
-        "warmup": cfg.warmup_iters,
-        "iters": cfg.iters_per_stage,
-        "lr": cfg.learning_rate,
-        "hard_pixel_ratio": cfg.hard_pixel_ratio,
-        "tau": cfg.grouping.vote_radius_tau,
-        "box_side": cfg.grouping.pseudo_box_side,
-        "beta": cfg.i2s.beta,
-        "pair_radius": cfg.i2s.pair_radius,
-        "max_pairs": cfg.i2s.max_pairs,
-        "seed": cfg.seed,
-    }
+def _classes_csv(table: dict[int, int]) -> str:
+    """classes.csv: an instance_id,class_id row per instance, by id."""
+    rows = ["instance_id,class_id"] + [f"{i},{c}" for i, c in sorted(table.items())]
+    return "\n".join(rows) + "\n"
 
 
-def _train_one(task: tuple[str, str, MdmConfig]) -> str:
-    scene_path, out_path, cfg = task
+def _counts_json(counts: dict[float, int]) -> dict[str, int]:
+    """metrics.json's counts block: matched instances above each IoU threshold."""
+    return {f"iou{round(t * 100)}": n for t, n in counts.items()}
+
+
+def _train_one(task: tuple[str, str, MdmConfig, dict]) -> str:
+    scene_path, out_path, cfg, echo = task
     scene_dir, out_dir = Path(scene_path), Path(out_path)
     t0 = time.time()
     scene, semantic_in = _load_scene_dir(scene_dir)
     result = run_mdm(scene, semantic_in, cfg)
-    gt_classes = scene.points.class_of()
     for stage in result.stages:
         stage_dir = out_dir / f"stage_{stage.stage_idx:02d}"
         _write(stage_dir / "pseudo_instances.pgm", encode_label_pgm(stage.pseudo_instances))
         _write(stage_dir / "semantic_out.pgm", encode_label_pgm(stage.semantic_out))
         _write(stage_dir / "classmap.mdmt", encode_tensor(stage.refreshed_class_map.data))
-        rows = ["instance_id,class_id"] + [
-            f"{i},{c}" for i, c in sorted(stage.instance_classes.items())
-        ]
-        _write(stage_dir / "classes.csv", "\n".join(rows) + "\n")
+        _write(stage_dir / "classes.csv", _classes_csv(stage.instance_classes))
         metrics = {
             "overall_iou": stage.metrics.overall_iou,
-            "counts": {
-                "iou50": stage.metrics.counts[0.5],
-                "iou70": stage.metrics.counts[0.7],
-                "iou90": stage.metrics.counts[0.9],
-            },
+            "counts": _counts_json(stage.metrics.counts),
             "per_instance_iou": {str(k): v for k, v in stage.metrics.ious.items()},
         }
         _write(stage_dir / "metrics.json", json.dumps(metrics, indent=2) + "\n")
@@ -459,7 +459,7 @@ def _train_one(task: tuple[str, str, MdmConfig]) -> str:
     warm = [json.dumps(r.as_dict()) for r in result.warmup_losses]
     _write(out_dir / "warmup_losses.jsonl", "\n".join(warm) + ("\n" if warm else ""))
     _write_manifest(
-        out_dir, "train", _train_echo(cfg),
+        out_dir, "train", echo,
         [scene_dir / name for name in (
             "gt_instances.pgm", "gt_semantic.pgm", "semantic_in.pgm",
             "points.csv", "features.mdmt",
@@ -472,37 +472,21 @@ def _train_one(task: tuple[str, str, MdmConfig]) -> str:
 
 def _cmd_train(argv: list[str]) -> int:
     parser = _Parser(prog="pointseg train")
-    _add_config_flag(parser)
     parser.add_argument("--scene", action="append", required=True,
                         help="scene directory (repeatable)")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--stages", type=int)
-    parser.add_argument("--warmup", type=int,
-                        help=f"Adam steps before stage 0 (default {MdmConfig.warmup_iters})")
-    parser.add_argument("--iters", type=int,
-                        help=f"Adam steps per stage (default {MdmConfig.iters_per_stage})")
-    parser.add_argument("--lr", type=float,
-                        help=f"Adam step size (default {MdmConfig.learning_rate})")
-    parser.add_argument("--hard-pixel-ratio", type=float, dest="hard_pixel_ratio")
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--box-side", type=int, dest="box_side")
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--pair-radius", type=int, dest="pair_radius")
-    parser.add_argument("--max-pairs", type=int, dest="max_pairs")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args(argv)
-    cfg = _load_config_file(args)
-    mdm_cfg = _mdm_config_from(args, cfg)
+    args, opt = _parse(parser, argv, _TRAIN_FLAGS)
+    mdm_cfg = _mdm_config(opt)
+    jobs = opt.pop("jobs")  # the rest is the manifest's echo
 
     out_root = Path(args.out)
     tasks = []
     for scene_path in args.scene:
         scene_dir = Path(scene_path)
         out_dir = out_root / scene_dir.name if len(args.scene) > 1 else out_root
-        tasks.append((str(scene_dir), str(out_dir), mdm_cfg))
+        tasks.append((str(scene_dir), str(out_dir), mdm_cfg, opt))
 
-    _run_tasks(_train_one, tasks, args.jobs)
+    _run_tasks(_train_one, tasks, jobs)
     return 0
 
 
@@ -542,11 +526,7 @@ def _eval_one(task: tuple[str, str, str | None, str | None, str]) -> str:
     )
     ap = ap_report(pred, gt, pred_classes=pred_classes, gt_classes=gt_classes)
     metrics = {
-        "counts": {
-            "iou50": match.counts[0.5],
-            "iou70": match.counts[0.7],
-            "iou90": match.counts[0.9],
-        },
+        "counts": _counts_json(match.counts),
         "overall_iou": match.overall_iou,
         "map50": ap.map50,
         "map70": ap.map70,
@@ -563,17 +543,17 @@ def _eval_one(task: tuple[str, str, str | None, str | None, str]) -> str:
     return f"eval: overall_iou {match.overall_iou:.2f} -> {out_dir / 'metrics.json'}"
 
 
+_EVAL_FLAGS = [_Flag("--jobs", int, 1)]
+
+
 def _cmd_eval(argv: list[str]) -> int:
     parser = _Parser(prog="pointseg eval")
-    _add_config_flag(parser)
     parser.add_argument("--pred", action="append", required=True)
     parser.add_argument("--gt", action="append", required=True)
     parser.add_argument("--pred-classes", action="append", dest="pred_classes")
     parser.add_argument("--gt-classes", action="append", dest="gt_classes")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args(argv)
-    _load_config_file(args)  # no key is read from it, but each must name a flag
+    args, opt = _parse(parser, argv, _EVAL_FLAGS)
     if len(args.pred) != len(args.gt):
         raise CliUsageError("--pred and --gt must be given the same number of times")
     if (args.pred_classes is None) != (args.gt_classes is None):
@@ -589,7 +569,7 @@ def _cmd_eval(argv: list[str]) -> int:
     for i in range(n):
         out_dir = out_root / f"pair_{i:03d}" if n > 1 else out_root
         tasks.append((args.pred[i], args.gt[i], pred_cls[i], gt_cls[i], str(out_dir)))
-    _run_tasks(_eval_one, tasks, args.jobs)
+    _run_tasks(_eval_one, tasks, opt["jobs"])
     return 0
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pointseg
-from pointseg import I2SConfig
+from pointseg import I2SConfig, cli
 from pointseg.cli import FNV_BLOCK, FNV_OFFSET, FNV_PRIME, dispatch, fnv1a64
 from pointseg.grids import (
     LabelGrid,
@@ -44,6 +44,12 @@ class TestDispatch:
 
     def test_help_exit_0(self, capsys):
         assert dispatch(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_subcommand_help_exit_0(self, capsys, command):
+        # argparse formats a help string only when it prints the help.
+        assert dispatch([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: pointseg {command}")
 
     def test_missing_flag_exit_1(self, capsys):
         assert dispatch(["render", "--input", "x.pgm"]) == 1
@@ -267,12 +273,18 @@ class TestTrainEvalCli:
         ("train", {"stagez": 1, "beta": 5}, ["'stagez'"]),
         ("eval", {"class_aware": True, "jobs": 1}, ["'class_aware'"]),
         ("train", {"tua": 1.0, "stagez": 1}, ["'stagez'", "'tua'"]),
-    ], ids=["synth", "s2i", "i2s-beta", "train", "eval", "train-two-keys"])
+        ("synth", {"out": "elsewhere"}, ["'out'"]),
+        ("s2i", {"semantic": "a.pgm", "points": "a.csv"}, ["'points'", "'semantic'"]),
+        ("i2s", {"instances": "a.pgm", "classmap": "a.mdmt"}, ["'classmap'", "'instances'"]),
+        ("train", {"scene": ["elsewhere"], "config": "a.json"}, ["'config'", "'scene'"]),
+        ("eval", {"pred": ["a.pgm"], "gt_classes": ["a.csv"]}, ["'gt_classes'", "'pred'"]),
+    ], ids=["synth", "s2i", "i2s-beta", "train", "eval", "train-two-keys", "synth-out",
+            "s2i-paths", "i2s-paths", "train-paths", "eval-paths"])
     def test_config_key_naming_no_flag_exit_1(
         self, scene_dir, tmp_path, capsys, command, config, named
     ):
         # A misspelt or stale key would otherwise leave its default in force
-        # without a word.
+        # without a word, and a path key would lose to its required flag.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         classmap = tmp_path / "classmap_in.mdmt"
@@ -325,6 +337,104 @@ class TestTrainEvalCli:
         assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
         assert "learning rate" in done.stderr
         assert not (tmp_path / "t").exists()
+
+
+def _ordered(value):
+    """`value` with each dict as its list of items, so that == checks key order."""
+    if isinstance(value, dict):
+        return [(key, _ordered(item)) for key, item in value.items()]
+    return value
+
+
+class TestConfigEcho:
+    """The manifest's config echo, and the --config keys that feed it."""
+
+    DEFAULTS = {
+        "synth": {"seed": 0, "height": 64, "width": 64, "n_instances": 6, "n_classes": 3,
+                  "shapes": "mixed",
+                  "corruption": {"dilation_px": 2, "erosion_px": 0, "merge_adjacent": True,
+                                 "flip_rate": 0.02, "rng_seed": 1},
+                  "count_index": 0},
+        "s2i": {"connectivity": 8},
+        "i2s": {"pair_radius": 8},
+        "train": {"stages": 3, "warmup": 25, "iters": 100, "lr": 0.01, "hard_pixel_ratio": 0.2,
+                  "tau": None, "box_side": 16, "beta": 2.0, "pair_radius": 8, "max_pairs": 4096,
+                  "seed": 0},
+        "eval": {"class_aware": False},
+    }
+
+    @pytest.fixture(scope="class")
+    def small_scenes(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("small_scenes")
+        assert dispatch(["synth", "--out", str(root), "--seed", "3", "--count", "2",
+                         "--height", "24", "--width", "24", "--instances", "2"]) == 0
+        return sorted(root.iterdir())
+
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_echo_at_defaults(self, scene_dir, tmp_path, capsys, command):
+        classmap = tmp_path / "classmap.mdmt"
+        semantic = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
+        classmap.write_bytes(encode_tensor(np.eye(int(semantic.data.max()) + 1)[semantic.data]))
+        inputs = {
+            "synth": [],
+            "s2i": ["--semantic", str(scene_dir / "semantic_in.pgm"),
+                    "--points", str(scene_dir / "points.csv")],
+            "i2s": ["--instances", str(scene_dir / "gt_instances.pgm"),
+                    "--classmap", str(classmap)],
+            "train": ["--scene", str(scene_dir)],
+            "eval": ["--pred", str(scene_dir / "gt_instances.pgm"),
+                     "--gt", str(scene_dir / "gt_instances.pgm")],
+        }[command]
+        out = tmp_path / "out"
+        assert dispatch([command, *inputs, "--out", str(out)]) == 0
+        manifest = (out / "scene_00000000" if command == "synth" else out) / "manifest.json"
+        config = json.loads(manifest.read_text())["config"]
+        assert _ordered(config) == _ordered(self.DEFAULTS[command])
+
+    def test_each_train_key_echoes_alike_from_file_and_flag(self, small_scenes, tmp_path, capsys):
+        short = {"stages": 1, "warmup": 1, "iters": 1}
+        echoed = [flag for flag in cli._TRAIN_FLAGS if flag.path]
+        assert [flag.name for flag in cli._TRAIN_FLAGS if not flag.path] == ["--jobs"]
+        for flag in echoed:
+            key = flag.name[2:].replace("-", "_")
+            value = flag.default + 1 if flag.kind is int else (flag.default or 1.0) * 1.5
+            rest = {k: v for k, v in short.items() if k != key}
+            configs = []
+            for source, file_cfg, flags in (("file", {**rest, key: value}, []),
+                                            ("flag", rest, [flag.name, str(value)])):
+                cfg_path = tmp_path / f"{key}_{source}.json"
+                cfg_path.write_text(json.dumps(file_cfg))
+                out = tmp_path / f"{key}_{source}"
+                assert dispatch(["train", "--scene", str(small_scenes[0]), "--out", str(out),
+                                 "--config", str(cfg_path), *flags]) == 0, (key, source)
+                configs.append(json.loads((out / "manifest.json").read_text())["config"])
+            assert configs[0][key] == value, key
+            assert _ordered(configs[0]) == _ordered(configs[1]), key
+        assert list(configs[0]) == [flag.name[2:].replace("-", "_") for flag in echoed]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_jobs_from_config_file_reaches_the_pool(
+        self, small_scenes, tmp_path, monkeypatch, capsys, command
+    ):
+        seen = []
+        run_tasks = cli._run_tasks
+
+        def record(worker, tasks, jobs):
+            seen.append((len(tasks), jobs))
+            run_tasks(worker, tasks, 1)
+
+        monkeypatch.setattr(cli, "_run_tasks", record)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"jobs": 2}))
+        gt = [str(d / "gt_instances.pgm") for d in small_scenes]
+        inputs = {
+            "train": ["--scene", str(small_scenes[0]), "--scene", str(small_scenes[1]),
+                      "--stages", "1", "--warmup", "1", "--iters", "1"],
+            "eval": ["--pred", gt[0], "--gt", gt[0], "--pred", gt[1], "--gt", gt[1]],
+        }[command]
+        assert dispatch([command, *inputs, "--out", str(tmp_path / "t"),
+                         "--config", str(cfg_path)]) == 0
+        assert seen == [(2, 2)]
 
 
 _LABEL_WITHOUT_SCIPY = """
@@ -650,6 +760,17 @@ class TestCliFuzz:
         capsys.readouterr()
 
 
+def _numeric_flags() -> dict[str, list[str]]:
+    """The int and float flags of each subcommand's flag table, but --jobs."""
+    tables = {"synth": cli._SYNTH_FLAGS, "s2i": cli._S2I_FLAGS, "i2s": cli._I2S_FLAGS,
+              "train": cli._TRAIN_FLAGS, "eval": cli._EVAL_FLAGS}
+    flags = {
+        command: [f.name for f in table if f.kind in (int, float) and f.name != "--jobs"]
+        for command, table in tables.items()
+    }
+    return {command: names for command, names in flags.items() if names}
+
+
 class TestCliFlagFuzz:
     """Each numeric flag, set alone to -1, 0, nan or inf, must end in exit
     code 0, 1 or 2, never in an exception that escapes dispatch. --jobs is
@@ -664,14 +785,7 @@ class TestCliFlagFuzz:
         ("train", "--beta", "inf"): 2,
         ("train", "--tau", "inf"): 2,
     }
-    FLAGS = {
-        "synth": ["--seed", "--count", "--height", "--width", "--instances", "--classes",
-                  "--dilation", "--erosion", "--flip-rate"],
-        "s2i": ["--connectivity"],
-        "i2s": ["--pair-radius"],
-        "train": ["--stages", "--warmup", "--iters", "--lr", "--hard-pixel-ratio", "--tau",
-                  "--box-side", "--beta", "--pair-radius", "--max-pairs", "--seed"],
-    }
+    FLAGS = _numeric_flags()
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
