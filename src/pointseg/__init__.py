@@ -62,7 +62,6 @@ from .metrics import (
     mask_iou,
 )
 from .s2i import (
-    GroupingConfig,
     InstanceRegion,
     assign_points,
     attach_points,

@@ -43,8 +43,8 @@ from .i2s import I2SConfig, refresh_semantic
 from .loop import MdmConfig, run_mdm
 from .metrics import ap_report, greedy_match
 from .s2i import (
-    GroupingConfig,
     assign_points,
+    attach_points,
     class_grid_from_instances,
     compute_offset_field,
     extract_regions,
@@ -168,29 +168,41 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, inputs: list[P
     _write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, kind: type, default):
-    """Flags beat the config file, which beats the built-in default.
+def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, flag: _Flag):
+    """Flags beat the config file, which beats the flag's default.
 
-    A config-file value is converted to `kind`; one that does not convert
-    exactly is a usage error naming the key. A JSON null counts as unset.
+    A config-file value is converted to the flag's kind and must be one of
+    its choices, if it has them, as a flag's value must; one that does not
+    convert exactly or is not a choice is a usage error naming the key. A
+    JSON null counts as unset.
     """
     value = getattr(args, key, None)
     if value is not None:
         return value
     value = file_cfg.get(key)
     if value is None:
-        return default
+        return flag.default
+    kind = flag.kind
     try:
-        # bool("false") would read as true, int(True) as 1 and int(2.7) as 2
-        if isinstance(value, bool) != (kind is bool) or (
-            kind is int and isinstance(value, float) and not value.is_integer()
+        # bool("false") would read as true, int(True) as 1, int(2.7) as 2
+        # and str(5) as "5"
+        if (
+            isinstance(value, bool) != (kind is bool)
+            or (kind is int and isinstance(value, float) and not value.is_integer())
+            or (kind is str and not isinstance(value, str))
         ):
             raise ValueError
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError):
         raise CliUsageError(
             f"config key {key!r}: expected {kind.__name__}, got {value!r}"
         ) from None
+    choices = flag.kw.get("choices")
+    if choices is not None and value not in choices:
+        raise CliUsageError(
+            f"config key {key!r}: expected one of {', '.join(map(repr, choices))}, got {value!r}"
+        )
+    return value
 
 
 class _Flag(NamedTuple):
@@ -227,7 +239,7 @@ def _parse(parser: _Parser, argv: list[str], flags: list[_Flag]) -> tuple[argpar
             raise CliUsageError(
                 f"config file keys name no flag of this subcommand: {', '.join(map(repr, unknown))}"
             )
-    return args, {d: _resolve(args, file_cfg, d, f.kind, f.default) for d, f in zip(dests, flags)}
+    return args, {d: _resolve(args, file_cfg, d, f) for d, f in zip(dests, flags)}
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> None:
@@ -326,7 +338,7 @@ def _cmd_s2i(argv: list[str]) -> int:
     semantic = decode_label_pgm(Path(args.semantic).read_bytes())
     points = decode_points_csv(_read_text(Path(args.points)))
 
-    regions = extract_regions(semantic, opt["connectivity"])
+    regions = attach_points(extract_regions(semantic, opt["connectivity"]), points, semantic.shape)
     instances = assign_points(regions, points, semantic.shape)
     offsets = compute_offset_field(instances, points)
     classes = class_grid_from_instances(instances, points)
@@ -402,8 +414,7 @@ _TRAIN_FLAGS = [
     _Flag("--lr", float, MdmConfig.learning_rate, "learning_rate",
           {"help": f"Adam step size (default {MdmConfig.learning_rate})"}),
     _Flag("--hard-pixel-ratio", float, MdmConfig.hard_pixel_ratio, "hard_pixel_ratio"),
-    _Flag("--tau", float, GroupingConfig.vote_radius_tau, "grouping.vote_radius_tau"),
-    _Flag("--box-side", int, GroupingConfig.pseudo_box_side, "grouping.pseudo_box_side"),
+    _Flag("--box-side", int, MdmConfig.pseudo_box_side, "pseudo_box_side"),
     _Flag("--beta", float, I2SConfig.beta, "i2s.beta"),
     _Flag("--pair-radius", int, I2SConfig.pair_radius, "i2s.pair_radius"),
     _Flag("--max-pairs", int, I2SConfig.max_pairs, "i2s.max_pairs"),
@@ -415,14 +426,12 @@ _TRAIN_FLAGS = [
 def _mdm_config(opt: dict) -> MdmConfig:
     """The MdmConfig that sets each value of the resolved train table at its
     row's path."""
-    fields = {"": {}, "grouping": {}, "i2s": {}}
+    fields = {"": {}, "i2s": {}}
     for flag, value in zip(_TRAIN_FLAGS, opt.values(), strict=True):
         if flag.path:
             head, _, leaf = flag.path.rpartition(".")
             fields[head][leaf] = value
-    return MdmConfig(
-        grouping=GroupingConfig(**fields["grouping"]), i2s=I2SConfig(**fields["i2s"]), **fields[""]
-    )
+    return MdmConfig(i2s=I2SConfig(**fields["i2s"]), **fields[""])
 
 
 def _classes_csv(table: dict[int, int]) -> str:

@@ -3,9 +3,11 @@
 A small linear predictor maps per-pixel features (plus their 3x3
 neighborhood means) to class scores, offset vectors, and embedding channels
 whose pairwise dot products give affinity logits. Each stage trains on
-targets synthesized from the stage's semantic input, groups the predicted
-offsets into pseudo instances, and refreshes the semantic map through the
-predicted affinity for the next stage.
+targets synthesized from the stage's semantic input and refreshes the
+semantic map through the predicted affinity for the next stage. Its pseudo
+instances are its region-matching target labels, with each region that
+holds several points re-split by the predicted offsets' votes; they are an
+output only, and feed no later stage.
 
 Training runs full-batch Adam on a fixed objective per phase (the warm-up
 and each stage). Its constants (the expanded features, the OHEM target
@@ -52,8 +54,9 @@ from .losses import (
 )
 from .metrics import MatchReport, greedy_match
 from .s2i import (
-    GroupingConfig,
+    InstanceRegion,
     assign_points,
+    attach_points,
     compute_offset_field,
     extract_regions,
     finalize_pseudo_labels,
@@ -182,6 +185,7 @@ class StageTargets:
     """Supervision synthesized from one stage's semantic input."""
 
     initial: LabelGrid
+    regions: list[InstanceRegion]  # the input's regions, matched to the points
     classes: LabelGrid
     offsets: OffsetField | None
     affinity: AffinitySampleSet | None
@@ -194,7 +198,8 @@ class MdmConfig:
     Training takes warmup_iters Adam steps before stage 0 and
     iters_per_stage Adam steps in each of the n_stages stages, with Adam
     step size learning_rate. The segmentation loss keeps the hardest
-    hard_pixel_ratio of the pixels.
+    hard_pixel_ratio of the pixels. A point whose region-matching instance
+    is missing or tiny gets a pseudo_box_side square box at it.
     """
 
     n_stages: int = 3
@@ -202,7 +207,7 @@ class MdmConfig:
     iters_per_stage: int = 100
     learning_rate: float = 0.01
     hard_pixel_ratio: float = 0.2
-    grouping: GroupingConfig = field(default_factory=GroupingConfig)
+    pseudo_box_side: int = 16
     i2s: I2SConfig = field(default_factory=I2SConfig)
     seed: int = 0
 
@@ -221,6 +226,8 @@ class MdmConfig:
             raise PipelineError(
                 f"hard pixel ratio must be in (0, 1], got {self.hard_pixel_ratio}"
             )
+        if self.pseudo_box_side < 1:
+            raise PipelineError(f"pseudo box side must be >= 1, got {self.pseudo_box_side}")
         if self.seed < 0:
             raise PipelineError(f"seed must be >= 0, got {self.seed}")
 
@@ -266,9 +273,9 @@ def build_stage_targets(
     and affinity targets are also skipped when no region matched any point.
     """
     shape = semantic_in.shape
-    regions = extract_regions(semantic_in)
+    regions = attach_points(extract_regions(semantic_in), points, shape)
     initial = assign_points(regions, points, shape)
-    initial = _paint_fallback_boxes(initial, points, cfg.grouping.pseudo_box_side)
+    initial = _paint_fallback_boxes(initial, points, cfg.pseudo_box_side)
     # The class head is supervised by the stage's semantic map itself; the
     # instance labels feed only the offset and affinity targets. Dropping
     # point-less foreground from the class supervision would slowly erase
@@ -279,7 +286,7 @@ def build_stage_targets(
     affinity = None
     if affinity_seed is not None and has_fg:
         affinity = build_affinity_targets(initial, cfg.i2s, seed=affinity_seed)
-    return StageTargets(initial, classes, offsets, affinity)
+    return StageTargets(initial, regions, classes, offsets, affinity)
 
 
 class _Objective:
@@ -475,7 +482,7 @@ def run_stage(
     )
 
     outs = predict(params, scene.features)
-    grouped = group_instances(outs.offsets, semantic_in, points, cfg.grouping)
+    grouped = group_instances(outs.offsets, targets.initial, targets.regions, points)
     pseudo, classes = finalize_pseudo_labels(grouped, semantic_in, points)
 
     emb = np.ascontiguousarray(outs.embeddings.transpose(2, 0, 1))  # (D, H, W)

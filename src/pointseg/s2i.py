@@ -1,13 +1,13 @@
 """Semantic-to-instance branch.
 
 Turns a class-index map plus point annotations into initial instance labels
-and offset targets, and groups predicted offsets back into instances by
-center voting with a pseudo-box fallback.
+and offset targets. Grouping keeps the semantic regions' boundaries: a region
+with one point is that point's instance, and only a region shared by several
+points is split, each pixel going to the owner nearest its predicted vote.
 """
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +24,6 @@ from .grids import (
 
 __all__ = [
     "InstanceRegion",
-    "GroupingConfig",
     "extract_regions",
     "attach_points",
     "assign_points",
@@ -46,24 +45,6 @@ class InstanceRegion:
     class_id: int
     pixels: np.ndarray  # (n, 2) int32 (y, x), raster order
     owner_points: tuple[int, ...] = ()  # instance ids matched to this region
-
-
-@dataclass(frozen=True)
-class GroupingConfig:
-    """Center-voting parameters.
-
-    vote_radius_tau None means max(H, W) / 4, resolved at grouping time.
-    """
-
-    vote_radius_tau: float | None = None
-    pseudo_box_side: int = 16
-
-    def __post_init__(self):
-        if self.pseudo_box_side < 1:
-            raise PipelineError("pseudo box side must be >= 1")
-        tau = self.vote_radius_tau
-        if tau is not None and not (math.isfinite(tau) and tau > 0):
-            raise PipelineError(f"vote radius tau must be finite and > 0, got {tau}")
 
 
 def extract_regions(
@@ -118,31 +99,40 @@ def attach_points(
     return [replace(r, owner_points=tuple(sorted(owners[r.region_id]))) for r in regions]
 
 
+def _nearest_owner(
+    coords: np.ndarray, region: InstanceRegion, points: PointAnnotationSet
+) -> np.ndarray:
+    """The owner point of `region` nearest each (y, x) row of `coords`.
+
+    Squared Euclidean distance; ties go to the lowest instance id, as argmin
+    takes the first minimum and owner_points are sorted ascending.
+    """
+    owners = np.asarray(region.owner_points)
+    anchors = points.positions()[owners - 1]  # point ids are exactly 1..K
+    d2 = ((coords[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
+    return owners[np.argmin(d2, axis=1)]
+
+
 def assign_points(
     regions: list[InstanceRegion],
     points: PointAnnotationSet,
     shape: tuple[int, int],
 ) -> LabelGrid:
-    """Initial instance labels from regions and points.
+    """Initial instance labels from regions that attach_points has matched.
 
     Regions with one point take its instance id wholesale. Regions holding
-    several points are split pixel-wise by nearest point (squared Euclidean,
-    ties to the lowest instance id). Pointless regions become background.
+    several points are split pixel-wise by the nearest point's position.
+    Pointless regions become background.
     """
     out = np.zeros(shape, dtype=np.int32)
-    pos = {p.instance_id: (p.y, p.x) for p in points}
-    for region in attach_points(regions, points, shape):
+    for region in regions:
         if not region.owner_points:
             continue
+        ys, xs = region.pixels[:, 0], region.pixels[:, 1]
         if len(region.owner_points) == 1:
-            out[region.pixels[:, 0], region.pixels[:, 1]] = region.owner_points[0]
-            continue
-        anchors = np.array([pos[i] for i in region.owner_points], dtype=np.int64)
-        pix = region.pixels.astype(np.int64)
-        d2 = ((pix[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
-        # argmin takes the first minimum; owner_points are sorted ascending.
-        chosen = np.asarray(region.owner_points)[np.argmin(d2, axis=1)]
-        out[region.pixels[:, 0], region.pixels[:, 1]] = chosen
+            out[ys, xs] = region.owner_points[0]
+        else:
+            out[ys, xs] = _nearest_owner(region.pixels, region, points)
     return LabelGrid(out)
 
 
@@ -203,40 +193,29 @@ def point_window(point: Point, side: int, shape: tuple[int, int]) -> tuple[slice
 
 def group_instances(
     pred_offsets: OffsetField,
-    semantic: LabelGrid,
+    initial: LabelGrid,
+    regions: list[InstanceRegion],
     points: PointAnnotationSet,
-    cfg: GroupingConfig,
 ) -> LabelGrid:
-    """Center voting: each candidate pixel votes at p + offset(p) and joins the
-    nearest annotation within tau. Points left empty get a pseudo-box, which
-    only ever claims background pixels (earlier points win contested ones)."""
-    h, w = semantic.shape
-    if pred_offsets.shape != (h, w):
+    """Group pixels within their semantic regions by centre voting.
+
+    `initial` holds the stage's region-matching labels and `regions` the
+    matched regions they came from. Each pixel of a region with two or more
+    owner points goes to the owner nearest its vote p + offset(p), unless a
+    pseudo-box gave it to a point outside the region; every other pixel
+    keeps its label.
+    """
+    if pred_offsets.shape != initial.shape:
         raise PipelineError("offset field shape mismatch")
-    points.validate_on(h, w)
-    tau = cfg.vote_radius_tau if cfg.vote_radius_tau is not None else max(h, w) / 4.0
-    anchors = points.positions()
-    inst_ids = np.array([p.instance_id for p in points], dtype=np.int32)
-
-    yy, xx = np.mgrid[0:h, 0:w]
-    votes = np.stack([yy + pred_offsets.vectors[:, :, 0], xx + pred_offsets.vectors[:, :, 1]], axis=2)
-    candidates = semantic.data > 0
-
-    out = np.zeros((h, w), dtype=np.int32)
-    flat_votes = votes[candidates]
-    if len(flat_votes):
-        d2 = ((flat_votes[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
-        best = np.argmin(d2, axis=1)  # ties resolve to the lowest instance id
-        best_d2 = d2[np.arange(len(flat_votes)), best]
-        assigned = np.where(best_d2 <= tau * tau, inst_ids[best], 0)
-        out[candidates] = assigned
-
-    present = set(np.unique(out[out > 0]).tolist())
-    for p in points:
-        if p.instance_id in present:
+    out = initial.data.copy()
+    for region in regions:
+        if len(region.owner_points) < 2:
             continue
-        box = out[point_window(p, cfg.pseudo_box_side, (h, w))]
-        box[box == 0] = p.instance_id
+        ys, xs = region.pixels[:, 0], region.pixels[:, 1]
+        owned = np.isin(out[ys, xs], region.owner_points)
+        ys, xs = ys[owned], xs[owned]
+        votes = np.stack([ys, xs], axis=1) + pred_offsets.vectors[ys, xs]
+        out[ys, xs] = _nearest_owner(votes, region, points)
     return LabelGrid(out)
 
 
@@ -249,8 +228,9 @@ def finalize_pseudo_labels(
 
     A pixel survives only where the semantic class equals the class of its
     instance's annotation point; everything else (semantic background
-    included) is cleared. Returns the cleaned grid and the instance-to-class
-    map of the surviving instances.
+    included) is cleared. After group_instances only a pseudo-box can cover
+    another class or background. Returns the cleaned grid and the
+    instance-to-class map of the surviving instances.
     """
     lut = _class_table(grouped, points)
     keep = (grouped.data > 0) & (semantic.data == lut[grouped.data])

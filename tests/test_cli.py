@@ -246,19 +246,28 @@ class TestTrainEvalCli:
 
     @pytest.mark.parametrize("command,key,value,kind", [
         ("train", "stages", "x", "int"),
-        ("train", "tau", "abc", "float"),
+        ("train", "lr", "abc", "float"),
         ("synth", "merge_adjacent", "false", "bool"),
         ("train", "stages", 2.7, "int"),
         ("train", "stages", True, "int"),
-        ("train", "tau", True, "float"),
+        ("train", "lr", True, "float"),
+        ("synth", "shapes", 5, "str"),
+        # A file value must be one of the flag's choices, as a flag value must.
+        ("s2i", "connectivity", 6, "one of 4, 8"),
+        ("synth", "shapes", "hex", "one of 'rect', 'ellipse', 'mixed'"),
     ])
     def test_config_value_of_wrong_type_exit_1(
         self, scene_dir, tmp_path, capsys, command, key, value, kind
     ):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: value}))
-        scene = ["--scene", str(scene_dir)] if command == "train" else []
-        code = dispatch([command, *scene, "--out", str(tmp_path / "t"),
+        inputs = {
+            "synth": [],
+            "s2i": ["--semantic", str(scene_dir / "semantic_in.pgm"),
+                    "--points", str(scene_dir / "points.csv")],
+            "train": ["--scene", str(scene_dir)],
+        }[command]
+        code = dispatch([command, *inputs, "--out", str(tmp_path / "t"),
                          "--config", str(cfg_path)])
         assert code == 1
         err = capsys.readouterr().err
@@ -278,8 +287,9 @@ class TestTrainEvalCli:
         ("i2s", {"instances": "a.pgm", "classmap": "a.mdmt"}, ["'classmap'", "'instances'"]),
         ("train", {"scene": ["elsewhere"], "config": "a.json"}, ["'config'", "'scene'"]),
         ("eval", {"pred": ["a.pgm"], "gt_classes": ["a.csv"]}, ["'gt_classes'", "'pred'"]),
+        ("train", {"tau": 5}, ["'tau'"]),
     ], ids=["synth", "s2i", "i2s-beta", "train", "eval", "train-two-keys", "synth-out",
-            "s2i-paths", "i2s-paths", "train-paths", "eval-paths"])
+            "s2i-paths", "i2s-paths", "train-paths", "eval-paths", "train-tau"])
     def test_config_key_naming_no_flag_exit_1(
         self, scene_dir, tmp_path, capsys, command, config, named
     ):
@@ -309,9 +319,16 @@ class TestTrainEvalCli:
         assert err.count("'") == 2 * len(named) and all(key in err for key in named)
         assert not (tmp_path / "t").exists()
 
-    @pytest.mark.parametrize("flag,name", [
-        ("--tau", "tau"), ("--beta", "beta"), ("--lr", "learning rate"),
-    ])
+    def test_removed_tau_flag_exit_1(self, scene_dir, tmp_path, capsys):
+        # Grouping needs no vote radius, so --tau is no flag of train.
+        code = dispatch(["train", "--scene", str(scene_dir), "--out", str(tmp_path / "t"),
+                         "--tau", "5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --tau 5" in err and "Traceback" not in err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("flag,name", [("--beta", "beta"), ("--lr", "learning rate")])
     def test_nan_parameter_exit_2(self, scene_dir, tmp_path, capsys, flag, name):
         code = dispatch(["train", "--scene", str(scene_dir), "--out", str(tmp_path / "t"),
                          "--stages", "1", "--warmup", "1", "--iters", "1", flag, "nan"])
@@ -358,7 +375,7 @@ class TestConfigEcho:
         "s2i": {"connectivity": 8},
         "i2s": {"pair_radius": 8},
         "train": {"stages": 3, "warmup": 25, "iters": 100, "lr": 0.01, "hard_pixel_ratio": 0.2,
-                  "tau": None, "box_side": 16, "beta": 2.0, "pair_radius": 8, "max_pairs": 4096,
+                  "box_side": 16, "beta": 2.0, "pair_radius": 8, "max_pairs": 4096,
                   "seed": 0},
         "eval": {"class_aware": False},
     }
@@ -783,7 +800,6 @@ class TestCliFlagFuzz:
         ("synth", "--count", "-1"): 2,
         ("synth", "--count", "0"): 2,
         ("train", "--beta", "inf"): 2,
-        ("train", "--tau", "inf"): 2,
     }
     FLAGS = _numeric_flags()
 

@@ -6,7 +6,6 @@ import pytest
 
 from pointseg import (
     CorruptionConfig,
-    GroupingConfig,
     I2SConfig,
     LabelGrid,
     MdmConfig,
@@ -23,7 +22,7 @@ from pointseg import (
     run_stage,
 )
 from pointseg import loop
-from pointseg.grids import ClassScoreMap, OffsetField
+from pointseg.grids import ClassScoreMap, OffsetField, Point, PointAnnotationSet
 from pointseg.loop import (
     OFFSET_OUTPUT_SCALE,
     _derive_seed,
@@ -72,7 +71,6 @@ def make_cfg(**kw):
         n_stages=2,
         warmup_iters=10,
         iters_per_stage=20,
-        grouping=GroupingConfig(),
         i2s=I2SConfig(max_pairs=256),
         seed=3,
     )
@@ -350,6 +348,24 @@ class TestMdmConfigValidation:
     def test_rejects_negative_seed(self):
         with pytest.raises(PipelineError, match="seed must be >= 0, got -1"):
             MdmConfig(seed=-1)
+
+    def test_rejects_empty_pseudo_box(self):
+        with pytest.raises(PipelineError, match="pseudo box side must be >= 1, got 0"):
+            MdmConfig(pseudo_box_side=0)
+
+
+class TestBuildStageTargets:
+    def test_ignored_point_warns_once(self, caplog):
+        # Point 2 (class 2) lies in a class-1 region: one target build
+        # matches the points to the regions once, so it is reported once.
+        sem = LabelGrid(np.ones((4, 4), dtype=np.int32))
+        pts = PointAnnotationSet((Point(0, 0, 1, 1), Point(3, 3, 2, 2)))
+        with caplog.at_level("WARNING"):
+            targets = build_stage_targets(sem, pts, make_cfg(), affinity_seed=1)
+        assert [r.message for r in caplog.records] == [
+            "point (3, 3) ignored: class 2 region 1 has class 1"
+        ]
+        assert [r.owner_points for r in targets.regions] == [(1,)]
 
 
 # ---------------------------------------------------------------- reference

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pointseg import (
-    GroupingConfig,
     LabelGrid,
+    MdmConfig,
     OffsetField,
     PipelineError,
     Point,
@@ -17,6 +17,7 @@ from pointseg import (
     group_instances,
 )
 from pointseg.grids import connected_components
+from pointseg.loop import build_stage_targets
 
 
 def grid(rows):
@@ -25,6 +26,11 @@ def grid(rows):
 
 def points(*specs):
     return PointAnnotationSet(tuple(Point(*s) for s in specs))
+
+
+def matched(sem, pts):
+    """The regions of `sem` with `pts` attached, as assign_points takes them."""
+    return attach_points(extract_regions(sem), pts, sem.shape)
 
 
 class TestExtractRegions:
@@ -78,32 +84,32 @@ class TestAssignPoints:
     def test_strip_split_by_nearest_point(self):
         sem = grid([[1, 1, 1, 1, 1]])
         pts = points((0, 1, 1, 1), (0, 4, 1, 2))
-        out = assign_points(extract_regions(sem), pts, (1, 5))
+        out = assign_points(matched(sem, pts), pts, (1, 5))
         assert out.data.tolist() == [[1, 1, 1, 2, 2]]
 
     def test_equidistant_tie_goes_to_lower_instance_id(self):
         sem = grid([[1, 1, 1]])
         pts = points((0, 0, 1, 1), (0, 2, 1, 2))
-        out = assign_points(extract_regions(sem), pts, (1, 3))
+        out = assign_points(matched(sem, pts), pts, (1, 3))
         assert out.data[0, 1] == 1
 
     def test_single_point_takes_whole_region(self):
         sem = grid([[1, 1], [1, 1]])
         pts = points((0, 0, 1, 1))
-        out = assign_points(extract_regions(sem), pts, (2, 2))
+        out = assign_points(matched(sem, pts), pts, (2, 2))
         assert (out.data == 1).all()
 
     def test_pointless_region_becomes_background(self):
         sem = grid([[1, 1, 0, 2]])
         pts = points((0, 0, 1, 1))
-        out = assign_points(extract_regions(sem), pts, (1, 4))
+        out = assign_points(matched(sem, pts), pts, (1, 4))
         assert out.data.tolist() == [[1, 1, 0, 0]]
 
     def test_class_mismatch_treated_as_uncontained(self, caplog):
         sem = grid([[2, 2]])
         pts = points((0, 0, 1, 1))
         with caplog.at_level("WARNING"):
-            out = assign_points(extract_regions(sem), pts, (1, 2))
+            out = assign_points(matched(sem, pts), pts, (1, 2))
         assert (out.data == 0).all()
         assert any("ignored" in r.message for r in caplog.records)
 
@@ -124,7 +130,7 @@ class TestAssignPoints:
             pts = PointAnnotationSet(
                 tuple(Point(int(y), int(x), 1, i + 1) for i, (y, x) in enumerate(chosen))
             )
-            out = assign_points(regions, pts, (h, w))
+            out = assign_points(attach_points(regions, pts, (h, w)), pts, (h, w))
             # brute force restricted to that region
             for (y, x) in region.pixels:
                 d2 = [(y - p.y) ** 2 + (x - p.x) ** 2 for p in pts]
@@ -181,60 +187,81 @@ class TestComputeOffsetField:
             assert (landing_x[mask] == px).all()
 
 
+def offsets_of(vectors):
+    return OffsetField(np.asarray(vectors, dtype=np.float64), np.ones(vectors.shape[:2], bool))
+
+
 class TestGroupInstances:
     def test_vote_lands_on_annotation(self):
-        sem = grid([[0] * 8] * 8)
-        data = sem.data.copy()
-        data[3, 4] = 1
-        sem = LabelGrid(data)
-        vectors = np.zeros((8, 8, 2))
-        vectors[3, 4] = (2.0, 1.0)
-        offsets = OffsetField(vectors, np.ones((8, 8), dtype=bool))
-        pts = points((5, 5, 1, 1))
-        out = group_instances(offsets, sem, pts, GroupingConfig(vote_radius_tau=2.0))
-        assert out.data[3, 4] == 1
+        # One class-1 strip holds both points; pixel (0, 1) sits next to
+        # point 1 but its vote lands on point 2.
+        sem = grid([[1, 1, 1, 1, 1, 1]])
+        pts = points((0, 0, 1, 1), (0, 5, 1, 2))
+        regions = matched(sem, pts)
+        vectors = np.zeros((1, 6, 2))
+        vectors[0, 1] = (0.0, 4.0)
+        out = group_instances(offsets_of(vectors), assign_points(regions, pts, (1, 6)),
+                              regions, pts)
+        assert out.data[0, 1] == 2
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_tau_rejected(self, tau):
-        with pytest.raises(PipelineError, match="tau"):
-            GroupingConfig(vote_radius_tau=tau)
+    def test_shared_region_splits_by_vote_not_position(self):
+        # Every pixel votes 3 columns right, so the split moves 3 columns
+        # left of the nearest-position one, and matches a brute force.
+        sem = grid([[1] * 12] * 3)
+        pts = points((1, 2, 1, 1), (1, 9, 1, 2))
+        regions = matched(sem, pts)
+        initial = assign_points(regions, pts, (3, 12))
+        assert initial.data[0].tolist() == [1] * 6 + [2] * 6
+        vectors = np.zeros((3, 12, 2))
+        vectors[:, :, 1] = 3.0
+        out = group_instances(offsets_of(vectors), initial, regions, pts)
+        assert out.data[0].tolist() == [1] * 3 + [2] * 9
+        for y in range(3):
+            for x in range(12):
+                d2 = [(y - p.y) ** 2 + (x + 3 - p.x) ** 2 for p in pts]
+                assert out.data[y, x] == int(np.argmin(d2)) + 1
 
-    def test_all_votes_beyond_tau_yield_only_pseudo_boxes(self):
-        h = w = 40
-        sem = LabelGrid(np.ones((h, w), dtype=np.int32))
-        vectors = np.full((h, w, 2), 30.0)
-        offsets = OffsetField(vectors, np.ones((h, w), dtype=bool))
-        pts = points((20, 10, 1, 1), (20, 30, 1, 2))
-        out = group_instances(offsets, sem, pts, GroupingConfig(vote_radius_tau=3.0))
-        # interior points: full 16x16 boxes, nothing else
-        assert int((out.data == 1).sum()) == 256
-        assert int((out.data == 2).sum()) == 256
+    def test_single_point_regions_and_boxes_pass_through(self):
+        # Point 1 owns its region alone and point 2 lies on background, so
+        # its pseudo-box is in the targets: however wild the votes, the
+        # grouping returns the targets' labels.
+        sem = LabelGrid(np.pad(np.ones((6, 6), np.int32), ((0, 14), (0, 14))))
+        pts = points((2, 2, 1, 1), (15, 15, 1, 2))
+        targets = build_stage_targets(sem, pts, MdmConfig(pseudo_box_side=4))
+        assert int((targets.initial.data == 2).sum()) == 16
+        vectors = np.random.default_rng(0).normal(0.0, 30.0, (20, 20, 2))
+        out = group_instances(offsets_of(vectors), targets.initial, targets.regions, pts)
+        assert np.array_equal(out.data, targets.initial.data)
 
     def test_pseudo_box_clipped_at_border(self):
-        # All-background semantic: no votes at all, so the corner point gets
-        # a box clipped to the grid (7 rows above are cut, 8 below kept).
+        # All-background semantic: the corner point's box, clipped to the
+        # grid (7 rows above are cut, 8 below kept), is all the grouping has.
         sem = LabelGrid(np.zeros((20, 20), dtype=np.int32))
-        offsets = OffsetField(np.zeros((20, 20, 2)), np.ones((20, 20), dtype=bool))
         pts = points((0, 0, 1, 1))
-        out = group_instances(offsets, sem, pts, GroupingConfig(vote_radius_tau=1.0))
+        targets = build_stage_targets(sem, pts, MdmConfig())
+        out = group_instances(offsets_of(np.zeros((20, 20, 2))), targets.initial,
+                              targets.regions, pts)
         assert int((out.data == 1).sum()) == 9 * 9
 
-    def test_pseudo_boxes_do_not_overwrite_assignments(self):
-        sem = LabelGrid(np.zeros((30, 30), dtype=np.int32))
-        data = sem.data.copy()
-        data[10, 10] = 1
-        sem = LabelGrid(data)
-        offsets = OffsetField(np.zeros((30, 30, 2)), np.ones((30, 30), dtype=bool))
-        pts = points((10, 10, 1, 1), (11, 11, 1, 2))
-        out = group_instances(offsets, sem, pts, GroupingConfig(vote_radius_tau=2.0))
-        # point 1's pixel assigned by voting; point 2's box must not steal it
-        assert out.data[10, 10] == 1
+    def test_box_pixel_in_shared_region_keeps_its_box(self):
+        # Points 1 and 2 share a strip; point 3 has no region, and its box
+        # covers part of the strip. Those pixels stay 3 whatever they vote.
+        sem = grid([[1] * 8] + [[0] * 8] * 3)
+        pts = points((0, 0, 1, 1), (0, 7, 1, 2), (1, 3, 1, 3))
+        targets = build_stage_targets(sem, pts, MdmConfig(pseudo_box_side=3))
+        assert targets.initial.data[0].tolist() == [1, 1, 3, 3, 3, 2, 2, 2]
+        vectors = np.zeros((4, 8, 2))
+        vectors[:, :, 1] = -8.0  # every vote lands left of point 1
+        out = group_instances(offsets_of(vectors), targets.initial, targets.regions, pts)
+        assert out.data[0].tolist() == [1, 1, 3, 3, 3, 1, 1, 1]
+        assert np.array_equal(out.data[1:], targets.initial.data[1:])
 
     def test_oracle_offsets_reproduce_gt_on_50_scenes(self):
         for seed in range(50):
             sc = generate_scene(seed + 1000, 64, 64, 2 + seed % 5, 3)
             offsets = compute_offset_field(sc.gt_instances, sc.points)
-            out = group_instances(offsets, sc.gt_semantic, sc.points, GroupingConfig())
+            targets = build_stage_targets(sc.gt_semantic, sc.points, MdmConfig())
+            out = group_instances(offsets, targets.initial, targets.regions, sc.points)
             assert np.array_equal(out.data, sc.gt_instances.data)
             pseudo, classes = finalize_pseudo_labels(out, sc.gt_semantic, sc.points)
             assert np.array_equal(pseudo.data, out.data)
@@ -270,9 +297,24 @@ class TestFinalizePseudoLabels:
         from pointseg import CorruptionConfig, corrupt_semantic
         sem = corrupt_semantic(sc, CorruptionConfig(dilation_px=2, flip_rate=0.1, rng_seed=3))
         offsets = compute_offset_field(sc.gt_instances, sc.points)
-        grouped = group_instances(offsets, sem, sc.points, GroupingConfig())
+        targets = build_stage_targets(sem, sc.points, MdmConfig())
+        grouped = group_instances(offsets, targets.initial, targets.regions, sc.points)
         out, _ = finalize_pseudo_labels(grouped, sem, sc.points)
         assert not ((out.data > 0) & (sem.data == 0)).any()
+
+    def test_box_pixel_outside_its_class_masked(self):
+        # Point 2 (class 2) lies on background next to point 1's class-1
+        # region; its box covers class-1, class-2 and background pixels,
+        # and only the class-2 ones survive.
+        sem = grid([[1, 1, 0, 2], [1, 1, 0, 0], [0, 0, 0, 0]])
+        pts = points((0, 0, 1, 1), (1, 2, 2, 2))
+        targets = build_stage_targets(sem, pts, MdmConfig(pseudo_box_side=3))
+        assert targets.initial.data.tolist() == [[1, 2, 2, 2], [1, 2, 2, 2], [0, 2, 2, 2]]
+        grouped = group_instances(offsets_of(np.zeros((3, 4, 2))), targets.initial,
+                                  targets.regions, pts)
+        out, classes = finalize_pseudo_labels(grouped, sem, pts)
+        assert out.data.tolist() == [[1, 0, 0, 2], [1, 0, 0, 0], [0, 0, 0, 0]]
+        assert classes == {1: 1, 2: 2}
 
     def test_stray_ids_rejected(self):
         with pytest.raises(PipelineError, match="without annotation points"):
