@@ -99,46 +99,56 @@ def build_affinity_targets(
     Pairs of two background pixels are excluded. Positives and negatives
     differ by at most one unless one side runs out. Sampling is deterministic
     per seed. A radius past the grid samples as the largest radius that fits.
+
+    The candidates are never listed as pairs. For each half-plane offset, in
+    _half_plane_offsets order, the window positions of its positive pairs and
+    of its negative pairs are kept apart; a pair's rank is its place in that
+    offset-then-raster order among the pairs of its sign. Ranks are drawn
+    without replacement, positives first, and each is mapped back to its
+    offset by a search over the per-offset counts. The pairs come out sorted
+    by (offset, window position), the order of the full candidate list.
     """
     lab = instances.data
     h, w = lab.shape
-    all_a, all_b, all_t = [], [], []
+    fg = lab > 0
+    offsets, pos, neg = [], [], []
     for dy, dx in _half_plane_offsets(cfg.pair_radius):
         if dy >= h or abs(dx) >= w:
             continue  # no pixel pair spans this offset
         win_a, win_b = _offset_windows(h, w, dy, dx)
-        la = lab[win_a]
-        lb = lab[win_b]
-        keep = (la > 0) | (lb > 0)
-        if not keep.any():
-            continue
-        ayx = np.argwhere(keep)
-        ayx[:, 1] += max(0, -dx)
-        byx = ayx + np.array([dy, dx])
-        all_a.append(ayx)
-        all_b.append(byx)
-        all_t.append(((la == lb) & (la > 0))[keep])
-    if not all_a:
+        same = (lab[win_a] == lab[win_b]) & fg[win_a]
+        offsets.append((dy, dx, w - abs(dx)))
+        pos.append(np.flatnonzero(same))
+        neg.append(np.flatnonzero((fg[win_a] | fg[win_b]) & ~same))
+    n_all_pos, n_all_neg = sum(map(len, pos)), sum(map(len, neg))
+    if n_all_pos + n_all_neg == 0:
         raise PipelineError("no affinity pairs")
-    a = np.concatenate(all_a).astype(np.int32)
-    b = np.concatenate(all_b).astype(np.int32)
-    t = np.concatenate(all_t)
 
     rng = np.random.default_rng(seed)
-    pos_idx = np.flatnonzero(t)
-    neg_idx = np.flatnonzero(~t)
-    n_pos = min(len(pos_idx), (cfg.max_pairs + 1) // 2)
-    n_neg = min(len(neg_idx), cfg.max_pairs - n_pos)
-    n_pos = min(len(pos_idx), cfg.max_pairs - n_neg)
-    chosen = np.concatenate([
-        rng.choice(pos_idx, n_pos, replace=False) if n_pos else np.empty(0, dtype=np.int64),
-        rng.choice(neg_idx, n_neg, replace=False) if n_neg else np.empty(0, dtype=np.int64),
-    ])
-    chosen.sort()
+    n_pos = min(n_all_pos, (cfg.max_pairs + 1) // 2)
+    n_neg = min(n_all_neg, cfg.max_pairs - n_pos)
+    n_pos = min(n_all_pos, cfg.max_pairs - n_neg)
+    keys, targets = [], []
+    for n_draw, side, target in ((n_pos, pos, 1.0), (n_neg, neg, 0.0)):
+        if not n_draw:
+            continue
+        firsts = np.cumsum([0] + [len(at) for at in side])
+        ranks = np.sort(rng.choice(int(firsts[-1]), n_draw, replace=False))
+        # Sorted ranks give each offset one contiguous slice of the draw.
+        bounds = np.searchsorted(ranks, firsts)
+        for k in np.flatnonzero(np.diff(bounds)):
+            local = ranks[bounds[k] : bounds[k + 1]] - firsts[k]
+            keys.append(k * lab.size + side[k][local])
+            targets.append(np.full(len(local), target))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    k, at = np.divmod(keys[order], lab.size)
+    dy, dx, width = np.array(offsets)[k].T
+    a = np.stack([at // width, at % width + np.maximum(0, -dx)], axis=1)
     return AffinitySampleSet(
-        a=a[chosen],
-        b=b[chosen],
-        targets=t[chosen].astype(np.float64),
+        a=a.astype(np.int32),
+        b=(a + np.stack([dy, dx], axis=1)).astype(np.int32),
+        targets=np.concatenate(targets)[order],
     )
 
 

@@ -6,7 +6,9 @@ Each seed makes one square scene, 64x64 unless --size says otherwise, as
 adjacent regions merged, 2 % of pixels flipped) and runs `run_mdm` at the
 default MdmConfig with that seed. "init" is the class-aware overall IoU of
 stage 0's initial labels, the region-matching labels the recurrence starts
-from; "final" is that of the last stage's pseudo labels.
+from; "final" is that of the last stage's pseudo labels. "ignored" counts the
+scene's pointseg.s2i "point ignored" warnings: one per point whose region has
+another class, in each stage whose target build met it.
 
 There are two disjoint seed sets per size: 100-119 for development, and a
 held-out set on which no default may be tuned, 200-219 at 64x64 and 600-619
@@ -25,6 +27,7 @@ It prints a per-seed table for each set and exits 1 unless both sets pass.
 from __future__ import annotations
 
 import argparse
+import logging
 import multiprocessing
 import statistics
 import sys
@@ -41,8 +44,30 @@ SEED_SETS = {
 }
 
 
-def scene_row(seed: int, size: int = 64) -> tuple[int, int, float, float]:
-    """(seed, instances, init IoU, final IoU) of one default-config scene."""
+class _WarningCount(logging.Handler):
+    """Counts the records it receives instead of printing them."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.count += 1
+
+
+def scene_row(seed: int, size: int = 64) -> tuple[int, int, float, float, int]:
+    """(seed, instances, init IoU, final IoU, ignored points) of one
+    default-config scene."""
+    ignored = _WarningCount()
+    logger = logging.getLogger("pointseg.s2i")
+    logger.addHandler(ignored)
+    try:
+        return (*_scene_ious(seed, size), ignored.count)
+    finally:
+        logger.removeHandler(ignored)
+
+
+def _scene_ious(seed: int, size: int) -> tuple[int, int, float, float]:
     n_instances = int(np.random.default_rng(seed).integers(2, 7))
     scene = ps.generate_scene(seed, size, size, n_instances, 3)
     corrupted = ps.corrupt_semantic(scene, ps.CorruptionConfig(
@@ -57,9 +82,9 @@ def scene_row(seed: int, size: int = 64) -> tuple[int, int, float, float]:
     return seed, n_instances, init.overall_iou, result.final.metrics.overall_iou
 
 
-def verdict(rows: list[tuple[int, int, float, float]]) -> tuple[bool, str]:
+def verdict(rows: list[tuple[int, int, float, float, int]]) -> tuple[bool, str]:
     """Whether a seed set passes the gate, and its summary line."""
-    gains = [final - init for _, _, init, final in rows]
+    gains = [final - init for _, _, init, final, _ in rows]
     n_up = sum(g >= 0 for g in gains)
     median = statistics.median(gains)
     passed = 2 * n_up > len(gains) and median >= 0
@@ -89,9 +114,9 @@ def main(argv: list[str]) -> int:
     for index, name in enumerate(sets):
         chunk = rows[index * args.seeds : (index + 1) * args.seeds]
         print(f"{name} seeds {chunk[0][0]}-{chunk[-1][0]}")
-        print("seed  n    init   final  final-init")
-        for seed, n, init, final in chunk:
-            print(f"{seed:4d}  {n}  {init:6.2f}  {final:6.2f}  {final - init:+7.2f}")
+        print("seed  n    init   final  final-init  ignored")
+        for seed, n, init, final, ignored in chunk:
+            print(f"{seed:4d}  {n}  {init:6.2f}  {final:6.2f}  {final - init:+7.2f}  {ignored:7d}")
         passed, summary = verdict(chunk)
         print(f"{name}: {summary}")
         all_pass &= passed

@@ -678,6 +678,38 @@ class TestFnv:
         assert peak < 4 * 8 * FNV_BLOCK, peak
 
 
+class TestOutputDigests:
+    """Label outputs pinned by digest. A change that moves any of these
+    labels must update the digest and say why."""
+
+    S2I_256 = {4: 0x411FF0355396E288, 8: 0x09BA5F476AFC25E3}
+    TRAIN_64_STAGE_02 = {
+        "pseudo_instances.pgm": 0x0D7477E029F86565,
+        "semantic_out.pgm": 0x4D60478A06E83EAE,
+    }
+
+    @pytest.mark.parametrize("connectivity", sorted(S2I_256))
+    def test_s2i_instances_256(self, tmp_path, connectivity):
+        assert dispatch(["synth", "--out", str(tmp_path), "--seed", "100",
+                         "--height", "256", "--width", "256"]) == 0
+        scene = tmp_path / "scene_00000100"
+        assert dispatch(["s2i", "--semantic", str(scene / "semantic_in.pgm"),
+                         "--points", str(scene / "points.csv"),
+                         "--connectivity", str(connectivity),
+                         "--out", str(tmp_path / "s2i")]) == 0
+        digest = fnv1a64((tmp_path / "s2i" / "instances.pgm").read_bytes())
+        assert digest == self.S2I_256[connectivity], f"{digest:016x}"
+
+    def test_train_64_last_stage(self, tmp_path):
+        assert dispatch(["synth", "--out", str(tmp_path), "--seed", "100"]) == 0
+        out = tmp_path / "train"
+        assert dispatch(["train", "--scene", str(tmp_path / "scene_00000100"),
+                         "--out", str(out)]) == 0
+        for name, expected in self.TRAIN_64_STAGE_02.items():
+            digest = fnv1a64((out / "stage_02" / name).read_bytes())
+            assert digest == expected, f"{name}: {digest:016x}"
+
+
 @pytest.mark.parametrize("target", ["points", "scene_json", "scene_points", "classes", "config"])
 def test_non_utf8_text_input_exit_2(scene_dir, tmp_path, capsys, target):
     scene = tmp_path / "scene"

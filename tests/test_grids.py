@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -45,6 +47,66 @@ def flood_fill_count(mask, connectivity):
     return count
 
 
+def bfs_components(mask, connectivity):
+    """Breadth-first labeling, one pixel at a time: the ids connected_components
+    must return, numbered in raster order of each component's first pixel."""
+    nbrs = {
+        4: ((-1, 0), (0, -1), (0, 1), (1, 0)),
+        8: ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
+    }[connectivity]
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    labels = np.zeros((h, w), dtype=np.int32)
+    next_id = 0
+    for sy in range(h):
+        for sx in range(w):
+            if not mask[sy, sx] or labels[sy, sx]:
+                continue
+            next_id += 1
+            labels[sy, sx] = next_id
+            queue = deque([(sy, sx)])
+            while queue:
+                y, x = queue.popleft()
+                for dy, dx in nbrs:
+                    ny, nx = y + dy, x + dx
+                    if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not labels[ny, nx]:
+                        labels[ny, nx] = next_id
+                        queue.append((ny, nx))
+    return labels
+
+
+def serpentine(h, w):
+    """One path of pixels that runs along every other row and turns at
+    alternate ends: a single component whose runs link in a long chain."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::2] = True
+    for y in range(1, h, 2):
+        mask[y, w - 1 if y % 4 == 1 else 0] = True
+    return mask
+
+
+def spiral(n):
+    """A one-pixel wall that winds inwards from the border, with a one-pixel
+    gap between turns: one component whose first pixel is the top-left."""
+    mask = np.zeros((n, n), dtype=bool)
+    y, x, dy, dx = 0, 0, 0, 1
+    mask[0, 0] = True
+    while True:
+        for _ in range(2):  # try the current heading, then turn once
+            ny, nx = y + dy, x + dx
+            ay, ax = ny + dy, nx + dx  # two ahead must stay free for the gap
+            inside = 0 <= ny < n and 0 <= nx < n
+            if inside and not mask[ny, nx] and not (
+                0 <= ay < n and 0 <= ax < n and mask[ay, ax]
+            ):
+                break
+            dy, dx = dx, -dy
+        else:
+            return mask
+        y, x = ny, nx
+        mask[y, x] = True
+
+
 class TestLabelGrid:
     def test_rejects_empty(self):
         with pytest.raises(GridError, match="empty raster"):
@@ -62,6 +124,20 @@ class TestLabelGrid:
         g = LabelGrid(np.zeros((2, 2), dtype=np.int32))
         with pytest.raises(ValueError):
             g.data[0, 0] = 1
+
+    @pytest.mark.parametrize("value", [2**31, 2**32 + 1, 2**63 - 1])
+    def test_rejects_id_past_int32(self, value):
+        # int32 would wrap these: 2**32 + 1 to id 1, 2**31 to a negative id
+        with pytest.raises(GridError, match="exceeds the int32 maximum"):
+            LabelGrid(np.array([[0, value]], dtype=np.int64))
+
+    def test_rejects_uint64_past_int32(self):
+        with pytest.raises(GridError, match="exceeds the int32 maximum"):
+            LabelGrid(np.array([[2**64 - 1]], dtype=np.uint64))
+
+    def test_keeps_int32_maximum(self):
+        g = LabelGrid(np.array([[0, 2**31 - 1]], dtype=np.int64))
+        assert g.data.dtype == np.int32 and g.ids() == [2**31 - 1]
 
     def test_ids_sorted_foreground(self):
         g = LabelGrid(np.array([[0, 3], [1, 3]], dtype=np.int32))
@@ -113,6 +189,45 @@ class TestConnectedComponents:
             structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
             _, n_scipy = ndimage.label(mask, structure=structure)
             assert n_got == n_scipy
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_ids_equal_bfs_oracle_on_random_masks(self, connectivity):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            h, w = (int(v) for v in rng.integers(1, 65, size=2))
+            mask = rng.random((h, w)) < rng.random()
+            got = connected_components(mask, connectivity).data
+            assert got.dtype == np.int32
+            assert np.array_equal(got, bfs_components(mask, connectivity)), (h, w)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("name", [
+        "serpentine", "serpentine_tall", "spiral", "checkerboard", "all_true",
+        "all_false", "1x1_true", "1x1_false", "1xN", "Nx1",
+    ])
+    def test_ids_equal_bfs_oracle_on_shapes(self, name, connectivity):
+        rng = np.random.default_rng(5)
+        mask = {
+            "serpentine": lambda: serpentine(63, 64),
+            "serpentine_tall": lambda: serpentine(64, 3),
+            "spiral": lambda: spiral(64),
+            "checkerboard": lambda: np.indices((64, 64)).sum(axis=0) % 2 == 0,
+            "all_true": lambda: np.ones((64, 64), dtype=bool),
+            "all_false": lambda: np.zeros((64, 64), dtype=bool),
+            "1x1_true": lambda: np.ones((1, 1), dtype=bool),
+            "1x1_false": lambda: np.zeros((1, 1), dtype=bool),
+            "1xN": lambda: rng.random((1, 64)) < 0.5,
+            "Nx1": lambda: rng.random((64, 1)) < 0.5,
+        }[name]()
+        expected = bfs_components(mask, connectivity)
+        assert np.array_equal(connected_components(mask, connectivity).data, expected)
+
+    def test_shapes_have_the_intended_components(self):
+        assert bfs_components(serpentine(63, 64), 4).max() == 1
+        assert bfs_components(spiral(64), 4).max() == 1
+        checker = np.indices((64, 64)).sum(axis=0) % 2 == 0
+        assert bfs_components(checker, 4).max() == 64 * 64 // 2
+        assert bfs_components(checker, 8).max() == 1
 
     def test_relabeling_is_pure_function_of_mask(self):
         rng = np.random.default_rng(3)

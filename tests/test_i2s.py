@@ -60,6 +60,104 @@ def no_affinity(win_i, win_j):
     return np.zeros((ys.stop - ys.start) * (xs.stop - xs.start))
 
 
+# ------------------------------------------------------- materialising oracle
+# The pair sampler as it was written first: list every candidate pair, then
+# draw from the positive and the negative index lists.
+
+
+def materialising_affinity_targets(instances, cfg, seed=0):
+    """Every non-background pair within cfg.pair_radius, one per unordered
+    pair, in (half-plane offset, raster) order; then a balanced draw."""
+    lab = instances.data
+    h, w = lab.shape
+    all_a, all_b, all_t = [], [], []
+    for dy in range(cfg.pair_radius + 1):
+        for dx in range(-cfg.pair_radius, cfg.pair_radius + 1):
+            if (dy == 0 and dx <= 0) or dy >= h or abs(dx) >= w:
+                continue
+            la = lab[: h - dy, max(0, -dx) : w - max(0, dx)]
+            lb = lab[dy:, max(0, dx) : w + min(0, dx)]
+            keep = (la > 0) | (lb > 0)
+            ayx = np.argwhere(keep)
+            ayx[:, 1] += max(0, -dx)
+            all_a.append(ayx)
+            all_b.append(ayx + np.array([dy, dx]))
+            all_t.append(((la == lb) & (la > 0))[keep])
+    t = np.concatenate(all_t) if all_t else np.empty(0, dtype=bool)
+    if not t.size:
+        raise PipelineError("no affinity pairs")
+    a = np.concatenate(all_a).astype(np.int32)
+    b = np.concatenate(all_b).astype(np.int32)
+    rng = np.random.default_rng(seed)
+    pos_idx = np.flatnonzero(t)
+    neg_idx = np.flatnonzero(~t)
+    n_pos = min(len(pos_idx), (cfg.max_pairs + 1) // 2)
+    n_neg = min(len(neg_idx), cfg.max_pairs - n_pos)
+    n_pos = min(len(pos_idx), cfg.max_pairs - n_neg)
+    chosen = np.concatenate([
+        rng.choice(pos_idx, n_pos, replace=False) if n_pos else np.empty(0, dtype=np.int64),
+        rng.choice(neg_idx, n_neg, replace=False) if n_neg else np.empty(0, dtype=np.int64),
+    ])
+    chosen.sort()
+    return a[chosen], b[chosen], t[chosen].astype(np.float64)
+
+
+def _oracle_maps():
+    """Instance maps for the sampler oracle, by name."""
+    rng = np.random.default_rng(23)
+    one_pair = np.zeros((5, 7), dtype=np.int32)
+    one_pair[2, 3:5] = 1
+    return {
+        "scene_64": generate_scene(3, 64, 64, 4, 3).gt_instances.data,
+        "scene_32": generate_scene(8, 32, 32, 3, 2).gt_instances.data,
+        "noise": rng.integers(0, 4, size=(17, 23)).astype(np.int32),
+        "sparse": (rng.integers(1, 3, size=(20, 9)) * (rng.random((20, 9)) < 0.1)).astype(np.int32),
+        "one_instance": np.ones((6, 6), dtype=np.int32),
+        "one_pair": one_pair,
+        "row": np.array([[0, 1, 1, 2, 0, 2, 2]], dtype=np.int32),
+        "column": np.array([[1], [1], [0], [2]], dtype=np.int32),
+    }
+
+
+class TestAffinityTargetsOracle:
+    """build_affinity_targets draws the same pairs as the materialising
+    sampler: same stream, same order, same dtypes."""
+
+    @staticmethod
+    def _assert_same(inst, cfg, seed):
+        got = build_affinity_targets(LabelGrid(inst), cfg, seed=seed)
+        want = materialising_affinity_targets(LabelGrid(inst), cfg, seed=seed)
+        for name, expected in zip(("a", "b", "targets"), want):
+            value = getattr(got, name)
+            assert value.dtype == expected.dtype, name
+            assert np.array_equal(value, expected), name
+
+    @pytest.mark.parametrize("name", sorted(_oracle_maps()))
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_default_config(self, name, seed):
+        self._assert_same(_oracle_maps()[name], I2SConfig(), seed)
+
+    @pytest.mark.parametrize("radius", [1, 2, 5, 16, 31, 40, 100])
+    def test_radius_up_to_past_the_grid(self, radius):
+        maps = _oracle_maps()
+        for name in ("scene_32", "noise", "row", "column"):
+            self._assert_same(maps[name], I2SConfig(pair_radius=radius, max_pairs=300), radius)
+
+    @pytest.mark.parametrize("max_pairs", [2, 3, 7, 64, 4096, 10**6])
+    def test_max_pairs_up_to_past_the_supply(self, max_pairs):
+        # one_pair has one positive; one_instance has no negatives; at 10**6
+        # both sides of every map run out
+        for name, inst in _oracle_maps().items():
+            self._assert_same(inst, I2SConfig(pair_radius=3, max_pairs=max_pairs), 5)
+
+    def test_both_raise_no_affinity_pairs(self):
+        # all background, and a lone foreground pixel that spans no offset
+        for inst in (np.zeros((4, 5), dtype=np.int32), np.ones((1, 1), dtype=np.int32)):
+            for sampler in (build_affinity_targets, materialising_affinity_targets):
+                with pytest.raises(PipelineError, match="no affinity pairs"):
+                    sampler(LabelGrid(inst), I2SConfig())
+
+
 class TestBuildAffinityTargets:
     def test_same_instance_pair_is_positive(self):
         g = grid([[1, 1]])
