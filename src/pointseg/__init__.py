@@ -62,7 +62,7 @@ from .metrics import (
     mask_iou,
 )
 from .s2i import (
-    InstanceRegion,
+    Regions,
     assign_points,
     attach_points,
     class_grid_from_instances,

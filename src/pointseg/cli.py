@@ -243,9 +243,12 @@ def _parse(parser: _Parser, argv: list[str], flags: list[_Flag]) -> tuple[argpar
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> None:
-    """Print each task's line in task order, over a process pool when jobs > 1."""
+    """Print each task's line in task order, over a process pool when jobs > 1,
+    of at most one worker per task: a fork pool starts all its workers at once."""
+    if jobs < 1:
+        raise CliUsageError(f"--jobs must be >= 1, got {jobs}")
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             for line in pool.map(worker, tasks):
                 print(line)
     else:
@@ -267,7 +270,7 @@ _SYNTH_FLAGS = [
     _Flag("--dilation", int, 2, "dilation_px"),
     _Flag("--erosion", int, 0, "erosion_px"),
     _Flag("--merge-adjacent", bool, True, "merge_adjacent",
-          {"action": "store_const", "const": True}),
+          {"action": argparse.BooleanOptionalAction}),
     _Flag("--flip-rate", float, 0.02, "flip_rate"),
 ]
 
@@ -338,16 +341,16 @@ def _cmd_s2i(argv: list[str]) -> int:
     semantic = decode_label_pgm(Path(args.semantic).read_bytes())
     points = decode_points_csv(_read_text(Path(args.points)))
 
-    regions = attach_points(extract_regions(semantic, opt["connectivity"]), points, semantic.shape)
-    instances = assign_points(regions, points, semantic.shape)
+    regions = attach_points(extract_regions(semantic, opt["connectivity"]), points)
+    instances = assign_points(regions, points)
     offsets = compute_offset_field(instances, points)
     classes = class_grid_from_instances(instances, points)
 
     out_dir = Path(args.out)
     _write(out_dir / "instances.pgm", encode_label_pgm(instances))
     _write(out_dir / "offsets.mdmt", encode_tensor(offsets.to_tensor()))
-    class_of = points.class_of()
-    _write(out_dir / "classes.csv", _classes_csv({i: class_of[i] for i in instances.ids()}))
+    lut = points.class_table()
+    _write(out_dir / "classes.csv", _classes_csv({i: int(lut[i]) for i in instances.ids()}))
     _write(out_dir / "class_grid.pgm", encode_label_pgm(classes))
     _write_manifest(out_dir, "s2i", opt, [Path(args.semantic), Path(args.points)], t0)
     print(f"s2i: wrote {out_dir}")
@@ -503,11 +506,11 @@ def _cmd_train(argv: list[str]) -> int:
 
 
 def _read_classes_csv(path: Path, grid: LabelGrid) -> dict[int, int]:
-    """The instance -> class table of `grid`; every id of the grid needs a row."""
+    """The instance -> class table of `grid`: one row for each id of the grid."""
     rows = [(n, r.strip()) for n, r in enumerate(_read_text(path).splitlines(), 1) if r.strip()]
     if not rows or rows[0][1].replace(" ", "") != "instance_id,class_id":
         raise PointsegError(f"{path}: expected header instance_id,class_id")
-    table = {}
+    table, line = {}, {}
     for n, row in rows[1:]:
         try:
             inst, cls = (int(f) for f in row.split(","))
@@ -515,7 +518,9 @@ def _read_classes_csv(path: Path, grid: LabelGrid) -> dict[int, int]:
             raise PointsegError(
                 f"{path} line {n}: expected two integers instance_id,class_id, got {row!r}"
             ) from None
-        table[inst] = cls
+        if inst in line:
+            raise PointsegError(f"{path} lines {line[inst]} and {n}: both give instance_id {inst}")
+        table[inst], line[inst] = cls, n
     missing = sorted(set(grid.ids()) - table.keys())
     if missing:
         raise PointsegError(f"{path}: no row for instance ids {missing} of the label grid")

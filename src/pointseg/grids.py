@@ -193,9 +193,13 @@ class PointAnnotationSet:
     def __iter__(self):
         return iter(self.points)
 
-    def positions(self) -> np.ndarray:
-        """K x 2 float array of (y, x), ordered by instance id."""
-        return np.array([[p.y, p.x] for p in self.points], dtype=np.float64).reshape(-1, 2)
+    def class_table(self) -> np.ndarray:
+        """(K + 1,) int32: each instance id's class, 0 for background (id 0)."""
+        return np.array([0, *(p.class_id for p in self.points)], dtype=np.int32)
+
+    def anchor_table(self) -> np.ndarray:
+        """(K + 1, 2) float64: each instance id's point (y, x), (0, 0) for id 0."""
+        return np.array([(0, 0), *((p.y, p.x) for p in self.points)], dtype=np.float64)
 
     def class_of(self) -> dict[int, int]:
         return {p.instance_id: p.class_id for p in self.points}

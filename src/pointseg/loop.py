@@ -4,10 +4,11 @@ A small linear predictor maps per-pixel features (plus their 3x3
 neighborhood means) to class scores, offset vectors, and embedding channels
 whose pairwise dot products give affinity logits. Each stage trains on
 targets synthesized from the stage's semantic input and refreshes the
-semantic map through the predicted affinity for the next stage. Its pseudo
-instances are its region-matching target labels, with each region that
-holds several points re-split by the predicted offsets' votes; they are an
-output only, and feed no later stage.
+semantic map through the predicted affinity for the next stage. The targets
+keep the input's matched s2i.Regions (one region-id grid), so grouping needs
+no second components pass. Its pseudo instances are its region-matching
+target labels, each region holding several points re-split by the predicted
+offsets' votes; they are an output only, and feed no later stage.
 
 Training runs full-batch Adam on a fixed objective per phase (the warm-up
 and each stage). Its constants (the expanded features, the OHEM target
@@ -54,7 +55,7 @@ from .losses import (
 )
 from .metrics import MatchReport, greedy_match
 from .s2i import (
-    InstanceRegion,
+    Regions,
     assign_points,
     attach_points,
     compute_offset_field,
@@ -185,7 +186,7 @@ class StageTargets:
     """Supervision synthesized from one stage's semantic input."""
 
     initial: LabelGrid
-    regions: list[InstanceRegion]  # the input's regions, matched to the points
+    regions: Regions  # the input's regions, matched to the points
     classes: LabelGrid
     offsets: OffsetField | None
     affinity: AffinitySampleSet | None
@@ -272,9 +273,8 @@ def build_stage_targets(
     affinity_seed None skips affinity sampling (the warm-up setting). Offset
     and affinity targets are also skipped when no region matched any point.
     """
-    shape = semantic_in.shape
-    regions = attach_points(extract_regions(semantic_in), points, shape)
-    initial = assign_points(regions, points, shape)
+    regions = attach_points(extract_regions(semantic_in), points)
+    initial = assign_points(regions, points)
     initial = _paint_fallback_boxes(initial, points, cfg.pseudo_box_side)
     # The class head is supervised by the stage's semantic map itself; the
     # instance labels feed only the offset and affinity targets. Dropping

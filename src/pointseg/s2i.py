@@ -4,11 +4,14 @@ Turns a class-index map plus point annotations into initial instance labels
 and offset targets. Grouping keeps the semantic regions' boundaries: a region
 with one point is that point's instance, and only a region shared by several
 points is split, each pixel going to the owner nearest its predicted vote.
+Regions are one region-id grid with a region -> class table, and the points
+give id-indexed class and anchor tables: labelling is a table gather, and
+only regions holding two or more points are visited one by one.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .grids import (
 )
 
 __all__ = [
-    "InstanceRegion",
+    "Regions",
     "extract_regions",
     "attach_points",
     "assign_points",
@@ -38,102 +41,85 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
-class InstanceRegion:
-    """A connected same-class component of the semantic map."""
+class Regions:
+    """The connected same-class components of a semantic map.
 
-    region_id: int
-    class_id: int
-    pixels: np.ndarray  # (n, 2) int32 (y, x), raster order
-    owner_points: tuple[int, ...] = ()  # instance ids matched to this region
+    labels holds region ids 1..R in (class, raster) order, 0 on background;
+    classes[r] is region r's class, classes[0] = 0; owners maps each region
+    that holds matched points to their instance ids, ascending.
+    """
+
+    labels: LabelGrid
+    classes: np.ndarray  # (R + 1,) int32
+    owners: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
-def extract_regions(
-    semantic: LabelGrid, connectivity: int = DEFAULT_CONNECTIVITY
-) -> list[InstanceRegion]:
+def extract_regions(semantic: LabelGrid, connectivity: int = DEFAULT_CONNECTIVITY) -> Regions:
     """One region per connected component per class, in (class, raster) order."""
-    regions: list[InstanceRegion] = []
-    width = semantic.width
+    labels = np.zeros(semantic.shape, dtype=np.int32)
+    classes = [0]
     for class_id in semantic.ids():
-        comps = connected_components(semantic.data == class_id, connectivity).data.ravel()
-        # One stable sort groups the foreground by component id and keeps
-        # raster order inside each group; bincount gives the group sizes.
-        flat = np.flatnonzero(comps)
-        ids = comps[flat]
-        flat = flat[np.argsort(ids, kind="stable")]
-        yx = np.stack(np.divmod(flat, width), axis=1).astype(np.int32)
-        sizes = np.bincount(ids)[1:]
-        for pixels in np.split(yx, np.cumsum(sizes)[:-1]):
-            regions.append(InstanceRegion(len(regions) + 1, class_id, pixels))
-    return regions
+        mask = semantic.data == class_id
+        comps = connected_components(mask, connectivity).data
+        labels[mask] = comps[mask] + (len(classes) - 1)
+        classes += [class_id] * int(comps.max())
+    return Regions(LabelGrid(labels), np.array(classes, dtype=np.int32))
 
 
-def attach_points(
-    regions: list[InstanceRegion],
-    points: PointAnnotationSet,
-    shape: tuple[int, int],
-) -> list[InstanceRegion]:
+def attach_points(regions: Regions, points: PointAnnotationSet) -> Regions:
     """Match points to the regions containing them.
 
     A point whose class disagrees with its region's class is treated as not
     contained (corrupted semantics make this common); it is logged and left
     to the pseudo-box fallback downstream.
     """
-    h, w = shape
-    points.validate_on(h, w)
-    region_at = np.zeros((h, w), dtype=np.int32)
-    for region in regions:
-        region_at[region.pixels[:, 0], region.pixels[:, 1]] = region.region_id
-    owners: dict[int, list[int]] = {r.region_id: [] for r in regions}
-    by_id = {r.region_id: r for r in regions}
-    for p in points:
-        rid = int(region_at[p.y, p.x])
-        if rid == 0:
-            continue
-        if by_id[rid].class_id != p.class_id:
+    points.validate_on(*regions.labels.shape)
+    owners: dict[int, tuple[int, ...]] = {}
+    for p in points:  # in instance-id order
+        rid = int(regions.labels.data[p.y, p.x])
+        if rid and regions.classes[rid] != p.class_id:
             log.warning(
                 "point %s ignored: class %d region %d has class %d",
-                (p.y, p.x), p.class_id, rid, by_id[rid].class_id,
+                (p.y, p.x), p.class_id, rid, regions.classes[rid],
             )
-            continue
-        owners[rid].append(p.instance_id)
-    return [replace(r, owner_points=tuple(sorted(owners[r.region_id]))) for r in regions]
+        elif rid:
+            owners[rid] = (*owners.get(rid, ()), p.instance_id)
+    return replace(regions, owners=owners)
 
 
-def _nearest_owner(
-    coords: np.ndarray, region: InstanceRegion, points: PointAnnotationSet
-) -> np.ndarray:
-    """The owner point of `region` nearest each (y, x) row of `coords`.
+def _split_shared(
+    labels: np.ndarray, regions: Regions, points: PointAnnotationSet, vectors=None
+) -> LabelGrid:
+    """Split, in place, each region of `labels` holding two or more points:
+    a pixel p that carries one of their ids goes to the point nearest its
+    vote p + vectors[p], or nearest p itself when vectors is None.
 
     Squared Euclidean distance; ties go to the lowest instance id, as argmin
-    takes the first minimum and owner_points are sorted ascending.
+    takes the first minimum and owners are sorted ascending.
     """
-    owners = np.asarray(region.owner_points)
-    anchors = points.positions()[owners - 1]  # point ids are exactly 1..K
-    d2 = ((coords[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
-    return owners[np.argmin(d2, axis=1)]
+    for rid, owners in regions.owners.items():
+        if len(owners) < 2:
+            continue
+        owners = np.asarray(owners)
+        ys, xs = np.nonzero(regions.labels.data == rid)
+        owned = np.isin(labels[ys, xs], owners)
+        ys, xs = ys[owned], xs[owned]
+        votes = np.stack([ys, xs], axis=1) + (0 if vectors is None else vectors[ys, xs])
+        d2 = ((votes[:, None, :] - points.anchor_table()[owners][None]) ** 2).sum(axis=2)
+        labels[ys, xs] = owners[np.argmin(d2, axis=1)]
+    return LabelGrid(labels)
 
 
-def assign_points(
-    regions: list[InstanceRegion],
-    points: PointAnnotationSet,
-    shape: tuple[int, int],
-) -> LabelGrid:
+def assign_points(regions: Regions, points: PointAnnotationSet) -> LabelGrid:
     """Initial instance labels from regions that attach_points has matched.
 
     Regions with one point take its instance id wholesale. Regions holding
     several points are split pixel-wise by the nearest point's position.
     Pointless regions become background.
     """
-    out = np.zeros(shape, dtype=np.int32)
-    for region in regions:
-        if not region.owner_points:
-            continue
-        ys, xs = region.pixels[:, 0], region.pixels[:, 1]
-        if len(region.owner_points) == 1:
-            out[ys, xs] = region.owner_points[0]
-        else:
-            out[ys, xs] = _nearest_owner(region.pixels, region, points)
-    return LabelGrid(out)
+    lut = np.zeros(len(regions.classes), dtype=np.int32)
+    lut[list(regions.owners)] = [owners[0] for owners in regions.owners.values()]
+    return _split_shared(lut[regions.labels.data], regions, points)
 
 
 def _require_points(instances: LabelGrid, points: PointAnnotationSet) -> None:
@@ -142,40 +128,22 @@ def _require_points(instances: LabelGrid, points: PointAnnotationSet) -> None:
         raise PipelineError(f"instance ids without annotation points: {sorted(orphan)}")
 
 
-def _class_table(instances: LabelGrid, points: PointAnnotationSet) -> np.ndarray:
-    """Lookup table from instance id to its point's class; 0 maps to 0.
-
-    Raises on an instance id that has no annotation point.
-    """
-    _require_points(instances, points)
-    # Point ids are exactly 1..K and the set iterates in id order.
-    return np.array([0, *(p.class_id for p in points)], dtype=np.int32)
-
-
 def class_grid_from_instances(instances: LabelGrid, points: PointAnnotationSet) -> LabelGrid:
     """Class-index grid with each instance painted in its point's class."""
-    return LabelGrid(_class_table(instances, points)[instances.data])
+    _require_points(instances, points)
+    return LabelGrid(points.class_table()[instances.data])
 
 
 def compute_offset_field(instances: LabelGrid, points: PointAnnotationSet) -> OffsetField:
     """Pixel-to-point vectors: for a pixel m of instance k, vector = e_k - m.
 
-    Background pixels are invalid with vector (0, 0).
+    Background pixels are invalid, and OffsetField zeroes their vectors.
     """
     _require_points(instances, points)
-    pos = {p.instance_id: (p.y, p.x) for p in points}
-    h, w = instances.shape
-    max_id = max([0, *pos.keys()])
-    anchor_y = np.zeros(max_id + 1, dtype=np.float64)
-    anchor_x = np.zeros(max_id + 1, dtype=np.float64)
-    for inst, (py, px) in pos.items():
-        anchor_y[inst], anchor_x[inst] = py, px
-    yy, xx = np.mgrid[0:h, 0:w]
-    valid = instances.data > 0
-    vec = np.zeros((h, w, 2), dtype=np.float64)
-    vec[:, :, 0] = np.where(valid, anchor_y[instances.data] - yy, 0.0)
-    vec[:, :, 1] = np.where(valid, anchor_x[instances.data] - xx, 0.0)
-    return OffsetField(vec, valid)
+    anchor_y, anchor_x = points.anchor_table().T
+    yy, xx = np.mgrid[0 : instances.height, 0 : instances.width]
+    vec = np.stack([anchor_y[instances.data] - yy, anchor_x[instances.data] - xx], axis=2)
+    return OffsetField(vec, instances.data > 0)
 
 
 def point_window(point: Point, side: int, shape: tuple[int, int]) -> tuple[slice, slice]:
@@ -194,7 +162,7 @@ def point_window(point: Point, side: int, shape: tuple[int, int]) -> tuple[slice
 def group_instances(
     pred_offsets: OffsetField,
     initial: LabelGrid,
-    regions: list[InstanceRegion],
+    regions: Regions,
     points: PointAnnotationSet,
 ) -> LabelGrid:
     """Group pixels within their semantic regions by centre voting.
@@ -207,16 +175,7 @@ def group_instances(
     """
     if pred_offsets.shape != initial.shape:
         raise PipelineError("offset field shape mismatch")
-    out = initial.data.copy()
-    for region in regions:
-        if len(region.owner_points) < 2:
-            continue
-        ys, xs = region.pixels[:, 0], region.pixels[:, 1]
-        owned = np.isin(out[ys, xs], region.owner_points)
-        ys, xs = ys[owned], xs[owned]
-        votes = np.stack([ys, xs], axis=1) + pred_offsets.vectors[ys, xs]
-        out[ys, xs] = _nearest_owner(votes, region, points)
-    return LabelGrid(out)
+    return _split_shared(initial.data.copy(), regions, points, pred_offsets.vectors)
 
 
 def finalize_pseudo_labels(
@@ -232,8 +191,7 @@ def finalize_pseudo_labels(
     another class or background. Returns the cleaned grid and the
     instance-to-class map of the surviving instances.
     """
-    lut = _class_table(grouped, points)
-    keep = (grouped.data > 0) & (semantic.data == lut[grouped.data])
-    cleaned = np.where(keep, grouped.data, 0).astype(np.int32)
-    grid = LabelGrid(cleaned)
+    _require_points(grouped, points)
+    lut = points.class_table()  # lut[0] = 0: background stays background
+    grid = LabelGrid(np.where(semantic.data == lut[grouped.data], grouped.data, 0))
     return grid, {i: int(lut[i]) for i in grid.ids()}

@@ -77,6 +77,32 @@ class TestSynth:
             assert a == b, name
 
 
+    @pytest.mark.parametrize("flags,file_value,merged", [
+        ([], None, True),
+        (["--merge-adjacent"], None, True),
+        (["--no-merge-adjacent"], None, False),
+        ([], False, False),
+        (["--merge-adjacent"], False, True),
+        (["--no-merge-adjacent"], True, False),
+    ], ids=["default", "flag", "no-flag", "file-off", "flag-beats-file", "no-flag-beats-file"])
+    def test_merge_adjacent_switches_both_ways(self, tmp_path, flags, file_value, merged):
+        config = []
+        if file_value is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"merge_adjacent": file_value}))
+            config = ["--config", str(cfg_path)]
+        for name, argv in (("run", [*flags, *config]), ("on", ["--merge-adjacent"]),
+                           ("off", ["--no-merge-adjacent"])):
+            assert dispatch(["synth", "--out", str(tmp_path / name), "--seed", "0", *argv]) == 0
+        scene = tmp_path / "run" / "scene_00000000"
+        echoed = json.loads((scene / "scene.json").read_text())["corruption"]["merge_adjacent"]
+        assert echoed is merged
+        semantic = {name: (tmp_path / name / "scene_00000000" / "semantic_in.pgm").read_bytes()
+                    for name in ("run", "on", "off")}
+        assert semantic["on"] != semantic["off"]  # seed 0: merging moves 40 pixels
+        assert semantic["run"] == semantic["on" if merged else "off"]
+
+
 class TestS2iCli:
     def test_outputs(self, scene_dir, tmp_path):
         out = tmp_path / "s2i"
@@ -191,6 +217,76 @@ class TestTrainEvalCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "line 2" in err
+
+    @pytest.mark.parametrize("short", ["--pred-classes", "--gt-classes"])
+    def test_classes_file_repeating_an_instance_exit_2(
+        self, scene_dir, tmp_path, capsys, short
+    ):
+        # A second row for an id would otherwise silently win over the first.
+        s2i = tmp_path / "s2i"
+        assert dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
+                         "--points", str(scene_dir / "points.csv"), "--out", str(s2i)]) == 0
+        instances = s2i / "instances.pgm"
+        full = s2i / "classes.csv"
+        lines = full.read_text().splitlines()
+        assert lines[1].startswith("1,") and len(lines) == 4
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("\n".join([*lines, "", "1,3"]) + "\n")
+        tables = {"--pred-classes": full, "--gt-classes": full, short: repeated}
+        code = dispatch(["eval", "--pred", str(instances), "--gt", str(instances),
+                         *(str(a) for flag in tables.items() for a in flag),
+                         "--out", str(tmp_path / "ev")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "lines 2 and 6" in err and "instance_id 1" in err
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_1(self, scene_dir, tmp_path, capsys, command, jobs):
+        gt = str(scene_dir / "gt_instances.pgm")
+        inputs = {"train": ["--scene", str(scene_dir)], "eval": ["--pred", gt, "--gt", gt]}
+        code = dispatch([command, *inputs[command], "--jobs", jobs,
+                         "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--jobs must be >= 1, got {jobs}" in err and err.count("\n") == 1
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_pool_has_no_more_workers_than_tasks(
+        self, scene_dir, tmp_path, monkeypatch, capsys, command
+    ):
+        # A fork pool starts every worker up front, so a huge --jobs must not
+        # reach it. The fake pool records its size and runs the tasks in
+        # this process.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, tasks):
+                return map(worker, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        gt = str(scene_dir / "gt_instances.pgm")
+        inputs = {
+            "train": ["--scene", str(scene_dir), "--scene", str(scene_dir),
+                      "--stages", "1", "--warmup", "1", "--iters", "1"],
+            "eval": ["--pred", gt, "--gt", gt, "--pred", gt, "--gt", gt],
+        }[command]
+        assert dispatch([command, *inputs, "--jobs", "50000",
+                         "--out", str(tmp_path / "t")]) == 0
+        assert sizes == [2]
+        assert capsys.readouterr().out.count("\n") == 2
 
     @pytest.mark.parametrize("short", ["--pred-classes", "--gt-classes"])
     def test_classes_file_missing_an_instance_exit_2(self, scene_dir, tmp_path, capsys, short):

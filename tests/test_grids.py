@@ -336,3 +336,24 @@ class TestPointsCsv:
     def test_instance_ids_must_be_dense(self):
         with pytest.raises(GridError, match="1..K"):
             PointAnnotationSet((Point(0, 0, 1, 2),))
+
+
+class TestPointTables:
+    # Given out of id order: the set sorts by id, so row i is instance i's.
+    PTS = PointAnnotationSet((Point(7, 1, 2, 3), Point(0, 4, 1, 1), Point(5, 9, 3, 2)))
+
+    def test_class_table_is_indexed_by_id(self):
+        table = self.PTS.class_table()
+        assert table.dtype == np.int32
+        assert table.tolist() == [0, 1, 3, 2]
+        assert {i: int(table[i]) for i in (1, 2, 3)} == self.PTS.class_of()
+
+    def test_anchor_table_is_indexed_by_id(self):
+        table = self.PTS.anchor_table()
+        assert table.dtype == np.float64
+        assert table.tolist() == [[0.0, 0.0], [0.0, 4.0], [5.0, 9.0], [7.0, 1.0]]
+
+    def test_empty_set_has_only_the_background_row(self):
+        empty = PointAnnotationSet(())
+        assert empty.class_table().tolist() == [0]
+        assert empty.anchor_table().shape == (1, 2)

@@ -365,7 +365,7 @@ class TestBuildStageTargets:
         assert [r.message for r in caplog.records] == [
             "point (3, 3) ignored: class 2 region 1 has class 1"
         ]
-        assert [r.owner_points for r in targets.regions] == [(1,)]
+        assert targets.regions.owners == {1: (1,)}
 
 
 # ---------------------------------------------------------------- reference

@@ -16,7 +16,7 @@ from pointseg import (
     generate_scene,
     group_instances,
 )
-from pointseg.grids import connected_components
+from pointseg.grids import GridError, connected_components
 from pointseg.loop import build_stage_targets
 
 
@@ -30,27 +30,31 @@ def points(*specs):
 
 def matched(sem, pts):
     """The regions of `sem` with `pts` attached, as assign_points takes them."""
-    return attach_points(extract_regions(sem), pts, sem.shape)
+    return attach_points(extract_regions(sem), pts)
 
 
 class TestExtractRegions:
     def test_two_disjoint_blobs_same_class(self):
         sem = grid([[1, 0, 1], [1, 0, 1]])
         regions = extract_regions(sem)
-        assert len(regions) == 2
-        assert all(r.class_id == 1 for r in regions)
+        assert regions.labels.data.tolist() == [[1, 0, 2], [1, 0, 2]]
+        assert regions.classes.tolist() == [0, 1, 1]
 
     def test_adjacent_different_classes_split(self):
         sem = grid([[1, 2]])
         regions = extract_regions(sem)
-        assert [(r.class_id, len(r.pixels)) for r in regions] == [(1, 1), (2, 1)]
+        assert regions.labels.data.tolist() == [[1, 2]]
+        assert regions.classes.tolist() == [0, 1, 2]
 
     def test_background_only(self):
-        assert extract_regions(grid([[0, 0], [0, 0]])) == []
+        regions = extract_regions(grid([[0, 0], [0, 0]]))
+        assert (regions.labels.data == 0).all()
+        assert regions.classes.tolist() == [0]
+        assert regions.owners == {}
 
     def test_owner_points_start_empty(self):
         sem = grid([[1, 1]])
-        assert extract_regions(sem)[0].owner_points == ()
+        assert extract_regions(sem).owners == {}
 
 
 def argwhere_regions(semantic, connectivity):
@@ -72,44 +76,45 @@ class TestExtractRegionsMatchesArgwhereOracle:
             sem = LabelGrid(rng.integers(0, 4, size=(h, w)).astype(np.int32))
             regions = extract_regions(sem, connectivity)
             expected = argwhere_regions(sem, connectivity)
-            assert [r.region_id for r in regions] == list(range(1, len(expected) + 1))
-            assert [r.class_id for r in regions] == [c for c, _ in expected]
-            for region, (_, pixels) in zip(regions, expected):
-                assert region.pixels.dtype == np.int32
-                assert region.pixels.shape == pixels.shape
-                assert np.array_equal(region.pixels, pixels)
+            labels = regions.labels.data
+            assert labels.dtype == regions.classes.dtype == np.int32
+            assert labels.shape == sem.shape
+            assert regions.classes.tolist() == [0, *(c for c, _ in expected)]
+            assert np.array_equal(labels == 0, sem.data == 0)
+            for region_id, (_, pixels) in enumerate(expected, 1):
+                assert np.array_equal(np.argwhere(labels == region_id), pixels)
 
 
 class TestAssignPoints:
     def test_strip_split_by_nearest_point(self):
         sem = grid([[1, 1, 1, 1, 1]])
         pts = points((0, 1, 1, 1), (0, 4, 1, 2))
-        out = assign_points(matched(sem, pts), pts, (1, 5))
+        out = assign_points(matched(sem, pts), pts)
         assert out.data.tolist() == [[1, 1, 1, 2, 2]]
 
     def test_equidistant_tie_goes_to_lower_instance_id(self):
         sem = grid([[1, 1, 1]])
         pts = points((0, 0, 1, 1), (0, 2, 1, 2))
-        out = assign_points(matched(sem, pts), pts, (1, 3))
+        out = assign_points(matched(sem, pts), pts)
         assert out.data[0, 1] == 1
 
     def test_single_point_takes_whole_region(self):
         sem = grid([[1, 1], [1, 1]])
         pts = points((0, 0, 1, 1))
-        out = assign_points(matched(sem, pts), pts, (2, 2))
+        out = assign_points(matched(sem, pts), pts)
         assert (out.data == 1).all()
 
     def test_pointless_region_becomes_background(self):
         sem = grid([[1, 1, 0, 2]])
         pts = points((0, 0, 1, 1))
-        out = assign_points(matched(sem, pts), pts, (1, 4))
+        out = assign_points(matched(sem, pts), pts)
         assert out.data.tolist() == [[1, 1, 0, 0]]
 
     def test_class_mismatch_treated_as_uncontained(self, caplog):
         sem = grid([[2, 2]])
         pts = points((0, 0, 1, 1))
         with caplog.at_level("WARNING"):
-            out = assign_points(matched(sem, pts), pts, (1, 2))
+            out = assign_points(matched(sem, pts), pts)
         assert (out.data == 0).all()
         assert any("ignored" in r.message for r in caplog.records)
 
@@ -124,15 +129,16 @@ class TestAssignPoints:
             sem = LabelGrid(mask.astype(np.int32))
             regions = extract_regions(sem, 8)
             # pick one region and scatter 2-4 points inside it
-            region = regions[int(rng.integers(len(regions)))]
-            k = min(len(region.pixels), int(rng.integers(2, 5)))
-            chosen = region.pixels[rng.choice(len(region.pixels), k, replace=False)]
+            region_id = 1 + int(rng.integers(len(regions.classes) - 1))
+            pixels = np.argwhere(regions.labels.data == region_id)
+            k = min(len(pixels), int(rng.integers(2, 5)))
+            chosen = pixels[rng.choice(len(pixels), k, replace=False)]
             pts = PointAnnotationSet(
                 tuple(Point(int(y), int(x), 1, i + 1) for i, (y, x) in enumerate(chosen))
             )
-            out = assign_points(attach_points(regions, pts, (h, w)), pts, (h, w))
+            out = assign_points(attach_points(regions, pts), pts)
             # brute force restricted to that region
-            for (y, x) in region.pixels:
+            for (y, x) in pixels:
                 d2 = [(y - p.y) ** 2 + (x - p.x) ** 2 for p in pts]
                 best = int(np.argmin(d2)) + 1
                 assert out.data[y, x] == best
@@ -142,8 +148,26 @@ class TestAttachPoints:
     def test_conflict_region_lists_both_owners(self):
         sem = grid([[1, 1, 1]])
         pts = points((0, 0, 1, 1), (0, 2, 1, 2))
-        regions = attach_points(extract_regions(sem), pts, (1, 3))
-        assert regions[0].owner_points == (1, 2)
+        regions = attach_points(extract_regions(sem), pts)
+        assert regions.owners == {1: (1, 2)}
+
+    def test_ignored_point_names_its_region(self, caplog):
+        # Regions 1 and 2 are class 1, region 3 is class 2. Point 2 (class 1)
+        # sits in region 3, so the warning names region 3 and its class, and
+        # point 2 owns nothing; point 3 lies on background.
+        sem = grid([[1, 0, 1], [0, 0, 0], [2, 2, 0]])
+        pts = points((0, 2, 1, 1), (2, 1, 1, 2), (1, 1, 2, 3))
+        with caplog.at_level("WARNING"):
+            regions = attach_points(extract_regions(sem, 4), pts)
+        assert [r.getMessage() for r in caplog.records] == [
+            "point (2, 1) ignored: class 1 region 3 has class 2"
+        ]
+        assert regions.owners == {2: (1,)}
+        assert assign_points(regions, pts).data.tolist() == [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+
+    def test_point_outside_the_grid_rejected(self):
+        with pytest.raises(GridError, match="outside 1x3 grid"):
+            attach_points(extract_regions(grid([[1, 1, 1]])), points((0, 3, 1, 1)))
 
 
 class TestComputeOffsetField:
@@ -200,8 +224,7 @@ class TestGroupInstances:
         regions = matched(sem, pts)
         vectors = np.zeros((1, 6, 2))
         vectors[0, 1] = (0.0, 4.0)
-        out = group_instances(offsets_of(vectors), assign_points(regions, pts, (1, 6)),
-                              regions, pts)
+        out = group_instances(offsets_of(vectors), assign_points(regions, pts), regions, pts)
         assert out.data[0, 1] == 2
 
     def test_shared_region_splits_by_vote_not_position(self):
@@ -210,7 +233,7 @@ class TestGroupInstances:
         sem = grid([[1] * 12] * 3)
         pts = points((1, 2, 1, 1), (1, 9, 1, 2))
         regions = matched(sem, pts)
-        initial = assign_points(regions, pts, (3, 12))
+        initial = assign_points(regions, pts)
         assert initial.data[0].tolist() == [1] * 6 + [2] * 6
         vectors = np.zeros((3, 12, 2))
         vectors[:, :, 1] = 3.0
