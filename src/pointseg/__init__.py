@@ -59,7 +59,6 @@ from .metrics import (
     MatchReport,
     ap_report,
     greedy_match,
-    mask_iou,
 )
 from .s2i import (
     Regions,

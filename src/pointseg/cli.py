@@ -491,6 +491,10 @@ def _cmd_train(argv: list[str]) -> int:
     mdm_cfg = _mdm_config(opt)
     jobs = opt.pop("jobs")  # the rest is the manifest's echo
 
+    names = [Path(p).name for p in args.scene]
+    clash = sorted({n for n in names if names.count(n) > 1})
+    if clash:  # each scene writes to --out/<basename>
+        raise CliUsageError(f"--scene directories share the basename {clash[0]!r}")
     out_root = Path(args.out)
     tasks = []
     for scene_path in args.scene:

@@ -204,6 +204,10 @@ class PointAnnotationSet:
     def class_of(self) -> dict[int, int]:
         return {p.instance_id: p.class_id for p in self.points}
 
+    def ids_without_points(self, grid: LabelGrid) -> list[int]:
+        """Sorted ids of `grid` that no point names: ids are 1..K, so those above K."""
+        return [int(i) for i in np.unique(grid.data[grid.data > len(self.points)])]
+
     def validate_on(self, height: int, width: int) -> None:
         for p in self.points:
             if not (0 <= p.y < height and 0 <= p.x < width):

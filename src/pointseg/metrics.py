@@ -1,8 +1,14 @@
-"""Pseudo-label quality metrics: IoU, greedy matching, and average precision."""
+"""Pseudo-label quality metrics: greedy matching and average precision.
+
+Both metrics read one overlap table. `_overlaps` counts every (pred id, gt id)
+pixel pair in a single pass over the grids and turns the counts into a
+(P, G) IoU table. `_claim` is the one greedy claim that matching and each
+AP threshold run on that table; no metric builds a per-instance mask.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -12,7 +18,6 @@ from .grids import LabelGrid
 __all__ = [
     "MatchReport",
     "ApReport",
-    "mask_iou",
     "greedy_match",
     "ap_report",
 ]
@@ -43,20 +48,53 @@ class ApReport:
     map75: float
 
 
-def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union of two boolean masks on one grid."""
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
-    if a.shape != b.shape:
-        raise EvalError("masks must share a grid")
-    union = np.logical_or(a, b).sum()
-    if union == 0:
-        raise EvalError("IoU undefined for two empty masks")
-    return float(np.logical_and(a, b).sum() / union)
+def _overlaps(pred: LabelGrid, gt: LabelGrid) -> tuple[np.ndarray, ...]:
+    """(pred ids, gt ids, pred areas, (P, G) IoU table), ids sorted, foreground only.
+
+    One np.unique over joint int64 keys pred * (max gt id + 1) + gt counts
+    every pixel pair; ids may reach the int32 maximum, so nothing is sized
+    by the largest id.
+    """
+    if pred.shape != gt.shape:
+        raise EvalError("pred/gt shape mismatch")
+    base = int(gt.data.max()) + 1
+    keys = pred.data.astype(np.int64)
+    keys *= base  # in place: one int64 grid at a time
+    keys += gt.data
+    keys, counts = np.unique(keys, return_counts=True)
+    pred_ids, p_at = np.unique(keys // base, return_inverse=True)
+    gt_ids, g_at = np.unique(keys % base, return_inverse=True)
+    inter = np.zeros((len(pred_ids), len(gt_ids)), dtype=np.int64)
+    inter[p_at, g_at] = counts
+    p_fg, g_fg = pred_ids > 0, gt_ids > 0
+    # Row and column sums count background too, so they are the full areas.
+    p_area, g_area = inter.sum(axis=1)[p_fg], inter.sum(axis=0)[g_fg]
+    inter = inter[np.ix_(p_fg, g_fg)]
+    iou = inter / (p_area[:, None] + g_area[None, :] - inter)
+    return pred_ids[p_fg], gt_ids[g_fg], p_area, iou
 
 
-def _instance_masks(grid: LabelGrid) -> dict[int, np.ndarray]:
-    return {i: grid.data == i for i in grid.ids()}
+def _claim(iou: np.ndarray, order: np.ndarray, threshold: float) -> np.ndarray:
+    """Greedy one-to-one claim on an IoU table, one entry per row of `order`.
+
+    Each row, in order, takes the unclaimed column with the highest IoU that
+    is > 0 and >= threshold, ties to the lowest column; -1 if none qualifies.
+    """
+    claims = np.full(len(order), -1)
+    free = np.ones(iou.shape[1], dtype=bool)
+    for k, row in enumerate(order):
+        open_iou = np.where(free & (iou[row] >= threshold), iou[row], 0.0)
+        if open_iou.any():
+            claims[k] = col = int(np.argmax(open_iou))
+            free[col] = False
+    return claims
+
+
+def _class_column(ids: np.ndarray, classes: Mapping[int, int], side: str) -> np.ndarray:
+    missing = [int(i) for i in ids if int(i) not in classes]
+    if missing:
+        raise EvalError(f"{side} instance ids {missing} have no class in the {side} class map")
+    return np.array([classes[int(i)] for i in ids])
 
 
 def greedy_match(
@@ -71,90 +109,43 @@ def greedy_match(
     Predictions are visited by descending size, then ascending id, size
     standing in for confidence. Each claims the unmatched
     ground-truth instance (same class when class_aware) with the highest
-    positive IoU, ties to the lowest gt id.
+    positive IoU, ties to the lowest gt id. With class_aware, every id of
+    either grid needs a class in its side's map.
     """
-    if pred.shape != gt.shape:
-        raise EvalError("pred/gt shape mismatch")
-    if class_aware and (pred_classes is None or gt_classes is None):
-        raise EvalError("class-aware matching needs class maps for both sides")
-    pred_masks = _instance_masks(pred)
-    gt_masks = _instance_masks(gt)
-    order = sorted(pred_masks, key=lambda i: (-int(pred_masks[i].sum()), i))
-    ious = {g: 0.0 for g in gt_masks}
-    matches: dict[int, int | None] = {g: None for g in gt_masks}
-    taken: set[int] = set()
-    for p in order:
-        best_gt, best_iou = None, 0.0
-        for g in sorted(gt_masks):
-            if g in taken:
-                continue
-            if class_aware and pred_classes[p] != gt_classes[g]:
-                continue
-            iou = mask_iou(pred_masks[p], gt_masks[g])
-            if iou > best_iou:
-                best_gt, best_iou = g, iou
-        if best_gt is not None:
-            taken.add(best_gt)
-            ious[best_gt] = best_iou
-            matches[best_gt] = p
+    pred_ids, gt_ids, p_area, iou = _overlaps(pred, gt)
+    if class_aware:
+        if pred_classes is None or gt_classes is None:
+            raise EvalError("class-aware matching needs class maps for both sides")
+        pc = _class_column(pred_ids, pred_classes, "pred")
+        gc = _class_column(gt_ids, gt_classes, "gt")
+        iou = np.where(pc[:, None] == gc[None, :], iou, 0.0)
+    order = np.lexsort((pred_ids, -p_area))
+    ious = {int(g): 0.0 for g in gt_ids}
+    matches: dict[int, int | None] = {int(g): None for g in gt_ids}
+    for row, col in zip(order, _claim(iou, order, 0.0)):
+        if col >= 0:
+            ious[int(gt_ids[col])] = float(iou[row, col])
+            matches[int(gt_ids[col])] = int(pred_ids[row])
     counts = {t: sum(1 for v in ious.values() if v > t) for t in MATCH_THRESHOLDS}
     overall = 100.0 * (sum(ious.values()) / len(ious)) if ious else 0.0
     return MatchReport(ious=ious, matches=matches, counts=counts, overall_iou=overall)
 
 
-def _ap_single_class(
-    preds: list[tuple[np.ndarray, float, int]],
-    gts: list[np.ndarray],
-    iou_threshold: float,
-) -> float:
-    """All-point-interpolated AP for one class; preds as (mask, score, id)."""
-    if not gts:
+def _ap_single_class(iou: np.ndarray, rows: np.ndarray, iou_threshold: float) -> float:
+    """All-point-interpolated AP of one class: `iou` holds its gt columns,
+    `rows` its predictions in confidence order."""
+    if iou.shape[1] == 0:
         return 0.0
-    if not preds:
-        return 0.0
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i][1], preds[i][2]))
-    taken: set[int] = set()
-    tp = np.zeros(len(order))
-    for rank, idx in enumerate(order):
-        mask = preds[idx][0]
-        best_g, best_iou = None, 0.0
-        for g, gmask in enumerate(gts):
-            if g in taken:
-                continue
-            iou = mask_iou(mask, gmask)
-            if iou >= iou_threshold and iou > best_iou:
-                best_g, best_iou = g, iou
-        if best_g is not None:
-            taken.add(best_g)
-            tp[rank] = 1.0
+    tp = (_claim(iou, rows, iou_threshold) >= 0).astype(np.float64)
     cum_tp = np.cumsum(tp)
-    recall = cum_tp / len(gts)
-    precision = cum_tp / np.arange(1, len(order) + 1)
+    recall = cum_tp / iou.shape[1]
+    precision = cum_tp / np.arange(1, len(rows) + 1)
     # Precision envelope, then the area under the step curve.
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     ap = 0.0
-    prev_r = 0.0
-    for r, p in zip(recall, envelope):
-        ap += (r - prev_r) * p
-        prev_r = r
+    for step, p in zip(np.diff(recall, prepend=0.0), envelope):
+        ap += step * p
     return float(ap)
-
-
-def _per_class_ap(
-    preds: Sequence[tuple[np.ndarray, float, int]],
-    gts: Sequence[tuple[np.ndarray, int]],
-    iou_threshold: float,
-) -> dict[int, float]:
-    """AP of every class on either side, in class order; preds tie by index."""
-    classes = sorted({c for _, _, c in preds} | {c for _, c in gts})
-    return {
-        c: _ap_single_class(
-            [(mask, score, i) for i, (mask, score, pc) in enumerate(preds) if pc == c],
-            [mask for mask, gc in gts if gc == c],
-            iou_threshold,
-        )
-        for c in classes
-    }
 
 
 def ap_report(
@@ -169,17 +160,14 @@ def ap_report(
     predictions but no ground truth contributes AP 0. An instance that its
     side's class map does not list, or that has no class map, is class 1.
     """
-    pred_masks = _instance_masks(pred)
-    gt_masks = _instance_masks(gt)
-    get_pc = (pred_classes or {}).get
-    get_gc = (gt_classes or {}).get
-    preds = [
-        (mask, float(mask.sum()), get_pc(i, 1))
-        for i, mask in sorted(pred_masks.items())
+    pred_ids, gt_ids, p_area, iou = _overlaps(pred, gt)
+    pc = np.array([(pred_classes or {}).get(int(i), 1) for i in pred_ids], dtype=np.int64)
+    gc = np.array([(gt_classes or {}).get(int(i), 1) for i in gt_ids], dtype=np.int64)
+    order = np.lexsort((pred_ids, -p_area))
+    per_class = [(iou[:, gc == c], order[pc[order] == c]) for c in sorted(set(pc) | set(gc))]
+    maps = [
+        float(np.mean([_ap_single_class(cols, rows, t) for cols, rows in per_class]))
+        if per_class else 0.0
+        for t in AP_THRESHOLDS
     ]
-    gts = [(mask, get_gc(i, 1)) for i, mask in sorted(gt_masks.items())]
-    maps = {}
-    for t in AP_THRESHOLDS:
-        table = _per_class_ap(preds, gts, t)
-        maps[t] = float(np.mean(list(table.values()))) if table else 0.0
-    return ApReport(map50=maps[0.5], map70=maps[0.7], map75=maps[0.75])
+    return ApReport(*maps)

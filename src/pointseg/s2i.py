@@ -123,9 +123,9 @@ def assign_points(regions: Regions, points: PointAnnotationSet) -> LabelGrid:
 
 
 def _require_points(instances: LabelGrid, points: PointAnnotationSet) -> None:
-    orphan = set(instances.ids()) - {p.instance_id for p in points}
+    orphan = points.ids_without_points(instances)
     if orphan:
-        raise PipelineError(f"instance ids without annotation points: {sorted(orphan)}")
+        raise PipelineError(f"instance ids without annotation points: {orphan}")
 
 
 def class_grid_from_instances(instances: LabelGrid, points: PointAnnotationSet) -> LabelGrid:

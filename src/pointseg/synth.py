@@ -61,7 +61,7 @@ class Scene:
         top = max((p.class_id for p in self.points), default=0)
         if top > self.n_classes:
             raise SceneError(f"point class {top} exceeds the scene's {self.n_classes} classes")
-        unpointed = sorted(set(self.gt_instances.ids()) - self.points.class_of().keys())
+        unpointed = self.points.ids_without_points(self.gt_instances)
         if unpointed:
             raise SceneError(f"gt instance ids {unpointed} have no annotated point")
 
@@ -351,6 +351,10 @@ def corrupt_semantic(scene: Scene, cfg: CorruptionConfig) -> LabelGrid:
 
 def _interior_depth(mask: np.ndarray) -> np.ndarray:
     """Peeling depth per pixel: boundary layer is 1, deeper layers count up."""
+    if mask.all():
+        # The grid edge is not background, so only a mask filling the grid
+        # never peels: every other mask touches background and loses a layer.
+        return np.ones(mask.shape, dtype=np.float64)
     depth = np.zeros(mask.shape, dtype=np.float64)
     current = mask.copy()
     level = 0

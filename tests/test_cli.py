@@ -254,6 +254,18 @@ class TestTrainEvalCli:
         assert f"--jobs must be >= 1, got {jobs}" in err and err.count("\n") == 1
         assert not (tmp_path / "t").exists()
 
+    def test_scenes_sharing_a_basename_exit_1(self, scene_dir, tmp_path, capsys):
+        # Both would write into --out/scene_3, and under --jobs 2 they would race.
+        for parent in ("a", "b"):
+            shutil.copytree(scene_dir, tmp_path / parent / "scene_3")
+        code = dispatch(["train", "--scene", str(tmp_path / "a" / "scene_3"),
+                         "--scene", str(tmp_path / "b" / "scene_3"), "--jobs", "2",
+                         "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "share the basename 'scene_3'" in err and err.count("\n") == 1
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_pool_has_no_more_workers_than_tasks(
         self, scene_dir, tmp_path, monkeypatch, capsys, command
@@ -278,8 +290,10 @@ class TestTrainEvalCli:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
         gt = str(scene_dir / "gt_instances.pgm")
+        # Two scenes with distinct basenames: a shared one is a usage error.
+        scenes = [shutil.copytree(scene_dir, tmp_path / name) for name in ("s1", "s2")]
         inputs = {
-            "train": ["--scene", str(scene_dir), "--scene", str(scene_dir),
+            "train": ["--scene", str(scenes[0]), "--scene", str(scenes[1]),
                       "--stages", "1", "--warmup", "1", "--iters", "1"],
             "eval": ["--pred", gt, "--gt", gt, "--pred", gt, "--gt", gt],
         }[command]

@@ -357,3 +357,9 @@ class TestPointTables:
         empty = PointAnnotationSet(())
         assert empty.class_table().tolist() == [0]
         assert empty.anchor_table().shape == (1, 2)
+
+    def test_ids_without_points_are_the_ids_above_k(self):
+        grid = LabelGrid(np.array([[0, 1, 5], [3, 2, 9], [5, 0, 4]], dtype=np.int32))
+        assert self.PTS.ids_without_points(grid) == [4, 5, 9]
+        assert self.PTS.ids_without_points(LabelGrid(np.array([[0, 3, 1]]))) == []
+        assert PointAnnotationSet(()).ids_without_points(grid) == [1, 2, 3, 4, 5, 9]

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pointseg
 from pointseg import (
     CorruptionConfig,
     LabelGrid,
@@ -78,6 +85,13 @@ class TestGenerateScene:
         with pytest.raises(SceneError, match=message):
             generate_scene(*args, 2, 3)
 
+    def test_rejects_gt_instance_without_a_point(self):
+        sc = generate_scene(3, 32, 32, 2, 3)
+        data = sc.gt_instances.data.copy()
+        data[0, 0], data[0, 1] = 7, 4
+        with pytest.raises(SceneError, match=r"gt instance ids \[4, 7\] have no annotated point"):
+            replace(sc, gt_instances=LabelGrid(data))
+
 
 class TestCorruptSemantic:
     def test_zero_config_is_identity(self):
@@ -147,6 +161,22 @@ class TestPickPoints:
         grid[0, 0] = 2
         with pytest.raises(SceneError, match="dense"):
             pick_points(LabelGrid(grid), 0, LabelGrid(grid))
+
+    def test_instance_filling_the_grid(self):
+        # Run apart with a timeout: peeling a mask that never erodes used to
+        # loop forever, and a hang must fail the test, not stall the suite.
+        code = (
+            "import numpy as np; from pointseg import LabelGrid, pick_points; "
+            "g = LabelGrid(np.ones((4, 4), np.int32)); "
+            "print(pick_points(g, 0, g).points[0])"
+        )
+        src = Path(pointseg.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "instance_id=1" in done.stdout
 
 
 class TestFeaturesFromSemantic:
