@@ -99,18 +99,17 @@ class CorruptionConfig:
 
 
 def _shift_or(mask: np.ndarray) -> np.ndarray:
-    """One 8-neighborhood dilation step."""
-    out = mask.copy()
-    h, w = mask.shape
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            ys = slice(max(dy, 0), h + min(dy, 0))
-            xs = slice(max(dx, 0), w + min(dx, 0))
-            ys_src = slice(max(-dy, 0), h + min(-dy, 0))
-            xs_src = slice(max(-dx, 0), w + min(-dx, 0))
-            out[ys, xs] |= mask[ys_src, xs_src]
+    """One 8-neighborhood dilation step: a 3-wide OR along rows, then along
+    columns. Pixels beyond the array count as False, so a crop steps as the
+    whole grid does if each side keeps a margin the mask does not reach or
+    ends at the grid edge, which erosion (`~_shift_or(~m)`) treats as inside.
+    """
+    row = mask.copy()
+    row[:, 1:] |= mask[:, :-1]
+    row[:, :-1] |= mask[:, 1:]
+    out = row.copy()
+    out[1:] |= row[:-1]
+    out[:-1] |= row[1:]
     return out
 
 
@@ -126,16 +125,13 @@ def _erode(mask: np.ndarray, n: int) -> np.ndarray:
     return mask
 
 
-def _rasterize(kind: str, y0: int, x0: int, sy: int, sx: int, h: int, w: int) -> np.ndarray:
-    mask = np.zeros((h, w), dtype=bool)
+def _rasterize(kind: str, sy: int, sx: int) -> np.ndarray:
+    """The shape on its own sy x sx box; an ellipse never leaves its box."""
     if kind == "rect":
-        mask[y0 : y0 + sy, x0 : x0 + sx] = True
-    else:
-        cy, cx = y0 + (sy - 1) / 2.0, x0 + (sx - 1) / 2.0
-        ry, rx = sy / 2.0, sx / 2.0
-        yy, xx = np.mgrid[0:h, 0:w]
-        mask = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
-    return mask
+        return np.ones((sy, sx), dtype=bool)
+    yy, xx = np.ogrid[0:sy, 0:sx]
+    cy, cx, ry, rx = (sy - 1) / 2.0, (sx - 1) / 2.0, sy / 2.0, sx / 2.0
+    return ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
 
 
 def generate_scene(
@@ -202,6 +198,7 @@ def _generate_scene_once(
     boxes: list[tuple[int, int, int, int]] = []  # (y0, x0, sy, sx) per instance
     for inst in range(1, n_instances + 1):
         b_lo, b_hi = size_band[inst - 1]
+        before = np.bincount(instances.ravel(), minlength=inst + 1)
         placed = False
         for attempt in range(_PLACEMENT_TRIES):
             sy = int(rng.integers(b_lo, b_hi + 1))
@@ -228,18 +225,16 @@ def _generate_scene_once(
                 y0 = int(rng.integers(0, h - sy + 1))
                 x0 = int(rng.integers(0, w - sx + 1))
             kind = shape_kind if shape_kind != "mixed" else ("rect", "ellipse")[int(rng.integers(2))]
-            mask = _rasterize(kind, y0, x0, sy, sx, h, w)
+            mask = _rasterize(kind, sy, sx)
             if mask.sum() < _MIN_NEW_PIXELS:
                 continue
             # Partial occlusion is allowed (it exercises same-class adjacency)
             # but no earlier instance may lose more than a cap of its pixels.
-            before = np.bincount(instances.ravel(), minlength=inst + 1)
-            candidate = instances.copy()
-            candidate[mask] = inst
-            after = np.bincount(candidate.ravel(), minlength=inst + 1)
+            box = instances[y0 : y0 + sy, x0 : x0 + sx]
+            after = before - np.bincount(box[mask], minlength=inst + 1)
             prev = slice(1, inst)
             if np.all(after[prev] >= np.ceil((1.0 - _MAX_OCCLUDED_FRACTION) * before[prev])):
-                instances = candidate
+                box[mask] = inst
                 boxes.append((y0, x0, sy, sx))
                 placed = True
                 break
@@ -268,14 +263,11 @@ def _generate_scene_once(
 def _assemble_features(
     semantic: LabelGrid, n_classes: int, h: int, w: int, intensity: np.ndarray
 ) -> np.ndarray:
-    one_hot = np.zeros((h, w, n_classes + 1), dtype=np.float64)
-    yy, xx = np.mgrid[0:h, 0:w]
-    one_hot[yy, xx, semantic.data] = 1.0
-    norm_y = yy / max(h - 1, 1)
-    norm_x = xx / max(w - 1, 1)
-    feats = np.concatenate(
-        [one_hot, norm_y[:, :, None], norm_x[:, :, None], intensity[:, :, None]], axis=2
-    )
+    feats = np.empty((h, w, n_classes + 1 + FEATURE_EXTRA_CHANNELS), dtype=np.float64)
+    feats[:, :, : n_classes + 1] = semantic.data[:, :, None] == np.arange(n_classes + 1)
+    feats[:, :, -3] = (np.arange(h) / max(h - 1, 1))[:, None]
+    feats[:, :, -2] = np.arange(w) / max(w - 1, 1)
+    feats[:, :, -1] = intensity
     feats.setflags(write=False)
     return feats
 
@@ -341,7 +333,7 @@ def corrupt_semantic(scene: Scene, cfg: CorruptionConfig) -> LabelGrid:
         winner = np.argmin(dists, axis=0) + 1  # ties go to the lower class id
         out[contested] = winner[contested]
 
-    if cfg.flip_rate > 0.0:
+    if cfg.flip_rate > 0.0 and n_classes > 0:  # with no foreground there is no class to flip to
         rng = np.random.default_rng(cfg.rng_seed)
         flip = rng.random((h, w)) < cfg.flip_rate
         bump = rng.integers(1, n_classes + 1, size=(h, w))
@@ -352,7 +344,7 @@ def corrupt_semantic(scene: Scene, cfg: CorruptionConfig) -> LabelGrid:
 def _interior_depth(mask: np.ndarray) -> np.ndarray:
     """Peeling depth per pixel: boundary layer is 1, deeper layers count up."""
     if mask.all():
-        # The grid edge is not background, so only a mask filling the grid
+        # The grid edge is not background, so only a mask filling its array
         # never peels: every other mask touches background and loses a layer.
         return np.ones(mask.shape, dtype=np.float64)
     depth = np.zeros(mask.shape, dtype=np.float64)
@@ -374,6 +366,8 @@ def pick_points(
 
     Each point is a seeded draw over the region's pixels, weighted toward the
     interior the way human clicks are; every region pixel stays possible.
+    The peel runs on the instance's box plus a 1-pixel background margin,
+    clipped to the grid, where the grid edge stops it as on the whole grid.
     """
     ids = gt_instances.ids()
     if ids != list(range(1, len(ids) + 1)):
@@ -381,9 +375,10 @@ def pick_points(
     rng = np.random.default_rng(seed)
     pts = []
     for inst in ids:
-        mask = gt_instances.data == inst
-        pix = np.argwhere(mask)
-        weights = _interior_depth(mask)[pix[:, 0], pix[:, 1]] ** 2
+        pix = np.argwhere(gt_instances.data == inst)
+        (y0, x0), (y1, x1) = np.maximum(pix.min(axis=0) - 1, 0), pix.max(axis=0) + 2
+        depth = _interior_depth(gt_instances.data[y0:y1, x0:x1] == inst)
+        weights = depth[pix[:, 0] - y0, pix[:, 1] - x0] ** 2
         y, x = pix[int(rng.choice(len(pix), p=weights / weights.sum()))]
         pts.append(Point(int(y), int(x), int(semantic.data[y, x]), inst))
     return PointAnnotationSet(tuple(pts))

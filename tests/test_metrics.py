@@ -381,6 +381,15 @@ class TestAveragePrecision:
         pred[3:6, 3:6] = 2
         assert ap_report(LabelGrid(pred), LabelGrid(gt)).map50 == pytest.approx(0.5)
 
+    def test_step_curve_sums_in_rank_order(self):
+        # Ranked by size: TP, TP, FP, TP over 3 gt instances. The steps sum
+        # 1/3 + 1/3 + 0 + 1/3 * 0.75 to 11/12 in rank order; in reverse order
+        # the float comes out one ulp lower, 0.9166666666666665.
+        gt = grid([[1] * 8, [2] * 7 + [0], [0] * 8, [3] * 5 + [0] * 3])
+        pred = grid([[1] * 8, [2] * 7 + [0], [3] * 6 + [0] * 2, [4] * 5 + [0] * 3])
+        report = ap_report(pred, gt)
+        assert report.map50 == report.map70 == report.map75 == 0.9166666666666666
+
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(15)
         for _ in range(20):

@@ -11,12 +11,18 @@ import pointseg
 from pointseg import (
     CorruptionConfig,
     LabelGrid,
+    Point,
+    PointAnnotationSet,
+    Scene,
     SceneError,
     corrupt_semantic,
     features_from_semantic,
     generate_scene,
     pick_points,
+    synth,
 )
+from pointseg.cli import dispatch, fnv1a64
+from pointseg.grids import encode_label_pgm
 
 
 def scenes_equal(a, b):
@@ -133,6 +139,18 @@ class TestCorruptSemantic:
         cfg = CorruptionConfig(dilation_px=2, merge_adjacent=True, flip_rate=0.02, rng_seed=9)
         assert np.array_equal(corrupt_semantic(sc, cfg).data, corrupt_semantic(sc, cfg).data)
 
+    def test_no_foreground_returns_the_map_unflipped(self):
+        # With no class in the scene there is none to flip to; this was a
+        # bare NumPy "low >= high" from rng.integers(1, 1).
+        zeros = LabelGrid(np.zeros((32, 32), dtype=np.int32))
+        sc = Scene(zeros, zeros, PointAnnotationSet(()), np.zeros((32, 32, 5)))
+        for cfg in (
+            CorruptionConfig(flip_rate=0.5, rng_seed=3),
+            CorruptionConfig(dilation_px=2, merge_adjacent=True, flip_rate=0.02, rng_seed=101),
+        ):
+            out = corrupt_semantic(sc, cfg)
+            assert out.data.dtype == np.int32 and not out.data.any()
+
     def test_invalid_config(self):
         with pytest.raises(SceneError):
             CorruptionConfig(flip_rate=1.0)
@@ -191,3 +209,198 @@ class TestFeaturesFromSemantic:
         sc = generate_scene(31, 32, 32, 2, 3)
         with pytest.raises(SceneError):
             features_from_semantic(sc, LabelGrid(np.zeros((16, 16), dtype=np.int32)))
+
+
+class TestSynthDigests:
+    """The five data files `pointseg synth` writes at its defaults, and the
+    erosion-first corruption the defaults never reach, pinned by digest. A
+    change that moves any of them must update the digest and say why."""
+
+    FILES = ("gt_instances.pgm", "gt_semantic.pgm", "semantic_in.pgm", "points.csv",
+             "features.mdmt")
+    SYNTH = {
+        (100, 64): (0x4FBCA53EB7D6E8A4, 0xF7C52B3CC0720AC4, 0x7187ABE2A05F823A,
+                    0xE186212DB320984E, 0x2E98269791E20941),
+        (101, 64): (0xC2803DEB95811DF4, 0xFF81C61CC9FC2508, 0x7E670F0D565A7AC5,
+                    0x61987C0D30EC1C2B, 0xC46AE1E1C0C90539),
+        (102, 64): (0x5DD06A2B6702B2A8, 0x30FABD6844CA3AD9, 0x21D5E6BAB2E79523,
+                    0xBF75A203C5A67561, 0x80B95D54DB56D18C),
+        (100, 256): (0x5CF26A500104CD56, 0xD7A51DA9C4D270FE, 0x906B92C2415E0CA6,
+                     0xF8BF2879C8F0DD24, 0xAB80C2851DC5A11D),
+    }
+    ERODED_64 = {100: 0xD37D024119C450B9, 101: 0xDCB71FA8D8DCD06E, 102: 0xA2EB59F2A964204B}
+
+    @pytest.mark.parametrize("seed,size", sorted(SYNTH))
+    def test_synth_files(self, tmp_path, seed, size):
+        assert dispatch(["synth", "--out", str(tmp_path), "--seed", str(seed),
+                         "--height", str(size), "--width", str(size)]) == 0
+        scene = tmp_path / f"scene_{seed:08d}"
+        digests = tuple(fnv1a64((scene / name).read_bytes()) for name in self.FILES)
+        assert digests == self.SYNTH[seed, size], [f"{d:016x}" for d in digests]
+
+    @pytest.mark.parametrize("seed", sorted(ERODED_64))
+    def test_erosion_without_merge(self, seed):
+        sc = generate_scene(seed, 64, 64, 5, 3)
+        cfg = CorruptionConfig(dilation_px=2, erosion_px=2, merge_adjacent=False,
+                               flip_rate=0.02, rng_seed=seed + 1)
+        digest = fnv1a64(encode_label_pgm(corrupt_semantic(sc, cfg)))
+        assert digest == self.ERODED_64[seed], f"{digest:016x}"
+
+
+# The whole-grid helpers that the box-local code replaced: eight shifted ORs
+# per dilation step, the peel over the whole grid, the shape rasterized on
+# the whole grid and the one-hot by fancy indexing. They are the oracles the
+# box-local code must equal exactly.
+
+
+def oracle_shift_or(mask):
+    out = mask.copy()
+    h, w = mask.shape
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy == 0 and dx == 0:
+                continue
+            ys = slice(max(dy, 0), h + min(dy, 0))
+            xs = slice(max(dx, 0), w + min(dx, 0))
+            ys_src = slice(max(-dy, 0), h + min(-dy, 0))
+            xs_src = slice(max(-dx, 0), w + min(-dx, 0))
+            out[ys, xs] |= mask[ys_src, xs_src]
+    return out
+
+
+def oracle_interior_depth(mask):
+    if mask.all():
+        return np.ones(mask.shape, dtype=np.float64)
+    depth = np.zeros(mask.shape, dtype=np.float64)
+    current = mask.copy()
+    level = 0
+    while current.any():
+        level += 1
+        core = ~oracle_shift_or(~current)
+        depth[current & ~core] = level
+        current = core
+    return depth
+
+
+def oracle_pick_points(gt_instances, seed, semantic):
+    rng = np.random.default_rng(seed)
+    pts = []
+    for inst in gt_instances.ids():
+        mask = gt_instances.data == inst
+        pix = np.argwhere(mask)
+        weights = oracle_interior_depth(mask)[pix[:, 0], pix[:, 1]] ** 2
+        y, x = pix[int(rng.choice(len(pix), p=weights / weights.sum()))]
+        pts.append(Point(int(y), int(x), int(semantic.data[y, x]), inst))
+    return PointAnnotationSet(tuple(pts))
+
+
+def oracle_rasterize(kind, y0, x0, sy, sx, h, w):
+    mask = np.zeros((h, w), dtype=bool)
+    if kind == "rect":
+        mask[y0 : y0 + sy, x0 : x0 + sx] = True
+    else:
+        cy, cx = y0 + (sy - 1) / 2.0, x0 + (sx - 1) / 2.0
+        ry, rx = sy / 2.0, sx / 2.0
+        yy, xx = np.mgrid[0:h, 0:w]
+        mask = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+    return mask
+
+
+def oracle_features(semantic, n_classes, intensity):
+    h, w = semantic.shape
+    one_hot = np.zeros((h, w, n_classes + 1), dtype=np.float64)
+    yy, xx = np.mgrid[0:h, 0:w]
+    one_hot[yy, xx, semantic] = 1.0
+    norm_y = yy / max(h - 1, 1)
+    norm_x = xx / max(w - 1, 1)
+    return np.concatenate(
+        [one_hot, norm_y[:, :, None], norm_x[:, :, None], intensity[:, :, None]], axis=2
+    )
+
+
+SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (3, 7), (7, 3), (12, 12), (17, 23)]
+
+
+def edge_masks(h, w):
+    """Masks on an h x w grid: empty, full, single pixels at the corners and
+    centre, and a block against each grid edge."""
+    masks = [np.zeros((h, w), dtype=bool), np.ones((h, w), dtype=bool)]
+    for y, x in [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1), (h // 2, w // 2)]:
+        m = np.zeros((h, w), dtype=bool)
+        m[y, x] = True
+        masks.append(m)
+    for side in (np.s_[: max(h // 2, 1), :], np.s_[h // 2 :, :],
+                 np.s_[:, : max(w // 2, 1)], np.s_[:, w // 2 :]):
+        m = np.zeros((h, w), dtype=bool)
+        m[side] = True
+        masks.append(m)
+    return masks
+
+
+def random_masks(rng, h, w, n):
+    return [rng.random((h, w)) < rng.choice([0.1, 0.5, 0.9]) for _ in range(n)]
+
+
+def random_instance_grid(rng, h, w):
+    """Dense ids 1..K from overlapping boxes, some pinned to a grid edge."""
+    data = np.zeros((h, w), dtype=np.int32)
+    for i in range(1, int(rng.integers(1, 6)) + 1):
+        sy, sx = int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))
+        y0, x0 = int(rng.integers(0, h - sy + 1)), int(rng.integers(0, w - sx + 1))
+        edge = int(rng.integers(6))
+        y0 = 0 if edge == 0 else h - sy if edge == 1 else y0
+        x0 = 0 if edge == 2 else w - sx if edge == 3 else x0
+        data[y0 : y0 + sy, x0 : x0 + sx] = i
+    ids = np.unique(data[data > 0])
+    lut = np.zeros(int(data.max()) + 1, dtype=np.int32)
+    lut[ids] = np.arange(1, len(ids) + 1)
+    return LabelGrid(lut[data])
+
+
+class TestBoxLocalMatchesWholeGridOracle:
+    def test_shift_or_and_its_erosion(self):
+        rng = np.random.default_rng(0)
+        for h, w in SHAPES:
+            for mask in edge_masks(h, w) + random_masks(rng, h, w, 20):
+                assert np.array_equal(synth._shift_or(mask), oracle_shift_or(mask))
+                assert np.array_equal(~synth._shift_or(~mask), ~oracle_shift_or(~mask))
+
+    def test_interior_depth_on_the_box_plus_margin(self):
+        # pick_points' crop: the mask's box plus 1 pixel, clipped to the grid.
+        rng = np.random.default_rng(1)
+        for h, w in SHAPES:
+            for mask in edge_masks(h, w)[1:] + random_masks(rng, h, w, 20):
+                if not mask.any():
+                    continue
+                ys, xs = np.nonzero(mask)
+                crop = np.s_[max(ys.min() - 1, 0) : ys.max() + 2,
+                             max(xs.min() - 1, 0) : xs.max() + 2]
+                want = oracle_interior_depth(mask)
+                assert np.array_equal(synth._interior_depth(mask[crop]), want[crop])
+                assert np.array_equal(synth._interior_depth(mask), want)
+
+    def test_pick_points(self):
+        rng = np.random.default_rng(2)
+        for h, w in SHAPES:
+            grids = [LabelGrid(np.ones((h, w), dtype=np.int32))]
+            grids += [random_instance_grid(rng, h, w) for _ in range(15)]
+            for seed, g in enumerate(grids):
+                assert pick_points(g, seed, g) == oracle_pick_points(g, seed, g)
+
+    def test_rasterize(self):
+        for kind in ("rect", "ellipse"):
+            for sy in range(1, 12):
+                for sx in range(1, 12):
+                    y0, x0, h, w = 2, 3, sy + 4, sx + 5
+                    placed = np.zeros((h, w), dtype=bool)
+                    placed[y0 : y0 + sy, x0 : x0 + sx] = synth._rasterize(kind, sy, sx)
+                    assert np.array_equal(placed, oracle_rasterize(kind, y0, x0, sy, sx, h, w))
+
+    def test_features(self):
+        for seed in range(3):
+            sc = generate_scene(seed, 24, 31, 4, 3)
+            want = oracle_features(sc.gt_semantic.data, 3, sc.intensity())
+            assert np.array_equal(sc.features, want)
+            other = corrupt_semantic(sc, CorruptionConfig(dilation_px=1, flip_rate=0.1))
+            want = oracle_features(other.data, 3, sc.intensity())
+            assert np.array_equal(features_from_semantic(sc, other), want)
