@@ -417,7 +417,6 @@ _TRAIN_FLAGS = [
     _Flag("--lr", float, MdmConfig.learning_rate, "learning_rate",
           {"help": f"Adam step size (default {MdmConfig.learning_rate})"}),
     _Flag("--hard-pixel-ratio", float, MdmConfig.hard_pixel_ratio, "hard_pixel_ratio"),
-    _Flag("--box-side", int, MdmConfig.pseudo_box_side, "pseudo_box_side"),
     _Flag("--beta", float, I2SConfig.beta, "i2s.beta"),
     _Flag("--pair-radius", int, I2SConfig.pair_radius, "i2s.pair_radius"),
     _Flag("--max-pairs", int, I2SConfig.max_pairs, "i2s.max_pairs"),

@@ -3,12 +3,13 @@
 A small linear predictor maps per-pixel features (plus their 3x3
 neighborhood means) to class scores, offset vectors, and embedding channels
 whose pairwise dot products give affinity logits. Each stage trains on
-targets synthesized from the stage's semantic input and refreshes the
-semantic map through the predicted affinity for the next stage. The targets
-keep the input's matched s2i.Regions (one region-id grid), so grouping needs
-no second components pass. Its pseudo instances are its region-matching
-target labels, each region holding several points re-split by the predicted
-offsets' votes; they are an output only, and feed no later stage.
+targets synthesized from its semantic input with the points pinned, as the
+warm-up does, and refreshes the semantic map through the predicted affinity
+for the next stage. The targets keep the pinned map's matched s2i.Regions,
+so grouping needs no second components pass. Its pseudo instances are its
+region-matching target labels, each region holding several points re-split
+by the predicted offsets' votes, masked by the unpinned input; they are an
+output only, and feed no later stage.
 
 Training runs full-batch Adam on a fixed objective per phase (the warm-up
 and each stage). Its constants (the expanded features, the OHEM target
@@ -199,8 +200,7 @@ class MdmConfig:
     Training takes warmup_iters Adam steps before stage 0 and
     iters_per_stage Adam steps in each of the n_stages stages, with Adam
     step size learning_rate. The segmentation loss keeps the hardest
-    hard_pixel_ratio of the pixels. A point whose region-matching instance
-    is missing or tiny gets a pseudo_box_side square box at it.
+    hard_pixel_ratio of the pixels.
     """
 
     n_stages: int = 3
@@ -208,7 +208,6 @@ class MdmConfig:
     iters_per_stage: int = 100
     learning_rate: float = 0.01
     hard_pixel_ratio: float = 0.2
-    pseudo_box_side: int = 16
     i2s: I2SConfig = field(default_factory=I2SConfig)
     seed: int = 0
 
@@ -227,39 +226,8 @@ class MdmConfig:
             raise PipelineError(
                 f"hard pixel ratio must be in (0, 1], got {self.hard_pixel_ratio}"
             )
-        if self.pseudo_box_side < 1:
-            raise PipelineError(f"pseudo box side must be >= 1, got {self.pseudo_box_side}")
         if self.seed < 0:
             raise PipelineError(f"seed must be >= 0, got {self.seed}")
-
-
-def _paint_fallback_boxes(
-    initial: LabelGrid, points: PointAnnotationSet, box_side: int
-) -> LabelGrid:
-    """Complete degenerate instances in the target map with a pseudo-box.
-
-    A point whose matched region is missing or has collapsed to a sliver
-    would otherwise lose its class from the stage supervision entirely, and
-    the recurrence could never bring the instance back. A box overwrites
-    every pixel in its window, background and other instances' labels alike,
-    except pixels that carry another degenerate point's id, from its sliver
-    or its box. Boxes are painted in instance-id order, so of two
-    overlapping boxes the lower id keeps the shared pixels.
-    """
-    min_pixels = max(1, (box_side * box_side) // 2)
-    sizes = np.bincount(initial.data.ravel(), minlength=len(points) + 1)
-    needy = [p for p in points if sizes[p.instance_id] < min_pixels]
-    if not needy:
-        return initial
-    data = initial.data.copy()
-    needy_ids = {p.instance_id for p in needy}
-    for p in needy:
-        box = data[point_window(p, box_side, initial.shape)]
-        # The annotated point is certain; its box outranks labels inherited
-        # from region matching, but never another degenerate point's box.
-        replace_mask = ~np.isin(box, [i for i in needy_ids if i != p.instance_id])
-        box[replace_mask] = p.instance_id
-    return LabelGrid(data)
 
 
 def build_stage_targets(
@@ -275,7 +243,6 @@ def build_stage_targets(
     """
     regions = attach_points(extract_regions(semantic_in), points)
     initial = assign_points(regions, points)
-    initial = _paint_fallback_boxes(initial, points, cfg.pseudo_box_side)
     # The class head is supervised by the stage's semantic map itself; the
     # instance labels feed only the offset and affinity targets. Dropping
     # point-less foreground from the class supervision would slowly erase
@@ -454,10 +421,10 @@ def _masked_argmax(scores: ClassScoreMap, allowed: set[int]) -> LabelGrid:
 def _points_first(semantic: LabelGrid, points: PointAnnotationSet) -> LabelGrid:
     """Force a 5x5 patch at each annotated point to its annotated class.
 
-    Annotations are the one ground truth the loop holds; a refreshed map
-    that contradicts a point at its own pixel would orphan the instance in
-    the next stage's region matching. The patch radius covers the corruption
-    reach so a pinned point reconnects to its surviving region.
+    Annotations are the one ground truth the loop holds; a map that
+    contradicts a point at its own pixel would orphan the instance in region
+    matching. The patch radius covers the corruption reach so a pinned point
+    reconnects to its surviving region. Pinning a pinned map changes nothing.
     """
     data = semantic.data.copy()
     for p in points:
@@ -472,10 +439,12 @@ def run_stage(
     params: TinyPredictorParams,
     cfg: MdmConfig,
 ) -> StageResult:
-    """One S2I -> train -> group -> I2S refresh round."""
+    """One S2I -> train -> group -> I2S refresh round. The targets read
+    semantic_in pinned; the pseudo instances are masked by semantic_in."""
     points = scene.points
     targets = build_stage_targets(
-        semantic_in, points, cfg, affinity_seed=_derive_seed(cfg.seed, stage_idx, 1)
+        _points_first(semantic_in, points), points, cfg,
+        affinity_seed=_derive_seed(cfg.seed, stage_idx, 1),
     )
     params, history = _fit(
         params, scene.features, targets, cfg, cfg.iters_per_stage, f"stage {stage_idx}"
@@ -527,8 +496,9 @@ def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmR
 
     The predictor's input features are rebuilt once from the corrupted
     semantic map (never ground truth) and stay fixed; only the supervision
-    side evolves from stage to stage. Stage s >= 1 consumes stage s-1's
-    refreshed semantic map verbatim.
+    side evolves from stage to stage. The warm-up's targets read the
+    corrupted map pinned. Stage s >= 1 consumes stage s-1's refreshed
+    semantic map verbatim.
     """
     features = features_from_semantic(scene, corrupted_semantic)
     work_scene = replace(scene, features=features)
@@ -541,7 +511,8 @@ def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmR
     warmup_history: list[LossReport] = []
     if cfg.warmup_iters:
         warm_targets = build_stage_targets(
-            corrupted_semantic, scene.points, cfg, affinity_seed=None
+            _points_first(corrupted_semantic, scene.points), scene.points, cfg,
+            affinity_seed=None,
         )
         params, warmup_history = _fit(
             params, features, warm_targets, cfg, cfg.warmup_iters, "warm-up"

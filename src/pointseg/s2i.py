@@ -70,8 +70,7 @@ def attach_points(regions: Regions, points: PointAnnotationSet) -> Regions:
     """Match points to the regions containing them.
 
     A point whose class disagrees with its region's class is treated as not
-    contained (corrupted semantics make this common); it is logged and left
-    to the pseudo-box fallback downstream.
+    contained; it is logged and owns no region, so its instance stays empty.
     """
     points.validate_on(*regions.labels.shape)
     owners: dict[int, tuple[int, ...]] = {}
@@ -91,8 +90,8 @@ def _split_shared(
     labels: np.ndarray, regions: Regions, points: PointAnnotationSet, vectors=None
 ) -> LabelGrid:
     """Split, in place, each region of `labels` holding two or more points:
-    a pixel p that carries one of their ids goes to the point nearest its
-    vote p + vectors[p], or nearest p itself when vectors is None.
+    each pixel p of the region goes to the point nearest its vote
+    p + vectors[p], or nearest p itself when vectors is None.
 
     Squared Euclidean distance; ties go to the lowest instance id, as argmin
     takes the first minimum and owners are sorted ascending.
@@ -102,8 +101,6 @@ def _split_shared(
             continue
         owners = np.asarray(owners)
         ys, xs = np.nonzero(regions.labels.data == rid)
-        owned = np.isin(labels[ys, xs], owners)
-        ys, xs = ys[owned], xs[owned]
         votes = np.stack([ys, xs], axis=1) + (0 if vectors is None else vectors[ys, xs])
         d2 = ((votes[:, None, :] - points.anchor_table()[owners][None]) ** 2).sum(axis=2)
         labels[ys, xs] = owners[np.argmin(d2, axis=1)]
@@ -147,7 +144,7 @@ def compute_offset_field(instances: LabelGrid, points: PointAnnotationSet) -> Of
 
 
 def point_window(point: Point, side: int, shape: tuple[int, int]) -> tuple[slice, slice]:
-    """The side x side window at a point, clipped to the grid: the pseudo-box.
+    """The side x side window at a point, clipped to the grid.
 
     An even side puts the extra row and column below and right of the point.
     """
@@ -169,9 +166,8 @@ def group_instances(
 
     `initial` holds the stage's region-matching labels and `regions` the
     matched regions they came from. Each pixel of a region with two or more
-    owner points goes to the owner nearest its vote p + offset(p), unless a
-    pseudo-box gave it to a point outside the region; every other pixel
-    keeps its label.
+    owner points goes to the owner nearest its vote p + offset(p); every
+    other pixel keeps its label.
     """
     if pred_offsets.shape != initial.shape:
         raise PipelineError("offset field shape mismatch")
@@ -187,9 +183,8 @@ def finalize_pseudo_labels(
 
     A pixel survives only where the semantic class equals the class of its
     instance's annotation point; everything else (semantic background
-    included) is cleared. After group_instances only a pseudo-box can cover
-    another class or background. Returns the cleaned grid and the
-    instance-to-class map of the surviving instances.
+    included) is cleared, such as pixels a pinned map gave another class.
+    Returns the cleaned grid and the instance-to-class map of the survivors.
     """
     _require_points(grouped, points)
     lut = points.class_table()  # lut[0] = 0: background stays background

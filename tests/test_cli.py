@@ -398,8 +398,10 @@ class TestTrainEvalCli:
         ("train", {"scene": ["elsewhere"], "config": "a.json"}, ["'config'", "'scene'"]),
         ("eval", {"pred": ["a.pgm"], "gt_classes": ["a.csv"]}, ["'gt_classes'", "'pred'"]),
         ("train", {"tau": 5}, ["'tau'"]),
+        ("train", {"box_side": 16}, ["'box_side'"]),
     ], ids=["synth", "s2i", "i2s-beta", "train", "eval", "train-two-keys", "synth-out",
-            "s2i-paths", "i2s-paths", "train-paths", "eval-paths", "train-tau"])
+            "s2i-paths", "i2s-paths", "train-paths", "eval-paths", "train-tau",
+            "train-box-side"])
     def test_config_key_naming_no_flag_exit_1(
         self, scene_dir, tmp_path, capsys, command, config, named
     ):
@@ -436,6 +438,16 @@ class TestTrainEvalCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "unrecognized arguments: --tau 5" in err and "Traceback" not in err
+        assert not (tmp_path / "t").exists()
+
+    def test_removed_box_side_flag_exit_1(self, scene_dir, tmp_path, capsys):
+        # Targets read a map pinned at the points, so no point needs a
+        # fallback box, and --box-side is no flag of train.
+        code = dispatch(["train", "--scene", str(scene_dir), "--out", str(tmp_path / "t"),
+                         "--box-side", "16"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --box-side 16" in err and "Traceback" not in err
         assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("flag,name", [("--beta", "beta"), ("--lr", "learning rate")])
@@ -485,8 +497,7 @@ class TestConfigEcho:
         "s2i": {"connectivity": 8},
         "i2s": {"pair_radius": 8},
         "train": {"stages": 3, "warmup": 25, "iters": 100, "lr": 0.01, "hard_pixel_ratio": 0.2,
-                  "box_side": 16, "beta": 2.0, "pair_radius": 8, "max_pairs": 4096,
-                  "seed": 0},
+                  "beta": 2.0, "pair_radius": 8, "max_pairs": 4096, "seed": 0},
         "eval": {"class_aware": False},
     }
 

@@ -40,7 +40,7 @@ from pointseg.losses import (
     smooth_l1,
     total_loss,
 )
-from pointseg.synth import features_from_semantic
+from pointseg.synth import FEATURE_EXTRA_CHANNELS, Scene, features_from_semantic
 
 from gradcheck import grad_check
 
@@ -349,10 +349,6 @@ class TestMdmConfigValidation:
         with pytest.raises(PipelineError, match="seed must be >= 0, got -1"):
             MdmConfig(seed=-1)
 
-    def test_rejects_empty_pseudo_box(self):
-        with pytest.raises(PipelineError, match="pseudo box side must be >= 1, got 0"):
-            MdmConfig(pseudo_box_side=0)
-
 
 class TestBuildStageTargets:
     def test_ignored_point_warns_once(self, caplog):
@@ -366,6 +362,55 @@ class TestBuildStageTargets:
             "point (3, 3) ignored: class 2 region 1 has class 1"
         ]
         assert targets.regions.owners == {1: (1,)}
+
+
+def two_squares_scene():
+    """Two 12x12 class-1 squares three columns apart, a point in each, and
+    the corrupted map with point 1's own pixel flipped to background."""
+    gt = np.zeros((32, 32), dtype=np.int32)
+    gt[2:14, 2:14], gt[2:14, 17:29] = 1, 2
+    pts = PointAnnotationSet((Point(7, 12, 1, 1), Point(7, 22, 1, 2)))
+    features = np.zeros((32, 32, 2 + FEATURE_EXTRA_CHANNELS))
+    sc = Scene(LabelGrid(gt), LabelGrid((gt > 0).astype(np.int32)), pts, features)
+    corrupted = (gt > 0).astype(np.int32)
+    corrupted[7, 12] = 0
+    return sc, LabelGrid(corrupted)
+
+
+class TestPinnedTargets:
+    def test_flipped_point_keeps_its_instance_and_spares_its_neighbour(self, monkeypatch):
+        sc, corr = two_squares_scene()
+        built = []
+        real_build = loop.build_stage_targets
+
+        def spy(semantic_in, points, cfg, affinity_seed=None):
+            built.append(semantic_in)
+            return real_build(semantic_in, points, cfg, affinity_seed)
+
+        monkeypatch.setattr(loop, "build_stage_targets", spy)
+        res = run_mdm(sc, corr, make_cfg(n_stages=2, warmup_iters=1, iters_per_stage=1))
+        # The warm-up and both stages build targets, each from a pinned map.
+        assert len(built) == 3
+        for semantic in built:
+            assert all(semantic.data[p.y, p.x] == p.class_id for p in sc.points)
+        initial = res.stages[0].initial_instances.data
+        assert 1 in res.stages[0].initial_instances.ids()
+        assert np.array_equal(initial == 2, sc.gt_instances.data == 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pseudo_pixels_keep_their_class_in_the_unpinned_input(self, seed):
+        # What perfbench's check_train asks of each stage's outputs: stage 0
+        # is masked by the corrupted map itself, not by its pinned copy.
+        sc = generate_scene(seed + 40, 32, 32, 4, 3)
+        corr = corrupt_semantic(sc, CorruptionConfig(dilation_px=1, flip_rate=0.1,
+                                                     rng_seed=seed))
+        lut = sc.points.class_table()
+        semantic_in = corr
+        for stage in run_mdm(sc, corr, make_cfg(n_stages=2, iters_per_stage=5)).stages:
+            pseudo = stage.pseudo_instances.data
+            fg = pseudo > 0
+            assert np.array_equal(semantic_in.data[fg], lut[pseudo[fg]])
+            semantic_in = stage.semantic_out
 
 
 # ---------------------------------------------------------------- reference

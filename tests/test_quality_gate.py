@@ -1,5 +1,10 @@
+import logging
 import re
 
+import numpy as np
+import pytest
+
+import pointseg as ps
 import quality_gate
 
 ROW = re.compile(
@@ -34,8 +39,22 @@ def test_four_seed_table_is_well_formed(capsys):
     assert code == (0 if all(verdicts) else 1)
 
 
-def test_ignored_points_are_counted():
-    # Seed 206 at 64x64 has one point whose region carries another class, met
-    # by two of the three stages' target builds.
-    assert quality_gate.scene_row(206)[4] == 2
-    assert quality_gate.scene_row(205)[4] == 0
+@pytest.mark.parametrize("warmup_iters, n_stages", [(1, 3), (0, 2)])
+def test_warning_count_counts_one_per_target_build(warmup_iters, n_stages):
+    # Point 2's pin patch covers point 1, which then lies in a class-2
+    # region: every target build, the warm-up's too, ignores point 1 once.
+    gt = np.zeros((12, 12), dtype=np.int32)
+    gt[2:10, 1:6], gt[2:10, 6:11] = 1, 2
+    points = ps.PointAnnotationSet((ps.Point(5, 4, 1, 1), ps.Point(5, 6, 2, 2)))
+    semantic = ps.LabelGrid(gt)  # instance k has class k
+    features = np.zeros((12, 12, 6))  # background, 2 classes, 3 extra channels
+    scene = ps.Scene(semantic, semantic, points, features)
+    cfg = ps.MdmConfig(n_stages=n_stages, warmup_iters=warmup_iters, iters_per_stage=1)
+    ignored = quality_gate._WarningCount()
+    logger = logging.getLogger("pointseg.s2i")
+    logger.addHandler(ignored)
+    try:
+        ps.run_mdm(scene, semantic, cfg)
+    finally:
+        logger.removeHandler(ignored)
+    assert ignored.count == (warmup_iters > 0) + n_stages

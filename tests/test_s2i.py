@@ -244,40 +244,18 @@ class TestGroupInstances:
                 d2 = [(y - p.y) ** 2 + (x + 3 - p.x) ** 2 for p in pts]
                 assert out.data[y, x] == int(np.argmin(d2)) + 1
 
-    def test_single_point_regions_and_boxes_pass_through(self):
-        # Point 1 owns its region alone and point 2 lies on background, so
-        # its pseudo-box is in the targets: however wild the votes, the
+    def test_single_point_regions_ignore_the_votes(self):
+        # Each point owns its region alone: however wild the votes, the
         # grouping returns the targets' labels.
-        sem = LabelGrid(np.pad(np.ones((6, 6), np.int32), ((0, 14), (0, 14))))
-        pts = points((2, 2, 1, 1), (15, 15, 1, 2))
-        targets = build_stage_targets(sem, pts, MdmConfig(pseudo_box_side=4))
-        assert int((targets.initial.data == 2).sum()) == 16
+        data = np.zeros((20, 20), np.int32)
+        data[:6, :6], data[12:18, 12:18] = 1, 2
+        sem = LabelGrid(data)
+        pts = points((2, 2, 1, 1), (15, 15, 2, 2))
+        targets = build_stage_targets(sem, pts, MdmConfig())
+        assert int((targets.initial.data == 2).sum()) == 36
         vectors = np.random.default_rng(0).normal(0.0, 30.0, (20, 20, 2))
         out = group_instances(offsets_of(vectors), targets.initial, targets.regions, pts)
         assert np.array_equal(out.data, targets.initial.data)
-
-    def test_pseudo_box_clipped_at_border(self):
-        # All-background semantic: the corner point's box, clipped to the
-        # grid (7 rows above are cut, 8 below kept), is all the grouping has.
-        sem = LabelGrid(np.zeros((20, 20), dtype=np.int32))
-        pts = points((0, 0, 1, 1))
-        targets = build_stage_targets(sem, pts, MdmConfig())
-        out = group_instances(offsets_of(np.zeros((20, 20, 2))), targets.initial,
-                              targets.regions, pts)
-        assert int((out.data == 1).sum()) == 9 * 9
-
-    def test_box_pixel_in_shared_region_keeps_its_box(self):
-        # Points 1 and 2 share a strip; point 3 has no region, and its box
-        # covers part of the strip. Those pixels stay 3 whatever they vote.
-        sem = grid([[1] * 8] + [[0] * 8] * 3)
-        pts = points((0, 0, 1, 1), (0, 7, 1, 2), (1, 3, 1, 3))
-        targets = build_stage_targets(sem, pts, MdmConfig(pseudo_box_side=3))
-        assert targets.initial.data[0].tolist() == [1, 1, 3, 3, 3, 2, 2, 2]
-        vectors = np.zeros((4, 8, 2))
-        vectors[:, :, 1] = -8.0  # every vote lands left of point 1
-        out = group_instances(offsets_of(vectors), targets.initial, targets.regions, pts)
-        assert out.data[0].tolist() == [1, 1, 3, 3, 3, 1, 1, 1]
-        assert np.array_equal(out.data[1:], targets.initial.data[1:])
 
     def test_oracle_offsets_reproduce_gt_on_50_scenes(self):
         for seed in range(50):
@@ -324,20 +302,6 @@ class TestFinalizePseudoLabels:
         grouped = group_instances(offsets, targets.initial, targets.regions, sc.points)
         out, _ = finalize_pseudo_labels(grouped, sem, sc.points)
         assert not ((out.data > 0) & (sem.data == 0)).any()
-
-    def test_box_pixel_outside_its_class_masked(self):
-        # Point 2 (class 2) lies on background next to point 1's class-1
-        # region; its box covers class-1, class-2 and background pixels,
-        # and only the class-2 ones survive.
-        sem = grid([[1, 1, 0, 2], [1, 1, 0, 0], [0, 0, 0, 0]])
-        pts = points((0, 0, 1, 1), (1, 2, 2, 2))
-        targets = build_stage_targets(sem, pts, MdmConfig(pseudo_box_side=3))
-        assert targets.initial.data.tolist() == [[1, 2, 2, 2], [1, 2, 2, 2], [0, 2, 2, 2]]
-        grouped = group_instances(offsets_of(np.zeros((3, 4, 2))), targets.initial,
-                                  targets.regions, pts)
-        out, classes = finalize_pseudo_labels(grouped, sem, pts)
-        assert out.data.tolist() == [[1, 0, 0, 2], [1, 0, 0, 0], [0, 0, 0, 0]]
-        assert classes == {1: 1, 2: 2}
 
     def test_stray_ids_rejected(self):
         with pytest.raises(PipelineError, match="without annotation points"):
