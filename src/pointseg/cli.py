@@ -31,6 +31,7 @@ from .grids import (
     DEFAULT_CONNECTIVITY,
     ClassScoreMap,
     LabelGrid,
+    PointAnnotationSet,
     decode_label_pgm,
     decode_points_csv,
     decode_tensor,
@@ -349,8 +350,7 @@ def _cmd_s2i(argv: list[str]) -> int:
     out_dir = Path(args.out)
     _write(out_dir / "instances.pgm", encode_label_pgm(instances))
     _write(out_dir / "offsets.mdmt", encode_tensor(offsets.to_tensor()))
-    lut = points.class_table()
-    _write(out_dir / "classes.csv", _classes_csv({i: int(lut[i]) for i in instances.ids()}))
+    _write(out_dir / "classes.csv", _classes_csv(instances, points))
     _write(out_dir / "class_grid.pgm", encode_label_pgm(classes))
     _write_manifest(out_dir, "s2i", opt, [Path(args.semantic), Path(args.points)], t0)
     print(f"s2i: wrote {out_dir}")
@@ -436,9 +436,11 @@ def _mdm_config(opt: dict) -> MdmConfig:
     return MdmConfig(i2s=I2SConfig(**fields["i2s"]), **fields[""])
 
 
-def _classes_csv(table: dict[int, int]) -> str:
-    """classes.csv: an instance_id,class_id row per instance, by id."""
-    rows = ["instance_id,class_id"] + [f"{i},{c}" for i, c in sorted(table.items())]
+def _classes_csv(grid: LabelGrid, points: PointAnnotationSet) -> str:
+    """classes.csv: an instance_id,class_id row per id of the grid, by id,
+    with its point's class."""
+    lut = points.class_table()
+    rows = ["instance_id,class_id"] + [f"{i},{lut[i]}" for i in grid.ids()]
     return "\n".join(rows) + "\n"
 
 
@@ -458,7 +460,7 @@ def _train_one(task: tuple[str, str, MdmConfig, dict]) -> str:
         _write(stage_dir / "pseudo_instances.pgm", encode_label_pgm(stage.pseudo_instances))
         _write(stage_dir / "semantic_out.pgm", encode_label_pgm(stage.semantic_out))
         _write(stage_dir / "classmap.mdmt", encode_tensor(stage.refreshed_class_map.data))
-        _write(stage_dir / "classes.csv", _classes_csv(stage.instance_classes))
+        _write(stage_dir / "classes.csv", _classes_csv(stage.pseudo_instances, scene.points))
         metrics = {
             "overall_iou": stage.metrics.overall_iou,
             "counts": _counts_json(stage.metrics.counts),

@@ -215,38 +215,41 @@ class PointAnnotationSet:
 
 
 def connected_components(
-    mask: np.ndarray, connectivity: int = DEFAULT_CONNECTIVITY
+    grid: np.ndarray, connectivity: int = DEFAULT_CONNECTIVITY
 ) -> LabelGrid:
-    """Label connected true-regions of a boolean mask.
+    """Label every 4- or 8-connected component of equal nonzero value in an
+    integer grid; a boolean mask is the two-valued case.
 
     Component ids are assigned in raster-scan order of each component's first
-    pixel, so the labeling is a pure function of the mask.
+    pixel, so the labeling is a pure function of the grid.
 
-    Run-based union-find (Wu, Otoo & Suzuki 2009), vectorised: the horizontal
-    runs of the mask are numbered in raster order, and each pair of runs that
-    touch across two adjacent rows is a link (pixels straight above for
-    4-connectivity; also up-left and up-right for 8). Each root is hooked to
-    the smallest lower-numbered root it is linked to and the forest is
-    pointer-jumped flat, until each link joins one tree. A root is then its component's smallest
-    run, the run holding the component's first pixel, so numbering the roots
-    in order gives the raster-order ids.
+    Run-based union-find (Wu, Otoo & Suzuki 2009), vectorised: the runs of
+    equal nonzero value along each row are numbered in raster order, and each
+    pair of equal-valued runs that touch across two adjacent rows is a link
+    (pixels straight above for 4-connectivity; also up-left and up-right for
+    8). Each root is hooked to the smallest lower-numbered root it is linked
+    to and the forest is pointer-jumped flat, until each link joins one tree.
+    A root is then its component's smallest run, the run holding the
+    component's first pixel, so numbering the roots in order gives the
+    raster-order ids.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or mask.size == 0:
+    grid = np.asarray(grid)
+    if grid.ndim != 2 or grid.size == 0:
         raise GridError("empty raster")
     if connectivity not in (4, 8):
         raise GridError(f"connectivity must be 4 or 8, got {connectivity}")
-    starts = mask.copy()
-    starts[:, 1:] &= ~mask[:, :-1]
-    runs = np.cumsum(starts, dtype=np.int32).reshape(mask.shape)
-    runs *= mask
+    fg = grid != 0
+    starts = fg.copy()
+    starts[:, 1:] &= grid[:, 1:] != grid[:, :-1]
+    runs = np.cumsum(starts, dtype=np.int32).reshape(grid.shape)
+    runs *= fg
     # (pixel, the pixel above it) row planes: straight up, then for
     # 8-connectivity up-left and up-right. A run's number is larger than
     # that of every run above it, so each link is (upper run, lower run).
     planes = [(np.s_[1:, :], np.s_[:-1, :])]
     if connectivity == 8:
         planes += [(np.s_[1:, 1:], np.s_[:-1, :-1]), (np.s_[1:, :-1], np.s_[:-1, 1:])]
-    touch = [mask[below] & mask[above] for below, above in planes]
+    touch = [fg[below] & (grid[below] == grid[above]) for below, above in planes]
     lo = np.concatenate([runs[above][t] for (_, above), t in zip(planes, touch)])
     hi = np.concatenate([runs[below][t] for (below, _), t in zip(planes, touch)])
     parent = np.arange(int(runs.max()) + 1, dtype=np.int32)

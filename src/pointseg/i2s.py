@@ -73,15 +73,11 @@ class AffinitySampleSet:
         return len(self.targets)
 
 
-def _half_plane_offsets(radius: int) -> list[tuple[int, int]]:
-    """Each unordered pair within Chebyshev radius exactly once."""
-    offsets = []
-    for dy in range(0, radius + 1):
-        for dx in range(-radius, radius + 1):
-            if dy == 0 and dx <= 0:
-                continue
-            offsets.append((dy, dx))
-    return offsets
+def _half_plane_offsets(radius: int, h: int, w: int) -> list[tuple[int, int]]:
+    """Each unordered pair within Chebyshev radius exactly once, keeping only
+    the offsets some pixel pair of an h x w grid spans."""
+    ry, rx = min(radius, h - 1), min(radius, w - 1)
+    return [(dy, dx) for dy in range(ry + 1) for dx in range(-rx, rx + 1) if dy or dx > 0]
 
 
 def _offset_windows(h: int, w: int, dy: int, dx: int) -> tuple[Window, Window]:
@@ -112,9 +108,7 @@ def build_affinity_targets(
     h, w = lab.shape
     fg = lab > 0
     offsets, pos, neg = [], [], []
-    for dy, dx in _half_plane_offsets(cfg.pair_radius):
-        if dy >= h or abs(dx) >= w:
-            continue  # no pixel pair spans this offset
+    for dy, dx in _half_plane_offsets(cfg.pair_radius, h, w):
         win_a, win_b = _offset_windows(h, w, dy, dx)
         same = (lab[win_a] == lab[win_b]) & fg[win_a]
         offsets.append((dy, dx, w - abs(dx)))
@@ -195,9 +189,7 @@ def refresh_semantic(
     planes = np.ascontiguousarray(class_map.data.transpose(2, 0, 1))
     acc = planes.copy()  # diagonal term with weight 1^beta = 1
     wsum = np.ones((h, w), dtype=np.float64)
-    for dy, dx in _half_plane_offsets(cfg.pair_radius):
-        if dy >= h or abs(dx) >= w:
-            continue  # no pixel pair spans this offset
+    for dy, dx in _half_plane_offsets(cfg.pair_radius, h, w):
         win_i, win_j = _offset_windows(h, w, dy, dx)
         vals = np.asarray(affinity(win_i, win_j), dtype=np.float64) ** cfg.beta
         vals = vals.reshape(h - dy, w - abs(dx))

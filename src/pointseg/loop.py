@@ -2,14 +2,15 @@
 
 A small linear predictor maps per-pixel features (plus their 3x3
 neighborhood means) to class scores, offset vectors, and embedding channels
-whose pairwise dot products give affinity logits. Each stage trains on
-targets synthesized from its semantic input with the points pinned, as the
-warm-up does, and refreshes the semantic map through the predicted affinity
+whose pairwise dot products give affinity logits. Each stage's targets are
+synthesized once, from its semantic input with the points pinned; the
+warm-up trains on stage 0's without their affinity pairs. Each stage trains
+on its targets and refreshes the semantic map through the predicted affinity
 for the next stage. The targets keep the pinned map's matched s2i.Regions,
-so grouping needs no second components pass. Its pseudo instances are its
-region-matching target labels, each region holding several points re-split
-by the predicted offsets' votes, masked by the unpinned input; they are an
-output only, and feed no later stage.
+so grouping needs no second components pass. A stage's pseudo instances are
+its region-matching target labels, each region holding several points
+re-split by the predicted offsets' votes, masked by the unpinned input; they
+are an output only, and feed no later stage.
 
 Training runs full-batch Adam on a fixed objective per phase (the warm-up
 and each stage). Its constants (the expanded features, the OHEM target
@@ -63,7 +64,6 @@ from .s2i import (
     extract_regions,
     finalize_pseudo_labels,
     group_instances,
-    point_window,
 )
 from .synth import Scene, features_from_semantic
 
@@ -234,12 +234,11 @@ def build_stage_targets(
     semantic_in: LabelGrid,
     points: PointAnnotationSet,
     cfg: MdmConfig,
-    affinity_seed: int | None = None,
+    affinity_seed: int,
 ) -> StageTargets:
     """Run the S2I target synthesis for one stage.
 
-    affinity_seed None skips affinity sampling (the warm-up setting). Offset
-    and affinity targets are also skipped when no region matched any point.
+    Offset and affinity targets are skipped when no region matched any point.
     """
     regions = attach_points(extract_regions(semantic_in), points)
     initial = assign_points(regions, points)
@@ -248,11 +247,10 @@ def build_stage_targets(
     # point-less foreground from the class supervision would slowly erase
     # every region whose point the corruption displaced.
     classes = semantic_in
-    has_fg = int(initial.data.max()) > 0
-    offsets = compute_offset_field(initial, points) if has_fg else None
-    affinity = None
-    if affinity_seed is not None and has_fg:
-        affinity = build_affinity_targets(initial, cfg.i2s, seed=affinity_seed)
+    if int(initial.data.max()) == 0:
+        return StageTargets(initial, regions, classes, None, None)
+    offsets = compute_offset_field(initial, points)
+    affinity = build_affinity_targets(initial, cfg.i2s, seed=affinity_seed)
     return StageTargets(initial, regions, classes, offsets, affinity)
 
 
@@ -402,7 +400,6 @@ class StageResult:
     semantic_in: LabelGrid
     initial_instances: LabelGrid
     pseudo_instances: LabelGrid
-    instance_classes: dict[int, int]
     semantic_out: LabelGrid
     refreshed_class_map: ClassScoreMap
     params: TinyPredictorParams
@@ -419,7 +416,8 @@ def _masked_argmax(scores: ClassScoreMap, allowed: set[int]) -> LabelGrid:
 
 
 def _points_first(semantic: LabelGrid, points: PointAnnotationSet) -> LabelGrid:
-    """Force a 5x5 patch at each annotated point to its annotated class.
+    """Force a 5x5 patch at each annotated point to its annotated class,
+    then each point's own pixel, so no later patch overwrites a point.
 
     Annotations are the one ground truth the loop holds; a map that
     contradicts a point at its own pixel would orphan the instance in region
@@ -428,31 +426,30 @@ def _points_first(semantic: LabelGrid, points: PointAnnotationSet) -> LabelGrid:
     """
     data = semantic.data.copy()
     for p in points:
-        data[point_window(p, 5, semantic.shape)] = p.class_id
+        data[max(0, p.y - 2) : p.y + 3, max(0, p.x - 2) : p.x + 3] = p.class_id
+    for p in points:
+        data[p.y, p.x] = p.class_id
     return LabelGrid(data)
 
 
 def run_stage(
     stage_idx: int,
     semantic_in: LabelGrid,
+    targets: StageTargets,
     scene: Scene,
     params: TinyPredictorParams,
     cfg: MdmConfig,
 ) -> StageResult:
-    """One S2I -> train -> group -> I2S refresh round. The targets read
+    """One train -> group -> I2S refresh round on targets built from
     semantic_in pinned; the pseudo instances are masked by semantic_in."""
     points = scene.points
-    targets = build_stage_targets(
-        _points_first(semantic_in, points), points, cfg,
-        affinity_seed=_derive_seed(cfg.seed, stage_idx, 1),
-    )
     params, history = _fit(
         params, scene.features, targets, cfg, cfg.iters_per_stage, f"stage {stage_idx}"
     )
 
     outs = predict(params, scene.features)
     grouped = group_instances(outs.offsets, targets.initial, targets.regions, points)
-    pseudo, classes = finalize_pseudo_labels(grouped, semantic_in, points)
+    pseudo = finalize_pseudo_labels(grouped, semantic_in, points)
 
     emb = np.ascontiguousarray(outs.embeddings.transpose(2, 0, 1))  # (D, H, W)
 
@@ -473,7 +470,6 @@ def run_stage(
         semantic_in=semantic_in,
         initial_instances=targets.initial,
         pseudo_instances=pseudo,
-        instance_classes=classes,
         semantic_out=semantic_out,
         refreshed_class_map=refreshed,
         params=params,
@@ -496,38 +492,39 @@ def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmR
 
     The predictor's input features are rebuilt once from the corrupted
     semantic map (never ground truth) and stay fixed; only the supervision
-    side evolves from stage to stage. The warm-up's targets read the
-    corrupted map pinned. Stage s >= 1 consumes stage s-1's refreshed
-    semantic map verbatim.
+    side evolves from stage to stage. Each stage's targets are built once,
+    from its semantic input pinned: stage 0 reads the corrupted map, and
+    stage s >= 1 stage s-1's refreshed map. The warm-up trains on stage 0's
+    targets without their affinity pairs.
     """
     features = features_from_semantic(scene, corrupted_semantic)
     work_scene = replace(scene, features=features)
+    points = scene.points
     params = TinyPredictorParams.initialize(
         seed=_derive_seed(cfg.seed, 0, 0),
         feature_dim=features.shape[2],
         n_classes=scene.n_classes,
     )
 
+    classes = points.class_of()
     warmup_history: list[LossReport] = []
-    if cfg.warmup_iters:
-        warm_targets = build_stage_targets(
-            _points_first(corrupted_semantic, scene.points), scene.points, cfg,
-            affinity_seed=None,
-        )
-        params, warmup_history = _fit(
-            params, features, warm_targets, cfg, cfg.warmup_iters, "warm-up"
-        )
-
-    gt_classes = scene.points.class_of()
     stages: list[StageResult] = []
     semantic = corrupted_semantic
     for stage_idx in range(cfg.n_stages):
-        result = run_stage(stage_idx, semantic, work_scene, params, cfg)
+        targets = build_stage_targets(
+            _points_first(semantic, points), points, cfg, _derive_seed(cfg.seed, stage_idx, 1)
+        )
+        if stage_idx == 0 and cfg.warmup_iters:
+            params, warmup_history = _fit(
+                params, features, replace(targets, affinity=None), cfg,
+                cfg.warmup_iters, "warm-up",
+            )
+        result = run_stage(stage_idx, semantic, targets, work_scene, params, cfg)
         metrics = greedy_match(
             result.pseudo_instances,
             scene.gt_instances,
-            pred_classes=result.instance_classes,
-            gt_classes=gt_classes,
+            pred_classes=classes,
+            gt_classes=classes,
             class_aware=True,
         )
         stages.append(replace(result, metrics=metrics))

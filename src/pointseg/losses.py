@@ -20,7 +20,7 @@ caller multiplies by the features at those columns alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,11 +59,7 @@ class LossReport:
     n_neg_pairs: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "seg": self.seg, "off": self.off, "aff": self.aff, "total": self.total,
-            "n_seg_pixels": self.n_seg_pixels, "n_off_pixels": self.n_off_pixels,
-            "n_pos_pairs": self.n_pos_pairs, "n_neg_pairs": self.n_neg_pairs,
-        }
+        return asdict(self)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

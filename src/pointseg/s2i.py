@@ -20,7 +20,6 @@ from .grids import (
     DEFAULT_CONNECTIVITY,
     LabelGrid,
     OffsetField,
-    Point,
     PointAnnotationSet,
     connected_components,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "assign_points",
     "class_grid_from_instances",
     "compute_offset_field",
-    "point_window",
     "group_instances",
     "finalize_pseudo_labels",
 ]
@@ -55,15 +53,18 @@ class Regions:
 
 
 def extract_regions(semantic: LabelGrid, connectivity: int = DEFAULT_CONNECTIVITY) -> Regions:
-    """One region per connected component per class, in (class, raster) order."""
-    labels = np.zeros(semantic.shape, dtype=np.int32)
-    classes = [0]
-    for class_id in semantic.ids():
-        mask = semantic.data == class_id
-        comps = connected_components(mask, connectivity).data
-        labels[mask] = comps[mask] + (len(classes) - 1)
-        classes += [class_id] * int(comps.max())
-    return Regions(LabelGrid(labels), np.array(classes, dtype=np.int32))
+    """One region per connected component per class, in (class, raster) order.
+
+    One labelling pass numbers the components in raster order; a stable sort
+    by class renumbers them class by class.
+    """
+    comps = connected_components(semantic.data, connectivity).data
+    comp_class = np.zeros(int(comps.max()) + 1, dtype=np.int32)
+    comp_class[comps] = semantic.data
+    order = np.argsort(comp_class[1:], kind="stable") + 1
+    relabel = np.zeros_like(comp_class)
+    relabel[order] = np.arange(1, len(order) + 1, dtype=np.int32)
+    return Regions(LabelGrid(relabel[comps]), comp_class[np.r_[0, order]])
 
 
 def attach_points(regions: Regions, points: PointAnnotationSet) -> Regions:
@@ -143,19 +144,6 @@ def compute_offset_field(instances: LabelGrid, points: PointAnnotationSet) -> Of
     return OffsetField(vec, instances.data > 0)
 
 
-def point_window(point: Point, side: int, shape: tuple[int, int]) -> tuple[slice, slice]:
-    """The side x side window at a point, clipped to the grid.
-
-    An even side puts the extra row and column below and right of the point.
-    """
-    h, w = shape
-    half_lo, half_hi = (side - 1) // 2, side // 2
-    return (
-        slice(max(0, point.y - half_lo), min(h, point.y + half_hi + 1)),
-        slice(max(0, point.x - half_lo), min(w, point.x + half_hi + 1)),
-    )
-
-
 def group_instances(
     pred_offsets: OffsetField,
     initial: LabelGrid,
@@ -178,15 +166,13 @@ def finalize_pseudo_labels(
     grouped: LabelGrid,
     semantic: LabelGrid,
     points: PointAnnotationSet,
-) -> tuple[LabelGrid, dict[int, int]]:
+) -> LabelGrid:
     """Mask grouped instances by the semantic map.
 
     A pixel survives only where the semantic class equals the class of its
     instance's annotation point; everything else (semantic background
     included) is cleared, such as pixels a pinned map gave another class.
-    Returns the cleaned grid and the instance-to-class map of the survivors.
     """
     _require_points(grouped, points)
     lut = points.class_table()  # lut[0] = 0: background stays background
-    grid = LabelGrid(np.where(semantic.data == lut[grouped.data], grouped.data, 0))
-    return grid, {i: int(lut[i]) for i in grid.ids()}
+    return LabelGrid(np.where(semantic.data == lut[grouped.data], grouped.data, 0))

@@ -288,11 +288,14 @@ def features_from_semantic(scene: Scene, semantic: LabelGrid) -> np.ndarray:
 
 
 def _chebyshev_distance(mask: np.ndarray, cap: int) -> np.ndarray:
-    """Distance to the mask under 8-neighborhood steps, saturated at cap."""
+    """Distance to the mask under 8-neighborhood steps, saturated at cap.
+    Pixels beyond the array are not in the mask."""
     dist = np.full(mask.shape, cap, dtype=np.int32)
     dist[mask] = 0
     frontier = mask
     for k in range(1, cap):
+        if frontier.all():
+            break
         frontier = _shift_or(frontier)
         dist[frontier & (dist == cap)] = k
     return dist
@@ -341,23 +344,6 @@ def corrupt_semantic(scene: Scene, cfg: CorruptionConfig) -> LabelGrid:
     return LabelGrid(out.astype(np.int32))
 
 
-def _interior_depth(mask: np.ndarray) -> np.ndarray:
-    """Peeling depth per pixel: boundary layer is 1, deeper layers count up."""
-    if mask.all():
-        # The grid edge is not background, so only a mask filling its array
-        # never peels: every other mask touches background and loses a layer.
-        return np.ones(mask.shape, dtype=np.float64)
-    depth = np.zeros(mask.shape, dtype=np.float64)
-    current = mask.copy()
-    level = 0
-    while current.any():
-        level += 1
-        core = _erode(current, 1)
-        depth[current & ~core] = level
-        current = core
-    return depth
-
-
 def pick_points(
     gt_instances: LabelGrid, seed: int, semantic: LabelGrid
 ) -> PointAnnotationSet:
@@ -377,7 +363,13 @@ def pick_points(
     for inst in ids:
         pix = np.argwhere(gt_instances.data == inst)
         (y0, x0), (y1, x1) = np.maximum(pix.min(axis=0) - 1, 0), pix.max(axis=0) + 2
-        depth = _interior_depth(gt_instances.data[y0:y1, x0:x1] == inst)
+        inside = gt_instances.data[y0:y1, x0:x1] == inst
+        # Peel depth: the 8-neighbour distance to the background. The grid
+        # edge is not background, so a mask filling its array never peels.
+        depth = (
+            np.ones(inside.shape, dtype=np.int32) if inside.all()
+            else _chebyshev_distance(~inside, sum(inside.shape))
+        )
         weights = depth[pix[:, 0] - y0, pix[:, 1] - x0] ** 2
         y, x = pix[int(rng.choice(len(pix), p=weights / weights.sum()))]
         pts.append(Point(int(y), int(x), int(semantic.data[y, x]), inst))

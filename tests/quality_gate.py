@@ -8,9 +8,10 @@ default MdmConfig with that seed. "init" is the class-aware overall IoU of
 stage 0's initial labels, the region-matching labels the recurrence starts
 from; "final" is that of the last stage's pseudo labels. "ignored" counts the
 scene's pointseg.s2i "point ignored" warnings: one per point whose region has
-another class, in each target build (the warm-up's and each stage's) that
-met it. Targets read a map with a patch pinned at each point, so a point is
-ignored only where another point's patch covers it.
+another class, in each target build that met it, one build per stage (the
+warm-up reuses stage 0's targets). Targets read a map with a patch pinned at
+each point and each point's own pixel pinned last, so a point is ignored only
+where another point of another class shares its pixel.
 
 There are two disjoint seed sets per size: 100-119 for development, and a
 held-out set on which no default may be tuned, 200-219 at 64x64 and 600-619

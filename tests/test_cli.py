@@ -808,6 +808,22 @@ class TestOutputDigests:
         "pseudo_instances.pgm": 0x0D7477E029F86565,
         "semantic_out.pgm": 0x4D60478A06E83EAE,
     }
+    # The warm-up's losses and stage 0's outputs besides its labels.
+    TRAIN_64_EARLY = {
+        "warmup_losses.jsonl": 0xD9BC190F85EBEA0F,
+        "stage_00/losses.jsonl": 0x7A2946CF0EAAEFFB,
+        "stage_00/classes.csv": 0x443CEC1530BD4168,
+        "stage_00/metrics.json": 0x9749AFA456D5EA34,
+    }
+
+    @pytest.fixture(scope="class")
+    def train_64(self, tmp_path_factory):
+        """The default train of the 64x64 seed-100 scene, run once."""
+        tmp = tmp_path_factory.mktemp("train_64")
+        assert dispatch(["synth", "--out", str(tmp), "--seed", "100"]) == 0
+        assert dispatch(["train", "--scene", str(tmp / "scene_00000100"),
+                         "--out", str(tmp / "train")]) == 0
+        return tmp / "train"
 
     @pytest.mark.parametrize("connectivity", sorted(S2I_256))
     def test_s2i_instances_256(self, tmp_path, connectivity):
@@ -821,13 +837,14 @@ class TestOutputDigests:
         digest = fnv1a64((tmp_path / "s2i" / "instances.pgm").read_bytes())
         assert digest == self.S2I_256[connectivity], f"{digest:016x}"
 
-    def test_train_64_last_stage(self, tmp_path):
-        assert dispatch(["synth", "--out", str(tmp_path), "--seed", "100"]) == 0
-        out = tmp_path / "train"
-        assert dispatch(["train", "--scene", str(tmp_path / "scene_00000100"),
-                         "--out", str(out)]) == 0
+    def test_train_64_last_stage(self, train_64):
         for name, expected in self.TRAIN_64_STAGE_02.items():
-            digest = fnv1a64((out / "stage_02" / name).read_bytes())
+            digest = fnv1a64((train_64 / "stage_02" / name).read_bytes())
+            assert digest == expected, f"{name}: {digest:016x}"
+
+    def test_train_64_warmup_and_first_stage(self, train_64):
+        for name, expected in self.TRAIN_64_EARLY.items():
+            digest = fnv1a64((train_64 / name).read_bytes())
             assert digest == expected, f"{name}: {digest:016x}"
 
 

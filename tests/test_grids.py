@@ -47,21 +47,23 @@ def flood_fill_count(mask, connectivity):
     return count
 
 
-def bfs_components(mask, connectivity):
-    """Breadth-first labeling, one pixel at a time: the ids connected_components
-    must return, numbered in raster order of each component's first pixel."""
+def bfs_components(grid, connectivity):
+    """Breadth-first labeling, one pixel at a time, of each component of equal
+    nonzero value: the ids connected_components must return, numbered in
+    raster order of each component's first pixel."""
     nbrs = {
         4: ((-1, 0), (0, -1), (0, 1), (1, 0)),
         8: ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
     }[connectivity]
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
+    grid = np.asarray(grid)
+    h, w = grid.shape
     labels = np.zeros((h, w), dtype=np.int32)
     next_id = 0
     for sy in range(h):
         for sx in range(w):
-            if not mask[sy, sx] or labels[sy, sx]:
+            if not grid[sy, sx] or labels[sy, sx]:
                 continue
+            mask = grid == grid[sy, sx]
             next_id += 1
             labels[sy, sx] = next_id
             queue = deque([(sy, sx)])
@@ -221,6 +223,25 @@ class TestConnectedComponents:
         }[name]()
         expected = bfs_components(mask, connectivity)
         assert np.array_equal(connected_components(mask, connectivity).data, expected)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_ids_equal_bfs_oracle_on_random_integer_grids(self, connectivity):
+        # Equal-valued neighbours join; a value change starts a new run and
+        # breaks every link, so touching classes stay apart.
+        rng = np.random.default_rng(13)
+        for _ in range(150):
+            h, w = (int(v) for v in rng.integers(1, 33, size=2))
+            n_values = int(rng.integers(2, 6))
+            grid = rng.integers(0, n_values, size=(h, w)).astype(np.int32)
+            if rng.random() < 0.5:  # blobs rather than noise
+                grid = np.repeat(np.repeat(grid, 3, axis=0), 3, axis=1)[:h, :w]
+            got = connected_components(grid, connectivity).data
+            assert np.array_equal(got, bfs_components(grid, connectivity)), (h, w)
+
+    def test_touching_values_are_separate_components(self):
+        grid = np.array([[1, 1, 2], [3, 2, 2], [3, 3, 0]])
+        assert connected_components(grid, 4).data.tolist() == [[1, 1, 2], [3, 2, 2], [3, 3, 0]]
+        assert connected_components(grid > 0, 4).ids() == [1]
 
     def test_shapes_have_the_intended_components(self):
         assert bfs_components(serpentine(63, 64), 4).max() == 1

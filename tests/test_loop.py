@@ -21,7 +21,7 @@ from pointseg import (
     run_mdm,
     run_stage,
 )
-from pointseg import loop
+from pointseg import loop, s2i
 from pointseg.grids import ClassScoreMap, OffsetField, Point, PointAnnotationSet
 from pointseg.loop import (
     OFFSET_OUTPUT_SCALE,
@@ -146,9 +146,9 @@ class TestPredict:
 
 class TestTrainStep:
     def targets_for(self, sc, semantic, cfg, with_affinity=True):
-        return build_stage_targets(
-            semantic, sc.points, cfg, affinity_seed=5 if with_affinity else None
-        )
+        # The warm-up trains on stage 0's targets without their pairs.
+        targets = build_stage_targets(semantic, sc.points, cfg, affinity_seed=5)
+        return targets if with_affinity else replace(targets, affinity=None)
 
     def test_zero_learning_rate_keeps_params(self):
         sc = small_scene()
@@ -232,6 +232,14 @@ class TestTrainStep:
             _fit(params, sc.features, targets, cfg, 9, "stage 2")
 
 
+def stage_0(sc, semantic, params, cfg):
+    """run_stage 0 on the targets run_mdm builds for it."""
+    targets = build_stage_targets(
+        loop._points_first(semantic, sc.points), sc.points, cfg, _derive_seed(cfg.seed, 0, 1)
+    )
+    return run_stage(0, semantic, targets, sc, params, cfg)
+
+
 class TestRunStage:
     def test_oracle_offsets_reproduce_gt(self, monkeypatch):
         # The stage groups whatever offsets its predictor returns; an oracle
@@ -244,7 +252,7 @@ class TestRunStage:
         monkeypatch.setattr(
             loop, "predict", lambda p, f: replace(real_predict(p, f), offsets=oracle)
         )
-        result = run_stage(0, sc.gt_semantic, sc, params, cfg)
+        result = stage_0(sc, sc.gt_semantic, params, cfg)
         assert np.array_equal(result.pseudo_instances.data, sc.gt_instances.data)
 
     def test_semantic_out_classes_subset_of_point_classes(self):
@@ -252,7 +260,7 @@ class TestRunStage:
         corr = corrupt_semantic(sc, CorruptionConfig(dilation_px=1, rng_seed=5))
         cfg = make_cfg(iters_per_stage=30)
         params = TinyPredictorParams.initialize(3, sc.features.shape[2], sc.n_classes)
-        result = run_stage(0, corr, sc, params, cfg)
+        result = stage_0(sc, corr, params, cfg)
         allowed = {0} | {p.class_id for p in sc.points}
         assert set(np.unique(result.semantic_out.data)) <= allowed
 
@@ -260,7 +268,7 @@ class TestRunStage:
         sc = generate_scene(23, 24, 24, 3, 3)
         cfg = make_cfg(iters_per_stage=5)
         params = TinyPredictorParams.initialize(3, sc.features.shape[2], sc.n_classes)
-        result = run_stage(0, sc.gt_semantic, sc, params, cfg)
+        result = stage_0(sc, sc.gt_semantic, params, cfg)
         for p in sc.points:
             assert result.semantic_out.data[p.y, p.x] == p.class_id
 
@@ -325,6 +333,24 @@ class TestRunMdm:
             assert st.metrics is not None
             assert 0.0 <= st.metrics.overall_iou <= 100.0
 
+    @pytest.mark.parametrize("warmup_iters", [0, 2])
+    def test_one_target_build_per_stage_one_labelling_per_build(self, monkeypatch, warmup_iters):
+        # Three classes, so a per-class labelling would run three times a build.
+        sc = generate_scene(24, 32, 32, 6, 3)
+        corr = corrupt_semantic(sc, CorruptionConfig(dilation_px=1, flip_rate=0.05, rng_seed=3))
+        assert set(np.unique(corr.data)) == {0, 1, 2, 3}
+        calls = []
+        for module, name in ((loop, "build_stage_targets"), (s2i, "connected_components")):
+            def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        cfg = make_cfg(n_stages=3, warmup_iters=warmup_iters, iters_per_stage=2)
+        res = run_mdm(sc, corr, cfg)
+        assert calls == ["build_stage_targets", "connected_components"] * cfg.n_stages
+        assert len(res.warmup_losses) == warmup_iters
+
 
 class TestMdmConfigValidation:
     def test_rejects_bad_counts(self):
@@ -383,14 +409,15 @@ class TestPinnedTargets:
         built = []
         real_build = loop.build_stage_targets
 
-        def spy(semantic_in, points, cfg, affinity_seed=None):
+        def spy(semantic_in, points, cfg, affinity_seed):
             built.append(semantic_in)
             return real_build(semantic_in, points, cfg, affinity_seed)
 
         monkeypatch.setattr(loop, "build_stage_targets", spy)
         res = run_mdm(sc, corr, make_cfg(n_stages=2, warmup_iters=1, iters_per_stage=1))
-        # The warm-up and both stages build targets, each from a pinned map.
-        assert len(built) == 3
+        # Both stages build targets, each from a pinned map; the warm-up
+        # reuses stage 0's.
+        assert len(built) == 2
         for semantic in built:
             assert all(semantic.data[p.y, p.x] == p.class_id for p in sc.points)
         initial = res.stages[0].initial_instances.data
@@ -411,6 +438,21 @@ class TestPinnedTargets:
             fg = pseudo > 0
             assert np.array_equal(semantic_in.data[fg], lut[pseudo[fg]])
             semantic_in = stage.semantic_out
+
+    def test_adjacent_points_of_two_classes_both_keep_an_instance(self):
+        # Each point lies inside the other's pin patch; the pin must not let
+        # point 2's patch overwrite point 1's own pixel.
+        gt = np.zeros((12, 12), dtype=np.int32)
+        gt[2:10, 1:5], gt[2:10, 5:11] = 1, 2
+        pts = PointAnnotationSet((Point(5, 4, 1, 1), Point(5, 5, 2, 2)))
+        semantic = LabelGrid(gt)  # instance k has class k
+        sc = Scene(semantic, semantic, pts, np.zeros((12, 12, 3 + FEATURE_EXTRA_CHANNELS)))
+        pinned = loop._points_first(semantic, pts)
+        assert [pinned.data[p.y, p.x] for p in pts] == [1, 2]
+        res = run_mdm(sc, semantic, make_cfg(n_stages=2, warmup_iters=1, iters_per_stage=1))
+        for stage in res.stages:
+            assert stage.initial_instances.ids() == [1, 2]
+            assert stage.pseudo_instances.ids() == [1, 2]
 
 
 # ---------------------------------------------------------------- reference
@@ -599,11 +641,11 @@ def _scene_64(seed):
 
 
 def _targets_of_kind(sc, semantic, cfg, kind):
-    if kind == "warm-up":
-        return build_stage_targets(semantic, sc.points, cfg, affinity_seed=None)
     targets = build_stage_targets(
         semantic, sc.points, cfg, affinity_seed=_derive_seed(cfg.seed, 0, 1)
     )
+    if kind == "warm-up":
+        return replace(targets, affinity=None)
     return targets if kind == "stage" else replace(targets, offsets=None)
 
 
@@ -669,7 +711,7 @@ class TestLabelsMatchReference:
         for g, w in zip(got.stages, want.stages):
             assert np.array_equal(g.pseudo_instances.data, w.pseudo_instances.data)
             assert np.array_equal(g.semantic_out.data, w.semantic_out.data)
-            assert g.instance_classes == w.instance_classes
+            assert g.metrics == w.metrics
 
 
 class TestLossNamesSeeEveryEvaluation:

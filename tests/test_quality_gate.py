@@ -41,11 +41,13 @@ def test_four_seed_table_is_well_formed(capsys):
 
 @pytest.mark.parametrize("warmup_iters, n_stages", [(1, 3), (0, 2)])
 def test_warning_count_counts_one_per_target_build(warmup_iters, n_stages):
-    # Point 2's pin patch covers point 1, which then lies in a class-2
-    # region: every target build, the warm-up's too, ignores point 1 once.
+    # Two points of different classes on one pixel: the pin gives it the
+    # later point's class, so point 1 lies in a class-2 region and each
+    # target build, one per stage, ignores it once. The warm-up trains on
+    # stage 0's targets and builds none of its own.
     gt = np.zeros((12, 12), dtype=np.int32)
     gt[2:10, 1:6], gt[2:10, 6:11] = 1, 2
-    points = ps.PointAnnotationSet((ps.Point(5, 4, 1, 1), ps.Point(5, 6, 2, 2)))
+    points = ps.PointAnnotationSet((ps.Point(5, 5, 1, 1), ps.Point(5, 5, 2, 2)))
     semantic = ps.LabelGrid(gt)  # instance k has class k
     features = np.zeros((12, 12, 6))  # background, 2 classes, 3 extra channels
     scene = ps.Scene(semantic, semantic, points, features)
@@ -57,4 +59,4 @@ def test_warning_count_counts_one_per_target_build(warmup_iters, n_stages):
         ps.run_mdm(scene, semantic, cfg)
     finally:
         logger.removeHandler(ignored)
-    assert ignored.count == (warmup_iters > 0) + n_stages
+    assert ignored.count == n_stages

@@ -251,7 +251,7 @@ class TestGroupInstances:
         data[:6, :6], data[12:18, 12:18] = 1, 2
         sem = LabelGrid(data)
         pts = points((2, 2, 1, 1), (15, 15, 2, 2))
-        targets = build_stage_targets(sem, pts, MdmConfig())
+        targets = build_stage_targets(sem, pts, MdmConfig(), affinity_seed=0)
         assert int((targets.initial.data == 2).sum()) == 36
         vectors = np.random.default_rng(0).normal(0.0, 30.0, (20, 20, 2))
         out = group_instances(offsets_of(vectors), targets.initial, targets.regions, pts)
@@ -261,27 +261,24 @@ class TestGroupInstances:
         for seed in range(50):
             sc = generate_scene(seed + 1000, 64, 64, 2 + seed % 5, 3)
             offsets = compute_offset_field(sc.gt_instances, sc.points)
-            targets = build_stage_targets(sc.gt_semantic, sc.points, MdmConfig())
+            targets = build_stage_targets(sc.gt_semantic, sc.points, MdmConfig(), affinity_seed=0)
             out = group_instances(offsets, targets.initial, targets.regions, sc.points)
             assert np.array_equal(out.data, sc.gt_instances.data)
-            pseudo, classes = finalize_pseudo_labels(out, sc.gt_semantic, sc.points)
+            pseudo = finalize_pseudo_labels(out, sc.gt_semantic, sc.points)
             assert np.array_equal(pseudo.data, out.data)
-            assert classes == sc.points.class_of()
 
 
 class TestFinalizePseudoLabels:
     def test_instance_on_background_removed(self):
         grouped = grid([[1, 1]])
         sem = grid([[0, 0]])
-        out, classes = finalize_pseudo_labels(grouped, sem, points((0, 0, 1, 1)))
+        out = finalize_pseudo_labels(grouped, sem, points((0, 0, 1, 1)))
         assert (out.data == 0).all()
-        assert classes == {}
 
     def test_identity_case(self):
         sc = generate_scene(77, 48, 48, 3, 3)
-        out, classes = finalize_pseudo_labels(sc.gt_instances, sc.gt_semantic, sc.points)
+        out = finalize_pseudo_labels(sc.gt_instances, sc.gt_semantic, sc.points)
         assert np.array_equal(out.data, sc.gt_instances.data)
-        assert classes == sc.points.class_of()
 
     def test_straddling_instance_clipped_to_own_class(self):
         # instance 1 (class 1) grouped across a class-2 strip: the class-2
@@ -289,18 +286,17 @@ class TestFinalizePseudoLabels:
         grouped = grid([[1, 1, 1, 1]])
         sem = grid([[1, 1, 2, 0]])
         pts = points((0, 0, 1, 1))
-        out, classes = finalize_pseudo_labels(grouped, sem, pts)
+        out = finalize_pseudo_labels(grouped, sem, pts)
         assert out.data.tolist() == [[1, 1, 0, 0]]
-        assert classes == {1: 1}
 
     def test_foreground_subset_of_semantic(self):
         sc = generate_scene(78, 64, 64, 4, 3)
         from pointseg import CorruptionConfig, corrupt_semantic
         sem = corrupt_semantic(sc, CorruptionConfig(dilation_px=2, flip_rate=0.1, rng_seed=3))
         offsets = compute_offset_field(sc.gt_instances, sc.points)
-        targets = build_stage_targets(sem, sc.points, MdmConfig())
+        targets = build_stage_targets(sem, sc.points, MdmConfig(), affinity_seed=0)
         grouped = group_instances(offsets, targets.initial, targets.regions, sc.points)
-        out, _ = finalize_pseudo_labels(grouped, sem, sc.points)
+        out = finalize_pseudo_labels(grouped, sem, sc.points)
         assert not ((out.data > 0) & (sem.data == 0)).any()
 
     def test_stray_ids_rejected(self):

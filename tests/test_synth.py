@@ -367,17 +367,20 @@ class TestBoxLocalMatchesWholeGridOracle:
 
     def test_interior_depth_on_the_box_plus_margin(self):
         # pick_points' crop: the mask's box plus 1 pixel, clipped to the grid.
+        # The peel depth is the Chebyshev distance to the background; a full
+        # mask, which never peels, is test_pick_points' first grid.
         rng = np.random.default_rng(1)
         for h, w in SHAPES:
-            for mask in edge_masks(h, w)[1:] + random_masks(rng, h, w, 20):
-                if not mask.any():
+            for mask in edge_masks(h, w)[2:] + random_masks(rng, h, w, 20):
+                if not mask.any() or mask.all():
                     continue
                 ys, xs = np.nonzero(mask)
                 crop = np.s_[max(ys.min() - 1, 0) : ys.max() + 2,
                              max(xs.min() - 1, 0) : xs.max() + 2]
                 want = oracle_interior_depth(mask)
-                assert np.array_equal(synth._interior_depth(mask[crop]), want[crop])
-                assert np.array_equal(synth._interior_depth(mask), want)
+                for part in (crop, np.s_[:, :]):
+                    got = synth._chebyshev_distance(~mask[part], sum(mask[part].shape))
+                    assert np.array_equal(got, want[part])
 
     def test_pick_points(self):
         rng = np.random.default_rng(2)
