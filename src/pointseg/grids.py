@@ -83,9 +83,16 @@ class LabelGrid:
         return self.data.shape
 
     def ids(self) -> list[int]:
-        """Sorted foreground ids present in the grid."""
-        u = np.unique(self.data)
-        return [int(i) for i in u if i > 0]
+        """Sorted foreground ids present in the grid.
+
+        Every id starts at least one run in raster order, so the sort reads
+        only the run starts, a few per row, not every pixel.
+        """
+        flat = self.data.ravel()
+        starts = np.empty(len(flat), dtype=bool)
+        starts[0] = True
+        np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+        return [int(i) for i in np.unique(flat[starts]) if i > 0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,11 @@ index, the offset targets at their valid pixels, the pair indices and the
 affinity floor terms) are built once per phase, where the targets are
 checked too; each of the phase's evaluations, one per Adam step, then works
 on raw arrays and checks only what the parameters can break, the finiteness
-of the outputs and of the losses.
+of the outputs and of the losses. The objective also allocates its
+workspace once per phase: the output planes, their finiteness mask, the
+scaled offsets, the kept pixels' feature columns and the pair ends with
+their gradient. Every evaluation overwrites it; what an evaluation returns
+(the loss report and the gradient) never points into it.
 
 The training hot path is channel-first. The objective holds the features as
 (2F + 1, N) planes, a row of ones last, and computes the outputs as (K, N)
@@ -266,6 +270,15 @@ class _Objective:
     an evaluation only checks what the parameters can break: that the
     outputs and the scaled offsets are finite.
 
+    The workspace is allocated here too, once per phase: the (K, N) output
+    planes and their finiteness mask, the (2, N) scaled-offset plane, the
+    feature columns of the kept pixels, and the (D, 2P) embeddings at the P
+    pairs' ends with their gradient. Each evaluation overwrites it in place,
+    so the Adam loop allocates no array of that size: a fresh one would be
+    new memory to the allocator on every step, paid for in page faults.
+    Nothing an evaluation returns points into it: the report, the gradient
+    and what the losses return are fresh on every call.
+
     An evaluation computes the (K, N) output planes W.T @ x + b and the
     three losses on their heads' rows. Each head's gradient w.r.t. (W; b)
     is one matmul of the feature columns its loss reads with the loss's
@@ -284,7 +297,9 @@ class _Objective:
     ) -> None:
         h, w = features.shape[:2]
         n = h * w
-        # The ones row multiplies out to the bias gradient.
+        # The ones row multiplies out to the bias gradient. The planes keep
+        # expand_features' pixel-major layout: xT.T is C-contiguous, so a
+        # pixel's column is one contiguous row of it.
         self.xT = np.vstack([expand_features(features).T, np.ones((1, n))])
         self.slices = template.head_slices()
         if targets.classes.shape != (h, w):
@@ -312,24 +327,38 @@ class _Objective:
             n_pos = int(np.count_nonzero(self.aff_target[0] < 0))  # positives weigh < 0
             n_neg = len(self.ends) // 2 - n_pos
         self.counts = (self.seg_target[1], n_off, n_pos, n_neg)
+        # The workspace, overwritten by every evaluation.
+        self.y = np.empty((len(template.biases), n))
+        self.finite = np.empty(self.y.shape, dtype=bool)
+        self.kept_rows = np.empty((self.seg_target[1], len(self.xT)))
+        if self.off_target is not None:
+            self.pred = np.empty((2, n))
+        if self.aff_target is not None:
+            self.ends_y = np.empty((template.embed_dim, len(self.ends)))
+            self.g_ends = np.empty_like(self.ends_y)
 
     def __call__(
         self, params: TinyPredictorParams
     ) -> tuple[LossReport, tuple[np.ndarray, np.ndarray]]:
-        """Forward pass, three losses, and the analytic parameter gradient."""
-        y = params.weights.T @ self.xT[:-1] + params.biases[:, None]
-        if not np.all(np.isfinite(y)):
+        """Forward pass, three losses, and the analytic parameter gradient,
+        computed in the workspace and returned in fresh arrays."""
+        y = np.matmul(params.weights.T, self.xT[:-1], out=self.y)
+        y += params.biases[:, None]
+        if not np.isfinite(y, out=self.finite).all():
             raise PipelineError("diverged: predictor outputs are non-finite")
         cls_sl, off_sl, emb_sl = self.slices
         grad = np.zeros((len(self.xT), len(y)))  # rows: weights, then biases
 
         seg, kept, g_seg = seg_loss_ohem(y[cls_sl], *self.seg_target)
-        grad[:, cls_sl] = self.xT[:, kept] @ (LAMBDA_SEG * g_seg).T
+        # mode="clip" writes straight into out, where the default buffers it;
+        # every index here is in range.
+        kept_x = np.take(self.xT.T, kept, axis=0, out=self.kept_rows, mode="clip").T
+        grad[:, cls_sl] = kept_x @ (LAMBDA_SEG * g_seg).T
 
         off = 0.0
         if self.off_target is not None:
-            pred = OFFSET_OUTPUT_SCALE * y[off_sl]
-            if not np.all(np.isfinite(pred)):
+            pred = np.multiply(OFFSET_OUTPUT_SCALE, y[off_sl], out=self.pred)
+            if not np.isfinite(pred, out=self.finite[off_sl]).all():
                 raise PipelineError("diverged: predicted offsets are non-finite")
             off, g_off = offset_loss(pred, *self.off_target)
             grad[:, off_sl] = self.off_x @ (self.off_coeff * g_off).T
@@ -337,11 +366,11 @@ class _Objective:
         aff = 0.0
         if self.aff_target is not None:
             n_pairs = len(self.ends) // 2
-            ends = y[emb_sl].take(self.ends, axis=1)
+            ends = np.take(y[emb_sl], self.ends, axis=1, out=self.ends_y, mode="clip")
             emb_a, emb_b = ends[:, :n_pairs], ends[:, n_pairs:]
             aff, g_logit = affinity_loss(_pair_logits(emb_a, emb_b), *self.aff_target)
             coeff = self.aff_coeff * g_logit
-            g_ends = np.empty_like(ends)
+            g_ends = self.g_ends
             np.multiply(coeff, emb_b, out=g_ends[:, :n_pairs])
             np.multiply(coeff, emb_a, out=g_ends[:, n_pairs:])
             grad[:, emb_sl] = self.ends_x @ g_ends.T

@@ -20,7 +20,7 @@ caller multiplies by the features at those columns alone.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,31 +59,47 @@ class LossReport:
     n_neg_pairs: int = 0
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # The fields in declaration order; they are flat scalars, so no deep
+        # copy is needed.
+        return dict(vars(self))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function, branch-free: exp(-|x|) never overflows.
 
     1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, the same
-    floats as evaluating the two branches on their own masks.
+    floats as evaluating the two branches on their own masks. The steps run
+    in place on two fresh arrays; out= keeps a 0-d input an array, where a
+    ufunc without it would return a scalar.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out if out.ndim else out[()]
 
 
 def softmax_rows(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Normalized exponential along `axis` (the last by default), max-shifted
-    for stability."""
+    """Normalized exponential of float scores along `axis` (the last by
+    default), max-shifted for stability.
+
+    The shift, exp and division run in place on one fresh array, and the
+    sum lands in the max's plane.
+    """
     # The max one channel at a time: exact, and far cheaper than a reduction
     # over a short axis.
     planes = np.moveaxis(scores, axis, 0)
-    top = planes[0]
+    top = np.array(planes[0])  # a copy, and an array even for 1-d scores
     for plane in planes[1:]:
-        top = np.maximum(top, plane)
-    ex = np.exp(scores - np.expand_dims(top, axis))
-    return ex / ex.sum(axis=axis, keepdims=True)
+        np.maximum(top, plane, out=top)
+    top = np.expand_dims(top, axis)
+    ex = np.subtract(scores, top)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=axis, keepdims=True, out=top)
+    return ex
 
 
 def smooth_l1(x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +164,9 @@ def seg_loss_ohem(
     """
     probs = softmax_rows(scores, axis=0)
     p_true = probs.take(target_index)
-    ce = -np.log(np.maximum(p_true, CE_PROB_FLOOR))
+    ce = np.maximum(p_true, CE_PROB_FLOOR)
+    np.log(ce, out=ce)
+    np.negative(ce, out=ce)
     # A stable sort of the candidates at or above the cutoff keeps the order
     # a stable sort of every pixel would give: descending CE, then raster.
     hardness = -ce

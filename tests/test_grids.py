@@ -146,6 +146,43 @@ class TestLabelGrid:
         assert g.ids() == [1, 3]
 
 
+def unique_ids(data):
+    """The ids() oracle: a sort of every pixel."""
+    return [int(i) for i in np.unique(data) if i > 0]
+
+
+class TestIdsMatchUnique:
+    """ids() reads only the raster-order run starts; the list is the one a
+    full np.unique gives."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(1, 30, size=2)
+        # Few values give long runs; many give a run start at nearly every pixel.
+        data = rng.integers(0, rng.integers(1, 12) if seed % 2 else 1000, size=(h, w))
+        if seed % 4 == 1:  # runs of one value that wrap from one row to the next
+            data = np.repeat(data.ravel(), 7)[: h * w].reshape(h, w)
+        assert LabelGrid(data).ids() == unique_ids(data)
+
+    @pytest.mark.parametrize("value", [0, 1, 5])
+    def test_one_by_one(self, value):
+        assert LabelGrid(np.array([[value]])).ids() == unique_ids([[value]])
+
+    @pytest.mark.parametrize("value", [0, 4, 2**31 - 1])
+    def test_one_value_grid(self, value):
+        data = np.full((9, 13), value)
+        assert LabelGrid(data).ids() == unique_ids(data) == ([value] if value else [])
+
+    def test_int32_maximum_among_others(self):
+        rng = np.random.default_rng(7)
+        data = rng.choice(np.array([0, 1, 2**31 - 2, 2**31 - 1]), size=(17, 11))
+        data[-1, -1] = 2**31 - 1  # the last pixel starts a run of its own
+        data[-1, -2] = 0
+        assert LabelGrid(data).ids() == unique_ids(data)
+        assert LabelGrid(data).ids()[-1] == 2**31 - 1
+
+
 class TestConnectedComponents:
     def test_plus_shape_4conn_single_component(self):
         mask = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -631,9 +632,10 @@ def _ref_fit(params, features, targets, cfg, iters):
     return replace(params, **theta), history
 
 
-def _scene_64(seed):
-    """A 64x64 scene and its corrupted semantic map, as `pointseg synth` makes them."""
-    sc = generate_scene(seed, 64, 64, 4, 3)
+def _synth_scene(seed, size=64):
+    """A size x size scene and its corrupted semantic map, as `pointseg synth`
+    makes them (64x64 by default)."""
+    sc = generate_scene(seed, size, size, 4, 3)
     corr = corrupt_semantic(sc, CorruptionConfig(
         dilation_px=2, merge_adjacent=True, flip_rate=0.02, rng_seed=seed + 1,
     ))
@@ -661,7 +663,7 @@ class TestObjectiveMatchesReference:
     @pytest.mark.parametrize("seed", [100, 101])
     @pytest.mark.parametrize("kind", [*TARGET_KINDS, "tied"])
     def test_within_1e12_of_reference(self, seed, kind):
-        sc, corr = _scene_64(seed)
+        sc, corr = _synth_scene(seed)
         if kind == "tied":
             # Rounded features give many pixels equal scores, so the OHEM
             # cutoff falls inside runs of equal CE and the tie rule matters.
@@ -701,7 +703,7 @@ class TestLabelsMatchReference:
 
     @pytest.mark.parametrize("seed", [100, 101, 102, 103])
     def test_run_mdm_labels_identical(self, seed, monkeypatch):
-        sc, corr = _scene_64(seed)
+        sc, corr = _synth_scene(seed)
         cfg = MdmConfig(seed=seed)
         got = run_mdm(sc, corr, cfg)
         monkeypatch.setattr(loop, "_Objective", _RefObjective)
@@ -755,3 +757,87 @@ class TestLossNamesSeeEveryEvaluation:
         _fit(params, sc.features, targets, cfg, 1, "stage 0")
         objective_on_flat(flatten(params), params, sc.features, targets, cfg.hard_pixel_ratio)
         assert calls == dict.fromkeys(self.NAMES, 2)
+
+
+class TestObjectiveWorkspace:
+    """An evaluation writes its output planes, scaled offsets, pair ends and
+    their gradient into arrays allocated once per phase, and returns
+    nothing that points into them."""
+
+    @staticmethod
+    def _objective(kind, seed=100, size=64):
+        sc, corr = _synth_scene(seed, size)
+        cfg = MdmConfig()
+        targets = _targets_of_kind(sc, corr, cfg, kind)
+        params = TinyPredictorParams.initialize(
+            _derive_seed(cfg.seed, 0, 0), sc.features.shape[2], sc.n_classes
+        )
+        return _Objective(params, sc.features, targets, cfg.hard_pixel_ratio), params
+
+    @pytest.mark.parametrize("kind", ["stage", "warm-up"])
+    def test_steady_state_evaluation_allocates_under_one_plane(self, kind):
+        # A fresh array this size is new memory to the allocator, paid for
+        # in page faults on every step of the Adam loop.
+        objective, params = self._objective(kind, size=256)
+        objective(params)  # past any first-call set-up
+        tracemalloc.start()
+        try:
+            objective(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plane = len(params.biases) * 256 * 256 * 8  # one (K, N) float64 plane
+        assert peak < plane, f"{peak} bytes allocated, one output plane is {plane}"
+
+    @pytest.mark.parametrize("kind", TARGET_KINDS)
+    def test_results_survive_a_later_call(self, kind):
+        objective, p1 = self._objective(kind)
+        p2 = replace(p1, weights=p1.weights * 1.5 - 0.1, biases=p1.biases + 0.2)
+        report, grads = objective(p1)
+        saved = report.as_dict(), [g.copy() for g in grads]
+        report2, grads2 = objective(p2)
+        assert report2.total != report.total
+        assert report.as_dict() == saved[0]
+        for got, want in zip(grads, saved[1]):
+            assert got.tobytes() == want.tobytes()
+        # Call 2 equals a fresh objective's first call at p2.
+        want2, want_grads2 = self._objective(kind)[0](p2)
+        assert report2 == want2
+        for got, want in zip(grads2, want_grads2):
+            assert got.tobytes() == want.tobytes()
+        workspace = [v for v in vars(objective).values() if isinstance(v, np.ndarray)]
+        for out in (*grads, *grads2):
+            assert not any(np.shares_memory(out, buf) for buf in workspace)
+
+    def test_loss_returns_survive_a_later_call(self, monkeypatch):
+        returned = []
+        for name in ("seg_loss_ohem", "offset_loss", "affinity_loss"):
+            original = getattr(loop, name)
+
+            def keep(*args, _original=original):
+                out = _original(*args)
+                returned.append(out)
+                return out
+
+            monkeypatch.setattr(loop, name, keep)
+        objective, p1 = self._objective("stage")
+        objective(p1)
+        assert len(returned) == 3
+        snapshot = [[np.array(v, copy=True) for v in out] for out in returned]
+        objective(replace(p1, weights=p1.weights * 1.5 - 0.1, biases=p1.biases + 0.2))
+        for out, saved in zip(returned[:3], snapshot):
+            for value, copy in zip(out, saved):
+                assert np.array_equal(value, copy)
+
+    @pytest.mark.parametrize("kind", TARGET_KINDS)
+    def test_two_fits_from_one_start_agree(self, kind):
+        sc, corr = _synth_scene(101)
+        cfg = MdmConfig()
+        targets = _targets_of_kind(sc, corr, cfg, kind)
+        start = TinyPredictorParams.initialize(3, sc.features.shape[2], sc.n_classes)
+        runs = [_fit(start, sc.features, targets, cfg, 12, kind) for _ in range(2)]
+        (p_a, h_a), (p_b, h_b) = runs
+        assert [r.as_dict() for r in h_a] == [r.as_dict() for r in h_b]
+        assert len({r.total for r in h_a}) > 1  # the parameters moved
+        assert p_a.weights.tobytes() == p_b.weights.tobytes()
+        assert p_a.biases.tobytes() == p_b.biases.tobytes()

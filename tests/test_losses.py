@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from pointseg import (
     smooth_l1,
     total_loss,
 )
-from pointseg.losses import LAMBDA_AFF, LAMBDA_OFF, LAMBDA_SEG, sigmoid
+from pointseg.losses import LAMBDA_AFF, LAMBDA_OFF, LAMBDA_SEG, sigmoid, softmax_rows
 
 from gradcheck import grad_check
 
@@ -78,6 +79,73 @@ class TestSigmoid:
             got, want = sigmoid(x), two_branch_sigmoid(x)
             # Compared as bits, so signed zeros must match as well.
             assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def sigmoid_temporaries(x):
+    """The sigmoid reference: one expression of fresh temporaries."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def softmax_temporaries(scores, axis=-1):
+    """The softmax_rows reference: one expression of fresh temporaries."""
+    planes = np.moveaxis(scores, axis, 0)
+    top = planes[0]
+    for plane in planes[1:]:
+        top = np.maximum(top, plane)
+    ex = np.exp(scores - np.expand_dims(top, axis))
+    return ex / ex.sum(axis=axis, keepdims=True)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+EDGES = [745.0, -745.0, 1e308, -1e308, 0.0, -0.0, 1e-300, 36.7]
+
+
+class TestInPlaceMatchesTemporaries:
+    """sigmoid and softmax_rows compute in place; the floats are those of
+    the reference expressions, and the argument is left as it was."""
+
+    @pytest.mark.parametrize("x", [
+        *EDGES,
+        *(np.float64(v) for v in EDGES),
+        np.array(-745.0),
+        np.array(EDGES),
+        np.random.default_rng(3).standard_normal(1000) * 800,
+        np.random.default_rng(4).standard_normal((37, 29)) * 40,
+        np.array(EDGES).reshape(2, 4).T,  # not contiguous
+    ], ids=repr)
+    def test_sigmoid(self, x):
+        before = np.array(x, copy=True)
+        got, want = sigmoid(x), sigmoid_temporaries(x)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert bits(got) == bits(want)  # signed zeros too
+        assert bits(x) == bits(before)
+
+    def test_softmax_0d_raises_as_before(self):
+        for fn in (softmax_rows, softmax_temporaries):
+            with pytest.raises(np.exceptions.AxisError):
+                fn(np.array(1.0))
+
+    @pytest.mark.parametrize("x, axis", [
+        (np.array(EDGES), -1),
+        (np.array([3.0]), 0),
+        (np.random.default_rng(5).standard_normal(9) * 30, 0),
+        (np.random.default_rng(6).standard_normal((4, 4096)) * 50, 0),
+        (np.random.default_rng(7).standard_normal((13, 11, 3)) * 50, -1),
+        (np.array(EDGES).reshape(4, 2), 0),
+        (np.array(EDGES).reshape(4, 2), -1),
+        (np.array(EDGES).reshape(2, 4).T, 1),  # not contiguous
+    ])
+    def test_softmax_rows(self, x, axis):
+        with np.errstate(over="ignore", invalid="ignore"):  # the ±1e308 rows
+            before = x.copy()
+            got, want = softmax_rows(x, axis), softmax_temporaries(x, axis)
+        assert got.shape == want.shape and bits(got) == bits(want)
+        assert bits(x) == bits(before)
 
 
 class TestSmoothL1:
@@ -287,6 +355,14 @@ class TestTotalLoss:
         r1 = total_loss((0.3, 0.7, 1.1))
         r2 = total_loss((0.6, 1.4, 2.2))
         assert r2.total == pytest.approx(2 * r1.total)
+
+    def test_as_dict_is_the_fields_in_order(self):
+        r = total_loss((0.3, 0.7, 1.1), (5, 6, 7, 8))
+        assert list(r.as_dict().items()) == [
+            (f.name, getattr(r, f.name)) for f in dataclasses.fields(r)
+        ]
+        r.as_dict()["seg"] = 9.0  # a copy: the report is unchanged
+        assert r.seg == 0.3
 
     def test_invariant_total_equals_weighted_sum(self):
         rng = np.random.default_rng(8)
