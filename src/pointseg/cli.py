@@ -12,6 +12,11 @@ path among them, is a usage error. A flag beats the file, which beats the
 table's default. The manifest echoes the resolved table in its order: all
 of it for s2i and i2s, all but `jobs` for train; synth echoes each scene's
 parameters and eval whether it was class-aware.
+
+A scene directory, as synth writes it and train reads it, holds
+gt_instances.pgm, gt_semantic.pgm, semantic_in.pgm (the corrupted semantic
+map), points.csv, intensity.mdmt (the (H, W) image) and scene.json (the
+scene's parameters; train reads its n_classes, an integer >= 1).
 """
 from __future__ import annotations
 
@@ -305,7 +310,7 @@ def _cmd_synth(argv: list[str]) -> int:
         _write(scene_dir / "gt_semantic.pgm", encode_label_pgm(scene.gt_semantic))
         _write(scene_dir / "semantic_in.pgm", encode_label_pgm(corrupted))
         _write(scene_dir / "points.csv", encode_points_csv(scene.points))
-        _write(scene_dir / "features.mdmt", encode_tensor(scene.features))
+        _write(scene_dir / "intensity.mdmt", encode_tensor(scene.intensity))
         scene_json = {
             "seed": scene_seed,
             "height": height,
@@ -390,22 +395,15 @@ def _cmd_i2s(argv: list[str]) -> int:
 def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
     meta_path = scene_dir / "scene.json"
     meta = json.loads(_read_text(meta_path))
-    try:
-        declared = meta.get("n_classes")
-        declared = None if declared is None else int(declared)
-    except (AttributeError, TypeError, ValueError):
-        raise PointsegError(
-            f"{meta_path}: expected a JSON object with an integer n_classes"
-        ) from None
+    n_classes = meta.get("n_classes") if isinstance(meta, dict) else None
+    if type(n_classes) is not int or n_classes < 1:
+        raise PointsegError(f"{meta_path}: expected a JSON object with an integer n_classes >= 1")
     gt_instances = decode_label_pgm((scene_dir / "gt_instances.pgm").read_bytes())
     gt_semantic = decode_label_pgm((scene_dir / "gt_semantic.pgm").read_bytes())
     semantic_in = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
     points = decode_points_csv(_read_text(scene_dir / "points.csv"))
-    features = decode_tensor((scene_dir / "features.mdmt").read_bytes())
-    scene = Scene(gt_instances, gt_semantic, points, features)
-    if declared is not None and scene.n_classes != declared:
-        raise PointsegError(f"{scene_dir}: feature channels disagree with scene.json")
-    return scene, semantic_in
+    intensity = decode_tensor((scene_dir / "intensity.mdmt").read_bytes())
+    return Scene(gt_instances, gt_semantic, points, intensity, n_classes), semantic_in
 
 
 _TRAIN_FLAGS = [
@@ -475,7 +473,7 @@ def _train_one(task: tuple[str, str, MdmConfig, dict]) -> str:
         out_dir, "train", echo,
         [scene_dir / name for name in (
             "gt_instances.pgm", "gt_semantic.pgm", "semantic_in.pgm",
-            "points.csv", "features.mdmt",
+            "points.csv", "intensity.mdmt",
         )],
         t0,
     )

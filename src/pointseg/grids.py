@@ -9,6 +9,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -281,11 +282,7 @@ def encode_label_pgm(grid: LabelGrid) -> bytes:
         raise GridError(f"id overflow: {max_id} exceeds {PGM_MAX_ID}")
     maxval = 65535 if max_id > 255 else 255
     header = f"P5\n{grid.width} {grid.height}\n{maxval}\n".encode("ascii")
-    if maxval == 255:
-        payload = grid.data.astype(np.uint8).tobytes()
-    else:
-        payload = grid.data.astype(">u2").tobytes()
-    return header + payload
+    return b"".join((header, grid.data.astype(np.uint8 if maxval == 255 else ">u2")))
 
 
 class _ByteScanner:
@@ -327,7 +324,8 @@ class _ByteScanner:
 
 
 def decode_label_pgm(blob: bytes) -> LabelGrid:
-    """Inverse of :func:`encode_label_pgm`; strict about payload length."""
+    """Inverse of :func:`encode_label_pgm`; strict about payload length and
+    about samples above the header's maxval."""
     scanner = _ByteScanner(blob)
     magic = scanner.token()
     if magic != b"P5":
@@ -351,6 +349,9 @@ def decode_label_pgm(blob: bytes) -> LabelGrid:
         raise GridError("trailing data after payload")
     dtype = np.uint8 if bytes_per == 1 else np.dtype(">u2")
     data = np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    top = int(data.max())
+    if top > maxval:
+        raise GridError(f"sample {top} exceeds maxval {maxval}")
     return LabelGrid(data.astype(np.int32))
 
 
@@ -365,7 +366,8 @@ def encode_tensor(values: np.ndarray) -> bytes:
         raise GridError("non-finite tensor data")
     dims = np.array(arr.shape, dtype="<u4")
     header = TENSOR_MAGIC + np.array([arr.ndim], dtype="<u4").tobytes() + dims.tobytes()
-    return header + arr.astype("<f4").tobytes(order="C")
+    # One copy of the payload: join reads the C-ordered float32 buffer.
+    return b"".join((header, arr.astype("<f4", order="C")))
 
 
 def decode_tensor(blob: bytes) -> np.ndarray:
@@ -381,13 +383,12 @@ def decode_tensor(blob: bytes) -> np.ndarray:
     if len(blob) < dim_end:
         raise GridError("unexpected end of data")
     dims = tuple(int(d) for d in np.frombuffer(blob[8:dim_end], dtype="<u4"))
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    expected = count * 4
+    expected = math.prod(dims) * 4  # exact: a NumPy product can wrap to 0
     if len(blob) != dim_end + expected:
         raise GridError(
             f"dim/payload mismatch: dims {dims} need {expected} bytes, got {len(blob) - dim_end}"
         )
-    values = np.frombuffer(blob[dim_end:], dtype="<f4").astype(np.float64)
+    values = np.frombuffer(blob, dtype="<f4", offset=dim_end).astype(np.float64)
     return values.reshape(dims)
 
 

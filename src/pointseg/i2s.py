@@ -54,8 +54,8 @@ class I2SConfig:
 class AffinitySampleSet:
     """Sampled pixel pairs with binary same-instance targets.
 
-    a and b are (n, 2) int arrays of (y, x); targets are 1.0 for same-instance
-    pairs and 0.0 otherwise.
+    a and b are (n,) int arrays of the pairs' ends as flat raster indices
+    y * W + x; targets are 1.0 for same-instance pairs and 0.0 otherwise.
     """
 
     a: np.ndarray
@@ -138,12 +138,8 @@ def build_affinity_targets(
     order = np.argsort(keys)
     k, at = np.divmod(keys[order], lab.size)
     dy, dx, width = np.array(offsets)[k].T
-    a = np.stack([at // width, at % width + np.maximum(0, -dx)], axis=1)
-    return AffinitySampleSet(
-        a=a.astype(np.int32),
-        b=(a + np.stack([dy, dx], axis=1)).astype(np.int32),
-        targets=np.concatenate(targets)[order],
-    )
+    a = at // width * w + at % width + np.maximum(0, -dx)
+    return AffinitySampleSet(a=a, b=a + dy * w + dx, targets=np.concatenate(targets)[order])
 
 
 def refresh_semantic(

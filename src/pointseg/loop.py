@@ -29,8 +29,10 @@ The training hot path is channel-first. The objective holds the features as
 planes; each head's parameter gradient is then one small matmul of the
 feature columns its loss reads (the OHEM-kept pixels, the valid offset
 pixels, both ends of every sampled pair) with the loss's gradient at those
-columns, the ones row giving the bias gradient. The stage's refresh reads
-the embeddings as (D, H, W) planes, and one _pair_logits serves both.
+columns, the ones row giving the bias gradient. The parameters share that
+layout: one (2F + 1, K) matrix theta, the biases its last row, so the
+gradient and Adam's moments are single arrays too. The stage's refresh
+reads the embeddings as (D, H, W) planes, and one _pair_logits serves both.
 Validated types (ClassScoreMap, OffsetField, LabelGrid) stay at the API:
 predict, build_stage_targets, run_stage.
 """
@@ -85,7 +87,7 @@ __all__ = [
     "run_mdm",
 ]
 
-DEFAULT_EMBED_DIM = 8
+EMBED_DIM = 8
 # Offsets are regressed in units of this many pixels so head weights stay O(1).
 OFFSET_OUTPUT_SCALE = 8.0
 # Adam's moment decay rates and denominator floor, as Kingma & Ba recommend.
@@ -119,29 +121,23 @@ def expand_features(features: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TinyPredictorParams:
-    """Linear head weights over the expanded features."""
+    """Linear head weights over the expanded features, the biases last:
+    the outputs are x @ theta[:-1] + theta[-1]."""
 
-    weights: np.ndarray  # (2F, C+1+2+D)
-    biases: np.ndarray  # (C+1+2+D,)
+    theta: np.ndarray  # (2F + 1, C+1+2+D)
     n_classes: int
-    embed_dim: int
 
     @classmethod
     def initialize(cls, seed: int, feature_dim: int, n_classes: int) -> "TinyPredictorParams":
         fan_in = 2 * feature_dim
-        n_out = (n_classes + 1) + 2 + DEFAULT_EMBED_DIM
+        n_out = (n_classes + 1) + 2 + EMBED_DIM
         bound = 1.0 / math.sqrt(fan_in)
         rng = np.random.default_rng(seed)
-        return cls(
-            weights=rng.uniform(-bound, bound, size=(fan_in, n_out)),
-            biases=rng.uniform(-bound, bound, size=n_out),
-            n_classes=n_classes,
-            embed_dim=DEFAULT_EMBED_DIM,
-        )
+        return cls(rng.uniform(-bound, bound, size=(fan_in + 1, n_out)), n_classes)
 
     def head_slices(self) -> tuple[slice, slice, slice]:
         c1 = self.n_classes + 1
-        return slice(0, c1), slice(c1, c1 + 2), slice(c1 + 2, c1 + 2 + self.embed_dim)
+        return slice(0, c1), slice(c1, c1 + 2), slice(c1 + 2, c1 + 2 + EMBED_DIM)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,27 +158,20 @@ def _pair_logits(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
     return np.einsum("d...,d...->...", emb_a, emb_b) * _logit_scale(len(emb_a))
 
 
-def _pair_index(samples: AffinitySampleSet, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat raster indices of both ends of every sampled pair."""
-    ia = samples.a[:, 0].astype(np.int64) * width + samples.a[:, 1]
-    ib = samples.b[:, 0].astype(np.int64) * width + samples.b[:, 1]
-    return ia, ib
-
-
 def predict(params: TinyPredictorParams, features: np.ndarray) -> PredictorOutputs:
     """Deterministic forward pass over a (H, W, F) feature tensor."""
     h, w, f = features.shape
-    if 2 * f != params.weights.shape[0]:
+    if 2 * f + 1 != len(params.theta):
         raise PipelineError(
-            f"feature dim {f} does not match predictor fan-in {params.weights.shape[0]}"
+            f"feature dim {f} does not match predictor fan-in {len(params.theta) - 1}"
         )
-    y = expand_features(features) @ params.weights + params.biases
+    y = expand_features(features) @ params.theta[:-1] + params.theta[-1]
     cls_sl, off_sl, emb_sl = params.head_slices()
     class_map = ClassScoreMap(y[:, cls_sl].reshape(h, w, -1))
     offsets = OffsetField(
         OFFSET_OUTPUT_SCALE * y[:, off_sl].reshape(h, w, 2), np.ones((h, w), dtype=bool)
     )
-    embeddings = y[:, emb_sl].reshape(h, w, params.embed_dim)
+    embeddings = y[:, emb_sl].reshape(h, w, EMBED_DIM)
     return PredictorOutputs(class_map, offsets, embeddings)
 
 
@@ -279,13 +268,13 @@ class _Objective:
     Nothing an evaluation returns points into it: the report, the gradient
     and what the losses return are fresh on every call.
 
-    An evaluation computes the (K, N) output planes W.T @ x + b and the
-    three losses on their heads' rows. Each head's gradient w.r.t. (W; b)
-    is one matmul of the feature columns its loss reads with the loss's
-    gradient at those columns: the kept pixels for the class head, the
-    valid pixels for the offset head, and the pair ends for the embedding
-    head, where the gradient at end a of a pair is its logit's gradient
-    times the embedding at end b, and the other way round.
+    An evaluation computes the (K, N) output planes W.T @ x + b, with
+    theta = (W; b), and the three losses on their heads' rows. Each head's
+    gradient w.r.t. theta is one matmul of the feature columns its loss
+    reads with the loss's gradient at those columns: the kept pixels for
+    the class head, the valid pixels for the offset head, and the pair ends
+    for the embedding head, where the gradient at end a of a pair is its
+    logit's gradient times the embedding at end b, and the other way round.
     """
 
     def __init__(
@@ -320,34 +309,32 @@ class _Objective:
         self.aff_target = None
         if targets.affinity is not None:
             self.aff_target = affinity_floor(targets.affinity.targets)
-            self.aff_coeff = LAMBDA_AFF * _logit_scale(template.embed_dim)
+            self.aff_coeff = LAMBDA_AFF * _logit_scale(EMBED_DIM)
             # Both pair ends at once: the a ends, then the b ends.
-            self.ends = np.concatenate(_pair_index(targets.affinity, w))
+            self.ends = np.concatenate([targets.affinity.a, targets.affinity.b])
             self.ends_x = self.xT[:, self.ends]
             n_pos = int(np.count_nonzero(self.aff_target[0] < 0))  # positives weigh < 0
             n_neg = len(self.ends) // 2 - n_pos
         self.counts = (self.seg_target[1], n_off, n_pos, n_neg)
         # The workspace, overwritten by every evaluation.
-        self.y = np.empty((len(template.biases), n))
+        self.y = np.empty((template.theta.shape[1], n))
         self.finite = np.empty(self.y.shape, dtype=bool)
         self.kept_rows = np.empty((self.seg_target[1], len(self.xT)))
         if self.off_target is not None:
             self.pred = np.empty((2, n))
         if self.aff_target is not None:
-            self.ends_y = np.empty((template.embed_dim, len(self.ends)))
+            self.ends_y = np.empty((EMBED_DIM, len(self.ends)))
             self.g_ends = np.empty_like(self.ends_y)
 
-    def __call__(
-        self, params: TinyPredictorParams
-    ) -> tuple[LossReport, tuple[np.ndarray, np.ndarray]]:
-        """Forward pass, three losses, and the analytic parameter gradient,
-        computed in the workspace and returned in fresh arrays."""
-        y = np.matmul(params.weights.T, self.xT[:-1], out=self.y)
-        y += params.biases[:, None]
+    def __call__(self, params: TinyPredictorParams) -> tuple[LossReport, np.ndarray]:
+        """Forward pass, three losses, and the analytic gradient w.r.t.
+        theta, computed in the workspace and returned in fresh arrays."""
+        y = np.matmul(params.theta[:-1].T, self.xT[:-1], out=self.y)
+        y += params.theta[-1][:, None]
         if not np.isfinite(y, out=self.finite).all():
             raise PipelineError("diverged: predictor outputs are non-finite")
         cls_sl, off_sl, emb_sl = self.slices
-        grad = np.zeros((len(self.xT), len(y)))  # rows: weights, then biases
+        grad = np.zeros((len(self.xT), len(y)))  # theta's layout
 
         seg, kept, g_seg = seg_loss_ohem(y[cls_sl], *self.seg_target)
         # mode="clip" writes straight into out, where the default buffers it;
@@ -376,7 +363,7 @@ class _Objective:
             grad[:, emb_sl] = self.ends_x @ g_ends.T
 
         report = total_loss((seg, off, aff), self.counts)
-        return report, (grad[:-1], grad[-1])
+        return report, grad
 
 
 def _fit(
@@ -397,12 +384,12 @@ def _fit(
     catch them, and a divergence names the phase and the step it happened at.
     """
     objective = _Objective(params, features, targets, cfg.hard_pixel_ratio)
-    m = v = (0.0, 0.0)  # first and second moments of (weights, biases)
+    m = v = 0.0  # first and second moments of theta
     history = []
     for t in range(1, iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                report, grads = objective(params)
+                report, grad = objective(params)
                 for name in ("seg", "off", "aff"):
                     if not math.isfinite(getattr(report, name)):
                         raise PipelineError(f"diverged: {name} loss is non-finite")
@@ -411,14 +398,12 @@ def _fit(
                     f"{err} in {phase}, step {t} of {iters};"
                     " try a lower learning rate (--lr)"
                 ) from None
-            m = tuple(ADAM_BETA1 * mi + (1.0 - ADAM_BETA1) * g for mi, g in zip(m, grads))
-            v = tuple(ADAM_BETA2 * vi + (1.0 - ADAM_BETA2) * (g * g) for vi, g in zip(v, grads))
-            weights, biases = (
-                p - cfg.learning_rate * (mi / (1.0 - ADAM_BETA1**t))
-                / (np.sqrt(vi / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
-                for p, mi, vi in zip((params.weights, params.biases), m, v)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (grad * grad)
+            theta = params.theta - cfg.learning_rate * (m / (1.0 - ADAM_BETA1**t)) / (
+                np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
             )
-        params = replace(params, weights=weights, biases=biases)
+        params = replace(params, theta=theta)
         history.append(report)
     return params, history
 
@@ -465,18 +450,19 @@ def run_stage(
     stage_idx: int,
     semantic_in: LabelGrid,
     targets: StageTargets,
-    scene: Scene,
+    features: np.ndarray,
+    points: PointAnnotationSet,
     params: TinyPredictorParams,
     cfg: MdmConfig,
 ) -> StageResult:
-    """One train -> group -> I2S refresh round on targets built from
-    semantic_in pinned; the pseudo instances are masked by semantic_in."""
-    points = scene.points
+    """One train -> group -> I2S refresh round on the (H, W, F) predictor
+    features and targets built from semantic_in pinned; the pseudo
+    instances are masked by semantic_in."""
     params, history = _fit(
-        params, scene.features, targets, cfg, cfg.iters_per_stage, f"stage {stage_idx}"
+        params, features, targets, cfg, cfg.iters_per_stage, f"stage {stage_idx}"
     )
 
-    outs = predict(params, scene.features)
+    outs = predict(params, features)
     grouped = group_instances(outs.offsets, targets.initial, targets.regions, points)
     pseudo = finalize_pseudo_labels(grouped, semantic_in, points)
 
@@ -519,15 +505,14 @@ class MdmResult:
 def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmResult:
     """Warm up on seg+offset losses, then run the staged recurrence.
 
-    The predictor's input features are rebuilt once from the corrupted
-    semantic map (never ground truth) and stay fixed; only the supervision
-    side evolves from stage to stage. Each stage's targets are built once,
-    from its semantic input pinned: stage 0 reads the corrupted map, and
-    stage s >= 1 stage s-1's refreshed map. The warm-up trains on stage 0's
-    targets without their affinity pairs.
+    The predictor's input features are built once, from the scene's image
+    and the corrupted semantic map (never ground truth), and stay fixed;
+    only the supervision side evolves from stage to stage. Each stage's
+    targets are built once, from its semantic input pinned: stage 0 reads
+    the corrupted map, and stage s >= 1 stage s-1's refreshed map. The
+    warm-up trains on stage 0's targets without their affinity pairs.
     """
     features = features_from_semantic(scene, corrupted_semantic)
-    work_scene = replace(scene, features=features)
     points = scene.points
     params = TinyPredictorParams.initialize(
         seed=_derive_seed(cfg.seed, 0, 0),
@@ -548,7 +533,7 @@ def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmR
                 params, features, replace(targets, affinity=None), cfg,
                 cfg.warmup_iters, "warm-up",
             )
-        result = run_stage(stage_idx, semantic, targets, work_scene, params, cfg)
+        result = run_stage(stage_idx, semantic, targets, features, points, params, cfg)
         metrics = greedy_match(
             result.pseudo_instances,
             scene.gt_instances,

@@ -1,8 +1,11 @@
 """Deterministic synthetic scenes and a corruption model for semantic inputs.
 
 A scene is a small raster world: ground-truth instances, their class map, one
-annotated interior point per instance, and per-pixel predictor features. The
-corruption model stands in for an imperfect off-the-shelf semantic map.
+annotated interior point per instance, and its image, one intensity plane.
+The corruption model stands in for an imperfect off-the-shelf semantic map.
+The predictor's features are built from the image and a semantic map by
+features_from_semantic alone; a scene holds none, so the predictor sees
+ground truth only where a caller passes it in.
 """
 from __future__ import annotations
 
@@ -22,8 +25,6 @@ __all__ = [
     "features_from_semantic",
 ]
 
-FEATURE_EXTRA_CHANNELS = 3  # normalized y, normalized x, intensity
-
 _PLACEMENT_TRIES = 60
 _SCENE_RESTARTS = 16
 _MIN_NEW_PIXELS = 9
@@ -32,17 +33,20 @@ _MAX_OCCLUDED_FRACTION = 0.35
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Ground truth plus predictor inputs for one synthetic image.
+    """Ground truth plus the image of one synthetic scene.
 
-    Construction checks that both gt grids and the features share one H x W,
-    that the features are finite, that every point lies on it, that no
-    point's class exceeds n_classes and that every gt instance has a point.
+    Construction checks that both gt grids and the intensity share one
+    H x W, that the intensity is finite, that n_classes is an int >= 1,
+    that every point lies on the grid, that no point's class exceeds
+    n_classes and that every gt instance has a point. The scene keeps a
+    read-only float64 copy of the intensity.
     """
 
     gt_instances: LabelGrid
     gt_semantic: LabelGrid
     points: PointAnnotationSet
-    features: np.ndarray  # (H, W, C+1+3) float64
+    intensity: np.ndarray  # (H, W) float64
+    n_classes: int
 
     def __post_init__(self):
         shape = self.gt_instances.shape
@@ -50,10 +54,15 @@ class Scene:
             raise SceneError(
                 f"gt semantic grid {self.gt_semantic.shape} differs from gt instance grid {shape}"
             )
-        if np.ndim(self.features) != 3 or self.features.shape[:2] != shape:
-            raise SceneError(f"features of shape {np.shape(self.features)} on a {shape} grid")
-        if not np.all(np.isfinite(self.features)):
-            raise SceneError("features hold non-finite values")
+        if np.shape(self.intensity) != shape:
+            raise SceneError(f"intensity of shape {np.shape(self.intensity)} on a {shape} grid")
+        intensity = np.array(self.intensity, dtype=np.float64)
+        if not np.isfinite(intensity).all():
+            raise SceneError("intensity holds non-finite values")
+        intensity.setflags(write=False)
+        object.__setattr__(self, "intensity", intensity)
+        if type(self.n_classes) is not int or self.n_classes < 1:
+            raise SceneError(f"n_classes must be an int >= 1, got {self.n_classes!r}")
         try:
             self.points.validate_on(*shape)
         except GridError as err:
@@ -72,13 +81,6 @@ class Scene:
     @property
     def width(self) -> int:
         return self.gt_instances.width
-
-    @property
-    def n_classes(self) -> int:
-        return self.features.shape[2] - FEATURE_EXTRA_CHANNELS - 1
-
-    def intensity(self) -> np.ndarray:
-        return self.features[:, :, -1]
 
 
 @dataclass(frozen=True)
@@ -145,9 +147,8 @@ def generate_scene(
     """Place shapes deterministically; later-drawn instances occlude earlier ones.
 
     Classes are assigned round-robin so the pigeonhole guarantees same-class
-    pairs whenever n_instances > n_classes. Features are the one-hot ground
-    truth semantic map, normalized (y, x), and a per-instance jittered
-    intensity channel.
+    pairs whenever n_instances > n_classes. The image is a per-instance
+    jittered intensity on a zero background.
     """
     if seed < 0:
         raise SceneError(f"seed must be >= 0, got {seed}")
@@ -256,35 +257,29 @@ def _generate_scene_once(
     gt_instances = LabelGrid(instances)
     gt_semantic = LabelGrid(semantic)
     points = pick_points(gt_instances, seed, gt_semantic)
-    features = _assemble_features(gt_semantic, n_classes, h, w, intensity)
-    return Scene(gt_instances, gt_semantic, points, features)
-
-
-def _assemble_features(
-    semantic: LabelGrid, n_classes: int, h: int, w: int, intensity: np.ndarray
-) -> np.ndarray:
-    feats = np.empty((h, w, n_classes + 1 + FEATURE_EXTRA_CHANNELS), dtype=np.float64)
-    feats[:, :, : n_classes + 1] = semantic.data[:, :, None] == np.arange(n_classes + 1)
-    feats[:, :, -3] = (np.arange(h) / max(h - 1, 1))[:, None]
-    feats[:, :, -2] = np.arange(w) / max(w - 1, 1)
-    feats[:, :, -1] = intensity
-    feats.setflags(write=False)
-    return feats
+    return Scene(gt_instances, gt_semantic, points, intensity, n_classes)
 
 
 def features_from_semantic(scene: Scene, semantic: LabelGrid) -> np.ndarray:
-    """Rebuild predictor features with the one-hot channels of `semantic`.
+    """The predictor's (H, W, C+1+3) input features: the one-hot channels of
+    `semantic`, the normalized y and x, and the scene's intensity.
 
-    The predictor must never see the ground-truth semantic map, so pipeline
-    code swaps in the corrupted (or refreshed) map before training.
+    The one place that knows the feature layout. The predictor must never
+    see the ground-truth semantic map, so pipeline code passes the corrupted
+    (or refreshed) map.
     """
-    if semantic.shape != (scene.height, scene.width):
+    h, w, c1 = scene.height, scene.width, scene.n_classes + 1
+    if semantic.shape != (h, w):
         raise SceneError("semantic shape mismatch")
-    if int(semantic.data.max()) > scene.n_classes:
+    if int(semantic.data.max()) >= c1:
         raise SceneError("semantic class id exceeds scene class count")
-    return _assemble_features(
-        semantic, scene.n_classes, scene.height, scene.width, scene.intensity()
-    )
+    feats = np.empty((h, w, c1 + 3), dtype=np.float64)
+    feats[:, :, :c1] = semantic.data[:, :, None] == np.arange(c1)
+    feats[:, :, -3] = (np.arange(h) / max(h - 1, 1))[:, None]
+    feats[:, :, -2] = np.arange(w) / max(w - 1, 1)
+    feats[:, :, -1] = scene.intensity
+    feats.setflags(write=False)
+    return feats
 
 
 def _chebyshev_distance(mask: np.ndarray, cap: int) -> np.ndarray:

@@ -23,6 +23,9 @@ from pointseg.grids import (
     encode_tensor,
 )
 
+# An MDMT header of rank 4 with each dim 65536 and no payload.
+OVERFLOWING_TENSOR = b"MDMT" + np.array([4, *[65536] * 4], dtype="<u4").tobytes()
+
 
 @pytest.fixture(scope="module")
 def scene_dir(tmp_path_factory):
@@ -62,7 +65,7 @@ class TestDispatch:
 class TestSynth:
     def test_outputs_and_manifest(self, scene_dir):
         for name in ("gt_instances.pgm", "gt_semantic.pgm", "semantic_in.pgm",
-                     "points.csv", "features.mdmt", "scene.json", "manifest.json"):
+                     "points.csv", "intensity.mdmt", "scene.json", "manifest.json"):
             assert (scene_dir / name).exists(), name
         manifest = json.loads((scene_dir / "manifest.json").read_text())
         assert manifest["subcommand"] == "synth"
@@ -71,7 +74,7 @@ class TestSynth:
     def test_deterministic_outputs(self, tmp_path):
         for sub in ("a", "b"):
             assert dispatch(["synth", "--out", str(tmp_path / sub), "--seed", "5"]) == 0
-        for name in ("gt_instances.pgm", "semantic_in.pgm", "points.csv", "features.mdmt"):
+        for name in ("gt_instances.pgm", "semantic_in.pgm", "points.csv", "intensity.mdmt"):
             a = (tmp_path / "a" / "scene_00000005" / name).read_bytes()
             b = (tmp_path / "b" / "scene_00000005" / name).read_bytes()
             assert a == b, name
@@ -134,6 +137,11 @@ class TestTrainEvalCli:
             assert (stage / name).exists(), name
         metrics = json.loads((stage / "metrics.json").read_text())
         assert set(metrics["counts"]) == {"iou50", "iou70", "iou90"}
+        inputs = json.loads((train_out / "manifest.json").read_text())["inputs"]
+        assert [Path(p).name for p in inputs] == [
+            "gt_instances.pgm", "gt_semantic.pgm", "semantic_in.pgm", "points.csv",
+            "intensity.mdmt",
+        ]
 
         eval_out = tmp_path / "eval"
         code = dispatch([
@@ -614,6 +622,18 @@ class TestI2sCli:
         manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
         assert manifest["config"] == {"pair_radius": I2SConfig.pair_radius}
 
+    def test_classmap_dims_overflowing_int64_exit_2(self, scene_dir, tmp_path, capsys):
+        # The dims' product is 2**64, which a NumPy int64 product wraps to 0:
+        # the empty payload passed the length check and reshape raised.
+        classmap = tmp_path / "classmap_in.mdmt"
+        classmap.write_bytes(OVERFLOWING_TENSOR)
+        code = dispatch(["i2s", "--instances", str(scene_dir / "gt_instances.pgm"),
+                         "--classmap", str(classmap), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dim/payload mismatch") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestRuntimeImports:
     def test_s2i_and_i2s_do_not_import_scipy(self, scene_dir, tmp_path):
@@ -629,16 +649,24 @@ class TestRuntimeImports:
         assert done.stdout.splitlines()[-1] == "scipy loaded: False"
 
 
+# The two _damage_features cases break the image the predictor's features
+# are built from, intensity.mdmt.
 def _damage_features(scene: Path) -> None:
-    feats = decode_tensor((scene / "features.mdmt").read_bytes())
-    (scene / "features.mdmt").write_bytes(encode_tensor(feats[1:]))
+    image = decode_tensor((scene / "intensity.mdmt").read_bytes())
+    (scene / "intensity.mdmt").write_bytes(encode_tensor(image[1:]))
 
 
 def _damage_features_nan(scene: Path) -> None:
     # encode_tensor refuses NaN, so the float32 is written as raw bytes.
-    blob = bytearray((scene / "features.mdmt").read_bytes())
+    blob = bytearray((scene / "intensity.mdmt").read_bytes())
     blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
-    (scene / "features.mdmt").write_bytes(bytes(blob))
+    (scene / "intensity.mdmt").write_bytes(bytes(blob))
+
+
+def _damage_intensity_dims(scene: Path) -> None:
+    # A NumPy int64 product of these dims wrapped to 0, so the empty payload
+    # passed the length check and reshape raised.
+    (scene / "intensity.mdmt").write_bytes(OVERFLOWING_TENSOR)
 
 
 def _damage_point_class(scene: Path) -> None:
@@ -671,7 +699,7 @@ def _damage_point_position(scene: Path) -> None:
 class TestSceneValidationCli:
     @pytest.mark.parametrize("damage", [
         _damage_features, _damage_point_class, _damage_gt_semantic, _damage_point_position,
-        _damage_gt_instance_id, _damage_features_nan,
+        _damage_gt_instance_id, _damage_features_nan, _damage_intensity_dims,
     ])
     def test_broken_scene_exit_2(self, scene_dir, tmp_path, capsys, damage):
         scene = tmp_path / "scene"
@@ -684,10 +712,13 @@ class TestSceneValidationCli:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--lr" not in err
         if damage is _damage_features_nan:
-            assert "features" in err
+            assert "intensity" in err
         assert not (tmp_path / "t").exists()
 
-    @pytest.mark.parametrize("meta", ["[]", '{"n_classes": "x"}'])
+    @pytest.mark.parametrize("meta", [
+        "[]", '{"n_classes": "x"}', "{}", '{"n_classes": 0}', '{"n_classes": 2.5}',
+        '{"n_classes": true}',
+    ])
     def test_malformed_scene_json_exit_2(self, scene_dir, tmp_path, capsys, meta):
         scene = tmp_path / "scene"
         shutil.copytree(scene_dir, scene)
@@ -927,7 +958,7 @@ class TestCliFuzz:
         readers = {
             f"{scene.name}/semantic_in.pgm": ["s2i", "train"],
             f"{scene.name}/points.csv": ["s2i", "train"],
-            f"{scene.name}/features.mdmt": ["train"],
+            f"{scene.name}/intensity.mdmt": ["train"],
             "classmap.mdmt": ["i2s"],
             f"{scene.name}/gt_instances.pgm": ["i2s", "train", "eval"],
             f"{scene.name}/scene.json": ["train"],

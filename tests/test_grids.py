@@ -339,6 +339,22 @@ class TestPgmCodec:
         out = decode_label_pgm(blob)
         assert np.array_equal(out.data, np.array([[1, 2]]))
 
+    @pytest.mark.parametrize("blob,top,maxval", [
+        (b"P5 2 1 10\n\x03\xc8", 200, 10),
+        (b"P5 2 1 300\n\x01\x2d\x00\x07", 301, 300),
+        (b"P5 1 1 256\n\xff\xff", 65535, 256),
+    ], ids=["1-byte", "2-byte", "2-byte-top"])
+    def test_sample_above_maxval(self, blob, top, maxval):
+        with pytest.raises(GridError, match=f"^sample {top} exceeds maxval {maxval}$"):
+            decode_label_pgm(blob)
+
+    @pytest.mark.parametrize("blob,want", [
+        (b"P5 2 1 10\n\x03\x0a", [[3, 10]]),
+        (b"P5 2 1 300\n\x01\x2c\x00\x07", [[300, 7]]),
+    ], ids=["1-byte", "2-byte"])
+    def test_sample_at_maxval(self, blob, want):
+        assert np.array_equal(decode_label_pgm(blob).data, want)
+
 
 class TestTensorCodec:
     def test_header_layout(self):
@@ -355,6 +371,14 @@ class TestTensorCodec:
         assert out.shape == (8, 8, 3)
         assert np.array_equal(out, arr)
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_round_trip_of_an_array_not_c_ordered(self, layout):
+        arr = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
+        view = np.asfortranarray(arr) if layout == "fortran" else arr[:, ::2, ::-1]
+        blob = encode_tensor(view)
+        assert blob == encode_tensor(np.ascontiguousarray(view))
+        assert np.array_equal(decode_tensor(blob), view)
+
     def test_bad_magic(self):
         with pytest.raises(GridError, match="bad magic"):
             decode_tensor(b"XXXX" + b"\x00" * 16)
@@ -367,6 +391,16 @@ class TestTensorCodec:
     def test_rejects_nan(self):
         with pytest.raises(GridError, match="non-finite"):
             encode_tensor(np.array([np.nan]))
+
+    @pytest.mark.parametrize("dims", [(65536,) * 4, (2**32 - 1,) * 8, (0, 2**32 - 1)])
+    def test_dims_counted_exactly(self, dims):
+        # (65536,) * 4 holds 2**64 values, which an int64 product wraps to 0.
+        blob = b"MDMT" + np.array([len(dims), *dims], dtype="<u4").tobytes()
+        if 0 in dims:
+            assert decode_tensor(blob).shape == dims
+        else:
+            with pytest.raises(GridError, match="dim/payload mismatch"):
+                decode_tensor(blob)
 
 
 class TestPpmRender:

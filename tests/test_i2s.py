@@ -67,7 +67,8 @@ def no_affinity(win_i, win_j):
 
 def materialising_affinity_targets(instances, cfg, seed=0):
     """Every non-background pair within cfg.pair_radius, one per unordered
-    pair, in (half-plane offset, raster) order; then a balanced draw."""
+    pair, in (half-plane offset, raster) order; then a balanced draw. The
+    ends are listed as (y, x) and returned as flat raster indices."""
     lab = instances.data
     h, w = lab.shape
     all_a, all_b, all_t = [], [], []
@@ -99,7 +100,8 @@ def materialising_affinity_targets(instances, cfg, seed=0):
         rng.choice(neg_idx, n_neg, replace=False) if n_neg else np.empty(0, dtype=np.int64),
     ])
     chosen.sort()
-    return a[chosen], b[chosen], t[chosen].astype(np.float64)
+    a, b = (ends[chosen, 0].astype(np.int64) * w + ends[chosen, 1] for ends in (a, b))
+    return a, b, t[chosen].astype(np.float64)
 
 
 def _oracle_maps():
@@ -178,10 +180,10 @@ class TestBuildAffinityTargets:
     def test_background_pairs_excluded(self):
         g = grid([[0, 0, 1]])
         s = build_affinity_targets(g, I2SConfig(pair_radius=2, max_pairs=64))
-        coords = np.concatenate([s.a, s.b])
+        flat = g.data.ravel()
         # the only pairs involve the foreground pixel
         for q in range(len(s)):
-            assert g.data[s.a[q, 0], s.a[q, 1]] > 0 or g.data[s.b[q, 0], s.b[q, 1]] > 0
+            assert flat[s.a[q]] > 0 or flat[s.b[q]] > 0
         assert len(s) == 2  # (0,1)-(0,2) and (0,0)-(0,2)
 
     def test_all_background_errors(self):
@@ -191,7 +193,8 @@ class TestBuildAffinityTargets:
     def test_radius_respected(self):
         g = LabelGrid(np.ones((10, 10), dtype=np.int32))
         s = build_affinity_targets(g, I2SConfig(pair_radius=3, max_pairs=4096))
-        cheb = np.abs(s.a - s.b).max(axis=1)
+        (ya, xa), (yb, xb) = np.divmod(s.a, 10), np.divmod(s.b, 10)
+        cheb = np.maximum(np.abs(ya - yb), np.abs(xa - xb))
         assert cheb.max() <= 3
         assert (cheb >= 1).all()
 
@@ -222,11 +225,8 @@ class TestBuildAffinityTargets:
         g = LabelGrid(rng.integers(0, 4, size=(12, 12)).astype(np.int32))
         s = build_affinity_targets(g, I2SConfig(pair_radius=4, max_pairs=256), seed=3)
         dense = dense_affinity(g)
-        w = 12
         for q in range(len(s)):
-            i = s.a[q, 0] * w + s.a[q, 1]
-            j = s.b[q, 0] * w + s.b[q, 1]
-            assert s.targets[q] == dense[i, j]
+            assert s.targets[q] == dense[s.a[q], s.b[q]]
 
 
 class TestDenseAffinity:

@@ -41,7 +41,7 @@ from pointseg.losses import (
     smooth_l1,
     total_loss,
 )
-from pointseg.synth import FEATURE_EXTRA_CHANNELS, Scene, features_from_semantic
+from pointseg.synth import Scene, features_from_semantic
 
 from gradcheck import grad_check
 
@@ -50,21 +50,28 @@ def small_scene(seed=1, h=16, w=16, n=2, classes=2):
     return generate_scene(seed, h, w, n, classes)
 
 
+def gt_features(sc):
+    """Predictor features built from the ground-truth semantic map."""
+    return features_from_semantic(sc, sc.gt_semantic)
+
+
 def flatten(params):
-    return np.concatenate([params.weights.ravel(), params.biases.ravel()])
+    return params.theta.ravel()
 
 
 def objective_on_flat(flat, template, features, targets, hard_pixel_ratio):
     """The training objective and its gradient as functions of the flat
     parameter vector (see flatten), the form the finite-difference checker
     drives."""
-    n_w = template.weights.size
-    params = replace(
-        template, weights=flat[:n_w].reshape(template.weights.shape), biases=flat[n_w:]
-    )
+    params = replace(template, theta=flat.reshape(template.theta.shape))
     objective = _Objective(template, features, targets, hard_pixel_ratio)
-    report, (gw, gb) = objective(params)
-    return report.total, np.concatenate([gw.ravel(), gb.ravel()])
+    report, grad = objective(params)
+    return report.total, grad.ravel()
+
+
+def moved(params):
+    """Other parameters of the same shape."""
+    return replace(params, theta=params.theta * 1.5 - 0.1)
 
 
 def make_cfg(**kw):
@@ -98,51 +105,53 @@ class TestExpandFeatures:
 class TestPredict:
     def test_zero_weights_zero_outputs(self):
         sc = small_scene()
-        params = TinyPredictorParams.initialize(0, sc.features.shape[2], sc.n_classes)
-        params = replace(
-            params, weights=np.zeros_like(params.weights), biases=np.zeros_like(params.biases)
-        )
-        outs = predict(params, sc.features)
+        feats = gt_features(sc)
+        params = TinyPredictorParams.initialize(0, feats.shape[2], sc.n_classes)
+        params = replace(params, theta=np.zeros_like(params.theta))
+        outs = predict(params, feats)
         assert (outs.class_map.data == 0).all()
         assert (outs.offsets.vectors == 0).all()
         assert (outs.embeddings == 0).all()
         samples = build_affinity_targets(sc.gt_instances, I2SConfig(max_pairs=16), seed=1)
-        emb = outs.embeddings
-        logits = _pair_logits(emb[tuple(samples.a.T)].T, emb[tuple(samples.b.T)].T)
+        emb = outs.embeddings.reshape(-1, loop.EMBED_DIM)
+        logits = _pair_logits(emb[samples.a].T, emb[samples.b].T)
         assert len(logits) == len(samples) and (logits == 0).all()
 
     def test_deterministic(self):
         sc = small_scene()
-        params = TinyPredictorParams.initialize(7, sc.features.shape[2], sc.n_classes)
-        a = predict(params, sc.features)
-        b = predict(params, sc.features)
+        feats = gt_features(sc)
+        params = TinyPredictorParams.initialize(7, feats.shape[2], sc.n_classes)
+        a = predict(params, feats)
+        b = predict(params, feats)
         assert np.array_equal(a.class_map.data, b.class_map.data)
         assert np.array_equal(a.offsets.vectors, b.offsets.vectors)
         assert np.array_equal(a.embeddings, b.embeddings)
 
     def test_head_separation(self):
         sc = small_scene()
-        params = TinyPredictorParams.initialize(7, sc.features.shape[2], sc.n_classes)
+        feats = gt_features(sc)
+        params = TinyPredictorParams.initialize(7, feats.shape[2], sc.n_classes)
         cls_sl, off_sl, emb_sl = params.head_slices()
-        bumped = params.weights.copy()
+        bumped = params.theta.copy()
         bumped[0, off_sl.start] += 0.5  # first offset column
-        outs0 = predict(params, sc.features)
-        outs1 = predict(replace(params, weights=bumped), sc.features)
+        outs0 = predict(params, feats)
+        outs1 = predict(replace(params, theta=bumped), feats)
         assert np.array_equal(outs0.class_map.data, outs1.class_map.data)
         assert np.array_equal(outs0.embeddings, outs1.embeddings)
         assert not np.array_equal(outs0.offsets.vectors, outs1.offsets.vectors)
 
     def test_shape_mismatch(self):
         sc = small_scene()
-        params = TinyPredictorParams.initialize(0, sc.features.shape[2] + 1, sc.n_classes)
+        feats = gt_features(sc)
+        params = TinyPredictorParams.initialize(0, feats.shape[2] + 1, sc.n_classes)
         with pytest.raises(PipelineError, match="fan-in"):
-            predict(params, sc.features)
+            predict(params, feats)
 
     def test_initialization_bounds(self):
         params = TinyPredictorParams.initialize(11, 6, 2)
         bound = 1.0 / math.sqrt(12)
-        assert np.abs(params.weights).max() <= bound
-        assert np.abs(params.biases).max() <= bound
+        assert params.theta.shape == (13, 3 + 2 + loop.EMBED_DIM)
+        assert np.abs(params.theta).max() <= bound
 
 
 class TestTrainStep:
@@ -153,20 +162,20 @@ class TestTrainStep:
 
     def test_zero_learning_rate_keeps_params(self):
         sc = small_scene()
+        feats = gt_features(sc)
         cfg = make_cfg(learning_rate=0.0)
-        params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
+        params = TinyPredictorParams.initialize(1, feats.shape[2], sc.n_classes)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
-        updated, (report,) = _fit(params, sc.features, targets, cfg, 1, "stage 0")
-        assert np.array_equal(updated.weights, params.weights)
-        assert np.array_equal(updated.biases, params.biases)
+        updated, (report,) = _fit(params, feats, targets, cfg, 1, "stage 0")
+        assert np.array_equal(updated.theta, params.theta)
         assert report.total > 0
 
     def test_report_counts(self):
         sc = small_scene()
         cfg = make_cfg()
-        params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
+        params = TinyPredictorParams.initialize(1, gt_features(sc).shape[2], sc.n_classes)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
-        _, (report,) = _fit(params, sc.features, targets, cfg, 1, "stage 0")
+        _, (report,) = _fit(params, gt_features(sc), targets, cfg, 1, "stage 0")
         assert report.n_off_pixels == int(targets.offsets.valid.sum())
         assert report.n_pos_pairs + report.n_neg_pairs == len(targets.affinity)
         assert report.n_seg_pixels == math.ceil(0.2 * 16 * 16)
@@ -176,8 +185,8 @@ class TestTrainStep:
         cfg = make_cfg()
         targets = self.targets_for(sc, sc.gt_semantic, cfg, with_affinity=False)
         assert targets.affinity is None
-        params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
-        _, (report,) = _fit(params, sc.features, targets, cfg, 1, "warm-up")
+        params = TinyPredictorParams.initialize(1, gt_features(sc).shape[2], sc.n_classes)
+        _, (report,) = _fit(params, gt_features(sc), targets, cfg, 1, "warm-up")
         assert report.aff == 0.0
         assert report.n_pos_pairs == report.n_neg_pairs == 0
 
@@ -185,14 +194,13 @@ class TestTrainStep:
         # Over 20 seeded runs on a fixed tiny scene, the total loss must be
         # non-increasing across every 50-step window in at least 95% of runs.
         sc = small_scene(seed=9, h=12, w=12, n=2, classes=2)
+        feats = gt_features(sc)
         ok = 0
         for run_seed in range(20):
             cfg = make_cfg(seed=run_seed, iters_per_stage=1, warmup_iters=0)
-            params = TinyPredictorParams.initialize(
-                run_seed, sc.features.shape[2], sc.n_classes
-            )
+            params = TinyPredictorParams.initialize(run_seed, feats.shape[2], sc.n_classes)
             targets = self.targets_for(sc, sc.gt_semantic, cfg)
-            _, reports = _fit(params, sc.features, targets, cfg, 120, "stage 0")
+            _, reports = _fit(params, feats, targets, cfg, 120, "stage 0")
             history = [report.total for report in reports]
             windows_ok = all(
                 history[t + 50] <= history[t] + 1e-9 for t in range(len(history) - 50)
@@ -202,12 +210,13 @@ class TestTrainStep:
 
     def test_full_objective_gradient(self):
         sc = small_scene(seed=5, h=8, w=8, n=2, classes=2)
+        feats = gt_features(sc)
         cfg = make_cfg()
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
-        params = TinyPredictorParams.initialize(2, sc.features.shape[2], sc.n_classes)
+        params = TinyPredictorParams.initialize(2, feats.shape[2], sc.n_classes)
 
         def f(flat):
-            return objective_on_flat(flat, params, sc.features, targets, 1.0)
+            return objective_on_flat(flat, params, feats, targets, 1.0)
 
         report = grad_check(f, flatten(params), h=1e-3, tol=1e-4)
         assert report.passed, report
@@ -215,22 +224,22 @@ class TestTrainStep:
     def test_divergence_detected(self):
         sc = small_scene()
         cfg = make_cfg()
-        params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
-        params = replace(params, weights=params.weights * np.inf)
+        params = TinyPredictorParams.initialize(1, gt_features(sc).shape[2], sc.n_classes)
+        params = replace(params, theta=params.theta * np.inf)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
         with pytest.raises(PipelineError, match="diverged"):
-            _fit(params, sc.features, targets, cfg, 1, "stage 0")
+            _fit(params, gt_features(sc), targets, cfg, 1, "stage 0")
 
     def test_divergence_names_phase_and_step(self):
         # A finite but far too large rate overflows; the run must stop at the
         # explicit checks, without a NumPy warning on the way.
         sc = small_scene()
         cfg = make_cfg(learning_rate=1e300)
-        params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
+        params = TinyPredictorParams.initialize(1, gt_features(sc).shape[2], sc.n_classes)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
         with pytest.raises(PipelineError, match=r"^diverged: .* in stage 2, step \d+ of 9;"
                            r" try a lower learning rate \(--lr\)$"):
-            _fit(params, sc.features, targets, cfg, 9, "stage 2")
+            _fit(params, gt_features(sc), targets, cfg, 9, "stage 2")
 
 
 def stage_0(sc, semantic, params, cfg):
@@ -238,7 +247,7 @@ def stage_0(sc, semantic, params, cfg):
     targets = build_stage_targets(
         loop._points_first(semantic, sc.points), sc.points, cfg, _derive_seed(cfg.seed, 0, 1)
     )
-    return run_stage(0, semantic, targets, sc, params, cfg)
+    return run_stage(0, semantic, targets, gt_features(sc), sc.points, params, cfg)
 
 
 class TestRunStage:
@@ -247,7 +256,7 @@ class TestRunStage:
         # in their place must give back the ground truth.
         sc = generate_scene(21, 32, 32, 3, 3)
         cfg = make_cfg(iters_per_stage=5, warmup_iters=0)
-        params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
+        params = TinyPredictorParams.initialize(1, gt_features(sc).shape[2], sc.n_classes)
         oracle = compute_offset_field(sc.gt_instances, sc.points)
         real_predict = loop.predict
         monkeypatch.setattr(
@@ -260,7 +269,7 @@ class TestRunStage:
         sc = generate_scene(22, 24, 24, 2, 3)
         corr = corrupt_semantic(sc, CorruptionConfig(dilation_px=1, rng_seed=5))
         cfg = make_cfg(iters_per_stage=30)
-        params = TinyPredictorParams.initialize(3, sc.features.shape[2], sc.n_classes)
+        params = TinyPredictorParams.initialize(3, gt_features(sc).shape[2], sc.n_classes)
         result = stage_0(sc, corr, params, cfg)
         allowed = {0} | {p.class_id for p in sc.points}
         assert set(np.unique(result.semantic_out.data)) <= allowed
@@ -268,7 +277,7 @@ class TestRunStage:
     def test_points_first_pin(self):
         sc = generate_scene(23, 24, 24, 3, 3)
         cfg = make_cfg(iters_per_stage=5)
-        params = TinyPredictorParams.initialize(3, sc.features.shape[2], sc.n_classes)
+        params = TinyPredictorParams.initialize(3, gt_features(sc).shape[2], sc.n_classes)
         result = stage_0(sc, sc.gt_semantic, params, cfg)
         for p in sc.points:
             assert result.semantic_out.data[p.y, p.x] == p.class_id
@@ -321,10 +330,9 @@ class TestRunMdm:
         pseudo = res.final.pseudo_instances
         if int(pseudo.data.max()) > 0:
             samples = build_affinity_targets(pseudo, I2SConfig(max_pairs=128), seed=4)
-            w = pseudo.width
+            flat = pseudo.data.ravel()
             for q in range(len(samples)):
-                ia = pseudo.data[samples.a[q, 0], samples.a[q, 1]]
-                ib = pseudo.data[samples.b[q, 0], samples.b[q, 1]]
+                ia, ib = flat[samples.a[q]], flat[samples.b[q]]
                 assert samples.targets[q] == float(ia == ib and ia > 0)
 
     def test_metrics_attached_per_stage(self):
@@ -397,8 +405,7 @@ def two_squares_scene():
     gt = np.zeros((32, 32), dtype=np.int32)
     gt[2:14, 2:14], gt[2:14, 17:29] = 1, 2
     pts = PointAnnotationSet((Point(7, 12, 1, 1), Point(7, 22, 1, 2)))
-    features = np.zeros((32, 32, 2 + FEATURE_EXTRA_CHANNELS))
-    sc = Scene(LabelGrid(gt), LabelGrid((gt > 0).astype(np.int32)), pts, features)
+    sc = Scene(LabelGrid(gt), LabelGrid((gt > 0).astype(np.int32)), pts, np.zeros((32, 32)), 1)
     corrupted = (gt > 0).astype(np.int32)
     corrupted[7, 12] = 0
     return sc, LabelGrid(corrupted)
@@ -447,7 +454,7 @@ class TestPinnedTargets:
         gt[2:10, 1:5], gt[2:10, 5:11] = 1, 2
         pts = PointAnnotationSet((Point(5, 4, 1, 1), Point(5, 5, 2, 2)))
         semantic = LabelGrid(gt)  # instance k has class k
-        sc = Scene(semantic, semantic, pts, np.zeros((12, 12, 3 + FEATURE_EXTRA_CHANNELS)))
+        sc = Scene(semantic, semantic, pts, np.zeros((12, 12)), 2)
         pinned = loop._points_first(semantic, pts)
         assert [pinned.data[p.y, p.x] for p in pts] == [1, 2]
         res = run_mdm(sc, semantic, make_cfg(n_stages=2, warmup_iters=1, iters_per_stage=1))
@@ -539,7 +546,8 @@ class _RefObjective:
         self.targets, self.ratio = targets, hard_pixel_ratio
 
     def __call__(self, params):
-        return _ref_objective(params, self.xmat, self.shape, self.targets, self.ratio)
+        report, grads = _ref_objective(params, self.xmat, self.shape, self.targets, self.ratio)
+        return report, np.vstack(grads)
 
 
 def _ref_refresh(affinity, class_map, cfg):
@@ -563,15 +571,9 @@ def _ref_refresh(affinity, class_map, cfg):
     return ClassScoreMap((acc / wsum).transpose(1, 2, 0))
 
 
-def _ref_pair_index(samples, width):
-    ia = samples.a[:, 0].astype(np.int64) * width + samples.a[:, 1]
-    ib = samples.b[:, 0].astype(np.int64) * width + samples.b[:, 1]
-    return ia, ib
-
-
 def _ref_objective(params, xmat, shape, targets, ratio):
     h, w = shape
-    y = xmat @ params.weights + params.biases
+    y = xmat @ params.theta[:-1] + params.theta[-1]
     if not np.all(np.isfinite(y)):
         raise PipelineError("diverged: predictor outputs are non-finite")
     cls_sl, off_sl, emb_sl = params.head_slices()
@@ -593,12 +595,12 @@ def _ref_objective(params, xmat, shape, targets, ratio):
     n_pos = n_neg = 0
     if targets.affinity is not None:
         emb = y[:, emb_sl]
-        ia, ib = _ref_pair_index(targets.affinity, w)
+        ia, ib = targets.affinity.a, targets.affinity.b
         aff, g_logit, n_pos, n_neg = _ref_affinity_loss(
             _ref_pair_logits(emb, ia, ib), targets.affinity.targets
         )
         g_emb = np.zeros_like(emb)
-        coeff = (LAMBDA_AFF * _logit_scale(params.embed_dim)) * g_logit
+        coeff = (LAMBDA_AFF * _logit_scale(loop.EMBED_DIM)) * g_logit
         np.add.at(g_emb, ia, coeff[:, None] * emb[ib])
         np.add.at(g_emb, ib, coeff[:, None] * emb[ia])
         d_y[:, emb_sl] = g_emb
@@ -614,13 +616,13 @@ def _ref_fit(params, features, targets, cfg, iters):
     parameter array at a time, over the reference objective."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     xmat = expand_features(features)
-    theta = {"weights": params.weights, "biases": params.biases}
+    theta = {"weights": params.theta[:-1], "biases": params.theta[-1]}
     m = {name: np.zeros_like(p) for name, p in theta.items()}
     v = {name: np.zeros_like(p) for name, p in theta.items()}
     history = []
     for t in range(1, iters + 1):
         report, (gw, gb) = _ref_objective(
-            replace(params, **theta), xmat, features.shape[:2], targets, cfg.hard_pixel_ratio
+            replace(params, theta=np.vstack(list(theta.values()))), xmat, features.shape[:2], targets, cfg.hard_pixel_ratio
         )
         for name, g in (("weights", gw), ("biases", gb)):
             m[name] = beta1 * m[name] + (1 - beta1) * g
@@ -629,17 +631,18 @@ def _ref_fit(params, features, targets, cfg, iters):
             v_hat = v[name] / (1 - beta2**t)
             theta[name] = theta[name] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         history.append(report)
-    return replace(params, **theta), history
+    return replace(params, theta=np.vstack(list(theta.values()))), history
 
 
 def _synth_scene(seed, size=64):
-    """A size x size scene and its corrupted semantic map, as `pointseg synth`
-    makes them (64x64 by default)."""
+    """A size x size scene, its corrupted semantic map, as `pointseg synth`
+    makes them (64x64 by default), and the predictor features run_mdm
+    builds from them."""
     sc = generate_scene(seed, size, size, 4, 3)
     corr = corrupt_semantic(sc, CorruptionConfig(
         dilation_px=2, merge_adjacent=True, flip_rate=0.02, rng_seed=seed + 1,
     ))
-    return replace(sc, features=features_from_semantic(sc, corr)), corr
+    return sc, corr, features_from_semantic(sc, corr)
 
 
 def _targets_of_kind(sc, semantic, cfg, kind):
@@ -663,24 +666,25 @@ class TestObjectiveMatchesReference:
     @pytest.mark.parametrize("seed", [100, 101])
     @pytest.mark.parametrize("kind", [*TARGET_KINDS, "tied"])
     def test_within_1e12_of_reference(self, seed, kind):
-        sc, corr = _synth_scene(seed)
+        sc, corr, feats = _synth_scene(seed)
         if kind == "tied":
             # Rounded features give many pixels equal scores, so the OHEM
             # cutoff falls inside runs of equal CE and the tie rule matters.
-            sc, kind = replace(sc, features=np.round(sc.features)), "stage"
+            feats, kind = np.round(feats), "stage"
         cfg = MdmConfig()
         targets = _targets_of_kind(sc, corr, cfg, kind)
         assert (targets.affinity is None) == (kind == "warm-up")
         initial = TinyPredictorParams.initialize(
-            _derive_seed(cfg.seed, 0, 0), sc.features.shape[2], sc.n_classes
+            _derive_seed(cfg.seed, 0, 0), feats.shape[2], sc.n_classes
         )
-        trained, _ = _ref_fit(initial, sc.features, targets, cfg, 50)
-        objective = _Objective(initial, sc.features, targets, cfg.hard_pixel_ratio)
-        xmat = expand_features(sc.features)
+        trained, _ = _ref_fit(initial, feats, targets, cfg, 50)
+        objective = _Objective(initial, feats, targets, cfg.hard_pixel_ratio)
+        xmat = expand_features(feats)
         for params in (initial, trained):
-            got, (gw, gb) = objective(params)
+            got, grad = objective(params)
+            gw, gb = grad[:-1], grad[-1]
             want, (want_w, want_b) = _ref_objective(
-                params, xmat, sc.features.shape[:2], targets, cfg.hard_pixel_ratio
+                params, xmat, feats.shape[:2], targets, cfg.hard_pixel_ratio
             )
             # Still summed in the reference order: the outputs, the softmax,
             # the OHEM selection and the segmentation loss, the offset loss,
@@ -703,7 +707,7 @@ class TestLabelsMatchReference:
 
     @pytest.mark.parametrize("seed", [100, 101, 102, 103])
     def test_run_mdm_labels_identical(self, seed, monkeypatch):
-        sc, corr = _synth_scene(seed)
+        sc, corr, _ = _synth_scene(seed)
         cfg = MdmConfig(seed=seed)
         got = run_mdm(sc, corr, cfg)
         monkeypatch.setattr(loop, "_Objective", _RefObjective)
@@ -738,13 +742,13 @@ class TestLossNamesSeeEveryEvaluation:
     def _setup(self, kind):
         sc = small_scene(seed=9)
         cfg = make_cfg()
-        params = TinyPredictorParams.initialize(1, sc.features.shape[2], sc.n_classes)
+        params = TinyPredictorParams.initialize(1, gt_features(sc).shape[2], sc.n_classes)
         return sc, cfg, params, _targets_of_kind(sc, sc.gt_semantic, cfg, kind)
 
     @pytest.mark.parametrize("kind", TARGET_KINDS)
     def test_fit_calls_each_loss_once_per_step(self, calls, kind):
         sc, cfg, params, targets = self._setup(kind)
-        _fit(params, sc.features, targets, cfg, 7, kind)
+        _fit(params, gt_features(sc), targets, cfg, 7, kind)
         assert calls == {
             "seg_loss_ohem": 7,
             "offset_loss": 7 if kind != "no-offsets" else 0,
@@ -754,8 +758,8 @@ class TestLossNamesSeeEveryEvaluation:
 
     def test_train_step_and_objective_on_flat_call_them(self, calls):
         sc, cfg, params, targets = self._setup("stage")
-        _fit(params, sc.features, targets, cfg, 1, "stage 0")
-        objective_on_flat(flatten(params), params, sc.features, targets, cfg.hard_pixel_ratio)
+        _fit(params, gt_features(sc), targets, cfg, 1, "stage 0")
+        objective_on_flat(flatten(params), params, gt_features(sc), targets, cfg.hard_pixel_ratio)
         assert calls == dict.fromkeys(self.NAMES, 2)
 
 
@@ -766,13 +770,13 @@ class TestObjectiveWorkspace:
 
     @staticmethod
     def _objective(kind, seed=100, size=64):
-        sc, corr = _synth_scene(seed, size)
+        sc, corr, feats = _synth_scene(seed, size)
         cfg = MdmConfig()
         targets = _targets_of_kind(sc, corr, cfg, kind)
         params = TinyPredictorParams.initialize(
-            _derive_seed(cfg.seed, 0, 0), sc.features.shape[2], sc.n_classes
+            _derive_seed(cfg.seed, 0, 0), feats.shape[2], sc.n_classes
         )
-        return _Objective(params, sc.features, targets, cfg.hard_pixel_ratio), params
+        return _Objective(params, feats, targets, cfg.hard_pixel_ratio), params
 
     @pytest.mark.parametrize("kind", ["stage", "warm-up"])
     def test_steady_state_evaluation_allocates_under_one_plane(self, kind):
@@ -786,27 +790,25 @@ class TestObjectiveWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        plane = len(params.biases) * 256 * 256 * 8  # one (K, N) float64 plane
+        plane = params.theta.shape[1] * 256 * 256 * 8  # one (K, N) float64 plane
         assert peak < plane, f"{peak} bytes allocated, one output plane is {plane}"
 
     @pytest.mark.parametrize("kind", TARGET_KINDS)
     def test_results_survive_a_later_call(self, kind):
         objective, p1 = self._objective(kind)
-        p2 = replace(p1, weights=p1.weights * 1.5 - 0.1, biases=p1.biases + 0.2)
-        report, grads = objective(p1)
-        saved = report.as_dict(), [g.copy() for g in grads]
-        report2, grads2 = objective(p2)
+        p2 = moved(p1)
+        report, grad = objective(p1)
+        saved = report.as_dict(), grad.copy()
+        report2, grad2 = objective(p2)
         assert report2.total != report.total
         assert report.as_dict() == saved[0]
-        for got, want in zip(grads, saved[1]):
-            assert got.tobytes() == want.tobytes()
+        assert grad.tobytes() == saved[1].tobytes()
         # Call 2 equals a fresh objective's first call at p2.
-        want2, want_grads2 = self._objective(kind)[0](p2)
+        want2, want_grad2 = self._objective(kind)[0](p2)
         assert report2 == want2
-        for got, want in zip(grads2, want_grads2):
-            assert got.tobytes() == want.tobytes()
+        assert grad2.tobytes() == want_grad2.tobytes()
         workspace = [v for v in vars(objective).values() if isinstance(v, np.ndarray)]
-        for out in (*grads, *grads2):
+        for out in (grad, grad2):
             assert not any(np.shares_memory(out, buf) for buf in workspace)
 
     def test_loss_returns_survive_a_later_call(self, monkeypatch):
@@ -824,20 +826,19 @@ class TestObjectiveWorkspace:
         objective(p1)
         assert len(returned) == 3
         snapshot = [[np.array(v, copy=True) for v in out] for out in returned]
-        objective(replace(p1, weights=p1.weights * 1.5 - 0.1, biases=p1.biases + 0.2))
+        objective(moved(p1))
         for out, saved in zip(returned[:3], snapshot):
             for value, copy in zip(out, saved):
                 assert np.array_equal(value, copy)
 
     @pytest.mark.parametrize("kind", TARGET_KINDS)
     def test_two_fits_from_one_start_agree(self, kind):
-        sc, corr = _synth_scene(101)
+        sc, corr, feats = _synth_scene(101)
         cfg = MdmConfig()
         targets = _targets_of_kind(sc, corr, cfg, kind)
-        start = TinyPredictorParams.initialize(3, sc.features.shape[2], sc.n_classes)
-        runs = [_fit(start, sc.features, targets, cfg, 12, kind) for _ in range(2)]
+        start = TinyPredictorParams.initialize(3, feats.shape[2], sc.n_classes)
+        runs = [_fit(start, feats, targets, cfg, 12, kind) for _ in range(2)]
         (p_a, h_a), (p_b, h_b) = runs
         assert [r.as_dict() for r in h_a] == [r.as_dict() for r in h_b]
         assert len({r.total for r in h_a}) > 1  # the parameters moved
-        assert p_a.weights.tobytes() == p_b.weights.tobytes()
-        assert p_a.biases.tobytes() == p_b.biases.tobytes()
+        assert p_a.theta.tobytes() == p_b.theta.tobytes()

@@ -49,8 +49,7 @@ def test_warning_count_counts_one_per_target_build(warmup_iters, n_stages):
     gt[2:10, 1:6], gt[2:10, 6:11] = 1, 2
     points = ps.PointAnnotationSet((ps.Point(5, 5, 1, 1), ps.Point(5, 5, 2, 2)))
     semantic = ps.LabelGrid(gt)  # instance k has class k
-    features = np.zeros((12, 12, 6))  # background, 2 classes, 3 extra channels
-    scene = ps.Scene(semantic, semantic, points, features)
+    scene = ps.Scene(semantic, semantic, points, np.zeros((12, 12)), 2)
     cfg = ps.MdmConfig(n_stages=n_stages, warmup_iters=warmup_iters, iters_per_stage=1)
     ignored = quality_gate._WarningCount()
     logger = logging.getLogger("pointseg.s2i")

@@ -30,7 +30,8 @@ def scenes_equal(a, b):
         np.array_equal(a.gt_instances.data, b.gt_instances.data)
         and np.array_equal(a.gt_semantic.data, b.gt_semantic.data)
         and a.points == b.points
-        and np.array_equal(a.features, b.features)
+        and np.array_equal(a.intensity, b.intensity)
+        and a.n_classes == b.n_classes
     )
 
 
@@ -61,16 +62,19 @@ class TestGenerateScene:
     def test_feature_channels(self):
         sc = generate_scene(7, 32, 32, 3, 3)
         h, w = 32, 32
-        assert sc.features.shape == (h, w, 4 + 3)
-        one_hot = sc.features[:, :, :4]
+        feats = features_from_semantic(sc, sc.gt_semantic)
+        assert feats.shape == (h, w, 4 + 3)
+        one_hot = feats[:, :, :4]
         yy, xx = np.mgrid[0:h, 0:w]
         assert np.array_equal(np.argmax(one_hot, axis=2), sc.gt_semantic.data)
-        assert np.allclose(sc.features[:, :, 4], yy / (h - 1))
-        assert np.allclose(sc.features[:, :, 5], xx / (w - 1))
+        assert np.allclose(feats[:, :, 4], yy / (h - 1))
+        assert np.allclose(feats[:, :, 5], xx / (w - 1))
+        assert np.array_equal(feats[:, :, 6], sc.intensity)
 
     def test_intensity_constant_per_instance_zero_on_background(self):
         sc = generate_scene(8, 64, 64, 4, 3)
-        intensity = sc.intensity()
+        intensity = sc.intensity
+        assert intensity.shape == (64, 64) and intensity.dtype == np.float64
         assert (intensity[sc.gt_instances.data == 0] == 0).all()
         for inst in sc.gt_instances.ids():
             vals = intensity[sc.gt_instances.data == inst]
@@ -90,6 +94,31 @@ class TestGenerateScene:
     def test_rejects_negative_seed_and_empty_grid(self, args, message):
         with pytest.raises(SceneError, match=message):
             generate_scene(*args, 2, 3)
+
+    def test_intensity_is_a_read_only_copy(self):
+        sc = generate_scene(8, 16, 16, 2, 3)
+        assert not sc.intensity.flags.writeable
+        with pytest.raises(ValueError):
+            sc.intensity[0, 0] = 1.0
+        image = np.ones((16, 16))
+        copy = replace(sc, intensity=image).intensity
+        image[0, 0] = 5.0
+        assert image.flags.writeable and copy[0, 0] == 1.0
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("intensity", np.zeros((16, 15)), r"intensity of shape \(16, 15\) on a \(16, 16\) grid"),
+        ("intensity", np.full((16, 16), np.nan), "intensity holds non-finite values"),
+        ("intensity", np.full((16, 16), np.inf), "intensity holds non-finite values"),
+        ("n_classes", 0, "n_classes must be an int >= 1, got 0"),
+        ("n_classes", 3.0, "n_classes must be an int >= 1, got 3.0"),
+        ("n_classes", True, "n_classes must be an int >= 1, got True"),
+        ("n_classes", 1, "point class 3 exceeds the scene's 1 classes"),
+    ], ids=["shape", "nan", "inf", "zero-classes", "float-classes", "bool-classes",
+            "too-few-classes"])
+    def test_rejects_bad_image_or_class_count(self, field, value, message):
+        sc = generate_scene(8, 16, 16, 6, 3)
+        with pytest.raises(SceneError, match=f"^{message}$"):
+            replace(sc, **{field: value})
 
     def test_rejects_gt_instance_without_a_point(self):
         sc = generate_scene(3, 32, 32, 2, 3)
@@ -113,11 +142,10 @@ class TestCorruptSemantic:
         inst[8:16, 15:25] = 2
         sem = np.where(inst > 0, 1, 0).astype(np.int32)
         from pointseg import PointAnnotationSet, Point, Scene
-        feats = np.zeros((32, 32, 5))
         sc = Scene(
             LabelGrid(inst), LabelGrid(sem),
             PointAnnotationSet((Point(10, 8, 1, 1), Point(10, 20, 1, 2))),
-            feats,
+            np.zeros((32, 32)), 1,
         )
         out = corrupt_semantic(sc, CorruptionConfig(merge_adjacent=True))
         comps = connected_components(out.data == 1, 8)
@@ -143,7 +171,7 @@ class TestCorruptSemantic:
         # With no class in the scene there is none to flip to; this was a
         # bare NumPy "low >= high" from rng.integers(1, 1).
         zeros = LabelGrid(np.zeros((32, 32), dtype=np.int32))
-        sc = Scene(zeros, zeros, PointAnnotationSet(()), np.zeros((32, 32, 5)))
+        sc = Scene(zeros, zeros, PointAnnotationSet(()), np.zeros((32, 32)), 1)
         for cfg in (
             CorruptionConfig(flip_rate=0.5, rng_seed=3),
             CorruptionConfig(dilation_px=2, merge_adjacent=True, flip_rate=0.02, rng_seed=101),
@@ -203,7 +231,8 @@ class TestFeaturesFromSemantic:
         other = corrupt_semantic(sc, CorruptionConfig(dilation_px=1, rng_seed=1))
         feats = features_from_semantic(sc, other)
         assert np.array_equal(np.argmax(feats[:, :, :4], axis=2), other.data)
-        assert np.array_equal(feats[:, :, 4:], sc.features[:, :, 4:])
+        gt_feats = features_from_semantic(sc, sc.gt_semantic)
+        assert np.array_equal(feats[:, :, 4:], gt_feats[:, :, 4:])
 
     def test_shape_mismatch(self):
         sc = generate_scene(31, 32, 32, 2, 3)
@@ -217,16 +246,18 @@ class TestSynthDigests:
     change that moves any of them must update the digest and say why."""
 
     FILES = ("gt_instances.pgm", "gt_semantic.pgm", "semantic_in.pgm", "points.csv",
-             "features.mdmt")
+             "intensity.mdmt")
+    # intensity.mdmt replaced features.mdmt, whose last channel it equals bit
+    # for bit; the other four digests did not move.
     SYNTH = {
         (100, 64): (0x4FBCA53EB7D6E8A4, 0xF7C52B3CC0720AC4, 0x7187ABE2A05F823A,
-                    0xE186212DB320984E, 0x2E98269791E20941),
+                    0xE186212DB320984E, 0xA7FF73159BECFEB3),
         (101, 64): (0xC2803DEB95811DF4, 0xFF81C61CC9FC2508, 0x7E670F0D565A7AC5,
-                    0x61987C0D30EC1C2B, 0xC46AE1E1C0C90539),
+                    0x61987C0D30EC1C2B, 0x95F5C5E3B51C84B3),
         (102, 64): (0x5DD06A2B6702B2A8, 0x30FABD6844CA3AD9, 0x21D5E6BAB2E79523,
-                    0xBF75A203C5A67561, 0x80B95D54DB56D18C),
+                    0xBF75A203C5A67561, 0x258ECF5CC9FD29F6),
         (100, 256): (0x5CF26A500104CD56, 0xD7A51DA9C4D270FE, 0x906B92C2415E0CA6,
-                     0xF8BF2879C8F0DD24, 0xAB80C2851DC5A11D),
+                     0xF8BF2879C8F0DD24, 0xCA7A13DEFAADA43B),
     }
     ERODED_64 = {100: 0xD37D024119C450B9, 101: 0xDCB71FA8D8DCD06E, 102: 0xA2EB59F2A964204B}
 
@@ -402,8 +433,7 @@ class TestBoxLocalMatchesWholeGridOracle:
     def test_features(self):
         for seed in range(3):
             sc = generate_scene(seed, 24, 31, 4, 3)
-            want = oracle_features(sc.gt_semantic.data, 3, sc.intensity())
-            assert np.array_equal(sc.features, want)
             other = corrupt_semantic(sc, CorruptionConfig(dilation_px=1, flip_rate=0.1))
-            want = oracle_features(other.data, 3, sc.intensity())
-            assert np.array_equal(features_from_semantic(sc, other), want)
+            for semantic in (sc.gt_semantic, other):
+                want = oracle_features(semantic.data, 3, sc.intensity)
+                assert np.array_equal(features_from_semantic(sc, semantic), want)
