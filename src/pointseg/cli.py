@@ -16,7 +16,8 @@ parameters and eval whether it was class-aware.
 A scene directory, as synth writes it and train reads it, holds
 gt_instances.pgm, gt_semantic.pgm, semantic_in.pgm (the corrupted semantic
 map), points.csv, intensity.mdmt (the (H, W) image) and scene.json (the
-scene's parameters; train reads its n_classes, an integer >= 1).
+scene's parameters; train reads its n_classes, an integer from 1 to 65535,
+the largest id a label PGM can carry).
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from . import __version__
 from .errors import CliUsageError, PointsegError, SceneError
 from .grids import (
     DEFAULT_CONNECTIVITY,
+    PGM_MAX_ID,
     ClassScoreMap,
     LabelGrid,
     PointAnnotationSet,
@@ -47,7 +49,7 @@ from .grids import (
 )
 from .i2s import I2SConfig, refresh_semantic
 from .loop import MdmConfig, run_mdm
-from .metrics import ap_report, greedy_match
+from .metrics import _overlaps, ap_report, greedy_match
 from .s2i import (
     assign_points,
     attach_points,
@@ -396,8 +398,9 @@ def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
     meta_path = scene_dir / "scene.json"
     meta = json.loads(_read_text(meta_path))
     n_classes = meta.get("n_classes") if isinstance(meta, dict) else None
-    if type(n_classes) is not int or n_classes < 1:
-        raise PointsegError(f"{meta_path}: expected a JSON object with an integer n_classes >= 1")
+    # Refused before any array is sized by it.
+    if type(n_classes) is not int or not 1 <= n_classes <= PGM_MAX_ID:
+        raise PointsegError(f"{meta_path}: expected a JSON object with n_classes 1..{PGM_MAX_ID}")
     gt_instances = decode_label_pgm((scene_dir / "gt_instances.pgm").read_bytes())
     gt_semantic = decode_label_pgm((scene_dir / "gt_semantic.pgm").read_bytes())
     semantic_in = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
@@ -538,10 +541,9 @@ def _eval_one(task: tuple[str, str, str | None, str | None, str]) -> str:
     pred_classes = _read_classes_csv(Path(pred_cls_path), pred) if pred_cls_path else None
     gt_classes = _read_classes_csv(Path(gt_cls_path), gt) if gt_cls_path else None
     class_aware = pred_classes is not None and gt_classes is not None
-    match = greedy_match(
-        pred, gt, pred_classes=pred_classes, gt_classes=gt_classes, class_aware=class_aware
-    )
-    ap = ap_report(pred, gt, pred_classes=pred_classes, gt_classes=gt_classes)
+    table = _overlaps(pred, gt)  # one overlap table serves both reports
+    match = greedy_match(pred, gt, pred_classes, gt_classes, class_aware, overlaps=table)
+    ap = ap_report(pred, gt, pred_classes, gt_classes, overlaps=table)
     metrics = {
         "counts": _counts_json(match.counts),
         "overall_iou": match.overall_iou,
@@ -551,11 +553,7 @@ def _eval_one(task: tuple[str, str, str | None, str | None, str]) -> str:
     }
     out_dir = Path(out_path)
     _write(out_dir / "metrics.json", json.dumps(metrics, indent=2) + "\n")
-    inputs = [Path(pred_path), Path(gt_path)]
-    if pred_cls_path:
-        inputs.append(Path(pred_cls_path))
-    if gt_cls_path:
-        inputs.append(Path(gt_cls_path))
+    inputs = [Path(p) for p in (pred_path, gt_path, pred_cls_path, gt_cls_path) if p]
     _write_manifest(out_dir, "eval", {"class_aware": class_aware}, inputs, t0)
     return f"eval: overall_iou {match.overall_iou:.2f} -> {out_dir / 'metrics.json'}"
 

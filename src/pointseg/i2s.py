@@ -33,6 +33,9 @@ __all__ = [
 
 Window = tuple[slice, slice]
 AffinityFn = Callable[[Window, Window], np.ndarray]
+# Pixels per multiply-add of the callable refresh: the (C + 1, _CHUNK) product
+# stays in cache until it is added.
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,10 @@ def refresh_semantic(
     place in win_j as i in win_i, and f returns one value per pair as a 1-D
     array in raster order of the window. Each offset's values are added at
     the i side (W_ij C(j, .) into row i) and then at the j side (W_ji C(i, .)
-    into row j), so each pixel's sums accumulate in that order.
+    into row j), so each pixel's sums accumulate in that order. A pixel
+    whose partner at an offset is off the grid still gets that offset's
+    term, an exact 0: it changes no value, but a score of -0.0 can come out
+    as +0.0.
 
     A LabelGrid makes two pixels affine (1) when they carry the same nonzero
     id and not affine (0) otherwise. cfg.beta cannot change a 0/1 affinity:
@@ -179,20 +185,33 @@ def refresh_semantic(
         if affinity.shape != class_map.data.shape[:2]:
             raise PipelineError("instances and classmap disagree on the grid")
         return _refresh_by_instances(affinity, class_map, cfg.pair_radius)
-    h, w, _ = class_map.data.shape
-    # One (H, W) plane per class keeps every update a 2-D elementwise step;
-    # broadcasting over a short trailing class axis is ~2x slower.
-    planes = np.ascontiguousarray(class_map.data.transpose(2, 0, 1))
+    h, w, ch = class_map.data.shape
+    # The class planes and a last plane of ones, whose sums are each pixel's
+    # weight, as flat rasters of width w + pad: pixel i's partner at offset
+    # (dy, dx) sits at i + dy * (w + pad) + dx, in the pad when it is off the
+    # grid's side. So each side of an offset is a multiply-add over
+    # contiguous slices, and a pair with an end off the grid adds an exact 0:
+    # its value is 0 in `vals`, and the pad columns hold 1s.
+    wp = w + min(cfg.pair_radius, w - 1)
+    n = h * wp
+    planes = np.ones((ch + 1, h, wp))
+    planes[:ch, :, :w] = class_map.data.transpose(2, 0, 1)
+    planes = planes.reshape(ch + 1, n)
     acc = planes.copy()  # diagonal term with weight 1^beta = 1
-    wsum = np.ones((h, w), dtype=np.float64)
+    vals, term = np.empty(n), np.empty((ch + 1, _CHUNK))
     for dy, dx in _half_plane_offsets(cfg.pair_radius, h, w):
         win_i, win_j = _offset_windows(h, w, dy, dx)
-        vals = np.asarray(affinity(win_i, win_j), dtype=np.float64) ** cfg.beta
-        vals = vals.reshape(h - dy, w - abs(dx))
-        for to, frm in ((win_i, win_j), (win_j, win_i)):
-            acc[(slice(None), *to)] += vals * planes[(slice(None), *frm)]
-            wsum[to] += vals
-    return ClassScoreMap((acc / wsum).transpose(1, 2, 0))
+        vals.fill(0.0)
+        window = np.asarray(affinity(win_i, win_j), dtype=np.float64) ** cfg.beta
+        vals.reshape(h, wp)[win_i] = window.reshape(h - dy, w - abs(dx))
+        # The i side, then the j side: pixels i < m pair with j = i + shift.
+        shift = dy * wp + dx
+        m = n - shift
+        for dst, src in ((acc[:, :m], planes[:, shift:]), (acc[:, shift:], planes[:, :m])):
+            for at in range(0, m, _CHUNK):
+                part = slice(at, min(at + _CHUNK, m))
+                dst[:, part] += np.multiply(vals[part], src[:, part], out=term[:, : part.stop - at])
+    return ClassScoreMap((acc[:ch] / acc[ch]).reshape(ch, h, wp)[:, :, :w].transpose(1, 2, 0))
 
 
 def _box_sum(values: np.ndarray, r: int) -> np.ndarray:

@@ -12,17 +12,19 @@ its region-matching target labels, each region holding several points
 re-split by the predicted offsets' votes, masked by the unpinned input; they
 are an output only, and feed no later stage.
 
-Training runs full-batch Adam on a fixed objective per phase (the warm-up
-and each stage). Its constants (the expanded features, the OHEM target
-index, the offset targets at their valid pixels, the pair indices and the
-affinity floor terms) are built once per phase, where the targets are
-checked too; each of the phase's evaluations, one per Adam step, then works
-on raw arrays and checks only what the parameters can break, the finiteness
-of the outputs and of the losses. The objective also allocates its
-workspace once per phase: the output planes, their finiteness mask, the
-scaled offsets, the kept pixels' feature columns and the pair ends with
-their gradient. Every evaluation overwrites it; what an evaluation returns
-(the loss report and the gradient) never points into it.
+The predictor's input, feature_planes, is built once per run and read by
+every phase and every stage's predict. Training runs full-batch Adam on a
+fixed objective per phase (the warm-up and each stage). Its constants (the
+OHEM target index, the offset targets at their valid pixels, the pair
+indices and the affinity floor terms) are built once per phase, where the
+targets are checked too; each of the phase's evaluations, one per Adam step,
+then works on raw arrays and checks only what the parameters can break, the
+finiteness of the outputs and of the losses. The objective also allocates
+its workspace once per phase: the output planes (whose class rows OHEM's
+softmax overwrites), their finiteness mask, the scaled offsets, the kept
+pixels' feature columns and the pair ends with their gradient. Every
+evaluation overwrites it; what an evaluation returns (the loss report and
+the gradient) never points into it.
 
 The training hot path is channel-first. The objective holds the features as
 (2F + 1, N) planes, a row of ones last, and computes the outputs as (K, N)
@@ -81,6 +83,7 @@ __all__ = [
     "StageResult",
     "MdmResult",
     "expand_features",
+    "feature_planes",
     "predict",
     "build_stage_targets",
     "run_stage",
@@ -117,6 +120,13 @@ def expand_features(features: np.ndarray) -> np.ndarray:
             cnt += ones[dy : dy + h, dx : dx + w]
     means = acc / cnt[:, :, None]
     return np.concatenate([feats, means], axis=2).reshape(h * w, 2 * f)
+
+
+def feature_planes(features: np.ndarray) -> np.ndarray:
+    """The predictor's input: expand_features' 2F columns and a closing
+    channel of ones, which multiplies out to the biases, as (H, W, 2F + 1)."""
+    x = np.pad(expand_features(features), ((0, 0), (0, 1)), constant_values=1.0)
+    return x.reshape(*features.shape[:2], -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,14 +168,12 @@ def _pair_logits(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
     return np.einsum("d...,d...->...", emb_a, emb_b) * _logit_scale(len(emb_a))
 
 
-def predict(params: TinyPredictorParams, features: np.ndarray) -> PredictorOutputs:
-    """Deterministic forward pass over a (H, W, F) feature tensor."""
-    h, w, f = features.shape
-    if 2 * f + 1 != len(params.theta):
-        raise PipelineError(
-            f"feature dim {f} does not match predictor fan-in {len(params.theta) - 1}"
-        )
-    y = expand_features(features) @ params.theta[:-1] + params.theta[-1]
+def predict(params: TinyPredictorParams, x: np.ndarray) -> PredictorOutputs:
+    """Deterministic forward pass over (H, W, 2F + 1) feature_planes."""
+    h, w, k = x.shape
+    if k != len(params.theta):
+        raise PipelineError(f"{k - 1} features do not match fan-in {len(params.theta) - 1}")
+    y = x.reshape(h * w, k)[:, :-1] @ params.theta[:-1] + params.theta[-1]
     cls_sl, off_sl, emb_sl = params.head_slices()
     class_map = ClassScoreMap(y[:, cls_sl].reshape(h, w, -1))
     offsets = OffsetField(
@@ -251,8 +259,8 @@ class _Objective:
     """The training objective over one stage's fixed features and targets.
 
     Everything that does not depend on the parameters is built once, here:
-    the expanded features as (2F + 1, N) channel planes with a closing row of
-    ones, the OHEM target index and kept count, the offset targets with the
+    the feature planes seen as (2F + 1, N), their closing row of ones
+    last, the OHEM target index and kept count, the offset targets with the
     feature columns of their valid pixels, the flat pair indices with the
     feature columns of both ends of every pair, and the constant floor
     terms of the affinity loss. The per-stage input checks run here too, so
@@ -280,16 +288,16 @@ class _Objective:
     def __init__(
         self,
         template: TinyPredictorParams,
-        features: np.ndarray,
+        x: np.ndarray,
         targets: StageTargets,
         hard_pixel_ratio: float,
     ) -> None:
-        h, w = features.shape[:2]
+        h, w = x.shape[:2]
         n = h * w
-        # The ones row multiplies out to the bias gradient. The planes keep
-        # expand_features' pixel-major layout: xT.T is C-contiguous, so a
-        # pixel's column is one contiguous row of it.
-        self.xT = np.vstack([expand_features(features).T, np.ones((1, n))])
+        # The ones row multiplies out to the bias gradient. xT is a view of
+        # the pixel-major planes, so a pixel's column is one contiguous row
+        # of xT.T.
+        self.xT = x.reshape(n, -1).T
         self.slices = template.head_slices()
         if targets.classes.shape != (h, w):
             raise LossError("target shape mismatch")
@@ -336,6 +344,7 @@ class _Objective:
         cls_sl, off_sl, emb_sl = self.slices
         grad = np.zeros((len(self.xT), len(y)))  # theta's layout
 
+        # The class rows are OHEM's softmax workspace: nothing reads them after.
         seg, kept, g_seg = seg_loss_ohem(y[cls_sl], *self.seg_target)
         # mode="clip" writes straight into out, where the default buffers it;
         # every index here is in range.
@@ -368,7 +377,7 @@ class _Objective:
 
 def _fit(
     params: TinyPredictorParams,
-    features: np.ndarray,
+    x: np.ndarray,
     targets: StageTargets,
     cfg: MdmConfig,
     iters: int,
@@ -378,12 +387,12 @@ def _fit(
 
     Adam (Kingma & Ba, ICLR 2015) with step size cfg.learning_rate; its
     moments start at zero in every phase. Each report is the loss before its
-    update. The objective, with the expanded features and every other
-    constant of the stage, is built once for all of them. Overflow and
+    update. The objective, with every constant of the stage, is built once
+    for all of them, over the run's feature planes x. Overflow and
     invalid values raise no NumPy warning: the explicit finiteness checks
     catch them, and a divergence names the phase and the step it happened at.
     """
-    objective = _Objective(params, features, targets, cfg.hard_pixel_ratio)
+    objective = _Objective(params, x, targets, cfg.hard_pixel_ratio)
     m = v = 0.0  # first and second moments of theta
     history = []
     for t in range(1, iters + 1):
@@ -423,9 +432,7 @@ class StageResult:
 
 def _masked_argmax(scores: ClassScoreMap, allowed: set[int]) -> LabelGrid:
     data = scores.data.copy()
-    for ch in range(scores.channels):
-        if ch not in allowed:
-            data[:, :, ch] = -np.inf
+    data[:, :, [ch for ch in range(scores.channels) if ch not in allowed]] = -np.inf
     return LabelGrid(np.argmax(data, axis=2).astype(np.int32))
 
 
@@ -450,19 +457,17 @@ def run_stage(
     stage_idx: int,
     semantic_in: LabelGrid,
     targets: StageTargets,
-    features: np.ndarray,
+    x: np.ndarray,
     points: PointAnnotationSet,
     params: TinyPredictorParams,
     cfg: MdmConfig,
 ) -> StageResult:
-    """One train -> group -> I2S refresh round on the (H, W, F) predictor
-    features and targets built from semantic_in pinned; the pseudo
+    """One train -> group -> I2S refresh round on the (H, W, 2F + 1)
+    feature_planes x and targets built from semantic_in pinned; the pseudo
     instances are masked by semantic_in."""
-    params, history = _fit(
-        params, features, targets, cfg, cfg.iters_per_stage, f"stage {stage_idx}"
-    )
+    params, history = _fit(params, x, targets, cfg, cfg.iters_per_stage, f"stage {stage_idx}")
 
-    outs = predict(params, features)
+    outs = predict(params, x)
     grouped = group_instances(outs.offsets, targets.initial, targets.regions, points)
     pseudo = finalize_pseudo_labels(grouped, semantic_in, points)
 
@@ -505,18 +510,19 @@ class MdmResult:
 def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmResult:
     """Warm up on seg+offset losses, then run the staged recurrence.
 
-    The predictor's input features are built once, from the scene's image
-    and the corrupted semantic map (never ground truth), and stay fixed;
+    The predictor's input, its feature planes, is built once, from the
+    scene's image and the corrupted semantic map (never ground truth), and
+    stays fixed: every phase's objective and every stage's predict read it;
     only the supervision side evolves from stage to stage. Each stage's
     targets are built once, from its semantic input pinned: stage 0 reads
     the corrupted map, and stage s >= 1 stage s-1's refreshed map. The
     warm-up trains on stage 0's targets without their affinity pairs.
     """
-    features = features_from_semantic(scene, corrupted_semantic)
+    x = feature_planes(features_from_semantic(scene, corrupted_semantic))
     points = scene.points
     params = TinyPredictorParams.initialize(
         seed=_derive_seed(cfg.seed, 0, 0),
-        feature_dim=features.shape[2],
+        feature_dim=x.shape[2] // 2,
         n_classes=scene.n_classes,
     )
 
@@ -530,10 +536,10 @@ def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmR
         )
         if stage_idx == 0 and cfg.warmup_iters:
             params, warmup_history = _fit(
-                params, features, replace(targets, affinity=None), cfg,
+                params, x, replace(targets, affinity=None), cfg,
                 cfg.warmup_iters, "warm-up",
             )
-        result = run_stage(stage_idx, semantic, targets, features, points, params, cfg)
+        result = run_stage(stage_idx, semantic, targets, x, points, params, cfg)
         metrics = greedy_match(
             result.pseudo_instances,
             scene.gt_instances,

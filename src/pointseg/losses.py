@@ -82,24 +82,31 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out if out.ndim else out[()]
 
 
-def softmax_rows(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Normalized exponential of float scores along `axis` (the last by
-    default), max-shifted for stability.
+def _shifted_exp(scores: np.ndarray, axis: int, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """exp(scores - their max along `axis`), in place on `out` (a fresh
+    array by default), and its sum along `axis`, kept as a length-1 axis.
 
-    The shift, exp and division run in place on one fresh array, and the
-    sum lands in the max's plane.
+    The max is taken one channel at a time: exact, and far cheaper than a
+    reduction over a short axis. The sum lands in the max's plane.
     """
-    # The max one channel at a time: exact, and far cheaper than a reduction
-    # over a short axis.
     planes = np.moveaxis(scores, axis, 0)
     top = np.array(planes[0])  # a copy, and an array even for 1-d scores
     for plane in planes[1:]:
         np.maximum(top, plane, out=top)
     top = np.expand_dims(top, axis)
-    ex = np.subtract(scores, top)
+    ex = np.subtract(scores, top, out=out)
     np.exp(ex, out=ex)
-    ex /= ex.sum(axis=axis, keepdims=True, out=top)
-    return ex
+    return ex, ex.sum(axis=axis, keepdims=True, out=top)
+
+
+def softmax_rows(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Normalized exponential of float scores along `axis` (the last by
+    default), max-shifted for stability.
+
+    The shift, exp and division run in place on one fresh array.
+    """
+    ex, total = _shifted_exp(scores, axis)
+    return np.divide(ex, total, out=ex)
 
 
 def smooth_l1(x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -156,26 +163,35 @@ def seg_loss_ohem(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross entropy over the n_keep hardest pixels.
 
-    scores holds raw (C, N) class score planes, pixels in raster order;
-    target_index and n_keep come from ohem_target. Ties at the cutoff break
-    by raster order. Returns the loss, the kept pixels (hardest first), and
-    the (C, n_keep) gradient w.r.t. their scores, softmax minus one-hot; the
-    gradient at every other pixel is zero.
+    scores holds raw (C, N) class score planes, pixels in raster order; it
+    is workspace, overwritten by the softmax's exponentials. target_index
+    and n_keep come from ohem_target. Ties at the cutoff break by raster
+    order. Returns the loss, the kept pixels (hardest first), and the
+    (C, n_keep) gradient w.r.t. their scores, softmax minus one-hot; the
+    gradient at every other pixel is zero. None of them points into scores.
     """
-    probs = softmax_rows(scores, axis=0)
-    p_true = probs.take(target_index)
-    ce = np.maximum(p_true, CE_PROB_FLOOR)
-    np.log(ce, out=ce)
-    np.negative(ce, out=ce)
-    # A stable sort of the candidates at or above the cutoff keeps the order
-    # a stable sort of every pixel would give: descending CE, then raster.
-    hardness = -ce
-    cutoff = np.partition(hardness, n_keep - 1)[n_keep - 1]
-    candidates = np.flatnonzero(hardness <= cutoff)
-    kept = candidates[np.argsort(hardness[candidates], kind="stable")[:n_keep]]
-    loss = float(ce[kept].mean())
-    np.put(probs, target_index[kept], p_true[kept] - 1.0)  # softmax minus one-hot
-    return loss, kept, probs[:, kept] / n_keep
+    # The softmax is divided out only where it is read.
+    ex, (total,) = _shifted_exp(scores, 0, out=scores)
+    log_p = ex.take(target_index) / total  # each pixel's p_true, then its log
+    np.log(np.maximum(log_p, CE_PROB_FLOOR, out=log_p), out=log_p)
+    # The hardest pixels have the lowest log p. The candidates at or above
+    # the cutoff are in raster order, so sorting them by value alone keeps
+    # the order a stable sort of every pixel would give, unless two values
+    # are equal: then only a stable sort does.
+    cutoff = np.partition(log_p, n_keep - 1)[n_keep - 1]
+    candidates = np.flatnonzero(log_p <= cutoff)
+    log_p = log_p[candidates]  # the candidates' alone from here on
+    order = np.argsort(log_p)
+    if not np.diff(log_p[order]).all():
+        order = np.argsort(log_p, kind="stable")
+    kept = candidates[order[:n_keep]]
+    grad = ex.take(kept, axis=1)
+    grad /= total[kept]
+    # Minus one-hot: each kept column's target row, as a flat index into grad.
+    grad.reshape(-1)[target_index[kept] // ex.shape[1] * n_keep + np.arange(n_keep)] -= 1.0
+    grad /= n_keep
+    # The mean CE: -sum(log p) has the bits of sum(-log p).
+    return float(-np.add.reduce(log_p[order[:n_keep]]) / n_keep), kept, grad
 
 
 def affinity_floor(targets: np.ndarray) -> tuple[np.ndarray, float]:

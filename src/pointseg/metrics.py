@@ -48,8 +48,9 @@ class ApReport:
     map75: float
 
 
-def _overlaps(pred: LabelGrid, gt: LabelGrid) -> tuple[np.ndarray, ...]:
-    """(pred ids, gt ids, pred areas, (P, G) IoU table), ids sorted, foreground only.
+def _overlaps(pred: LabelGrid, gt: LabelGrid) -> tuple:
+    """(pred, gt, pred ids, gt ids, pred areas, (P, G) IoU table): the table
+    led by the two grids it counts, ids sorted, foreground only.
 
     One np.unique over joint int64 keys pred * (max gt id + 1) + gt counts
     every pixel pair; ids may reach the int32 maximum, so nothing is sized
@@ -71,7 +72,16 @@ def _overlaps(pred: LabelGrid, gt: LabelGrid) -> tuple[np.ndarray, ...]:
     p_area, g_area = inter.sum(axis=1)[p_fg], inter.sum(axis=0)[g_fg]
     inter = inter[np.ix_(p_fg, g_fg)]
     iou = inter / (p_area[:, None] + g_area[None, :] - inter)
-    return pred_ids[p_fg], gt_ids[g_fg], p_area, iou
+    return pred, gt, pred_ids[p_fg], gt_ids[g_fg], p_area, iou
+
+
+def _table(pred: LabelGrid, gt: LabelGrid, overlaps: tuple | None) -> tuple[np.ndarray, ...]:
+    """The ids, areas and IoU of `overlaps`, which must have counted these
+    very grids, or of a new _overlaps(pred, gt) when it is None."""
+    table = _overlaps(pred, gt) if overlaps is None else overlaps
+    if table[:2] != (pred, gt):  # LabelGrid compares by identity
+        raise EvalError("the overlap table was counted on other grids")
+    return table[2:]
 
 
 def _claim(iou: np.ndarray, order: np.ndarray, threshold: float) -> np.ndarray:
@@ -103,6 +113,7 @@ def greedy_match(
     pred_classes: Mapping[int, int] | None = None,
     gt_classes: Mapping[int, int] | None = None,
     class_aware: bool = False,
+    *, overlaps: tuple | None = None,
 ) -> MatchReport:
     """Greedy one-to-one matching of predictions onto ground truth.
 
@@ -111,8 +122,12 @@ def greedy_match(
     ground-truth instance (same class when class_aware) with the highest
     positive IoU, ties to the lowest gt id. With class_aware, every id of
     either grid needs a class in its side's map.
+
+    overlaps is internal: `pointseg eval` passes the table that
+    metrics._overlaps(pred, gt) counted on these very grids, so that
+    matching and AP count it once; a table of other grids is refused.
     """
-    pred_ids, gt_ids, p_area, iou = _overlaps(pred, gt)
+    pred_ids, gt_ids, p_area, iou = _table(pred, gt, overlaps)
     if class_aware:
         if pred_classes is None or gt_classes is None:
             raise EvalError("class-aware matching needs class maps for both sides")
@@ -153,14 +168,16 @@ def ap_report(
     gt: LabelGrid,
     pred_classes: Mapping[int, int] | None = None,
     gt_classes: Mapping[int, int] | None = None,
+    *, overlaps: tuple | None = None,
 ) -> ApReport:
     """AP at the fixed threshold trio; instance size stands in for confidence.
 
     Each mAP is the mean AP over every class on either side; a class with
     predictions but no ground truth contributes AP 0. An instance that its
     side's class map does not list, or that has no class map, is class 1.
+    overlaps is internal, as for greedy_match.
     """
-    pred_ids, gt_ids, p_area, iou = _overlaps(pred, gt)
+    pred_ids, gt_ids, p_area, iou = _table(pred, gt, overlaps)
     pc = np.array([(pred_classes or {}).get(int(i), 1) for i in pred_ids], dtype=np.int64)
     gc = np.array([(gt_classes or {}).get(int(i), 1) for i in gt_ids], dtype=np.int64)
     order = np.lexsort((pred_ids, -p_area))

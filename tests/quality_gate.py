@@ -18,8 +18,9 @@ held-out set on which no default may be tuned, 200-219 at 64x64 and 600-619
 at 128x128. Seeds 200-209 had been probed at 128x128 before that size was
 gated, so its held-out set starts where no probe had run. A set passes when
 final >= init on more than half of its seeds (11 of 20) and the median of
-final - init is >= 0. The mean is printed but not gated, because one scene
-can carry it.
+final - init is > 0, strictly, so a pipeline that returns its initial labels
+unchanged fails. The mean is printed but not gated, because one scene can
+carry it.
 
 Run from the repository root:
 
@@ -90,7 +91,7 @@ def verdict(rows: list[tuple[int, int, float, float, int]]) -> tuple[bool, str]:
     gains = [final - init for _, _, init, final, _ in rows]
     n_up = sum(g >= 0 for g in gains)
     median = statistics.median(gains)
-    passed = 2 * n_up > len(gains) and median >= 0
+    passed = 2 * n_up > len(gains) and median > 0
     summary = (
         f"final >= init on {n_up}/{len(gains)}, median {median:+.2f},"
         f" mean {statistics.fmean(gains):+.2f}: {'PASS' if passed else 'FAIL'}"

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -191,6 +192,32 @@ class TestTrainEvalCli:
         for sub in ("pair_000", "pair_001"):
             metrics = json.loads((out / sub / "metrics.json").read_text())
             assert metrics["overall_iou"] == 100.0
+
+    def test_eval_reads_one_overlap_table_per_pair(self, scene_dir, tmp_path, monkeypatch):
+        # Matching and AP share one table; both are still called through
+        # the names cli imports, where perfbench's tracer rebinds them.
+        from pointseg import metrics
+
+        calls = []
+        for module, name in ((cli, "_overlaps"), (metrics, "_overlaps"),
+                             (cli, "greedy_match"), (cli, "ap_report")):
+            def spy(*args, _real=getattr(module, name), _key=f"{module.__name__}.{name}",
+                    **kwargs):
+                calls.append(_key)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        s2i = tmp_path / "s2i"
+        assert dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
+                         "--points", str(scene_dir / "points.csv"), "--out", str(s2i)]) == 0
+        classes = str(s2i / "classes.csv")
+        for flags in ([], ["--pred-classes", classes, "--gt-classes", classes]):
+            calls.clear()
+            assert dispatch(["eval", "--pred", str(s2i / "instances.pgm"),
+                             "--gt", str(scene_dir / "gt_instances.pgm"), *flags,
+                             "--out", str(tmp_path / f"eval{len(flags)}")]) == 0
+            assert calls == ["pointseg.cli._overlaps", "pointseg.cli.greedy_match",
+                             "pointseg.cli.ap_report"]
 
     def test_jobs_2_writes_what_jobs_1_writes(self, tmp_path):
         # Each scene's config crosses the process pool; the outputs must not
@@ -732,6 +759,22 @@ class TestSceneValidationCli:
         assert not (tmp_path / "t").exists()
 
 
+    @pytest.mark.parametrize("n_classes", [65536, 10**12])
+    def test_n_classes_no_label_pgm_can_carry_exit_2_at_once(
+        self, scene_dir, tmp_path, capsys, n_classes
+    ):
+        # Refused before any array is sized by it.
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        (scene / "scene.json").write_text(json.dumps({"n_classes": n_classes}))
+        start = time.perf_counter()
+        code = dispatch(["train", "--scene", str(scene), "--out", str(tmp_path / "t")])
+        assert code == 2 and time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_classes 1..65535" in err
+        assert not (tmp_path / "t").exists()
+
+
 class TestRenderCli:
     def test_two_distinct_colors(self, scene_dir, tmp_path):
         out = tmp_path / "img.ppm"
@@ -1096,3 +1139,18 @@ class TestPerfbenchTracerSpans:
             if module in ("pointseg.cli", "pointseg.s2i") and attr != "run_mdm"
         }
         assert label_layers <= set(names), label_layers - set(names)
+
+    def test_train_records_every_loop_layer_and_one_feature_expansion(self, tmp_path, capsys):
+        tracer = _load_perfbench_tracer()
+        assert dispatch(["synth", "--out", str(tmp_path), "--seed", "5", "--height", "24",
+                         "--width", "24", "--count", "2"]) == 0
+        scenes = [f for d in sorted(tmp_path.glob("scene_*")) for f in ("--scene", str(d))]
+        with tracer.Tracer().installed() as trace:
+            assert dispatch(["train", *scenes, "--out", str(tmp_path / "train"),
+                             "--stages", "2", "--warmup", "2", "--iters", "3"]) == 0
+        capsys.readouterr()
+        names = [span[0] for span in trace.spans]
+        loop_layers = {name for module, _, name, _ in tracer.LAYERS if module == "pointseg.loop"}
+        assert loop_layers <= set(names), loop_layers - set(names)
+        assert names.count("loop.run_mdm") == names.count("loop.expand_features") == 2
+        assert names.count("losses.seg_loss_ohem") == 2 * (2 + 2 * 3)

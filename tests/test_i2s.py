@@ -552,3 +552,97 @@ class TestWindowRefreshMatchesFlatIndexOracle:
         cfg = I2SConfig(pair_radius=radius)
         out = refresh_semantic(by_window, cmap, cfg)
         assert np.array_equal(out.data.reshape(-1, 4), flat_index_refresh(by_index, cmap, cfg))
+
+
+def window_refresh(affinity, class_map, cfg):
+    """The callable refresh as a loop over 3-D strided windows, one add per
+    side of each offset: the oracle. It visits the offsets in half-plane
+    order and adds at the i side and then at the j side, as refresh_semantic
+    does, so the two must agree bit for bit."""
+    h, w, _ = class_map.data.shape
+    planes = np.ascontiguousarray(class_map.data.transpose(2, 0, 1))
+    acc = planes.copy()
+    wsum = np.ones((h, w))
+    for dy, dx in half_plane(cfg.pair_radius):
+        if dy >= h or abs(dx) >= w:
+            continue
+        win_i = (slice(max(0, -dy), h - max(0, dy)), slice(max(0, -dx), w - max(0, dx)))
+        win_j = (slice(max(0, dy), h + min(0, dy)), slice(max(0, dx), w + min(0, dx)))
+        vals = np.asarray(affinity(win_i, win_j), dtype=np.float64) ** cfg.beta
+        vals = vals.reshape(h - dy, w - abs(dx))
+        for to, frm in ((win_i, win_j), (win_j, win_i)):
+            acc[(slice(None), *to)] += vals * planes[(slice(None), *frm)]
+            wsum[to] += vals
+    return (acc / wsum).transpose(1, 2, 0)
+
+
+class TestPaddedRasterRefreshMatchesWindowLoop:
+    """The callable refresh works on zero-padded flat rasters; it must give
+    the window loop's floats on every grid shape, radius and beta."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (13, 1), (37, 53), (8, 8)])
+    @pytest.mark.parametrize("radius", [1, 3, 8, 60])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_sigmoid_embedding_affinity(self, shape, radius, beta):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] + radius)
+        emb = rng.standard_normal((8, *shape))
+
+        def by_window(win_i, win_j):
+            return sigmoid(_pair_logits(emb[(slice(None), *win_i)],
+                                        emb[(slice(None), *win_j)]).ravel())
+
+        cmap = ClassScoreMap(softmax_rows(rng.standard_normal((*shape, 4))))
+        cfg = I2SConfig(beta=beta, pair_radius=radius)
+        got = refresh_semantic(by_window, cmap, cfg).data
+        want = window_refresh(by_window, cmap, cfg)
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("radius", [2, 40])
+    def test_zero_affinity_and_signed_scores(self, radius):
+        # Exact zeros among the values and scores of both signs: a pair whose
+        # far end is off the grid must add nothing that shows.
+        rng = np.random.default_rng(radius)
+        lab = rng.integers(0, 3, size=(37, 53))
+
+        def same(win_i, win_j):
+            return ((lab[win_i] == lab[win_j]) & (lab[win_i] > 0)).astype(np.float64).ravel()
+
+        cmap = ClassScoreMap(rng.standard_normal((37, 53, 3)))
+        cfg = I2SConfig(pair_radius=radius)
+        got = refresh_semantic(same, cmap, cfg).data
+        assert got.tobytes() == np.ascontiguousarray(window_refresh(same, cmap, cfg)).tobytes()
+
+    def test_negative_zero_scores_differ_from_the_window_loop_in_sign_alone(self):
+        # An off-grid partner adds an exact +0, which turns a -0.0 sum into
+        # +0.0; the window loop never touches such a pixel. Every value, and
+        # every nonzero's bits, still match.
+        rng = np.random.default_rng(11)
+        data = rng.random((1, 9, 3))
+        data[..., 0] = -0.0
+        cmap = ClassScoreMap(data)
+        cfg = I2SConfig(pair_radius=1)
+
+        def same(win_i, win_j):  # one row: a window's size is its width
+            return np.full(win_i[1].stop - win_i[1].start, 0.5)
+
+        got = refresh_semantic(same, cmap, cfg).data
+        want = np.ascontiguousarray(window_refresh(same, cmap, cfg))
+        assert np.array_equal(got, want)
+        assert got[want != 0].tobytes() == want[want != 0].tobytes()
+        assert np.signbit(want[..., 0]).all()
+        assert not np.signbit(got[0, -1, 0])  # its partner at (0, +1) is off the grid
+
+    def test_more_pixels_than_one_chunk(self):
+        # Wide enough that each side of an offset runs in several chunks.
+        rng = np.random.default_rng(5)
+        emb = rng.standard_normal((8, 97, 131))
+
+        def by_window(win_i, win_j):
+            return sigmoid(_pair_logits(emb[(slice(None), *win_i)],
+                                        emb[(slice(None), *win_j)]).ravel())
+
+        cmap = ClassScoreMap(softmax_rows(rng.standard_normal((97, 131, 4))))
+        cfg = I2SConfig(pair_radius=4)
+        got = refresh_semantic(by_window, cmap, cfg).data
+        assert got.tobytes() == np.ascontiguousarray(window_refresh(by_window, cmap, cfg)).tobytes()

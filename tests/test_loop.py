@@ -31,6 +31,7 @@ from pointseg.loop import (
     _logit_scale,
     _Objective,
     _pair_logits,
+    feature_planes,
 )
 from pointseg.losses import (
     CE_PROB_FLOOR,
@@ -64,7 +65,7 @@ def objective_on_flat(flat, template, features, targets, hard_pixel_ratio):
     parameter vector (see flatten), the form the finite-difference checker
     drives."""
     params = replace(template, theta=flat.reshape(template.theta.shape))
-    objective = _Objective(template, features, targets, hard_pixel_ratio)
+    objective = _Objective(template, feature_planes(features), targets, hard_pixel_ratio)
     report, grad = objective(params)
     return report.total, grad.ravel()
 
@@ -108,7 +109,7 @@ class TestPredict:
         feats = gt_features(sc)
         params = TinyPredictorParams.initialize(0, feats.shape[2], sc.n_classes)
         params = replace(params, theta=np.zeros_like(params.theta))
-        outs = predict(params, feats)
+        outs = predict(params, feature_planes(feats))
         assert (outs.class_map.data == 0).all()
         assert (outs.offsets.vectors == 0).all()
         assert (outs.embeddings == 0).all()
@@ -121,8 +122,8 @@ class TestPredict:
         sc = small_scene()
         feats = gt_features(sc)
         params = TinyPredictorParams.initialize(7, feats.shape[2], sc.n_classes)
-        a = predict(params, feats)
-        b = predict(params, feats)
+        a = predict(params, feature_planes(feats))
+        b = predict(params, feature_planes(feats))
         assert np.array_equal(a.class_map.data, b.class_map.data)
         assert np.array_equal(a.offsets.vectors, b.offsets.vectors)
         assert np.array_equal(a.embeddings, b.embeddings)
@@ -134,8 +135,8 @@ class TestPredict:
         cls_sl, off_sl, emb_sl = params.head_slices()
         bumped = params.theta.copy()
         bumped[0, off_sl.start] += 0.5  # first offset column
-        outs0 = predict(params, feats)
-        outs1 = predict(replace(params, theta=bumped), feats)
+        outs0 = predict(params, feature_planes(feats))
+        outs1 = predict(replace(params, theta=bumped), feature_planes(feats))
         assert np.array_equal(outs0.class_map.data, outs1.class_map.data)
         assert np.array_equal(outs0.embeddings, outs1.embeddings)
         assert not np.array_equal(outs0.offsets.vectors, outs1.offsets.vectors)
@@ -145,7 +146,7 @@ class TestPredict:
         feats = gt_features(sc)
         params = TinyPredictorParams.initialize(0, feats.shape[2] + 1, sc.n_classes)
         with pytest.raises(PipelineError, match="fan-in"):
-            predict(params, feats)
+            predict(params, feature_planes(feats))
 
     def test_initialization_bounds(self):
         params = TinyPredictorParams.initialize(11, 6, 2)
@@ -166,7 +167,7 @@ class TestTrainStep:
         cfg = make_cfg(learning_rate=0.0)
         params = TinyPredictorParams.initialize(1, feats.shape[2], sc.n_classes)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
-        updated, (report,) = _fit(params, feats, targets, cfg, 1, "stage 0")
+        updated, (report,) = _fit(params, feature_planes(feats), targets, cfg, 1, "stage 0")
         assert np.array_equal(updated.theta, params.theta)
         assert report.total > 0
 
@@ -175,7 +176,7 @@ class TestTrainStep:
         cfg = make_cfg()
         params = TinyPredictorParams.initialize(1, gt_features(sc).shape[2], sc.n_classes)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
-        _, (report,) = _fit(params, gt_features(sc), targets, cfg, 1, "stage 0")
+        _, (report,) = _fit(params, feature_planes(gt_features(sc)), targets, cfg, 1, "stage 0")
         assert report.n_off_pixels == int(targets.offsets.valid.sum())
         assert report.n_pos_pairs + report.n_neg_pairs == len(targets.affinity)
         assert report.n_seg_pixels == math.ceil(0.2 * 16 * 16)
@@ -186,7 +187,7 @@ class TestTrainStep:
         targets = self.targets_for(sc, sc.gt_semantic, cfg, with_affinity=False)
         assert targets.affinity is None
         params = TinyPredictorParams.initialize(1, gt_features(sc).shape[2], sc.n_classes)
-        _, (report,) = _fit(params, gt_features(sc), targets, cfg, 1, "warm-up")
+        _, (report,) = _fit(params, feature_planes(gt_features(sc)), targets, cfg, 1, "warm-up")
         assert report.aff == 0.0
         assert report.n_pos_pairs == report.n_neg_pairs == 0
 
@@ -200,7 +201,7 @@ class TestTrainStep:
             cfg = make_cfg(seed=run_seed, iters_per_stage=1, warmup_iters=0)
             params = TinyPredictorParams.initialize(run_seed, feats.shape[2], sc.n_classes)
             targets = self.targets_for(sc, sc.gt_semantic, cfg)
-            _, reports = _fit(params, feats, targets, cfg, 120, "stage 0")
+            _, reports = _fit(params, feature_planes(feats), targets, cfg, 120, "stage 0")
             history = [report.total for report in reports]
             windows_ok = all(
                 history[t + 50] <= history[t] + 1e-9 for t in range(len(history) - 50)
@@ -228,7 +229,7 @@ class TestTrainStep:
         params = replace(params, theta=params.theta * np.inf)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
         with pytest.raises(PipelineError, match="diverged"):
-            _fit(params, gt_features(sc), targets, cfg, 1, "stage 0")
+            _fit(params, feature_planes(gt_features(sc)), targets, cfg, 1, "stage 0")
 
     def test_divergence_names_phase_and_step(self):
         # A finite but far too large rate overflows; the run must stop at the
@@ -239,7 +240,7 @@ class TestTrainStep:
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
         with pytest.raises(PipelineError, match=r"^diverged: .* in stage 2, step \d+ of 9;"
                            r" try a lower learning rate \(--lr\)$"):
-            _fit(params, gt_features(sc), targets, cfg, 9, "stage 2")
+            _fit(params, feature_planes(gt_features(sc)), targets, cfg, 9, "stage 2")
 
 
 def stage_0(sc, semantic, params, cfg):
@@ -247,7 +248,7 @@ def stage_0(sc, semantic, params, cfg):
     targets = build_stage_targets(
         loop._points_first(semantic, sc.points), sc.points, cfg, _derive_seed(cfg.seed, 0, 1)
     )
-    return run_stage(0, semantic, targets, gt_features(sc), sc.points, params, cfg)
+    return run_stage(0, semantic, targets, feature_planes(gt_features(sc)), sc.points, params, cfg)
 
 
 class TestRunStage:
@@ -341,6 +342,17 @@ class TestRunMdm:
         for st in res.stages:
             assert st.metrics is not None
             assert 0.0 <= st.metrics.overall_iou <= 100.0
+
+    @pytest.mark.parametrize("warmup_iters", [0, 2])
+    def test_features_expanded_once_per_run(self, monkeypatch, warmup_iters):
+        # Every phase's objective and every stage's predict read one set of planes.
+        calls = []
+        real = loop.expand_features
+        monkeypatch.setattr(loop, "expand_features", lambda f: calls.append(f.shape) or real(f))
+        sc = small_scene(seed=38)
+        run_mdm(sc, sc.gt_semantic, make_cfg(n_stages=3, warmup_iters=warmup_iters,
+                                               iters_per_stage=2))
+        assert calls == [(16, 16, sc.n_classes + 4)]
 
     @pytest.mark.parametrize("warmup_iters", [0, 2])
     def test_one_target_build_per_stage_one_labelling_per_build(self, monkeypatch, warmup_iters):
@@ -540,9 +552,10 @@ def _ref_pair_logits(emb, ia, ib):
 class _RefObjective:
     """_ref_objective behind the training objective's interface."""
 
-    def __init__(self, template, features, targets, hard_pixel_ratio):
-        self.xmat = expand_features(features)
-        self.shape = features.shape[:2]
+    def __init__(self, template, x, targets, hard_pixel_ratio):
+        # The feature planes without their ones channel: expand_features' matrix.
+        self.xmat = np.ascontiguousarray(x.reshape(-1, x.shape[2])[:, :-1])
+        self.shape = x.shape[:2]
         self.targets, self.ratio = targets, hard_pixel_ratio
 
     def __call__(self, params):
@@ -678,7 +691,7 @@ class TestObjectiveMatchesReference:
             _derive_seed(cfg.seed, 0, 0), feats.shape[2], sc.n_classes
         )
         trained, _ = _ref_fit(initial, feats, targets, cfg, 50)
-        objective = _Objective(initial, feats, targets, cfg.hard_pixel_ratio)
+        objective = _Objective(initial, feature_planes(feats), targets, cfg.hard_pixel_ratio)
         xmat = expand_features(feats)
         for params in (initial, trained):
             got, grad = objective(params)
@@ -748,7 +761,7 @@ class TestLossNamesSeeEveryEvaluation:
     @pytest.mark.parametrize("kind", TARGET_KINDS)
     def test_fit_calls_each_loss_once_per_step(self, calls, kind):
         sc, cfg, params, targets = self._setup(kind)
-        _fit(params, gt_features(sc), targets, cfg, 7, kind)
+        _fit(params, feature_planes(gt_features(sc)), targets, cfg, 7, kind)
         assert calls == {
             "seg_loss_ohem": 7,
             "offset_loss": 7 if kind != "no-offsets" else 0,
@@ -758,7 +771,7 @@ class TestLossNamesSeeEveryEvaluation:
 
     def test_train_step_and_objective_on_flat_call_them(self, calls):
         sc, cfg, params, targets = self._setup("stage")
-        _fit(params, gt_features(sc), targets, cfg, 1, "stage 0")
+        _fit(params, feature_planes(gt_features(sc)), targets, cfg, 1, "stage 0")
         objective_on_flat(flatten(params), params, gt_features(sc), targets, cfg.hard_pixel_ratio)
         assert calls == dict.fromkeys(self.NAMES, 2)
 
@@ -776,7 +789,7 @@ class TestObjectiveWorkspace:
         params = TinyPredictorParams.initialize(
             _derive_seed(cfg.seed, 0, 0), feats.shape[2], sc.n_classes
         )
-        return _Objective(params, feats, targets, cfg.hard_pixel_ratio), params
+        return _Objective(params, feature_planes(feats), targets, cfg.hard_pixel_ratio), params
 
     @pytest.mark.parametrize("kind", ["stage", "warm-up"])
     def test_steady_state_evaluation_allocates_under_one_plane(self, kind):
@@ -792,6 +805,30 @@ class TestObjectiveWorkspace:
             tracemalloc.stop()
         plane = params.theta.shape[1] * 256 * 256 * 8  # one (K, N) float64 plane
         assert peak < plane, f"{peak} bytes allocated, one output plane is {plane}"
+
+    def test_steady_state_ohem_allocates_no_class_plane(self, monkeypatch):
+        # OHEM's softmax runs in the objective's own class rows, and divides
+        # only where it reads: at the target pixels and the kept columns.
+        objective, params = self._objective("stage", size=256)
+        peaks = []
+        real = loop.seg_loss_ohem
+
+        def measured(scores, *args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = real(scores, *args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        monkeypatch.setattr(loop, "seg_loss_ohem", measured)
+        objective(params)  # past any first-call set-up
+        tracemalloc.start()
+        try:
+            objective(params)
+        finally:
+            tracemalloc.stop()
+        plane = (params.n_classes + 1) * 256 * 256 * 8  # one (C, N) float64 plane
+        assert len(peaks) == 2 and peaks[1] < plane, f"{peaks[1]} bytes, a class plane is {plane}"
 
     @pytest.mark.parametrize("kind", TARGET_KINDS)
     def test_results_survive_a_later_call(self, kind):
@@ -837,7 +874,7 @@ class TestObjectiveWorkspace:
         cfg = MdmConfig()
         targets = _targets_of_kind(sc, corr, cfg, kind)
         start = TinyPredictorParams.initialize(3, feats.shape[2], sc.n_classes)
-        runs = [_fit(start, feats, targets, cfg, 12, kind) for _ in range(2)]
+        runs = [_fit(start, feature_planes(feats), targets, cfg, 12, kind) for _ in range(2)]
         (p_a, h_a), (p_b, h_b) = runs
         assert [r.as_dict() for r in h_a] == [r.as_dict() for r in h_b]
         assert len({r.total for r in h_a}) > 1  # the parameters moved

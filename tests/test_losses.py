@@ -18,7 +18,14 @@ from pointseg import (
     smooth_l1,
     total_loss,
 )
-from pointseg.losses import LAMBDA_AFF, LAMBDA_OFF, LAMBDA_SEG, sigmoid, softmax_rows
+from pointseg.losses import (
+    CE_PROB_FLOOR,
+    LAMBDA_AFF,
+    LAMBDA_OFF,
+    LAMBDA_SEG,
+    sigmoid,
+    softmax_rows,
+)
 
 from gradcheck import grad_check
 
@@ -292,6 +299,68 @@ class TestSegLossOhem:
         scores = ClassScoreMap(np.zeros((1, 1, 2)))
         with pytest.raises(LossError, match="exceeds"):
             seg_loss_of(scores, LabelGrid(np.array([[2]], dtype=np.int32)), 1.0)
+
+
+def stable_sort_ohem(scores, target_index, n_keep):
+    """seg_loss_ohem as it stood with a full softmax and a stable sort of the
+    candidates: the oracle. It leaves scores as they were."""
+    probs = softmax_rows(scores, axis=0)
+    p_true = probs.take(target_index)
+    ce = -np.log(np.maximum(p_true, CE_PROB_FLOOR))
+    hardness = -ce
+    cutoff = np.partition(hardness, n_keep - 1)[n_keep - 1]
+    candidates = np.flatnonzero(hardness <= cutoff)
+    kept = candidates[np.argsort(hardness[candidates], kind="stable")[:n_keep]]
+    loss = float(ce[kept].mean())
+    np.put(probs, target_index[kept], p_true[kept] - 1.0)
+    return loss, kept, probs[:, kept] / n_keep
+
+
+def ohem_cases():
+    """(name, (C, N) score planes, target classes): scores whose CE values
+    tie exactly inside the candidates, at the cutoff, everywhere, and nowhere."""
+    rng = np.random.default_rng(11)
+    yield "few_levels", rng.integers(-2, 3, size=(3, 500)).astype(np.float64), rng.integers(0, 3, 500)
+    yield "all_equal", np.zeros((2, 37)), np.zeros(37, dtype=np.int64)
+    # Repeated columns: every CE value occurs four times, in raster runs.
+    cols = rng.standard_normal((4, 64))
+    yield "repeated_columns", np.repeat(cols, 4, axis=1), np.repeat(rng.integers(0, 4, 64), 4)
+    yield "distinct", rng.standard_normal((4, 1000)) * 3, rng.integers(0, 4, 1000)
+    # Saturated pixels: p_true under the floor, so their CE values tie at -log(floor).
+    far = rng.standard_normal((3, 300))
+    far[0, ::3] = 800.0
+    yield "floored", far, np.where(np.arange(300) % 3 == 0, 1, rng.integers(0, 3, 300))
+
+
+class TestSegLossOhemMatchesStableSort:
+    @pytest.mark.parametrize("case", list(ohem_cases()), ids=lambda case: case[0])
+    @pytest.mark.parametrize("ratio", [0.05, 0.2, 0.5, 1.0])
+    def test_loss_kept_and_gradient_bit_for_bit(self, case, ratio):
+        _, scores, target = case
+        index, n_keep = ohem_target(target, len(scores), ratio)
+        want_loss, want_kept, want_grad = stable_sort_ohem(scores, index, n_keep)
+        loss, kept, grad = seg_loss_ohem(scores.copy(), index, n_keep)
+        assert bits(loss) == bits(want_loss)
+        assert np.array_equal(kept, want_kept)
+        assert grad.shape == want_grad.shape and bits(grad) == bits(want_grad)
+
+    def test_ties_inside_the_candidates_keep_raster_order(self):
+        _, scores, target = next(c for c in ohem_cases() if c[0] == "repeated_columns")
+        index, n_keep = ohem_target(target, len(scores), 0.5)
+        _, kept, _ = seg_loss_ohem(scores.copy(), index, n_keep)
+        runs = kept.reshape(-1, 4)  # each tied run of four, in raster order
+        assert (np.diff(runs, axis=1) == 1).all()
+
+    def test_returns_do_not_alias_the_overwritten_scores(self):
+        _, scores, target = next(ohem_cases())
+        index, n_keep = ohem_target(target, len(scores), 0.2)
+        work = scores.copy()
+        _, kept, grad = seg_loss_ohem(work, index, n_keep)
+        assert not np.array_equal(work, scores)  # scores is workspace
+        assert not np.shares_memory(kept, work) and not np.shares_memory(grad, work)
+        saved = kept.copy(), grad.copy()
+        work[...] = np.nan  # the caller reuses its workspace
+        assert np.array_equal(kept, saved[0]) and bits(grad) == bits(saved[1])
 
 
 class TestAffinityLoss:

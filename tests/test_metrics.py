@@ -9,6 +9,7 @@ from pointseg import (
     ap_report,
     greedy_match,
 )
+from pointseg import metrics
 from pointseg.metrics import AP_THRESHOLDS, MATCH_THRESHOLDS
 
 
@@ -231,6 +232,40 @@ class TestOverlapTableMatchesMaskOracle:
         report = greedy_match(pred, gt)
         assert report.matches == {1: 1, top: top}
         assert report.ious == {1: 0.5, top: 2 / 3}
+
+
+class TestSharedOverlapTable:
+    """`pointseg eval` counts one table per pair and hands it to both
+    metrics; a table counted on other grids must be refused, not used."""
+
+    def test_a_shared_table_gives_the_reports_of_none(self):
+        rng = np.random.default_rng(77)
+        for _ in range(50):
+            pred, gt = random_label_grid(rng, 9, 11, 4), random_label_grid(rng, 9, 11, 3)
+            pc, gc = random_classes(rng, pred, 2), random_classes(rng, gt, 2)
+            table = metrics._overlaps(pred, gt)
+            assert_reports_equal(
+                greedy_match(pred, gt, pc, gc, True, overlaps=table),
+                greedy_match(pred, gt, pc, gc, True),
+            )
+            assert_reports_equal(ap_report(pred, gt, pc, gc, overlaps=table),
+                                 ap_report(pred, gt, pc, gc))
+
+    def test_a_table_of_other_grids_is_refused(self):
+        pred, gt = grid([[1, 1, 0], [0, 2, 2]]), grid([[1, 0, 0], [0, 2, 2]])
+        equal_copy = grid(pred.data)  # the same ids, another grid
+        wider = grid([[1, 1, 0, 0], [0, 2, 2, 0]])
+        for other in (metrics._overlaps(equal_copy, gt), metrics._overlaps(gt, pred),
+                      metrics._overlaps(wider, wider)):
+            with pytest.raises(EvalError, match="other grids"):
+                greedy_match(pred, gt, overlaps=other)
+            with pytest.raises(EvalError, match="other grids"):
+                ap_report(pred, gt, overlaps=other)
+
+    def test_overlaps_is_keyword_only(self):
+        table = metrics._overlaps(grid([[1]]), grid([[1]]))
+        with pytest.raises(TypeError):
+            ap_report(grid([[1]]), grid([[1]]), None, None, table)
 
 
 class TestMaskIou:

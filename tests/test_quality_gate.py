@@ -39,6 +39,29 @@ def test_four_seed_table_is_well_formed(capsys):
     assert code == (0 if all(verdicts) else 1)
 
 
+def rows_with_gains(gains):
+    """Gate rows (seed, instances, init, final, ignored) with these final - init gains."""
+    return [(100 + k, 2, 50.0, 50.0 + gain, 0) for k, gain in enumerate(gains)]
+
+
+def test_a_no_op_fails_the_gate():
+    # Twenty scenes whose final labels equal their initial ones: every row
+    # counts as up, but the median gain is 0, and the claim is improvement.
+    passed, summary = quality_gate.verdict(rows_with_gains([0.0] * 20))
+    assert not passed
+    assert summary == "final >= init on 20/20, median +0.00, mean +0.00: FAIL"
+
+
+@pytest.mark.parametrize("gains, passed", [
+    ([0.0] * 9 + [0.01] * 11, True),  # a median above 0 on 11 of 20
+    ([0.0] * 11 + [5.0] * 9, False),  # 20 up, median 0
+    ([0.0] * 11 + [-5.0] * 9, False),  # 11 up, median 0, mean below 0
+    ([-0.01] * 10 + [1.0] * 10, False),  # median above 0, but 10 up is not more than half
+])
+def test_pass_rule_needs_more_than_half_up_and_a_positive_median(gains, passed):
+    assert quality_gate.verdict(rows_with_gains(gains))[0] is passed
+
+
 @pytest.mark.parametrize("warmup_iters, n_stages", [(1, 3), (0, 2)])
 def test_warning_count_counts_one_per_target_build(warmup_iters, n_stages):
     # Two points of different classes on one pixel: the pin gives it the
