@@ -232,6 +232,7 @@ def _refresh_by_instances(
     instances: LabelGrid, class_map: ClassScoreMap, r: int
 ) -> ClassScoreMap:
     """The refresh under the 0/1 same-instance affinity of `instances`."""
+    r = min(r, max(instances.shape))  # a wider window holds no more pixels
     scores = class_map.data
     out = scores.copy()  # a background row is affine to itself alone: kept
     width = instances.width

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, SceneError
-from .grids import LabelGrid, Point, PointAnnotationSet
+from .grids import PGM_MAX_ID, LabelGrid, Point, PointAnnotationSet
 
 __all__ = [
     "Scene",
@@ -116,13 +116,13 @@ def _shift_or(mask: np.ndarray) -> np.ndarray:
 
 
 def _dilate(mask: np.ndarray, n: int) -> np.ndarray:
-    for _ in range(n):
+    for _ in range(min(n, sum(mask.shape))):  # a mask is fixed after H + W steps
         mask = _shift_or(mask)
     return mask
 
 
 def _erode(mask: np.ndarray, n: int) -> np.ndarray:
-    for _ in range(n):
+    for _ in range(min(n, sum(mask.shape))):
         mask = ~_shift_or(~mask)
     return mask
 
@@ -154,8 +154,8 @@ def generate_scene(
         raise SceneError(f"seed must be >= 0, got {seed}")
     if h < 1 or w < 1:
         raise SceneError(f"grid must be at least 1 x 1, got {h} x {w}")
-    if n_instances < 1 or n_classes < 1:
-        raise SceneError("need at least one instance and one class")
+    if n_instances < 1 or not 1 <= n_classes <= PGM_MAX_ID:  # a label PGM's largest id
+        raise SceneError(f"need at least one instance and 1..{PGM_MAX_ID} classes")
     if shape_kind not in ("rect", "ellipse", "mixed"):
         raise SceneError(f"unknown shape kind {shape_kind!r}")
     last_error = None
@@ -307,7 +307,8 @@ def corrupt_semantic(scene: Scene, cfg: CorruptionConfig) -> LabelGrid:
     sem = scene.gt_semantic.data
     h, w = sem.shape
     n_classes = int(sem.max())
-    reach = cfg.dilation_px + (4 if cfg.merge_adjacent else 0) + 2
+    # Every distance on the grid is below h + w, so a larger reach decides nothing.
+    reach = min(cfg.dilation_px + (4 if cfg.merge_adjacent else 0) + 2, h + w)
     claims = np.zeros((n_classes + 1, h, w), dtype=bool)
     for c in range(1, n_classes + 1):
         mask = sem == c

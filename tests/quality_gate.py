@@ -39,7 +39,9 @@ import time
 
 import numpy as np
 
-import pointseg as ps
+from pointseg.loop import MdmConfig, run_mdm
+from pointseg.metrics import greedy_match
+from pointseg.synth import CorruptionConfig, corrupt_semantic, generate_scene
 
 # The first seed of each set, by grid side.
 SEED_SETS = {
@@ -73,13 +75,13 @@ def scene_row(seed: int, size: int = 64) -> tuple[int, int, float, float, int]:
 
 def _scene_ious(seed: int, size: int) -> tuple[int, int, float, float]:
     n_instances = int(np.random.default_rng(seed).integers(2, 7))
-    scene = ps.generate_scene(seed, size, size, n_instances, 3)
-    corrupted = ps.corrupt_semantic(scene, ps.CorruptionConfig(
+    scene = generate_scene(seed, size, size, n_instances, 3)
+    corrupted = corrupt_semantic(scene, CorruptionConfig(
         dilation_px=2, merge_adjacent=True, flip_rate=0.02, rng_seed=seed + 1,
     ))
-    result = ps.run_mdm(scene, corrupted, ps.MdmConfig(seed=seed))
+    result = run_mdm(scene, corrupted, MdmConfig(seed=seed))
     classes = scene.points.class_of()
-    init = ps.greedy_match(
+    init = greedy_match(
         result.stages[0].initial_instances, scene.gt_instances,
         pred_classes=classes, gt_classes=classes, class_aware=True,
     )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pointseg
-from pointseg import I2SConfig, cli
+from pointseg import cli
 from pointseg.cli import FNV_BLOCK, FNV_OFFSET, FNV_PRIME, dispatch, fnv1a64
 from pointseg.grids import (
     LabelGrid,
@@ -23,6 +23,7 @@ from pointseg.grids import (
     encode_label_pgm,
     encode_tensor,
 )
+from pointseg.i2s import I2SConfig
 
 # An MDMT header of rank 4 with each dim 65536 and no payload.
 OVERFLOWING_TENSOR = b"MDMT" + np.array([4, *[65536] * 4], dtype="<u4").tobytes()
@@ -105,6 +106,28 @@ class TestSynth:
                     for name in ("run", "on", "off")}
         assert semantic["on"] != semantic["off"]  # seed 0: merging moves 40 pixels
         assert semantic["run"] == semantic["on" if merged else "off"]
+
+    @pytest.mark.parametrize("flag", ["--dilation", "--erosion"])
+    def test_steps_past_the_grid_are_capped(self, tmp_path, flag):
+        # A mask stops changing after H + W steps, so 3e9 steps must end at
+        # once; a distance cap of 2**31 would not fit its int32 array.
+        base = ["synth", "--seed", "5", "--height", "32", "--width", "32"]
+        start = time.perf_counter()
+        assert dispatch([*base, flag, "3000000000", "--out", str(tmp_path / "far")]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert dispatch([*base, flag, "64", "--out", str(tmp_path / "near")]) == 0
+        far, near = (tmp_path / run / "scene_00000005" / "semantic_in.pgm"
+                     for run in ("far", "near"))
+        assert far.read_bytes() == near.read_bytes()
+
+    def test_classes_no_label_pgm_can_carry_exit_2(self, tmp_path, capsys):
+        # train refuses such a scene, so synth writes none.
+        base = ["synth", "--height", "32", "--width", "32"]
+        assert dispatch([*base, "--classes", "65536", "--out", str(tmp_path / "over")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1..65535 classes" in err
+        assert not (tmp_path / "over").exists()
+        assert dispatch([*base, "--classes", "65535", "--out", str(tmp_path / "top")]) == 0
 
 
 class TestS2iCli:
@@ -648,6 +671,20 @@ class TestI2sCli:
         assert dispatch([*base, "--out", str(tmp_path / "plain")]) == 0
         manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
         assert manifest["config"] == {"pair_radius": I2SConfig.pair_radius}
+
+    @pytest.mark.parametrize("radius", [2**63 - 1, 10**20])
+    def test_pair_radius_past_int64_is_the_whole_grid(self, scene_dir, tmp_path, radius):
+        # The box sums' index at + r + 1 overflowed NumPy's int64.
+        semantic = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
+        classmap = tmp_path / "classmap_in.mdmt"
+        classmap.write_bytes(encode_tensor(np.eye(int(semantic.data.max()) + 1)[semantic.data]))
+        base = ["i2s", "--instances", str(scene_dir / "gt_instances.pgm"),
+                "--classmap", str(classmap)]
+        assert dispatch([*base, "--pair-radius", str(radius), "--out", str(tmp_path / "far")]) == 0
+        side = str(semantic.height + semantic.width)
+        assert dispatch([*base, "--pair-radius", side, "--out", str(tmp_path / "near")]) == 0
+        far, near = (tmp_path / run / "classmap.mdmt" for run in ("far", "near"))
+        assert far.read_bytes() == near.read_bytes()
 
     def test_classmap_dims_overflowing_int64_exit_2(self, scene_dir, tmp_path, capsys):
         # The dims' product is 2**64, which a NumPy int64 product wraps to 0:

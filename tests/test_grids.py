@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from pointseg import (
-    GridError,
+from pointseg.errors import GridError
+from pointseg.grids import (
     LabelGrid,
     Point,
     PointAnnotationSet,

@@ -1,17 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from pointseg import (
-    ClassScoreMap,
-    I2SConfig,
-    LabelGrid,
-    PipelineError,
-    build_affinity_targets,
-    generate_scene,
-    refresh_semantic,
-)
+from pointseg.errors import PipelineError
+from pointseg.grids import ClassScoreMap, LabelGrid
+from pointseg.i2s import I2SConfig, build_affinity_targets, refresh_semantic
 from pointseg.loop import _pair_logits
 from pointseg.losses import sigmoid, softmax_rows
+from pointseg.synth import generate_scene
 
 
 def grid(rows):
@@ -376,8 +373,10 @@ class TestRadiusPastGrid:
     def test_refresh_matches_largest_fitting_radius(self):
         inst = generate_scene(8, 32, 32, 3, 2).gt_instances
         cmap = ClassScoreMap(np.random.default_rng(3).random((32, 32, 3)))
-        for affinity in (same_instance(inst.data), inst):
-            wide = refresh_semantic(affinity, cmap, I2SConfig(pair_radius=40))
+        # Radii at and past NumPy's int64 too: the box sums index at + r + 1.
+        for affinity, radius in itertools.product((same_instance(inst.data), inst),
+                                                  (40, 2**63 - 1, 10**20)):
+            wide = refresh_semantic(affinity, cmap, I2SConfig(pair_radius=radius))
             fit = refresh_semantic(affinity, cmap, I2SConfig(pair_radius=31))
             assert np.array_equal(wide.data, fit.data)
 

@@ -5,33 +5,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pointseg import (
-    CorruptionConfig,
-    I2SConfig,
-    LabelGrid,
-    MdmConfig,
-    PipelineError,
-    TinyPredictorParams,
-    build_affinity_targets,
-    build_stage_targets,
-    compute_offset_field,
-    corrupt_semantic,
-    expand_features,
-    generate_scene,
-    predict,
-    run_mdm,
-    run_stage,
-)
 from pointseg import loop, s2i
-from pointseg.grids import ClassScoreMap, OffsetField, Point, PointAnnotationSet
+from pointseg.errors import PipelineError
+from pointseg.grids import ClassScoreMap, LabelGrid, OffsetField, Point, PointAnnotationSet
+from pointseg.i2s import I2SConfig, build_affinity_targets
 from pointseg.loop import (
     OFFSET_OUTPUT_SCALE,
+    MdmConfig,
+    TinyPredictorParams,
     _derive_seed,
     _fit,
     _logit_scale,
     _Objective,
     _pair_logits,
+    build_stage_targets,
+    expand_features,
     feature_planes,
+    predict,
+    run_mdm,
+    run_stage,
 )
 from pointseg.losses import (
     CE_PROB_FLOOR,
@@ -42,7 +34,14 @@ from pointseg.losses import (
     smooth_l1,
     total_loss,
 )
-from pointseg.synth import Scene, features_from_semantic
+from pointseg.s2i import compute_offset_field
+from pointseg.synth import (
+    CorruptionConfig,
+    Scene,
+    corrupt_semantic,
+    features_from_semantic,
+    generate_scene,
+)
 
 from gradcheck import grad_check
 

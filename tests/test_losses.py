@@ -4,27 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from pointseg import (
-    ClassScoreMap,
-    LabelGrid,
-    LossError,
-    OffsetField,
+from pointseg.errors import LossError
+from pointseg.grids import ClassScoreMap, LabelGrid, OffsetField
+from pointseg.losses import (
+    CE_PROB_FLOOR,
+    LAMBDA_AFF,
+    LAMBDA_OFF,
+    LAMBDA_SEG,
     affinity_floor,
     affinity_loss,
     offset_loss,
     offset_target,
     ohem_target,
     seg_loss_ohem,
-    smooth_l1,
-    total_loss,
-)
-from pointseg.losses import (
-    CE_PROB_FLOOR,
-    LAMBDA_AFF,
-    LAMBDA_OFF,
-    LAMBDA_SEG,
     sigmoid,
+    smooth_l1,
     softmax_rows,
+    total_loss,
 )
 
 from gradcheck import grad_check

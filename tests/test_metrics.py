@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from pointseg import (
+from pointseg import metrics
+from pointseg.errors import EvalError
+from pointseg.grids import LabelGrid
+from pointseg.metrics import (
+    AP_THRESHOLDS,
+    MATCH_THRESHOLDS,
     ApReport,
-    EvalError,
-    LabelGrid,
     MatchReport,
     ap_report,
     greedy_match,
 )
-from pointseg import metrics
-from pointseg.metrics import AP_THRESHOLDS, MATCH_THRESHOLDS
 
 
 def grid(rows):

@@ -4,7 +4,10 @@ import re
 import numpy as np
 import pytest
 
-import pointseg as ps
+from pointseg.grids import LabelGrid, Point, PointAnnotationSet
+from pointseg.loop import MdmConfig, run_mdm
+from pointseg.synth import Scene
+
 import quality_gate
 
 ROW = re.compile(
@@ -70,15 +73,15 @@ def test_warning_count_counts_one_per_target_build(warmup_iters, n_stages):
     # stage 0's targets and builds none of its own.
     gt = np.zeros((12, 12), dtype=np.int32)
     gt[2:10, 1:6], gt[2:10, 6:11] = 1, 2
-    points = ps.PointAnnotationSet((ps.Point(5, 5, 1, 1), ps.Point(5, 5, 2, 2)))
-    semantic = ps.LabelGrid(gt)  # instance k has class k
-    scene = ps.Scene(semantic, semantic, points, np.zeros((12, 12)), 2)
-    cfg = ps.MdmConfig(n_stages=n_stages, warmup_iters=warmup_iters, iters_per_stage=1)
+    points = PointAnnotationSet((Point(5, 5, 1, 1), Point(5, 5, 2, 2)))
+    semantic = LabelGrid(gt)  # instance k has class k
+    scene = Scene(semantic, semantic, points, np.zeros((12, 12)), 2)
+    cfg = MdmConfig(n_stages=n_stages, warmup_iters=warmup_iters, iters_per_stage=1)
     ignored = quality_gate._WarningCount()
     logger = logging.getLogger("pointseg.s2i")
     logger.addHandler(ignored)
     try:
-        ps.run_mdm(scene, semantic, cfg)
+        run_mdm(scene, semantic, cfg)
     finally:
         logger.removeHandler(ignored)
     assert ignored.count == n_stages

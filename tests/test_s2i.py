@@ -1,23 +1,24 @@
 import numpy as np
 import pytest
 
-from pointseg import (
+from pointseg.errors import GridError, PipelineError
+from pointseg.grids import (
     LabelGrid,
-    MdmConfig,
     OffsetField,
-    PipelineError,
     Point,
     PointAnnotationSet,
+    connected_components,
+)
+from pointseg.loop import MdmConfig, build_stage_targets
+from pointseg.s2i import (
     assign_points,
     attach_points,
     compute_offset_field,
     extract_regions,
     finalize_pseudo_labels,
-    generate_scene,
     group_instances,
 )
-from pointseg.grids import GridError, connected_components
-from pointseg.loop import build_stage_targets
+from pointseg.synth import CorruptionConfig, corrupt_semantic, generate_scene
 
 
 def grid(rows):
@@ -291,7 +292,6 @@ class TestFinalizePseudoLabels:
 
     def test_foreground_subset_of_semantic(self):
         sc = generate_scene(78, 64, 64, 4, 3)
-        from pointseg import CorruptionConfig, corrupt_semantic
         sem = corrupt_semantic(sc, CorruptionConfig(dilation_px=2, flip_rate=0.1, rng_seed=3))
         offsets = compute_offset_field(sc.gt_instances, sc.points)
         targets = build_stage_targets(sem, sc.points, MdmConfig(), affinity_seed=0)

@@ -8,21 +8,24 @@ import numpy as np
 import pytest
 
 import pointseg
-from pointseg import (
-    CorruptionConfig,
+from pointseg import synth
+from pointseg.cli import dispatch, fnv1a64
+from pointseg.errors import SceneError
+from pointseg.grids import (
     LabelGrid,
     Point,
     PointAnnotationSet,
+    connected_components,
+    encode_label_pgm,
+)
+from pointseg.synth import (
+    CorruptionConfig,
     Scene,
-    SceneError,
     corrupt_semantic,
     features_from_semantic,
     generate_scene,
     pick_points,
-    synth,
 )
-from pointseg.cli import dispatch, fnv1a64
-from pointseg.grids import encode_label_pgm
 
 
 def scenes_equal(a, b):
@@ -136,12 +139,10 @@ class TestCorruptSemantic:
 
     def test_merge_adjacent_bridges_touching_same_class(self):
         # Two same-class rects one pixel apart become one component.
-        from pointseg import connected_components
         inst = np.zeros((32, 32), dtype=np.int32)
         inst[8:16, 4:14] = 1
         inst[8:16, 15:25] = 2
         sem = np.where(inst > 0, 1, 0).astype(np.int32)
-        from pointseg import PointAnnotationSet, Point, Scene
         sc = Scene(
             LabelGrid(inst), LabelGrid(sem),
             PointAnnotationSet((Point(10, 8, 1, 1), Point(10, 20, 1, 2))),
@@ -212,7 +213,8 @@ class TestPickPoints:
         # Run apart with a timeout: peeling a mask that never erodes used to
         # loop forever, and a hang must fail the test, not stall the suite.
         code = (
-            "import numpy as np; from pointseg import LabelGrid, pick_points; "
+            "import numpy as np; from pointseg.grids import LabelGrid; "
+            "from pointseg.synth import pick_points; "
             "g = LabelGrid(np.ones((4, 4), np.int32)); "
             "print(pick_points(g, 0, g).points[0])"
         )
