@@ -3,7 +3,7 @@
 Subcommands: synth | s2i | i2s | train | eval | render. Every
 output directory receives a manifest.json with the tool version, the full
 configuration echo, FNV-1a digests of the inputs, and wall-clock seconds.
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error (or out of memory).
 
 Each subcommand but render declares its settings once, in a flag table.
 `--config` names a JSON object whose keys are exactly that table's flags
@@ -39,9 +39,11 @@ from .grids import (
     ClassScoreMap,
     LabelGrid,
     PointAnnotationSet,
+    decode_int_csv,
     decode_label_pgm,
     decode_points_csv,
     decode_tensor,
+    encode_int_csv,
     encode_label_pgm,
     encode_label_ppm,
     encode_points_csv,
@@ -59,6 +61,7 @@ from .s2i import (
 )
 from .synth import CorruptionConfig, Scene, corrupt_semantic, generate_scene
 
+CLASSES_HEADER = "instance_id,class_id"
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -347,7 +350,7 @@ def _cmd_s2i(argv: list[str]) -> int:
     t0 = time.time()
 
     semantic = decode_label_pgm(Path(args.semantic).read_bytes())
-    points = decode_points_csv(_read_text(Path(args.points)))
+    points = decode_points_csv(_read_text(Path(args.points)), args.points)
 
     regions = attach_points(extract_regions(semantic, opt["connectivity"]), points)
     instances = assign_points(regions, points)
@@ -404,7 +407,8 @@ def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
     gt_instances = decode_label_pgm((scene_dir / "gt_instances.pgm").read_bytes())
     gt_semantic = decode_label_pgm((scene_dir / "gt_semantic.pgm").read_bytes())
     semantic_in = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
-    points = decode_points_csv(_read_text(scene_dir / "points.csv"))
+    points_path = scene_dir / "points.csv"
+    points = decode_points_csv(_read_text(points_path), str(points_path))
     intensity = decode_tensor((scene_dir / "intensity.mdmt").read_bytes())
     return Scene(gt_instances, gt_semantic, points, intensity, n_classes), semantic_in
 
@@ -441,8 +445,7 @@ def _classes_csv(grid: LabelGrid, points: PointAnnotationSet) -> str:
     """classes.csv: an instance_id,class_id row per id of the grid, by id,
     with its point's class."""
     lut = points.class_table()
-    rows = ["instance_id,class_id"] + [f"{i},{lut[i]}" for i in grid.ids()]
-    return "\n".join(rows) + "\n"
+    return encode_int_csv(CLASSES_HEADER, ((i, lut[i]) for i in grid.ids()))
 
 
 def _counts_json(counts: dict[float, int]) -> dict[str, int]:
@@ -513,17 +516,8 @@ def _cmd_train(argv: list[str]) -> int:
 
 def _read_classes_csv(path: Path, grid: LabelGrid) -> dict[int, int]:
     """The instance -> class table of `grid`: one row for each id of the grid."""
-    rows = [(n, r.strip()) for n, r in enumerate(_read_text(path).splitlines(), 1) if r.strip()]
-    if not rows or rows[0][1].replace(" ", "") != "instance_id,class_id":
-        raise PointsegError(f"{path}: expected header instance_id,class_id")
     table, line = {}, {}
-    for n, row in rows[1:]:
-        try:
-            inst, cls = (int(f) for f in row.split(","))
-        except ValueError:
-            raise PointsegError(
-                f"{path} line {n}: expected two integers instance_id,class_id, got {row!r}"
-            ) from None
+    for n, (inst, cls) in decode_int_csv(_read_text(path), CLASSES_HEADER, str(path)):
         if inst in line:
             raise PointsegError(f"{path} lines {line[inst]} and {n}: both give instance_id {inst}")
         table[inst], line[inst] = cls, n
@@ -635,8 +629,9 @@ def dispatch(argv: list[str]) -> int:
         return 1
     except SystemExit as err:  # argparse -h lands here
         return int(err.code or 0)
-    except (PointsegError, OSError, json.JSONDecodeError) as err:
-        sys.stderr.write(f"error: {err}\n")
+    except (PointsegError, OSError, json.JSONDecodeError, MemoryError) as err:
+        # NumPy's MemoryError names the array it could not allocate.
+        sys.stderr.write(f"error: {str(err) or 'out of memory'}\n")
         return 2
 
 

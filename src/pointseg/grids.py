@@ -1,6 +1,10 @@
 """Raster types, connected-component labeling by run-based union-find, and
 bit-exact codecs.
 
+points.csv and classes.csv share one integer-CSV grammar, read by
+decode_int_csv and written by encode_int_csv: a header line naming the
+fields, then a row of comma-separated integers per non-blank line.
+
 Conventions shared by the whole package:
   * coordinates are (y, x) with the origin at the top-left pixel
   * offset vectors are stored as (dy, dx) in pixel units
@@ -8,10 +12,10 @@ Conventions shared by the whole package:
 """
 from __future__ import annotations
 
-import io
 import math
+import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,6 +33,8 @@ __all__ = [
     "encode_tensor",
     "decode_tensor",
     "encode_label_ppm",
+    "encode_int_csv",
+    "decode_int_csv",
     "encode_points_csv",
     "decode_points_csv",
 ]
@@ -37,6 +43,7 @@ PGM_MAX_ID = 65535
 INT32_MAX = int(np.iinfo(np.int32).max)
 DEFAULT_CONNECTIVITY = 8
 TENSOR_MAGIC = b"MDMT"
+POINTS_HEADER = "y,x,class_id,instance_id"
 
 # Fixed render palette; instance id i > 0 maps to PALETTE[i % 16], background is black.
 PALETTE = (
@@ -285,61 +292,42 @@ def encode_label_pgm(grid: LabelGrid) -> bytes:
     return b"".join((header, grid.data.astype(np.uint8 if maxval == 255 else ">u2")))
 
 
-class _ByteScanner:
-    """Whitespace/comment-aware header tokenizer that tracks byte offsets."""
+# Separators (whitespace, or # to the end of its line), then a token (group 1).
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
 
-    def _skip_separators(self) -> None:
-        while self.pos < len(self.blob):
-            c = self.blob[self.pos : self.pos + 1]
-            if c.isspace():
-                self.pos += 1
-            elif c == b"#":
-                nl = self.blob.find(b"\n", self.pos)
-                self.pos = len(self.blob) if nl < 0 else nl + 1
-            else:
-                return
-
-    def token(self) -> bytes:
-        self._skip_separators()
-        start = self.pos
-        while self.pos < len(self.blob) and not self.blob[self.pos : self.pos + 1].isspace():
-            self.pos += 1
-        if start == self.pos:
-            raise GridError(f"malformed header at byte {start}: unexpected end of header")
-        return self.blob[start : self.pos]
-
-    def integer(self) -> int:
-        start_after_sep = self.pos
-        tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            raise GridError(
-                f"malformed header at byte {start_after_sep}: expected integer, got {tok!r}"
-            ) from None
+def _header_token(blob: bytes, pos: int) -> tuple[bytes, int]:
+    """The header token after `pos` and the offset just past it."""
+    match = _HEADER_TOKEN.match(blob, pos)
+    if not match[1]:
+        raise GridError(f"malformed header at byte {match.start(1)}: unexpected end of header")
+    return match[1], match.end()
 
 
 def decode_label_pgm(blob: bytes) -> LabelGrid:
     """Inverse of :func:`encode_label_pgm`; strict about payload length and
     about samples above the header's maxval."""
-    scanner = _ByteScanner(blob)
-    magic = scanner.token()
+    magic, pos = _header_token(blob, 0)
     if magic != b"P5":
         raise GridError(f"malformed header at byte 0: expected P5, got {magic!r}")
-    width = scanner.integer()
-    height = scanner.integer()
-    maxval = scanner.integer()
+    values = []
+    for _ in range(3):  # width, height, maxval
+        tok, end = _header_token(blob, pos)
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise GridError(
+                f"malformed header at byte {pos}: expected integer, got {tok!r}"
+            ) from None
+        pos = end
+    width, height, maxval = values
     if width < 1 or height < 1:
-        raise GridError(f"malformed header at byte {scanner.pos}: bad dimensions {width}x{height}")
+        raise GridError(f"malformed header at byte {pos}: bad dimensions {width}x{height}")
     if not (0 < maxval <= PGM_MAX_ID):
-        raise GridError(f"malformed header at byte {scanner.pos}: bad maxval {maxval}")
-    if scanner.pos >= len(blob) or not blob[scanner.pos : scanner.pos + 1].isspace():
-        raise GridError(f"malformed header at byte {scanner.pos}: missing separator")
-    start = scanner.pos + 1
+        raise GridError(f"malformed header at byte {pos}: bad maxval {maxval}")
+    if not blob[pos : pos + 1].isspace():
+        raise GridError(f"malformed header at byte {pos}: missing separator")
+    start = pos + 1
     bytes_per = 1 if maxval < 256 else 2
     expected = width * height * bytes_per
     payload = blob[start : start + expected]
@@ -403,24 +391,32 @@ def encode_label_ppm(grid: LabelGrid) -> bytes:
     return header + rgb.tobytes()
 
 
-def encode_points_csv(points: PointAnnotationSet) -> str:
-    lines = ["y,x,class_id,instance_id"]
-    for p in points:
-        lines.append(f"{p.y},{p.x},{p.class_id},{p.instance_id}")
-    return "\n".join(lines) + "\n"
+def encode_int_csv(header: str, rows) -> str:
+    """An integer CSV: the header line, then one line per row of integers."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
-def decode_points_csv(text: str) -> PointAnnotationSet:
-    rows = [line.strip() for line in io.StringIO(text) if line.strip()]
-    if not rows or rows[0].replace(" ", "") != "y,x,class_id,instance_id":
-        raise GridError("points csv must start with header y,x,class_id,instance_id")
-    pts = []
-    for i, row in enumerate(rows[1:], start=2):
-        fields = row.split(",")
-        if len(fields) != 4:
-            raise GridError(f"points csv line {i}: expected 4 fields, got {len(fields)}")
+def decode_int_csv(text: str, header: str, source: str) -> Iterator[tuple[int, list[int]]]:
+    """Inverse of :func:`encode_int_csv`: yields (file line, fields) of each
+    row after `header`. Lines split as str.splitlines splits them, blank ones
+    skipped; an error names `source` and the line."""
+    lines = [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines or lines[0][1].replace(" ", "") != header:
+        raise GridError(f"{source}: expected header {header}")
+    for n, line in lines[1:]:
         try:
-            pts.append(Point(*(int(f) for f in fields)))
+            fields = [int(f) for f in line.split(",")]
         except ValueError:
-            raise GridError(f"points csv line {i}: non-integer field") from None
-    return PointAnnotationSet(tuple(pts))
+            fields = []
+        if len(fields) != header.count(",") + 1:
+            raise GridError(f"{source} line {n}: expected integers {header}, got {line!r}")
+        yield n, fields
+
+
+def encode_points_csv(points: PointAnnotationSet) -> str:
+    return encode_int_csv(POINTS_HEADER, points)
+
+
+def decode_points_csv(text: str, source: str = "points csv") -> PointAnnotationSet:
+    rows = decode_int_csv(text, POINTS_HEADER, source)
+    return PointAnnotationSet(tuple(Point(*fields) for _, fields in rows))

@@ -99,44 +99,33 @@ def build_affinity_targets(
     differ by at most one unless one side runs out. Sampling is deterministic
     per seed. A radius past the grid samples as the largest radius that fits.
 
-    The candidates are never listed as pairs. For each half-plane offset, in
-    _half_plane_offsets order, the window positions of its positive pairs and
-    of its negative pairs are kept apart; a pair's rank is its place in that
-    offset-then-raster order among the pairs of its sign. Ranks are drawn
-    without replacement, positives first, and each is mapped back to its
-    offset by a search over the per-offset counts. The pairs come out sorted
-    by (offset, window position), the order of the full candidate list.
+    Each candidate is listed as a key, its offset's index in
+    _half_plane_offsets times H * W plus its window position. Keys are drawn
+    without replacement, positives first, and the pairs come out sorted by
+    key, the order of the full candidate list.
     """
     lab = instances.data
     h, w = lab.shape
     fg = lab > 0
-    offsets, pos, neg = [], [], []
-    for dy, dx in _half_plane_offsets(cfg.pair_radius, h, w):
+    offsets, pos, neg = [], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for k, (dy, dx) in enumerate(_half_plane_offsets(cfg.pair_radius, h, w)):
         win_a, win_b = _offset_windows(h, w, dy, dx)
         same = (lab[win_a] == lab[win_b]) & fg[win_a]
         offsets.append((dy, dx, w - abs(dx)))
-        pos.append(np.flatnonzero(same))
-        neg.append(np.flatnonzero((fg[win_a] | fg[win_b]) & ~same))
-    n_all_pos, n_all_neg = sum(map(len, pos)), sum(map(len, neg))
-    if n_all_pos + n_all_neg == 0:
+        pos.append(k * lab.size + np.flatnonzero(same))
+        neg.append(k * lab.size + np.flatnonzero((fg[win_a] | fg[win_b]) & ~same))
+    pos, neg = np.concatenate(pos), np.concatenate(neg)
+    if len(pos) + len(neg) == 0:
         raise PipelineError("no affinity pairs")
 
     rng = np.random.default_rng(seed)
-    n_pos = min(n_all_pos, (cfg.max_pairs + 1) // 2)
-    n_neg = min(n_all_neg, cfg.max_pairs - n_pos)
-    n_pos = min(n_all_pos, cfg.max_pairs - n_neg)
+    n_pos = min(len(pos), (cfg.max_pairs + 1) // 2)
+    n_neg = min(len(neg), cfg.max_pairs - n_pos)
+    n_pos = min(len(pos), cfg.max_pairs - n_neg)
     keys, targets = [], []
     for n_draw, side, target in ((n_pos, pos, 1.0), (n_neg, neg, 0.0)):
-        if not n_draw:
-            continue
-        firsts = np.cumsum([0] + [len(at) for at in side])
-        ranks = np.sort(rng.choice(int(firsts[-1]), n_draw, replace=False))
-        # Sorted ranks give each offset one contiguous slice of the draw.
-        bounds = np.searchsorted(ranks, firsts)
-        for k in np.flatnonzero(np.diff(bounds)):
-            local = ranks[bounds[k] : bounds[k + 1]] - firsts[k]
-            keys.append(k * lab.size + side[k][local])
-            targets.append(np.full(len(local), target))
+        keys.append(side[rng.choice(len(side), n_draw, replace=False)])
+        targets.append(np.full(n_draw, target))
     keys = np.concatenate(keys)
     order = np.argsort(keys)
     k, at = np.divmod(keys[order], lab.size)

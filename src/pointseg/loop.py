@@ -41,11 +41,12 @@ predict, build_stage_targets, run_stage.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import LossError, PipelineError
+from .errors import GridError, LossError, PipelineError
 from .grids import ClassScoreMap, LabelGrid, OffsetField, PointAnnotationSet
 from .i2s import AffinitySampleSet, I2SConfig, Window, build_affinity_targets, refresh_semantic
 from .losses import (
@@ -340,7 +341,7 @@ class _Objective:
         y = np.matmul(params.theta[:-1].T, self.xT[:-1], out=self.y)
         y += params.theta[-1][:, None]
         if not np.isfinite(y, out=self.finite).all():
-            raise PipelineError("diverged: predictor outputs are non-finite")
+            raise PipelineError("predictor outputs are non-finite")
         cls_sl, off_sl, emb_sl = self.slices
         grad = np.zeros((len(self.xT), len(y)))  # theta's layout
 
@@ -355,7 +356,7 @@ class _Objective:
         if self.off_target is not None:
             pred = np.multiply(OFFSET_OUTPUT_SCALE, y[off_sl], out=self.pred)
             if not np.isfinite(pred, out=self.finite[off_sl]).all():
-                raise PipelineError("diverged: predicted offsets are non-finite")
+                raise PipelineError("predicted offsets are non-finite")
             off, g_off = offset_loss(pred, *self.off_target)
             grad[:, off_sl] = self.off_x @ (self.off_coeff * g_off).T
 
@@ -375,6 +376,18 @@ class _Objective:
         return report, grad
 
 
+@contextmanager
+def _diverging(where: str):
+    """Run the block without NumPy warnings; a non-finite value is a divergence at `where`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except (GridError, PipelineError) as err:
+            raise PipelineError(
+                f"diverged: {err} in {where}; try a lower learning rate (--lr)"
+            ) from None
+
+
 def _fit(
     params: TinyPredictorParams,
     x: np.ndarray,
@@ -388,25 +401,18 @@ def _fit(
     Adam (Kingma & Ba, ICLR 2015) with step size cfg.learning_rate; its
     moments start at zero in every phase. Each report is the loss before its
     update. The objective, with every constant of the stage, is built once
-    for all of them, over the run's feature planes x. Overflow and
-    invalid values raise no NumPy warning: the explicit finiteness checks
-    catch them, and a divergence names the phase and the step it happened at.
+    for all of them, over the run's feature planes x. A divergence names
+    the phase and the step it happened at.
     """
     objective = _Objective(params, x, targets, cfg.hard_pixel_ratio)
     m = v = 0.0  # first and second moments of theta
     history = []
     for t in range(1, iters + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                report, grad = objective(params)
-                for name in ("seg", "off", "aff"):
-                    if not math.isfinite(getattr(report, name)):
-                        raise PipelineError(f"diverged: {name} loss is non-finite")
-            except PipelineError as err:
-                raise PipelineError(
-                    f"{err} in {phase}, step {t} of {iters};"
-                    " try a lower learning rate (--lr)"
-                ) from None
+        with _diverging(f"{phase}, step {t} of {iters}"):
+            report, grad = objective(params)
+            for name in ("seg", "off", "aff"):
+                if not math.isfinite(getattr(report, name)):
+                    raise PipelineError(f"{name} loss is non-finite")
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (grad * grad)
             theta = params.theta - cfg.learning_rate * (m / (1.0 - ADAM_BETA1**t)) / (
@@ -467,21 +473,23 @@ def run_stage(
     instances are masked by semantic_in."""
     params, history = _fit(params, x, targets, cfg, cfg.iters_per_stage, f"stage {stage_idx}")
 
-    outs = predict(params, x)
-    grouped = group_instances(outs.offsets, targets.initial, targets.regions, points)
-    pseudo = finalize_pseudo_labels(grouped, semantic_in, points)
+    # No evaluation follows the last update: its outputs are checked here.
+    with _diverging(f"stage {stage_idx}, after its last step"):
+        outs = predict(params, x)
+        grouped = group_instances(outs.offsets, targets.initial, targets.regions, points)
+        pseudo = finalize_pseudo_labels(grouped, semantic_in, points)
 
-    emb = np.ascontiguousarray(outs.embeddings.transpose(2, 0, 1))  # (D, H, W)
+        emb = np.ascontiguousarray(outs.embeddings.transpose(2, 0, 1))  # (D, H, W)
 
-    def predicted_affinity(win_i: Window, win_j: Window) -> np.ndarray:
-        # Symmetric, as refresh_semantic requires: one call serves both ends.
-        logits = _pair_logits(emb[(slice(None), *win_i)], emb[(slice(None), *win_j)])
-        return sigmoid(logits.ravel())
+        def predicted_affinity(win_i: Window, win_j: Window) -> np.ndarray:
+            # Symmetric, as refresh_semantic requires: one call serves both ends.
+            logits = _pair_logits(emb[(slice(None), *win_i)], emb[(slice(None), *win_j)])
+            return sigmoid(logits.ravel())
 
-    # Refresh bounded probabilities rather than raw scores: convex mixing
-    # keeps the recurrence stable (confident raw scores snowball).
-    probs = ClassScoreMap(softmax_rows(outs.class_map.data))
-    refreshed = refresh_semantic(predicted_affinity, probs, cfg.i2s)
+        # Refresh bounded probabilities rather than raw scores: convex mixing
+        # keeps the recurrence stable (confident raw scores snowball).
+        probs = ClassScoreMap(softmax_rows(outs.class_map.data))
+        refreshed = refresh_semantic(predicted_affinity, probs, cfg.i2s)
     allowed = {0} | {p.class_id for p in points}
     semantic_out = _points_first(_masked_argmax(refreshed, allowed), points)
 

@@ -122,9 +122,7 @@ def _dilate(mask: np.ndarray, n: int) -> np.ndarray:
 
 
 def _erode(mask: np.ndarray, n: int) -> np.ndarray:
-    for _ in range(min(n, sum(mask.shape))):
-        mask = ~_shift_or(~mask)
-    return mask
+    return ~_dilate(~mask, n)
 
 
 def _rasterize(kind: str, sy: int, sx: int) -> np.ndarray:

@@ -129,6 +129,22 @@ class TestSynth:
         assert not (tmp_path / "over").exists()
         assert dispatch([*base, "--classes", "65535", "--out", str(tmp_path / "top")]) == 0
 
+    @pytest.mark.parametrize("message,shown", [
+        ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)",
+         "error: Unable to allocate 74.5 GiB"),
+        ("", "error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exit_2(self, tmp_path, monkeypatch, capsys, message, shown):
+        def generate_scene(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_scene", generate_scene)
+        code = dispatch(["synth", "--height", "100000", "--width", "100000",
+                         "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(shown) and err.count("\n") == 1
+
 
 class TestS2iCli:
     def test_outputs(self, scene_dir, tmp_path):
@@ -534,6 +550,87 @@ class TestTrainEvalCli:
         assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
         assert "learning rate" in done.stderr
         assert not (tmp_path / "t").exists()
+
+
+    def test_divergence_after_the_last_step_exit_2(self, tmp_path):
+        # Stage 0's one update diverges and no later step evaluates it: the
+        # stage's own outputs must name it, with nothing else on stderr.
+        assert dispatch(["synth", "--height", "32", "--width", "32",
+                         "--out", str(tmp_path / "s")]) == 0
+        src = Path(pointseg.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "pointseg.cli", "train",
+             "--scene", str(tmp_path / "s" / "scene_00000000"), "--out", str(tmp_path / "t"),
+             "--stages", "2", "--warmup", "0", "--iters", "1", "--lr", "1e300"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: diverged:") and done.stderr.count("\n") == 1
+        assert "in stage 0, after its last step" in done.stderr and "(--lr)" in done.stderr
+        assert not (tmp_path / "t").exists()
+
+class TestCsvInputs:
+    """points.csv and classes.csv are read by one integer-CSV reader: one
+    line rule, real file line numbers, and the file's path in every error."""
+
+    def test_bad_points_row_names_file_and_line(self, scene_dir, tmp_path, capsys):
+        rows = (scene_dir / "points.csv").read_text().splitlines()
+        points = tmp_path / "points.csv"
+        points.write_text("\n".join([rows[0], "", rows[1], "", "", "1,2,x,2", *rows[2:]]) + "\n")
+        code = dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
+                         "--points", str(points), "--out", str(tmp_path / "s2i")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {points} line 6: expected integers y,x,class_id,instance_id,"
+                       " got '1,2,x,2'\n")
+        assert not (tmp_path / "s2i").exists()
+
+    def test_bad_scene_points_row_names_file(self, scene_dir, tmp_path, capsys):
+        scene = shutil.copytree(scene_dir, tmp_path / "scene")
+        with (scene / "points.csv").open("a") as f:
+            f.write("\n9,9\n")
+        code = dispatch(["train", "--scene", str(scene), "--out", str(tmp_path / "t"),
+                         "--stages", "1", "--warmup", "0", "--iters", "1"])
+        assert code == 2
+        lines = (scene / "points.csv").read_text().splitlines()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scene / 'points.csv'} line {len(lines)}: ")
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_endings_read_as_lf(self, scene_dir, tmp_path, newline):
+        s2i = {}
+        for name, nl in (("lf", "\n"), ("other", newline)):
+            points = tmp_path / f"points_{name}.csv"
+            text = (scene_dir / "points.csv").read_text().replace("\n", "\n\n")
+            points.write_bytes(text.replace("\n", nl).encode())
+            s2i[name] = tmp_path / f"s2i_{name}"
+            assert dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
+                             "--points", str(points), "--out", str(s2i[name])]) == 0
+        for out in ("instances.pgm", "classes.csv"):
+            assert (s2i["lf"] / out).read_bytes() == (s2i["other"] / out).read_bytes()
+        classes = tmp_path / "classes_other.csv"
+        text = (s2i["lf"] / "classes.csv").read_text().replace("\n", "\n \n")
+        classes.write_bytes(text.replace("\n", newline).encode())
+        metrics = {}
+        for name, table in (("lf", s2i["lf"] / "classes.csv"), ("other", classes)):
+            pred = str(s2i["lf"] / "instances.pgm")
+            assert dispatch(["eval", "--pred", pred, "--gt", pred, "--pred-classes", str(table),
+                             "--gt-classes", str(table), "--out", str(tmp_path / name)]) == 0
+            metrics[name] = (tmp_path / name / "metrics.json").read_text()
+        assert metrics["lf"] == metrics["other"]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_classes_row_line_number(self, scene_dir, tmp_path, capsys, newline):
+        classes = tmp_path / "classes.csv"
+        classes.write_bytes(newline.join(["", "instance_id,class_id", "", "1,1", "1"]).encode())
+        gt = str(scene_dir / "gt_instances.pgm")
+        code = dispatch(["eval", "--pred", gt, "--gt", gt, "--pred-classes", str(classes),
+                         "--gt-classes", str(classes), "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {classes} line 5: expected integers instance_id,class_id, got '1'\n"
+        )
 
 
 def _ordered(value):

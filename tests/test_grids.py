@@ -10,10 +10,12 @@ from pointseg.grids import (
     Point,
     PointAnnotationSet,
     connected_components,
+    decode_int_csv,
     decode_label_pgm,
     decode_points_csv,
     decode_tensor,
     encode_label_pgm,
+    encode_int_csv,
     encode_label_ppm,
     encode_points_csv,
     encode_tensor,
@@ -356,6 +358,167 @@ class TestPgmCodec:
         assert np.array_equal(decode_label_pgm(blob).data, want)
 
 
+class _OracleScanner:
+    """The PGM header tokenizer decode_label_pgm used before its token
+    pattern, kept as an independent oracle: a byte-at-a-time scan."""
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self.pos = 0
+
+    def _skip_separators(self) -> None:
+        while self.pos < len(self.blob):
+            c = self.blob[self.pos : self.pos + 1]
+            if c.isspace():
+                self.pos += 1
+            elif c == b"#":
+                nl = self.blob.find(b"\n", self.pos)
+                self.pos = len(self.blob) if nl < 0 else nl + 1
+            else:
+                return
+
+    def token(self) -> bytes:
+        self._skip_separators()
+        start = self.pos
+        while self.pos < len(self.blob) and not self.blob[self.pos : self.pos + 1].isspace():
+            self.pos += 1
+        if start == self.pos:
+            raise GridError(f"malformed header at byte {start}: unexpected end of header")
+        return self.blob[start : self.pos]
+
+    def integer(self) -> int:
+        start_after_sep = self.pos
+        tok = self.token()
+        try:
+            return int(tok)
+        except ValueError:
+            raise GridError(
+                f"malformed header at byte {start_after_sep}: expected integer, got {tok!r}"
+            ) from None
+
+
+def oracle_decode_label_pgm(blob: bytes) -> LabelGrid:
+    scanner = _OracleScanner(blob)
+    magic = scanner.token()
+    if magic != b"P5":
+        raise GridError(f"malformed header at byte 0: expected P5, got {magic!r}")
+    width = scanner.integer()
+    height = scanner.integer()
+    maxval = scanner.integer()
+    if width < 1 or height < 1:
+        raise GridError(f"malformed header at byte {scanner.pos}: bad dimensions {width}x{height}")
+    if not (0 < maxval <= 65535):
+        raise GridError(f"malformed header at byte {scanner.pos}: bad maxval {maxval}")
+    if scanner.pos >= len(blob) or not blob[scanner.pos : scanner.pos + 1].isspace():
+        raise GridError(f"malformed header at byte {scanner.pos}: missing separator")
+    start = scanner.pos + 1
+    bytes_per = 1 if maxval < 256 else 2
+    expected = width * height * bytes_per
+    payload = blob[start : start + expected]
+    if len(payload) < expected:
+        raise GridError("unexpected end of data")
+    if len(blob) > start + expected:
+        raise GridError("trailing data after payload")
+    dtype = np.uint8 if bytes_per == 1 else np.dtype(">u2")
+    data = np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    top = int(data.max())
+    if top > maxval:
+        raise GridError(f"sample {top} exceeds maxval {maxval}")
+    return LabelGrid(data.astype(np.int32))
+
+
+_WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+_COMMENTS = [b"# c\n", b"#\n", b"#x#\r\n", b"#\t#\n"]
+# Header numbers, with what int() reads them as; None for no integer.
+_NUMBERS = {b"1": 1, b"2": 2, b"3": 3, b"+3": 3, b"1_0": 10, b"02": 2, b"255": 255,
+            b"256": 256, b"300": 300, b"65535": 65535, b"65536": 65536, b"0": 0, b"-1": -1,
+            b"_1": None, b"1__0": None, b"0x2": None, b"3#": None, b"\xd9\xa3": None}
+_STRAY = [b"#", b"# no newline", b"P5", b"P4", b"\x00", b"\xff", b"x", b"_", b"+"]
+
+
+def _header_blob(rng: np.random.Generator) -> bytes:
+    """A PGM-like blob: P5 and three numbers, each after whitespace and
+    comments, one whitespace byte, then a payload sized to the header most
+    of the time; at times with neither of the last two, stray pieces
+    inserted, a byte overwritten or the blob cut short, so the fuzz reaches
+    every check."""
+
+    def pick(pieces):
+        return pieces[int(rng.integers(len(pieces)))]
+
+    numbers = [pick(list(_NUMBERS)) if rng.random() < 0.3 else pick([b"1", b"2", b"3", b"1_0"])
+               for _ in range(2)]
+    numbers.append(pick(list(_NUMBERS)) if rng.random() < 0.3 else pick([b"255", b"+3", b"300"]))
+    parts = [b"P5" if rng.random() < 0.95 else pick(_STRAY)]
+    for number in numbers:
+        if rng.random() < 0.95:
+            parts.append(pick(_WHITESPACE))
+        parts += [pick(_COMMENTS + _WHITESPACE) for _ in range(int(rng.integers(3)))]
+        parts.append(number)
+    parts.append(pick(_WHITESPACE) if rng.random() < 0.95 else pick(_STRAY))
+    w, h, maxval = (_NUMBERS[n] for n in numbers)
+    size = w * h * (1 if maxval < 256 else 2) if None not in (w, h, maxval) else 4
+    size = max(0, min(size, 64) + (int(rng.integers(-1, 2)) if rng.random() < 0.2 else 0))
+    parts.append(bytes(rng.integers(0, min(256, (maxval or 255) + 2), size=size, dtype=np.uint8)))
+    if rng.random() < 0.03:
+        parts = parts[:-2]  # the header's last number ends the blob
+    for _ in range(int(rng.integers(1, 3)) if rng.random() < 0.2 else 0):
+        parts.insert(int(rng.integers(len(parts) + 1)), pick(_STRAY + _COMMENTS + _WHITESPACE))
+    blob = bytearray(b"".join(parts))
+    if rng.random() < 0.1:
+        blob[int(rng.integers(min(len(blob), 16)))] = int(rng.integers(256))
+    if rng.random() < 0.05:
+        blob = blob[: int(rng.integers(len(blob) + 1))]
+    return bytes(blob)
+
+
+def _outcome(decode, blob: bytes):
+    try:
+        grid = decode(blob)
+    except GridError as err:
+        return "error", str(err)
+    return "grid", grid.shape, grid.data.tobytes()
+
+
+class TestPgmHeaderOracle:
+    """decode_label_pgm reads its header with one token pattern; the
+    byte-at-a-time scanner it replaced must agree on every blob: the same
+    grid, or a GridError with the same message (and so the same offset)."""
+
+    BLOBS = 20_000
+    CHECKS = ("grid", "unexpected end of header", "expected P5", "expected integer",
+              "bad dimensions", "bad maxval", "missing separator", "unexpected end of data",
+              "trailing data", "exceeds maxval")
+
+    def test_seeded_fuzz_matches_scanner(self):
+        rng = np.random.default_rng(2024)
+        reached = dict.fromkeys(self.CHECKS, 0)
+        for _ in range(self.BLOBS):
+            blob = _header_blob(rng)
+            want = _outcome(oracle_decode_label_pgm, blob)
+            assert _outcome(decode_label_pgm, blob) == want, blob
+            for check in self.CHECKS:
+                reached[check] += check in want[-1] if want[0] == "error" else check == "grid"
+        # Every outcome is reached, each many times.
+        assert min(reached.values()) >= 50, reached
+
+    @pytest.mark.parametrize("blob", [
+        b"P5 +3 1_0 255\n" + bytes(30),
+        b"P5#c\n2 1 255\n\x01\x02",
+        b"#c\nP5\x0b1\x0c1\r255\t\x00",
+        b"P5 1 1 255# no newline",
+        b"P5 1 1",
+        b"P5 1 x1 255\n\x00",
+        b"P5\n# comment with no end",
+        b"",
+    ])
+    def test_edge_blobs_match_scanner(self, blob):
+        assert _outcome(decode_label_pgm, blob) == _outcome(oracle_decode_label_pgm, blob)
+
+    def test_signed_and_underscored_integers_accepted(self):
+        assert decode_label_pgm(b"P5 +3 1_0 255\n" + bytes(30)).shape == (10, 3)
+
+
 class TestTensorCodec:
     def test_header_layout(self):
         blob = encode_tensor(np.array([[[0.5, -1.0]]]))
@@ -424,6 +587,48 @@ class TestPointsCsv:
     def test_header_required(self):
         with pytest.raises(GridError, match="header"):
             decode_points_csv("1,2,3,1\n")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_endings(self, newline):
+        # One line rule for both CSVs: str.splitlines, so CRLF and a lone CR
+        # each end a line.
+        text = newline.join(["y,x,class_id,instance_id", "", "1,2,3,1", " 4 , 5,1,2 ", ""])
+        want = PointAnnotationSet((Point(1, 2, 3, 1), Point(4, 5, 1, 2)))
+        assert decode_points_csv(text) == want
+        bad = newline.join(["y,x,class_id,instance_id", "", "1,2,3,1", "", "4,5,x,2"])
+        with pytest.raises(GridError, match=r"^points csv line 5: expected integers "):
+            decode_points_csv(bad)
+
+    @pytest.mark.parametrize("row", ["1,2,3", "1,2,3,1,5", "1,2,,1", "1;2;3;1"])
+    def test_bad_row_names_source_and_line(self, row):
+        text = f"\n y, x, class_id, instance_id\n\n\n{row}\n"
+        with pytest.raises(GridError) as err:
+            decode_points_csv(text, "scene/points.csv")
+        assert str(err.value) == (
+            f"scene/points.csv line 5: expected integers y,x,class_id,instance_id, got {row!r}"
+        )
+
+
+class TestIntCsv:
+    HEADER = "instance_id,class_id"
+
+    def test_round_trip_keeps_file_lines(self):
+        text = encode_int_csv(self.HEADER, [(1, 2), (3, 4)])
+        assert text == "instance_id,class_id\n1,2\n3,4\n"
+        assert list(decode_int_csv(text, self.HEADER, "t")) == [(2, [1, 2]), (3, [3, 4])]
+        spaced = "\n\n" + text.replace("1,2\n", "1,2\n\n  \n")
+        assert list(decode_int_csv(spaced, self.HEADER, "t")) == [(4, [1, 2]), (7, [3, 4])]
+
+    def test_int_literals_as_int_reads_them(self):
+        rows = list(decode_int_csv("instance_id,class_id\n+3, 1_0\n-1,007\n", self.HEADER, "t"))
+        assert rows == [(2, [3, 10]), (3, [-1, 7])]
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "1,2\n", "instance_id\n1\n",
+                                      "class_id,instance_id\n"])
+    def test_header_required(self, text):
+        with pytest.raises(GridError, match=r"^t: expected header instance_id,class_id$"):
+            list(decode_int_csv(text, self.HEADER, "t"))
+
 
     def test_instance_ids_must_be_dense(self):
         with pytest.raises(GridError, match="1..K"):

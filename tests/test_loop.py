@@ -241,6 +241,16 @@ class TestTrainStep:
                            r" try a lower learning rate \(--lr\)$"):
             _fit(params, feature_planes(gt_features(sc)), targets, cfg, 9, "stage 2")
 
+    def test_divergence_after_the_last_step(self):
+        # No evaluation follows a phase's last update; the stage's predict and
+        # refresh meet its non-finite outputs, with no NumPy warning.
+        sc = small_scene()
+        cfg = make_cfg(learning_rate=1e300, iters_per_stage=1)
+        params = TinyPredictorParams.initialize(1, gt_features(sc).shape[2], sc.n_classes)
+        with pytest.raises(PipelineError, match=r"^diverged: .* in stage 0, after its last step;"
+                           r" try a lower learning rate \(--lr\)$"):
+            stage_0(sc, sc.gt_semantic, params, cfg)
+
 
 def stage_0(sc, semantic, params, cfg):
     """run_stage 0 on the targets run_mdm builds for it."""
