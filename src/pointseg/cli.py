@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import CliUsageError, PointsegError, SceneError
+from .errors import CliUsageError, GridError, PointsegError, SceneError
 from .grids import (
     DEFAULT_CONNECTIVITY,
     PGM_MAX_ID,
@@ -351,6 +351,10 @@ def _cmd_s2i(argv: list[str]) -> int:
 
     semantic = decode_label_pgm(Path(args.semantic).read_bytes())
     points = decode_points_csv(_read_text(Path(args.points)), args.points)
+    try:
+        points.validate_on(*semantic.shape)
+    except GridError as err:
+        raise GridError(f"{args.points}: {err}") from None
 
     regions = attach_points(extract_regions(semantic, opt["connectivity"]), points)
     instances = assign_points(regions, points)
@@ -397,19 +401,27 @@ def _cmd_i2s(argv: list[str]) -> int:
 # ---------------------------------------------------------------- train
 
 
+# The files of a scene directory that train reads, in the manifest's order.
+_SCENE_FILES = (
+    "gt_instances.pgm", "gt_semantic.pgm", "semantic_in.pgm", "points.csv", "intensity.mdmt",
+    "scene.json",
+)
+
+
 def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
-    meta_path = scene_dir / "scene.json"
-    meta = json.loads(_read_text(meta_path))
+    path = {name: scene_dir / name for name in _SCENE_FILES}
+    meta = json.loads(_read_text(path["scene.json"]))
     n_classes = meta.get("n_classes") if isinstance(meta, dict) else None
     # Refused before any array is sized by it.
     if type(n_classes) is not int or not 1 <= n_classes <= PGM_MAX_ID:
-        raise PointsegError(f"{meta_path}: expected a JSON object with n_classes 1..{PGM_MAX_ID}")
-    gt_instances = decode_label_pgm((scene_dir / "gt_instances.pgm").read_bytes())
-    gt_semantic = decode_label_pgm((scene_dir / "gt_semantic.pgm").read_bytes())
-    semantic_in = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
-    points_path = scene_dir / "points.csv"
-    points = decode_points_csv(_read_text(points_path), str(points_path))
-    intensity = decode_tensor((scene_dir / "intensity.mdmt").read_bytes())
+        raise PointsegError(
+            f"{path['scene.json']}: expected a JSON object with n_classes 1..{PGM_MAX_ID}"
+        )
+    gt_instances = decode_label_pgm(path["gt_instances.pgm"].read_bytes())
+    gt_semantic = decode_label_pgm(path["gt_semantic.pgm"].read_bytes())
+    semantic_in = decode_label_pgm(path["semantic_in.pgm"].read_bytes())
+    points = decode_points_csv(_read_text(path["points.csv"]), str(path["points.csv"]))
+    intensity = decode_tensor(path["intensity.mdmt"].read_bytes())
     return Scene(gt_instances, gt_semantic, points, intensity, n_classes), semantic_in
 
 
@@ -475,14 +487,7 @@ def _train_one(task: tuple[str, str, MdmConfig, dict]) -> str:
         _write(stage_dir / "losses.jsonl", "\n".join(lines) + "\n")
     warm = [json.dumps(r.as_dict()) for r in result.warmup_losses]
     _write(out_dir / "warmup_losses.jsonl", "\n".join(warm) + ("\n" if warm else ""))
-    _write_manifest(
-        out_dir, "train", echo,
-        [scene_dir / name for name in (
-            "gt_instances.pgm", "gt_semantic.pgm", "semantic_in.pgm",
-            "points.csv", "intensity.mdmt",
-        )],
-        t0,
-    )
+    _write_manifest(out_dir, "train", echo, [scene_dir / name for name in _SCENE_FILES], t0)
     final = result.final.metrics.overall_iou
     return f"train: {scene_dir.name} final overall_iou {final:.2f} -> {out_dir}"
 

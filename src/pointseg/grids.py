@@ -79,14 +79,6 @@ class LabelGrid:
         object.__setattr__(self, "data", _freeze(arr.astype(np.int32)))
 
     @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
@@ -117,18 +109,6 @@ class ClassScoreMap:
             raise GridError("non-finite class scores")
         object.__setattr__(self, "data", _freeze(arr))
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
     def argmax_grid(self) -> LabelGrid:
         """Per-pixel winning channel as a class-index grid."""
         return LabelGrid(np.argmax(self.data, axis=2).astype(np.int32))
@@ -157,14 +137,6 @@ class OffsetField:
         vec[~val] = 0.0
         object.__setattr__(self, "vectors", _freeze(vec))
         object.__setattr__(self, "valid", _freeze(val))
-
-    @property
-    def height(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.vectors.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -288,7 +260,8 @@ def encode_label_pgm(grid: LabelGrid) -> bytes:
     if max_id > PGM_MAX_ID:
         raise GridError(f"id overflow: {max_id} exceeds {PGM_MAX_ID}")
     maxval = 65535 if max_id > 255 else 255
-    header = f"P5\n{grid.width} {grid.height}\n{maxval}\n".encode("ascii")
+    h, w = grid.shape
+    header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
     return b"".join((header, grid.data.astype(np.uint8 if maxval == 255 else ">u2")))
 
 
@@ -418,5 +391,9 @@ def encode_points_csv(points: PointAnnotationSet) -> str:
 
 
 def decode_points_csv(text: str, source: str = "points csv") -> PointAnnotationSet:
-    rows = decode_int_csv(text, POINTS_HEADER, source)
-    return PointAnnotationSet(tuple(Point(*fields) for _, fields in rows))
+    """The points of a points.csv; every error names `source`."""
+    rows = tuple(Point(*fields) for _, fields in decode_int_csv(text, POINTS_HEADER, source))
+    try:
+        return PointAnnotationSet(rows)
+    except GridError as err:  # the row errors above carry the source already
+        raise GridError(f"{source}: {err}") from None

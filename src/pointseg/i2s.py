@@ -224,7 +224,7 @@ def _refresh_by_instances(
     r = min(r, max(instances.shape))  # a wider window holds no more pixels
     scores = class_map.data
     out = scores.copy()  # a background row is affine to itself alone: kept
-    width = instances.width
+    width = instances.shape[1]
     flat_lab = instances.data.ravel()
     # One stable sort groups the foreground pixels by id.
     flat = np.flatnonzero(flat_lab)

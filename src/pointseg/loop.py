@@ -12,29 +12,14 @@ its region-matching target labels, each region holding several points
 re-split by the predicted offsets' votes, masked by the unpinned input; they
 are an output only, and feed no later stage.
 
-The predictor's input, feature_planes, is built once per run and read by
-every phase and every stage's predict. Training runs full-batch Adam on a
-fixed objective per phase (the warm-up and each stage). Its constants (the
-OHEM target index, the offset targets at their valid pixels, the pair
-indices and the affinity floor terms) are built once per phase, where the
-targets are checked too; each of the phase's evaluations, one per Adam step,
-then works on raw arrays and checks only what the parameters can break, the
-finiteness of the outputs and of the losses. The objective also allocates
-its workspace once per phase: the output planes (whose class rows OHEM's
-softmax overwrites), their finiteness mask, the scaled offsets, the kept
-pixels' feature columns and the pair ends with their gradient. Every
-evaluation overwrites it; what an evaluation returns (the loss report and
-the gradient) never points into it.
-
-The training hot path is channel-first. The objective holds the features as
-(2F + 1, N) planes, a row of ones last, and computes the outputs as (K, N)
-planes; each head's parameter gradient is then one small matmul of the
-feature columns its loss reads (the OHEM-kept pixels, the valid offset
-pixels, both ends of every sampled pair) with the loss's gradient at those
-columns, the ones row giving the bias gradient. The parameters share that
-layout: one (2F + 1, K) matrix theta, the biases its last row, so the
-gradient and Adam's moments are single arrays too. The stage's refresh
-reads the embeddings as (D, H, W) planes, and one _pair_logits serves both.
+The predictor's input, the expand_features planes, is built once per run
+and read by every phase and every stage's predict. Training runs full-batch
+Adam on a fixed objective per phase (the warm-up and each stage); _Objective
+builds the phase's constants and workspace once and computes each step's
+loss and gradient channel-first. The parameters share that layout: one
+(2F + 1, K) matrix theta, the biases its last row, so the gradient and
+Adam's moments are single arrays too. The stage's refresh reads the
+embeddings as (D, H, W) planes, and one _pair_logits serves both.
 Validated types (ClassScoreMap, OffsetField, LabelGrid) stay at the API:
 predict, build_stage_targets, run_stage.
 """
@@ -84,7 +69,6 @@ __all__ = [
     "StageResult",
     "MdmResult",
     "expand_features",
-    "feature_planes",
     "predict",
     "build_stage_targets",
     "run_stage",
@@ -103,31 +87,23 @@ def _derive_seed(base: int, *keys: int) -> int:
 
 
 def expand_features(features: np.ndarray) -> np.ndarray:
-    """Per-pixel feature vector concatenated with its 3x3 neighborhood mean.
+    """The predictor's (H, W, 2F + 1) input: the F features, their 3x3
+    neighborhood means, and a closing channel of ones, which multiplies out
+    to the biases.
 
     Border neighborhoods average over the in-grid pixels only.
     """
     feats = np.asarray(features, dtype=np.float64)
     h, w, f = feats.shape
-    padded = np.zeros((h + 2, w + 2, f), dtype=np.float64)
-    padded[1:-1, 1:-1] = feats
-    ones = np.zeros((h + 2, w + 2), dtype=np.float64)
-    ones[1:-1, 1:-1] = 1.0
-    acc = np.zeros((h, w, f), dtype=np.float64)
-    cnt = np.zeros((h, w), dtype=np.float64)
+    padded = np.pad(feats, ((1, 1), (1, 1), (0, 0)))
+    means = np.zeros((h, w, f))  # its own array: adds into a strided slice run 3x slower
     for dy in range(3):
         for dx in range(3):
-            acc += padded[dy : dy + h, dx : dx + w]
-            cnt += ones[dy : dy + h, dx : dx + w]
-    means = acc / cnt[:, :, None]
-    return np.concatenate([feats, means], axis=2).reshape(h * w, 2 * f)
-
-
-def feature_planes(features: np.ndarray) -> np.ndarray:
-    """The predictor's input: expand_features' 2F columns and a closing
-    channel of ones, which multiplies out to the biases, as (H, W, 2F + 1)."""
-    x = np.pad(expand_features(features), ((0, 0), (0, 1)), constant_values=1.0)
-    return x.reshape(*features.shape[:2], -1)
+            means += padded[dy : dy + h, dx : dx + w]
+    # In-grid pixels of each window: 3 rows (columns), less any off the grid.
+    rows, cols = (3.0 - (np.arange(n) == 0) - (np.arange(n) == n - 1) for n in (h, w))
+    means /= np.multiply.outer(rows, cols)[:, :, None]
+    return np.concatenate([feats, means, np.ones((h, w, 1))], axis=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +146,7 @@ def _pair_logits(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
 
 
 def predict(params: TinyPredictorParams, x: np.ndarray) -> PredictorOutputs:
-    """Deterministic forward pass over (H, W, 2F + 1) feature_planes."""
+    """Deterministic forward pass over the (H, W, 2F + 1) expand_features planes."""
     h, w, k = x.shape
     if k != len(params.theta):
         raise PipelineError(f"{k - 1} features do not match fan-in {len(params.theta) - 1}")
@@ -438,7 +414,7 @@ class StageResult:
 
 def _masked_argmax(scores: ClassScoreMap, allowed: set[int]) -> LabelGrid:
     data = scores.data.copy()
-    data[:, :, [ch for ch in range(scores.channels) if ch not in allowed]] = -np.inf
+    data[:, :, [ch for ch in range(data.shape[2]) if ch not in allowed]] = -np.inf
     return LabelGrid(np.argmax(data, axis=2).astype(np.int32))
 
 
@@ -469,8 +445,8 @@ def run_stage(
     cfg: MdmConfig,
 ) -> StageResult:
     """One train -> group -> I2S refresh round on the (H, W, 2F + 1)
-    feature_planes x and targets built from semantic_in pinned; the pseudo
-    instances are masked by semantic_in."""
+    expand_features planes x and targets built from semantic_in pinned; the
+    pseudo instances are masked by semantic_in."""
     params, history = _fit(params, x, targets, cfg, cfg.iters_per_stage, f"stage {stage_idx}")
 
     # No evaluation follows the last update: its outputs are checked here.
@@ -526,7 +502,7 @@ def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmR
     the corrupted map, and stage s >= 1 stage s-1's refreshed map. The
     warm-up trains on stage 0's targets without their affinity pairs.
     """
-    x = feature_planes(features_from_semantic(scene, corrupted_semantic))
+    x = expand_features(features_from_semantic(scene, corrupted_semantic))
     points = scene.points
     params = TinyPredictorParams.initialize(
         seed=_derive_seed(cfg.seed, 0, 0),

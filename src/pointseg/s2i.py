@@ -139,7 +139,7 @@ def compute_offset_field(instances: LabelGrid, points: PointAnnotationSet) -> Of
     """
     _require_points(instances, points)
     anchor_y, anchor_x = points.anchor_table().T
-    yy, xx = np.mgrid[0 : instances.height, 0 : instances.width]
+    yy, xx = np.indices(instances.shape)
     vec = np.stack([anchor_y[instances.data] - yy, anchor_x[instances.data] - xx], axis=2)
     return OffsetField(vec, instances.data > 0)
 

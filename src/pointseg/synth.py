@@ -74,14 +74,6 @@ class Scene:
         if unpointed:
             raise SceneError(f"gt instance ids {unpointed} have no annotated point")
 
-    @property
-    def height(self) -> int:
-        return self.gt_instances.height
-
-    @property
-    def width(self) -> int:
-        return self.gt_instances.width
-
 
 @dataclass(frozen=True)
 class CorruptionConfig:
@@ -266,7 +258,7 @@ def features_from_semantic(scene: Scene, semantic: LabelGrid) -> np.ndarray:
     see the ground-truth semantic map, so pipeline code passes the corrupted
     (or refreshed) map.
     """
-    h, w, c1 = scene.height, scene.width, scene.n_classes + 1
+    (h, w), c1 = scene.intensity.shape, scene.n_classes + 1
     if semantic.shape != (h, w):
         raise SceneError("semantic shape mismatch")
     if int(semantic.data.max()) >= c1:

@@ -2,16 +2,18 @@
 the point-to-region labels it starts from.
 
 Each seed makes one square scene, 64x64 unless --size says otherwise, as
-`pointseg synth` does by default (2-6 instances, 3 classes, dilation 2,
-adjacent regions merged, 2 % of pixels flipped) and runs `run_mdm` at the
-default MdmConfig with that seed. "init" is the class-aware overall IoU of
-stage 0's initial labels, the region-matching labels the recurrence starts
-from; "final" is that of the last stage's pseudo labels. "ignored" counts the
-scene's pointseg.s2i "point ignored" warnings: one per point whose region has
-another class, in each target build that met it, one build per stage (the
-warm-up reuses stage 0's targets). Targets read a map with a patch pinned at
-each point and each point's own pixel pinned last, so a point is ignored only
-where another point of another class shares its pixel.
+`pointseg synth` does by default (gate_scene: 2-6 instances, 3 classes,
+dilation 2, adjacent regions merged, 2 % of pixels flipped;
+tests/test_quality_gate.py checks that the files are byte-equal), and runs
+`run_mdm` at the default MdmConfig with that seed. "init" is the class-aware
+overall IoU of stage 0's initial labels, the region-matching labels the
+recurrence starts from; "final" is that of the last stage's pseudo labels.
+"ignored" counts the scene's pointseg.s2i "point ignored" warnings: one per
+point whose region has another class, in each target build that met it, one
+build per stage (the warm-up reuses stage 0's targets). Targets read a map
+with a patch pinned at each point and each point's own pixel pinned last, so
+a point is ignored only where another point of another class shares its
+pixel.
 
 There are two disjoint seed sets per size: 100-119 for development, and a
 held-out set on which no default may be tuned, 200-219 at 64x64 and 600-619
@@ -39,9 +41,10 @@ import time
 
 import numpy as np
 
+from pointseg.grids import LabelGrid
 from pointseg.loop import MdmConfig, run_mdm
 from pointseg.metrics import greedy_match
-from pointseg.synth import CorruptionConfig, corrupt_semantic, generate_scene
+from pointseg.synth import CorruptionConfig, Scene, corrupt_semantic, generate_scene
 
 # The first seed of each set, by grid side.
 SEED_SETS = {
@@ -73,19 +76,26 @@ def scene_row(seed: int, size: int = 64) -> tuple[int, int, float, float, int]:
         logger.removeHandler(ignored)
 
 
-def _scene_ious(seed: int, size: int) -> tuple[int, int, float, float]:
+def gate_scene(seed: int, size: int = 64) -> tuple[Scene, LabelGrid]:
+    """The scene of one seed and its corrupted semantic map, as `pointseg
+    synth --seed <seed> --height <size> --width <size>` writes them."""
     n_instances = int(np.random.default_rng(seed).integers(2, 7))
     scene = generate_scene(seed, size, size, n_instances, 3)
     corrupted = corrupt_semantic(scene, CorruptionConfig(
         dilation_px=2, merge_adjacent=True, flip_rate=0.02, rng_seed=seed + 1,
     ))
+    return scene, corrupted
+
+
+def _scene_ious(seed: int, size: int) -> tuple[int, int, float, float]:
+    scene, corrupted = gate_scene(seed, size)
     result = run_mdm(scene, corrupted, MdmConfig(seed=seed))
     classes = scene.points.class_of()
     init = greedy_match(
         result.stages[0].initial_instances, scene.gt_instances,
         pred_classes=classes, gt_classes=classes, class_aware=True,
     )
-    return seed, n_instances, init.overall_iou, result.final.metrics.overall_iou
+    return seed, len(scene.points), init.overall_iou, result.final.metrics.overall_iou
 
 
 def verdict(rows: list[tuple[int, int, float, float, int]]) -> tuple[bool, str]:

@@ -158,7 +158,7 @@ class TestS2iCli:
         assert code == 0
         instances = decode_label_pgm((out / "instances.pgm").read_bytes())
         offsets = decode_tensor((out / "offsets.mdmt").read_bytes())
-        assert offsets.shape == (instances.height, instances.width, 3)
+        assert offsets.shape == (*instances.shape, 3)
         header = (out / "classes.csv").read_text().splitlines()[0]
         assert header == "instance_id,class_id"
 
@@ -180,7 +180,7 @@ class TestTrainEvalCli:
         inputs = json.loads((train_out / "manifest.json").read_text())["inputs"]
         assert [Path(p).name for p in inputs] == [
             "gt_instances.pgm", "gt_semantic.pgm", "semantic_in.pgm", "points.csv",
-            "intensity.mdmt",
+            "intensity.mdmt", "scene.json",
         ]
 
         eval_out = tmp_path / "eval"
@@ -586,6 +586,19 @@ class TestCsvInputs:
                        " got '1,2,x,2'\n")
         assert not (tmp_path / "s2i").exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        (["1,1,1,1", "2,2,1,3"], "instance ids must be exactly 1..K, got [1, 3]"),
+        (["200,1,1,1"], "point Point(y=200, x=1, class_id=1, instance_id=1) outside 64x64 grid"),
+    ], ids=["ids", "off-grid"])
+    def test_bad_point_set_names_file(self, scene_dir, tmp_path, capsys, rows, message):
+        points = tmp_path / "points.csv"
+        points.write_text("\n".join(["y,x,class_id,instance_id", *rows]) + "\n")
+        code = dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
+                         "--points", str(points), "--out", str(tmp_path / "s2i")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {points}: {message}\n"
+        assert not (tmp_path / "s2i").exists()
+
     def test_bad_scene_points_row_names_file(self, scene_dir, tmp_path, capsys):
         scene = shutil.copytree(scene_dir, tmp_path / "scene")
         with (scene / "points.csv").open("a") as f:
@@ -778,7 +791,7 @@ class TestI2sCli:
         base = ["i2s", "--instances", str(scene_dir / "gt_instances.pgm"),
                 "--classmap", str(classmap)]
         assert dispatch([*base, "--pair-radius", str(radius), "--out", str(tmp_path / "far")]) == 0
-        side = str(semantic.height + semantic.width)
+        side = str(sum(semantic.shape))
         assert dispatch([*base, "--pair-radius", side, "--out", str(tmp_path / "near")]) == 0
         far, near = (tmp_path / run / "classmap.mdmt" for run in ("far", "near"))
         assert far.read_bytes() == near.read_bytes()

@@ -20,7 +20,6 @@ from pointseg.loop import (
     _pair_logits,
     build_stage_targets,
     expand_features,
-    feature_planes,
     predict,
     run_mdm,
     run_stage,
@@ -55,6 +54,32 @@ def gt_features(sc):
     return features_from_semantic(sc, sc.gt_semantic)
 
 
+def _ref_expand_features(features):
+    """Reference: each pixel's features and their 3x3 in-grid neighborhood
+    means as an (H * W, 2F) matrix, expand_features without its ones
+    channel, with the in-grid counts summed window by window."""
+    feats = np.asarray(features, dtype=np.float64)
+    h, w, f = feats.shape
+    padded = np.zeros((h + 2, w + 2, f), dtype=np.float64)
+    padded[1:-1, 1:-1] = feats
+    ones = np.zeros((h + 2, w + 2), dtype=np.float64)
+    ones[1:-1, 1:-1] = 1.0
+    acc = np.zeros((h, w, f), dtype=np.float64)
+    cnt = np.zeros((h, w), dtype=np.float64)
+    for dy in range(3):
+        for dx in range(3):
+            acc += padded[dy : dy + h, dx : dx + w]
+            cnt += ones[dy : dy + h, dx : dx + w]
+    means = acc / cnt[:, :, None]
+    return np.concatenate([feats, means], axis=2).reshape(h * w, 2 * f)
+
+
+def _ref_feature_planes(features):
+    """_ref_expand_features' columns and a closing channel of ones, as (H, W, 2F + 1)."""
+    x = np.pad(_ref_expand_features(features), ((0, 0), (0, 1)), constant_values=1.0)
+    return x.reshape(*features.shape[:2], -1)
+
+
 def flatten(params):
     return params.theta.ravel()
 
@@ -64,7 +89,7 @@ def objective_on_flat(flat, template, features, targets, hard_pixel_ratio):
     parameter vector (see flatten), the form the finite-difference checker
     drives."""
     params = replace(template, theta=flat.reshape(template.theta.shape))
-    objective = _Objective(template, feature_planes(features), targets, hard_pixel_ratio)
+    objective = _Objective(template, expand_features(features), targets, hard_pixel_ratio)
     report, grad = objective(params)
     return report.total, grad.ravel()
 
@@ -89,17 +114,30 @@ def make_cfg(**kw):
 class TestExpandFeatures:
     def test_shape_doubles_channels(self):
         feats = np.random.default_rng(0).standard_normal((4, 5, 3))
-        assert expand_features(feats).shape == (20, 6)
+        assert expand_features(feats).shape == (4, 5, 7)
 
     def test_interior_mean_is_nine_cell_average(self):
         feats = np.arange(25, dtype=np.float64).reshape(5, 5, 1)
-        x = expand_features(feats).reshape(5, 5, 2)
+        x = expand_features(feats)
         assert x[2, 2, 1] == pytest.approx(feats[1:4, 1:4, 0].mean())
 
     def test_border_mean_uses_in_grid_pixels_only(self):
         feats = np.ones((3, 3, 1))
-        x = expand_features(feats).reshape(3, 3, 2)
+        x = expand_features(feats)
         assert x[0, 0, 1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (2, 9), (16, 16), (33, 64)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_bit_identical_to_two_step_reference(self, shape, scale):
+        # The nine windows are summed in the reference's order from zero, so
+        # every float, each -0.0 among them, is the same bits.
+        rng = np.random.default_rng([*shape, int(math.log10(scale)) + 3])
+        feats = scale * rng.standard_normal((*shape, 5))
+        feats[rng.random(feats.shape) < 0.2] = -0.0
+        got = expand_features(feats)
+        want = _ref_feature_planes(feats)
+        assert got.shape == want.shape == (*shape, 11)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPredict:
@@ -108,7 +146,7 @@ class TestPredict:
         feats = gt_features(sc)
         params = TinyPredictorParams.initialize(0, feats.shape[2], sc.n_classes)
         params = replace(params, theta=np.zeros_like(params.theta))
-        outs = predict(params, feature_planes(feats))
+        outs = predict(params, expand_features(feats))
         assert (outs.class_map.data == 0).all()
         assert (outs.offsets.vectors == 0).all()
         assert (outs.embeddings == 0).all()
@@ -121,8 +159,8 @@ class TestPredict:
         sc = small_scene()
         feats = gt_features(sc)
         params = TinyPredictorParams.initialize(7, feats.shape[2], sc.n_classes)
-        a = predict(params, feature_planes(feats))
-        b = predict(params, feature_planes(feats))
+        a = predict(params, expand_features(feats))
+        b = predict(params, expand_features(feats))
         assert np.array_equal(a.class_map.data, b.class_map.data)
         assert np.array_equal(a.offsets.vectors, b.offsets.vectors)
         assert np.array_equal(a.embeddings, b.embeddings)
@@ -134,8 +172,8 @@ class TestPredict:
         cls_sl, off_sl, emb_sl = params.head_slices()
         bumped = params.theta.copy()
         bumped[0, off_sl.start] += 0.5  # first offset column
-        outs0 = predict(params, feature_planes(feats))
-        outs1 = predict(replace(params, theta=bumped), feature_planes(feats))
+        outs0 = predict(params, expand_features(feats))
+        outs1 = predict(replace(params, theta=bumped), expand_features(feats))
         assert np.array_equal(outs0.class_map.data, outs1.class_map.data)
         assert np.array_equal(outs0.embeddings, outs1.embeddings)
         assert not np.array_equal(outs0.offsets.vectors, outs1.offsets.vectors)
@@ -145,7 +183,7 @@ class TestPredict:
         feats = gt_features(sc)
         params = TinyPredictorParams.initialize(0, feats.shape[2] + 1, sc.n_classes)
         with pytest.raises(PipelineError, match="fan-in"):
-            predict(params, feature_planes(feats))
+            predict(params, expand_features(feats))
 
     def test_initialization_bounds(self):
         params = TinyPredictorParams.initialize(11, 6, 2)
@@ -166,7 +204,7 @@ class TestTrainStep:
         cfg = make_cfg(learning_rate=0.0)
         params = TinyPredictorParams.initialize(1, feats.shape[2], sc.n_classes)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
-        updated, (report,) = _fit(params, feature_planes(feats), targets, cfg, 1, "stage 0")
+        updated, (report,) = _fit(params, expand_features(feats), targets, cfg, 1, "stage 0")
         assert np.array_equal(updated.theta, params.theta)
         assert report.total > 0
 
@@ -175,7 +213,7 @@ class TestTrainStep:
         cfg = make_cfg()
         params = TinyPredictorParams.initialize(1, gt_features(sc).shape[2], sc.n_classes)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
-        _, (report,) = _fit(params, feature_planes(gt_features(sc)), targets, cfg, 1, "stage 0")
+        _, (report,) = _fit(params, expand_features(gt_features(sc)), targets, cfg, 1, "stage 0")
         assert report.n_off_pixels == int(targets.offsets.valid.sum())
         assert report.n_pos_pairs + report.n_neg_pairs == len(targets.affinity)
         assert report.n_seg_pixels == math.ceil(0.2 * 16 * 16)
@@ -186,7 +224,7 @@ class TestTrainStep:
         targets = self.targets_for(sc, sc.gt_semantic, cfg, with_affinity=False)
         assert targets.affinity is None
         params = TinyPredictorParams.initialize(1, gt_features(sc).shape[2], sc.n_classes)
-        _, (report,) = _fit(params, feature_planes(gt_features(sc)), targets, cfg, 1, "warm-up")
+        _, (report,) = _fit(params, expand_features(gt_features(sc)), targets, cfg, 1, "warm-up")
         assert report.aff == 0.0
         assert report.n_pos_pairs == report.n_neg_pairs == 0
 
@@ -200,7 +238,7 @@ class TestTrainStep:
             cfg = make_cfg(seed=run_seed, iters_per_stage=1, warmup_iters=0)
             params = TinyPredictorParams.initialize(run_seed, feats.shape[2], sc.n_classes)
             targets = self.targets_for(sc, sc.gt_semantic, cfg)
-            _, reports = _fit(params, feature_planes(feats), targets, cfg, 120, "stage 0")
+            _, reports = _fit(params, expand_features(feats), targets, cfg, 120, "stage 0")
             history = [report.total for report in reports]
             windows_ok = all(
                 history[t + 50] <= history[t] + 1e-9 for t in range(len(history) - 50)
@@ -228,7 +266,7 @@ class TestTrainStep:
         params = replace(params, theta=params.theta * np.inf)
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
         with pytest.raises(PipelineError, match="diverged"):
-            _fit(params, feature_planes(gt_features(sc)), targets, cfg, 1, "stage 0")
+            _fit(params, expand_features(gt_features(sc)), targets, cfg, 1, "stage 0")
 
     def test_divergence_names_phase_and_step(self):
         # A finite but far too large rate overflows; the run must stop at the
@@ -239,7 +277,7 @@ class TestTrainStep:
         targets = self.targets_for(sc, sc.gt_semantic, cfg)
         with pytest.raises(PipelineError, match=r"^diverged: .* in stage 2, step \d+ of 9;"
                            r" try a lower learning rate \(--lr\)$"):
-            _fit(params, feature_planes(gt_features(sc)), targets, cfg, 9, "stage 2")
+            _fit(params, expand_features(gt_features(sc)), targets, cfg, 9, "stage 2")
 
     def test_divergence_after_the_last_step(self):
         # No evaluation follows a phase's last update; the stage's predict and
@@ -257,7 +295,7 @@ def stage_0(sc, semantic, params, cfg):
     targets = build_stage_targets(
         loop._points_first(semantic, sc.points), sc.points, cfg, _derive_seed(cfg.seed, 0, 1)
     )
-    return run_stage(0, semantic, targets, feature_planes(gt_features(sc)), sc.points, params, cfg)
+    return run_stage(0, semantic, targets, expand_features(gt_features(sc)), sc.points, params, cfg)
 
 
 class TestRunStage:
@@ -562,7 +600,7 @@ class _RefObjective:
     """_ref_objective behind the training objective's interface."""
 
     def __init__(self, template, x, targets, hard_pixel_ratio):
-        # The feature planes without their ones channel: expand_features' matrix.
+        # The feature planes without their ones channel: _ref_expand_features' matrix.
         self.xmat = np.ascontiguousarray(x.reshape(-1, x.shape[2])[:, :-1])
         self.shape = x.shape[:2]
         self.targets, self.ratio = targets, hard_pixel_ratio
@@ -637,7 +675,7 @@ def _ref_fit(params, features, targets, cfg, iters):
     """Adam as Algorithm 1 of Kingma & Ba (ICLR 2015) states it, one
     parameter array at a time, over the reference objective."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    xmat = expand_features(features)
+    xmat = _ref_expand_features(features)
     theta = {"weights": params.theta[:-1], "biases": params.theta[-1]}
     m = {name: np.zeros_like(p) for name, p in theta.items()}
     v = {name: np.zeros_like(p) for name, p in theta.items()}
@@ -700,8 +738,8 @@ class TestObjectiveMatchesReference:
             _derive_seed(cfg.seed, 0, 0), feats.shape[2], sc.n_classes
         )
         trained, _ = _ref_fit(initial, feats, targets, cfg, 50)
-        objective = _Objective(initial, feature_planes(feats), targets, cfg.hard_pixel_ratio)
-        xmat = expand_features(feats)
+        objective = _Objective(initial, expand_features(feats), targets, cfg.hard_pixel_ratio)
+        xmat = _ref_expand_features(feats)
         for params in (initial, trained):
             got, grad = objective(params)
             gw, gb = grad[:-1], grad[-1]
@@ -770,7 +808,7 @@ class TestLossNamesSeeEveryEvaluation:
     @pytest.mark.parametrize("kind", TARGET_KINDS)
     def test_fit_calls_each_loss_once_per_step(self, calls, kind):
         sc, cfg, params, targets = self._setup(kind)
-        _fit(params, feature_planes(gt_features(sc)), targets, cfg, 7, kind)
+        _fit(params, expand_features(gt_features(sc)), targets, cfg, 7, kind)
         assert calls == {
             "seg_loss_ohem": 7,
             "offset_loss": 7 if kind != "no-offsets" else 0,
@@ -780,7 +818,7 @@ class TestLossNamesSeeEveryEvaluation:
 
     def test_train_step_and_objective_on_flat_call_them(self, calls):
         sc, cfg, params, targets = self._setup("stage")
-        _fit(params, feature_planes(gt_features(sc)), targets, cfg, 1, "stage 0")
+        _fit(params, expand_features(gt_features(sc)), targets, cfg, 1, "stage 0")
         objective_on_flat(flatten(params), params, gt_features(sc), targets, cfg.hard_pixel_ratio)
         assert calls == dict.fromkeys(self.NAMES, 2)
 
@@ -798,7 +836,7 @@ class TestObjectiveWorkspace:
         params = TinyPredictorParams.initialize(
             _derive_seed(cfg.seed, 0, 0), feats.shape[2], sc.n_classes
         )
-        return _Objective(params, feature_planes(feats), targets, cfg.hard_pixel_ratio), params
+        return _Objective(params, expand_features(feats), targets, cfg.hard_pixel_ratio), params
 
     @pytest.mark.parametrize("kind", ["stage", "warm-up"])
     def test_steady_state_evaluation_allocates_under_one_plane(self, kind):
@@ -883,7 +921,7 @@ class TestObjectiveWorkspace:
         cfg = MdmConfig()
         targets = _targets_of_kind(sc, corr, cfg, kind)
         start = TinyPredictorParams.initialize(3, feats.shape[2], sc.n_classes)
-        runs = [_fit(start, feature_planes(feats), targets, cfg, 12, kind) for _ in range(2)]
+        runs = [_fit(start, expand_features(feats), targets, cfg, 12, kind) for _ in range(2)]
         (p_a, h_a), (p_b, h_b) = runs
         assert [r.as_dict() for r in h_a] == [r.as_dict() for r in h_b]
         assert len({r.total for r in h_a}) > 1  # the parameters moved

@@ -50,7 +50,7 @@ def offset_loss_of(pred, target):
 def seg_loss_of(scores, target, ratio):
     """seg_loss_ohem over a class score map and its target class grid; the
     gradient as a full score map."""
-    index, n_keep = ohem_target(target.data, scores.channels, ratio)
+    index, n_keep = ohem_target(target.data, scores.data.shape[2], ratio)
     loss, kept, grad = seg_loss_ohem(planes(scores.data), index, n_keep)
     return loss, scattered(kept, grad, scores.data.shape[:2])
 

@@ -1,10 +1,19 @@
+import json
 import logging
 import re
 
 import numpy as np
 import pytest
 
-from pointseg.grids import LabelGrid, Point, PointAnnotationSet
+from pointseg.cli import dispatch
+from pointseg.grids import (
+    LabelGrid,
+    Point,
+    PointAnnotationSet,
+    encode_label_pgm,
+    encode_points_csv,
+    encode_tensor,
+)
 from pointseg.loop import MdmConfig, run_mdm
 from pointseg.synth import Scene
 
@@ -85,3 +94,24 @@ def test_warning_count_counts_one_per_target_build(warmup_iters, n_stages):
     finally:
         logger.removeHandler(ignored)
     assert ignored.count == n_stages
+
+
+@pytest.mark.parametrize("seed, size", [(100, 64), (200, 64), (600, 128)])
+def test_gate_scene_is_the_synth_default_scene(tmp_path, capsys, seed, size):
+    # The gate builds its scenes in-process; the benchmark and users read
+    # `pointseg synth`'s. A default changed in one place only fails here.
+    assert dispatch(["synth", "--out", str(tmp_path), "--seed", str(seed),
+                     "--height", str(size), "--width", str(size)]) == 0
+    capsys.readouterr()
+    scene_dir = tmp_path / f"scene_{seed:08d}"
+    scene, corrupted = quality_gate.gate_scene(seed, size)
+    encoded = {
+        "gt_instances.pgm": encode_label_pgm(scene.gt_instances),
+        "gt_semantic.pgm": encode_label_pgm(scene.gt_semantic),
+        "semantic_in.pgm": encode_label_pgm(corrupted),
+        "points.csv": encode_points_csv(scene.points).encode(),
+        "intensity.mdmt": encode_tensor(scene.intensity),
+    }
+    for name, blob in encoded.items():
+        assert (scene_dir / name).read_bytes() == blob, name
+    assert json.loads((scene_dir / "scene.json").read_text())["n_classes"] == scene.n_classes
