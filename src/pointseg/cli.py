@@ -51,7 +51,7 @@ from .grids import (
 )
 from .i2s import I2SConfig, refresh_semantic
 from .loop import MdmConfig, run_mdm
-from .metrics import _overlaps, ap_report, greedy_match
+from .metrics import ap_report, greedy_match
 from .s2i import (
     assign_points,
     attach_points,
@@ -157,6 +157,14 @@ def _read_text(path: Path) -> str:
         raise PointsegError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
 
 
+def _read_json(path: Path):
+    """The value of a JSON input file, which must be UTF-8."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as err:
+        raise PointsegError(f"{path}: not JSON ({err})") from None
+
+
 def _write(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(payload, bytes):
@@ -242,7 +250,7 @@ def _parse(parser: _Parser, argv: list[str], flags: list[_Flag]) -> tuple[argpar
     args = parser.parse_args(argv)
     file_cfg = {}
     if args.config is not None:
-        file_cfg = json.loads(_read_text(Path(args.config)))
+        file_cfg = _read_json(Path(args.config))
         if not isinstance(file_cfg, dict):
             raise CliUsageError("config file must hold a JSON object")
         unknown = sorted(file_cfg.keys() - set(dests))
@@ -296,18 +304,12 @@ def _cmd_synth(argv: list[str]) -> int:
     n_classes, shapes = opt["classes"], opt["shapes"]
     corruption = {f.path: v for f, v in zip(_SYNTH_FLAGS, opt.values(), strict=True) if f.path}
 
-    if seed < 0:  # before generate_scene checks it: the instance count is drawn from it
-        raise SceneError(f"seed must be >= 0, got {seed}")
     if count < 1:
         raise SceneError(f"count must be >= 1, got {count}")
     out_root = Path(args.out)
     for index in range(count):
         scene_seed = seed + index
-        rng = np.random.default_rng(scene_seed)
-        n_instances = (
-            opt["instances"] if opt["instances"] is not None else int(rng.integers(2, 7))
-        )
-        scene = generate_scene(scene_seed, height, width, n_instances, n_classes, shapes)
+        scene = generate_scene(scene_seed, height, width, opt["instances"], n_classes, shapes)
         corr_cfg = CorruptionConfig(rng_seed=scene_seed + 1, **corruption)
         corrupted = corrupt_semantic(scene, corr_cfg)
         scene_dir = out_root / f"scene_{scene_seed:08d}"
@@ -320,7 +322,7 @@ def _cmd_synth(argv: list[str]) -> int:
             "seed": scene_seed,
             "height": height,
             "width": width,
-            "n_instances": n_instances,
+            "n_instances": len(scene.points),
             "n_classes": n_classes,
             "shapes": shapes,
             "corruption": {**corruption, "rng_seed": scene_seed + 1},
@@ -410,7 +412,7 @@ _SCENE_FILES = (
 
 def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
     path = {name: scene_dir / name for name in _SCENE_FILES}
-    meta = json.loads(_read_text(path["scene.json"]))
+    meta = _read_json(path["scene.json"])
     n_classes = meta.get("n_classes") if isinstance(meta, dict) else None
     # Refused before any array is sized by it.
     if type(n_classes) is not int or not 1 <= n_classes <= PGM_MAX_ID:
@@ -469,8 +471,11 @@ def _train_one(task: tuple[str, str, MdmConfig, dict]) -> str:
     scene_path, out_path, cfg, echo = task
     scene_dir, out_dir = Path(scene_path), Path(out_path)
     t0 = time.time()
-    scene, semantic_in = _load_scene_dir(scene_dir)
-    result = run_mdm(scene, semantic_in, cfg)
+    try:
+        scene, semantic_in = _load_scene_dir(scene_dir)
+        result = run_mdm(scene, semantic_in, cfg)
+    except SceneError as err:  # a broken scene names its directory
+        raise SceneError(f"{scene_dir}: {err}") from None
     for stage in result.stages:
         stage_dir = out_dir / f"stage_{stage.stage_idx:02d}"
         _write(stage_dir / "pseudo_instances.pgm", encode_label_pgm(stage.pseudo_instances))
@@ -540,15 +545,12 @@ def _eval_one(task: tuple[str, str, str | None, str | None, str]) -> str:
     pred_classes = _read_classes_csv(Path(pred_cls_path), pred) if pred_cls_path else None
     gt_classes = _read_classes_csv(Path(gt_cls_path), gt) if gt_cls_path else None
     class_aware = pred_classes is not None and gt_classes is not None
-    table = _overlaps(pred, gt)  # one overlap table serves both reports
-    match = greedy_match(pred, gt, pred_classes, gt_classes, class_aware, overlaps=table)
-    ap = ap_report(pred, gt, pred_classes, gt_classes, overlaps=table)
+    match = greedy_match(pred, gt, pred_classes, gt_classes, class_aware)
+    ap = ap_report(pred, gt, pred_classes, gt_classes)  # reads the table matching counted
     metrics = {
         "counts": _counts_json(match.counts),
         "overall_iou": match.overall_iou,
-        "map50": ap.map50,
-        "map70": ap.map70,
-        "map75": ap.map75,
+        **vars(ap),  # map50, map70, map75: ApReport's fields in their order
     }
     out_dir = Path(out_path)
     _write(out_dir / "metrics.json", json.dumps(metrics, indent=2) + "\n")
@@ -634,7 +636,7 @@ def dispatch(argv: list[str]) -> int:
         return 1
     except SystemExit as err:  # argparse -h lands here
         return int(err.code or 0)
-    except (PointsegError, OSError, json.JSONDecodeError, MemoryError) as err:
+    except (PointsegError, OSError, MemoryError) as err:
         # NumPy's MemoryError names the array it could not allocate.
         sys.stderr.write(f"error: {str(err) or 'out of memory'}\n")
         return 2

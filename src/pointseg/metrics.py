@@ -1,13 +1,15 @@
 """Pseudo-label quality metrics: greedy matching and average precision.
 
-Both metrics read one overlap table. `_overlaps` counts every (pred id, gt id)
-pixel pair in a single pass over the grids and turns the counts into a
-(P, G) IoU table. `_claim` is the one greedy claim that matching and each
-AP threshold run on that table; no metric builds a per-instance mask.
+Both metrics read one overlap table: `_overlaps` counts every (pred id, gt id)
+pixel pair in one pass into a (P, G) IoU table and the one confidence order,
+cached for the last pair of (read-only) grids so that matching and AP count
+it once. `_claim` is the one greedy claim that matching and each AP
+threshold run on that table; no metric builds a per-instance mask.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -48,9 +50,11 @@ class ApReport:
     map75: float
 
 
-def _overlaps(pred: LabelGrid, gt: LabelGrid) -> tuple:
-    """(pred, gt, pred ids, gt ids, pred areas, (P, G) IoU table): the table
-    led by the two grids it counts, ids sorted, foreground only.
+@lru_cache(maxsize=1)
+def _overlaps(pred: LabelGrid, gt: LabelGrid) -> tuple[np.ndarray, ...]:
+    """(pred ids, gt ids, confidence order, (P, G) IoU table), read-only:
+    ids sorted, foreground only; the order lists the pred rows by
+    descending size, then ascending id.
 
     One np.unique over joint int64 keys pred * (max gt id + 1) + gt counts
     every pixel pair; ids may reach the int32 maximum, so nothing is sized
@@ -72,16 +76,11 @@ def _overlaps(pred: LabelGrid, gt: LabelGrid) -> tuple:
     p_area, g_area = inter.sum(axis=1)[p_fg], inter.sum(axis=0)[g_fg]
     inter = inter[np.ix_(p_fg, g_fg)]
     iou = inter / (p_area[:, None] + g_area[None, :] - inter)
-    return pred, gt, pred_ids[p_fg], gt_ids[g_fg], p_area, iou
-
-
-def _table(pred: LabelGrid, gt: LabelGrid, overlaps: tuple | None) -> tuple[np.ndarray, ...]:
-    """The ids, areas and IoU of `overlaps`, which must have counted these
-    very grids, or of a new _overlaps(pred, gt) when it is None."""
-    table = _overlaps(pred, gt) if overlaps is None else overlaps
-    if table[:2] != (pred, gt):  # LabelGrid compares by identity
-        raise EvalError("the overlap table was counted on other grids")
-    return table[2:]
+    pred_ids, gt_ids = pred_ids[p_fg], gt_ids[g_fg]
+    table = (pred_ids, gt_ids, np.lexsort((pred_ids, -p_area)), iou)
+    for arr in table:  # the cache hands the same arrays to every caller
+        arr.setflags(write=False)
+    return table
 
 
 def _claim(iou: np.ndarray, order: np.ndarray, threshold: float) -> np.ndarray:
@@ -113,7 +112,6 @@ def greedy_match(
     pred_classes: Mapping[int, int] | None = None,
     gt_classes: Mapping[int, int] | None = None,
     class_aware: bool = False,
-    *, overlaps: tuple | None = None,
 ) -> MatchReport:
     """Greedy one-to-one matching of predictions onto ground truth.
 
@@ -122,19 +120,14 @@ def greedy_match(
     ground-truth instance (same class when class_aware) with the highest
     positive IoU, ties to the lowest gt id. With class_aware, every id of
     either grid needs a class in its side's map.
-
-    overlaps is internal: `pointseg eval` passes the table that
-    metrics._overlaps(pred, gt) counted on these very grids, so that
-    matching and AP count it once; a table of other grids is refused.
     """
-    pred_ids, gt_ids, p_area, iou = _table(pred, gt, overlaps)
+    pred_ids, gt_ids, order, iou = _overlaps(pred, gt)
     if class_aware:
         if pred_classes is None or gt_classes is None:
             raise EvalError("class-aware matching needs class maps for both sides")
         pc = _class_column(pred_ids, pred_classes, "pred")
         gc = _class_column(gt_ids, gt_classes, "gt")
         iou = np.where(pc[:, None] == gc[None, :], iou, 0.0)
-    order = np.lexsort((pred_ids, -p_area))
     ious = {int(g): 0.0 for g in gt_ids}
     matches: dict[int, int | None] = {int(g): None for g in gt_ids}
     for row, col in zip(order, _claim(iou, order, 0.0)):
@@ -168,19 +161,16 @@ def ap_report(
     gt: LabelGrid,
     pred_classes: Mapping[int, int] | None = None,
     gt_classes: Mapping[int, int] | None = None,
-    *, overlaps: tuple | None = None,
 ) -> ApReport:
     """AP at the fixed threshold trio; instance size stands in for confidence.
 
     Each mAP is the mean AP over every class on either side; a class with
     predictions but no ground truth contributes AP 0. An instance that its
     side's class map does not list, or that has no class map, is class 1.
-    overlaps is internal, as for greedy_match.
     """
-    pred_ids, gt_ids, p_area, iou = _table(pred, gt, overlaps)
+    pred_ids, gt_ids, order, iou = _overlaps(pred, gt)
     pc = np.array([(pred_classes or {}).get(int(i), 1) for i in pred_ids], dtype=np.int64)
     gc = np.array([(gt_classes or {}).get(int(i), 1) for i in gt_ids], dtype=np.int64)
-    order = np.lexsort((pred_ids, -p_area))
     per_class = [(iou[:, gc == c], order[pc[order] == c]) for c in sorted(set(pc) | set(gc))]
     maps = [
         float(np.mean([_ap_single_class(cols, rows, t) for cols, rows in per_class]))

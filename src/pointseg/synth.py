@@ -130,7 +130,7 @@ def generate_scene(
     seed: int,
     h: int = 64,
     w: int = 64,
-    n_instances: int = 4,
+    n_instances: int | None = None,
     n_classes: int = 3,
     shape_kind: str = "mixed",
 ) -> Scene:
@@ -138,10 +138,13 @@ def generate_scene(
 
     Classes are assigned round-robin so the pigeonhole guarantees same-class
     pairs whenever n_instances > n_classes. The image is a per-instance
-    jittered intensity on a zero background.
+    jittered intensity on a zero background. n_instances None, `pointseg
+    synth`'s default, is drawn from 2-6 by a generator of its own on the seed.
     """
     if seed < 0:
         raise SceneError(f"seed must be >= 0, got {seed}")
+    if n_instances is None:
+        n_instances = int(np.random.default_rng(seed).integers(2, 7))
     if h < 1 or w < 1:
         raise SceneError(f"grid must be at least 1 x 1, got {h} x {w}")
     if n_instances < 1 or not 1 <= n_classes <= PGM_MAX_ID:  # a label PGM's largest id

@@ -39,8 +39,6 @@ import statistics
 import sys
 import time
 
-import numpy as np
-
 from pointseg.grids import LabelGrid
 from pointseg.loop import MdmConfig, run_mdm
 from pointseg.metrics import greedy_match
@@ -79,8 +77,7 @@ def scene_row(seed: int, size: int = 64) -> tuple[int, int, float, float, int]:
 def gate_scene(seed: int, size: int = 64) -> tuple[Scene, LabelGrid]:
     """The scene of one seed and its corrupted semantic map, as `pointseg
     synth --seed <seed> --height <size> --width <size>` writes them."""
-    n_instances = int(np.random.default_rng(seed).integers(2, 7))
-    scene = generate_scene(seed, size, size, n_instances, 3)
+    scene = generate_scene(seed, size, size, None, 3)
     corrupted = corrupt_semantic(scene, CorruptionConfig(
         dilation_px=2, merge_adjacent=True, flip_rate=0.02, rng_seed=seed + 1,
     ))

@@ -233,30 +233,30 @@ class TestTrainEvalCli:
             assert metrics["overall_iou"] == 100.0
 
     def test_eval_reads_one_overlap_table_per_pair(self, scene_dir, tmp_path, monkeypatch):
-        # Matching and AP share one table; both are still called through
-        # the names cli imports, where perfbench's tracer rebinds them.
+        # Matching counts the pair's table and AP reads it from the cache;
+        # both are still called through the names cli imports, where
+        # perfbench's tracer rebinds them.
         from pointseg import metrics
 
         calls = []
-        for module, name in ((cli, "_overlaps"), (metrics, "_overlaps"),
-                             (cli, "greedy_match"), (cli, "ap_report")):
-            def spy(*args, _real=getattr(module, name), _key=f"{module.__name__}.{name}",
-                    **kwargs):
-                calls.append(_key)
+        for name in ("greedy_match", "ap_report"):
+            def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
+                calls.append(_name)
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, spy)
+            monkeypatch.setattr(cli, name, spy)
         s2i = tmp_path / "s2i"
         assert dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
                          "--points", str(scene_dir / "points.csv"), "--out", str(s2i)]) == 0
         classes = str(s2i / "classes.csv")
         for flags in ([], ["--pred-classes", classes, "--gt-classes", classes]):
             calls.clear()
+            hits, misses = metrics._overlaps.cache_info()[:2]
             assert dispatch(["eval", "--pred", str(s2i / "instances.pgm"),
                              "--gt", str(scene_dir / "gt_instances.pgm"), *flags,
                              "--out", str(tmp_path / f"eval{len(flags)}")]) == 0
-            assert calls == ["pointseg.cli._overlaps", "pointseg.cli.greedy_match",
-                             "pointseg.cli.ap_report"]
+            assert calls == ["greedy_match", "ap_report"]
+            assert metrics._overlaps.cache_info()[:2] == (hits + 1, misses + 1)
 
     def test_jobs_2_writes_what_jobs_1_writes(self, tmp_path):
         # Each scene's config crosses the process pool; the outputs must not
@@ -870,10 +870,23 @@ def _damage_point_position(scene: Path) -> None:
     (scene / "points.csv").write_text("\n".join(rows) + "\n")
 
 
+def _damage_semantic_in_shape(scene: Path) -> None:
+    sem = decode_label_pgm((scene / "semantic_in.pgm").read_bytes())
+    (scene / "semantic_in.pgm").write_bytes(encode_label_pgm(LabelGrid(sem.data[:, 2:])))
+
+
+def _damage_semantic_in_class(scene: Path) -> None:
+    # The scene has 3 classes.
+    data = decode_label_pgm((scene / "semantic_in.pgm").read_bytes()).data.copy()
+    data[0, 0] = 4
+    (scene / "semantic_in.pgm").write_bytes(encode_label_pgm(LabelGrid(data)))
+
+
 class TestSceneValidationCli:
     @pytest.mark.parametrize("damage", [
         _damage_features, _damage_point_class, _damage_gt_semantic, _damage_point_position,
         _damage_gt_instance_id, _damage_features_nan, _damage_intensity_dims,
+        _damage_semantic_in_shape, _damage_semantic_in_class,
     ])
     def test_broken_scene_exit_2(self, scene_dir, tmp_path, capsys, damage):
         scene = tmp_path / "scene"
@@ -887,6 +900,8 @@ class TestSceneValidationCli:
         assert "--lr" not in err
         if damage is _damage_features_nan:
             assert "intensity" in err
+        if damage is not _damage_intensity_dims:  # a scene check: it names the scene
+            assert err.startswith(f"error: {scene}: ")
         assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("meta", [
@@ -1098,6 +1113,21 @@ def test_non_utf8_text_input_exit_2(scene_dir, tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(bad) in err and "not UTF-8" in err
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("target", ["scene_json", "config"])
+def test_unparsable_json_input_exit_2(scene_dir, tmp_path, capsys, target):
+    scene = tmp_path / "scene"
+    shutil.copytree(scene_dir, scene)
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    bad = {"scene_json": scene / "scene.json", "config": config}[target]
+    bad.write_text("{")
+    assert dispatch(["train", "--scene", str(scene), "--out", str(tmp_path / "t"),
+                     "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not JSON (") and err.count("\n") == 1
     assert not (tmp_path / "t").exists()
 
 

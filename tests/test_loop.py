@@ -695,9 +695,9 @@ def _ref_fit(params, features, targets, cfg, iters):
 
 
 def _synth_scene(seed, size=64):
-    """A size x size scene, its corrupted semantic map, as `pointseg synth`
-    makes them (64x64 by default), and the predictor features run_mdm
-    builds from them."""
+    """A size x size scene (64x64 by default) of 4 instances and 3 classes,
+    its semantic map under `pointseg synth`'s default corruption, and the
+    predictor features run_mdm builds from them."""
     sc = generate_scene(seed, size, size, 4, 3)
     corr = corrupt_semantic(sc, CorruptionConfig(
         dilation_px=2, merge_adjacent=True, flip_rate=0.02, rng_seed=seed + 1,

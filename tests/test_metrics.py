@@ -236,37 +236,34 @@ class TestOverlapTableMatchesMaskOracle:
 
 
 class TestSharedOverlapTable:
-    """`pointseg eval` counts one table per pair and hands it to both
-    metrics; a table counted on other grids must be refused, not used."""
+    """Matching and AP on one pair read one cached table; any other pair,
+    an equal copy of a grid included, is counted afresh."""
 
     def test_a_shared_table_gives_the_reports_of_none(self):
         rng = np.random.default_rng(77)
         for _ in range(50):
             pred, gt = random_label_grid(rng, 9, 11, 4), random_label_grid(rng, 9, 11, 3)
             pc, gc = random_classes(rng, pred, 2), random_classes(rng, gt, 2)
+            hits, misses = metrics._overlaps.cache_info()[:2]
+            match, ap = greedy_match(pred, gt, pc, gc, True), ap_report(pred, gt, pc, gc)
+            # The last loop's pair is cached: this pair misses once, then hits.
+            assert metrics._overlaps.cache_info()[:2] == (hits + 1, misses + 1)
             table = metrics._overlaps(pred, gt)
-            assert_reports_equal(
-                greedy_match(pred, gt, pc, gc, True, overlaps=table),
-                greedy_match(pred, gt, pc, gc, True),
-            )
-            assert_reports_equal(ap_report(pred, gt, pc, gc, overlaps=table),
-                                 ap_report(pred, gt, pc, gc))
+            copy = LabelGrid(pred.data)  # the same ids, another grid
+            assert metrics._overlaps(copy, gt) is not table
+            for other in (copy, pred):  # each call below counts its own table
+                metrics._overlaps.cache_clear()
+                assert_reports_equal(greedy_match(other, gt, pc, gc, True), match)
+                metrics._overlaps.cache_clear()
+                assert_reports_equal(ap_report(other, gt, pc, gc), ap)
+            assert metrics._overlaps.cache_info()[:2] == (0, 1)
 
-    def test_a_table_of_other_grids_is_refused(self):
-        pred, gt = grid([[1, 1, 0], [0, 2, 2]]), grid([[1, 0, 0], [0, 2, 2]])
-        equal_copy = grid(pred.data)  # the same ids, another grid
-        wider = grid([[1, 1, 0, 0], [0, 2, 2, 0]])
-        for other in (metrics._overlaps(equal_copy, gt), metrics._overlaps(gt, pred),
-                      metrics._overlaps(wider, wider)):
-            with pytest.raises(EvalError, match="other grids"):
-                greedy_match(pred, gt, overlaps=other)
-            with pytest.raises(EvalError, match="other grids"):
-                ap_report(pred, gt, overlaps=other)
-
-    def test_overlaps_is_keyword_only(self):
-        table = metrics._overlaps(grid([[1]]), grid([[1]]))
-        with pytest.raises(TypeError):
-            ap_report(grid([[1]]), grid([[1]]), None, None, table)
+    def test_the_cached_table_is_read_only(self):
+        pred, gt = grid([[1, 2], [0, 2]]), grid([[1, 1], [1, 1]])
+        pred_ids, gt_ids, order, iou = metrics._overlaps(pred, gt)
+        assert order.tolist() == [1, 0]  # size 2 before size 1
+        for arr in (pred_ids, gt_ids, order, iou):
+            assert not arr.flags.writeable
 
 
 class TestMaskIou:

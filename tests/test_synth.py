@@ -42,6 +42,15 @@ class TestGenerateScene:
     def test_deterministic_per_seed(self):
         assert scenes_equal(generate_scene(1, 48, 48, 3, 3), generate_scene(1, 48, 48, 3, 3))
 
+    def test_default_instance_count_is_drawn_from_the_seed(self):
+        # By a generator of its own: placement reads the stream it reads
+        # when the drawn count is passed in.
+        for seed in range(4):
+            drawn = int(np.random.default_rng(seed).integers(2, 7))
+            sc = generate_scene(seed, 32, 32)
+            assert len(sc.points) == drawn
+            assert scenes_equal(sc, generate_scene(seed, 32, 32, drawn))
+
     def test_two_rects_have_ids_0_1_2(self):
         sc = generate_scene(2, 64, 64, 2, 3, shape_kind="rect")
         assert set(np.unique(sc.gt_instances.data)) == {0, 1, 2}
