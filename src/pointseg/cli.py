@@ -2,8 +2,9 @@
 
 Subcommands: synth | s2i | i2s | train | eval | render. Every
 output directory receives a manifest.json with the tool version, the full
-configuration echo, FNV-1a digests of the inputs, and wall-clock seconds.
-Exit codes: 0 success, 1 usage error, 2 data error (or out of memory).
+configuration echo, FNV-1a digests of the inputs as read, and wall-clock
+seconds. Exit codes: 0 success, 1 usage error, 2 data error (or out of
+memory); an input file that fails to decode is named in its error.
 
 Each subcommand but render declares its settings once, in a flag table.
 `--config` names a JSON object whose keys are exactly that table's flags
@@ -165,6 +166,22 @@ def _read_json(path: Path):
         raise PointsegError(f"{path}: not JSON ({err})") from None
 
 
+def _read_inputs(paths: list[Path]) -> dict[str, bytes]:
+    """The bytes of each input file, read once, before any output is
+    written. Binary inputs are decoded from them and the manifest digests
+    them, so an input that an output overwrites is digested as it was read."""
+    return {str(p): p.read_bytes() for p in paths}
+
+
+def _decoded(path: str | Path, inputs: dict[str, bytes], decode):
+    """decode(the bytes read of the input file `path`); a payload it refuses
+    is a GridError that names the file."""
+    try:
+        return decode(inputs[str(Path(path))])
+    except GridError as err:
+        raise GridError(f"{path}: {err}") from None
+
+
 def _write(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(payload, bytes):
@@ -173,15 +190,13 @@ def _write(path: Path, payload) -> None:
         path.write_text(payload)
 
 
-def _write_manifest(out_dir: Path, subcommand: str, config: dict, inputs: list[Path], t0: float) -> None:
+def _write_manifest(out_dir: Path, subcommand: str, config: dict, inputs: dict[str, bytes], t0: float) -> None:
     manifest = {
         "tool": "pointseg",
         "version": __version__,
         "subcommand": subcommand,
         "config": config,
-        "inputs": {
-            str(p): f"fnv1a64:{fnv1a64(Path(p).read_bytes()):016x}" for p in inputs
-        },
+        "inputs": {p: f"fnv1a64:{fnv1a64(blob):016x}" for p, blob in inputs.items()},
         "wall_seconds": round(time.time() - t0, 3),
     }
     _write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
@@ -331,7 +346,7 @@ def _cmd_synth(argv: list[str]) -> int:
         _write_manifest(
             scene_dir, "synth",
             {**scene_json, "count_index": index},
-            [], t0,
+            {}, t0,
         )
         print(f"synth: wrote {scene_dir}")
     return 0
@@ -351,7 +366,8 @@ def _cmd_s2i(argv: list[str]) -> int:
     args, opt = _parse(parser, argv, _S2I_FLAGS)
     t0 = time.time()
 
-    semantic = decode_label_pgm(Path(args.semantic).read_bytes())
+    inputs = _read_inputs([Path(args.semantic), Path(args.points)])
+    semantic = _decoded(args.semantic, inputs, decode_label_pgm)
     points = decode_points_csv(_read_text(Path(args.points)), args.points)
     try:
         points.validate_on(*semantic.shape)
@@ -368,7 +384,7 @@ def _cmd_s2i(argv: list[str]) -> int:
     _write(out_dir / "offsets.mdmt", encode_tensor(offsets.to_tensor()))
     _write(out_dir / "classes.csv", _classes_csv(instances, points))
     _write(out_dir / "class_grid.pgm", encode_label_pgm(classes))
-    _write_manifest(out_dir, "s2i", opt, [Path(args.semantic), Path(args.points)], t0)
+    _write_manifest(out_dir, "s2i", opt, inputs, t0)
     print(f"s2i: wrote {out_dir}")
     return 0
 
@@ -389,13 +405,14 @@ def _cmd_i2s(argv: list[str]) -> int:
     args, opt = _parse(parser, argv, _I2S_FLAGS)
     t0 = time.time()
 
-    instances = decode_label_pgm(Path(args.instances).read_bytes())
-    class_map = ClassScoreMap(decode_tensor(Path(args.classmap).read_bytes()))
+    inputs = _read_inputs([Path(args.instances), Path(args.classmap)])
+    instances = _decoded(args.instances, inputs, decode_label_pgm)
+    class_map = _decoded(args.classmap, inputs, lambda blob: ClassScoreMap(decode_tensor(blob)))
     refreshed = refresh_semantic(instances, class_map, I2SConfig(**opt))
     out_dir = Path(args.out)
     _write(out_dir / "classmap.mdmt", encode_tensor(refreshed.data))
     _write(out_dir / "semantic_out.pgm", encode_label_pgm(refreshed.argmax_grid()))
-    _write_manifest(out_dir, "i2s", opt, [Path(args.instances), Path(args.classmap)], t0)
+    _write_manifest(out_dir, "i2s", opt, inputs, t0)
     print(f"i2s: wrote {out_dir}")
     return 0
 
@@ -410,8 +427,10 @@ _SCENE_FILES = (
 )
 
 
-def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
+def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid, dict[str, bytes]]:
+    """The scene, its corrupted semantic map and the bytes of its files."""
     path = {name: scene_dir / name for name in _SCENE_FILES}
+    inputs = _read_inputs(list(path.values()))
     meta = _read_json(path["scene.json"])
     n_classes = meta.get("n_classes") if isinstance(meta, dict) else None
     # Refused before any array is sized by it.
@@ -419,12 +438,13 @@ def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid]:
         raise PointsegError(
             f"{path['scene.json']}: expected a JSON object with n_classes 1..{PGM_MAX_ID}"
         )
-    gt_instances = decode_label_pgm(path["gt_instances.pgm"].read_bytes())
-    gt_semantic = decode_label_pgm(path["gt_semantic.pgm"].read_bytes())
-    semantic_in = decode_label_pgm(path["semantic_in.pgm"].read_bytes())
+    gt_instances = _decoded(path["gt_instances.pgm"], inputs, decode_label_pgm)
+    gt_semantic = _decoded(path["gt_semantic.pgm"], inputs, decode_label_pgm)
+    semantic_in = _decoded(path["semantic_in.pgm"], inputs, decode_label_pgm)
     points = decode_points_csv(_read_text(path["points.csv"]), str(path["points.csv"]))
-    intensity = decode_tensor(path["intensity.mdmt"].read_bytes())
-    return Scene(gt_instances, gt_semantic, points, intensity, n_classes), semantic_in
+    intensity = _decoded(path["intensity.mdmt"], inputs, decode_tensor)
+    scene = Scene(gt_instances, gt_semantic, points, intensity, n_classes)
+    return scene, semantic_in, inputs
 
 
 _TRAIN_FLAGS = [
@@ -472,7 +492,7 @@ def _train_one(task: tuple[str, str, MdmConfig, dict]) -> str:
     scene_dir, out_dir = Path(scene_path), Path(out_path)
     t0 = time.time()
     try:
-        scene, semantic_in = _load_scene_dir(scene_dir)
+        scene, semantic_in, inputs = _load_scene_dir(scene_dir)
         result = run_mdm(scene, semantic_in, cfg)
     except SceneError as err:  # a broken scene names its directory
         raise SceneError(f"{scene_dir}: {err}") from None
@@ -492,7 +512,7 @@ def _train_one(task: tuple[str, str, MdmConfig, dict]) -> str:
         _write(stage_dir / "losses.jsonl", "\n".join(lines) + "\n")
     warm = [json.dumps(r.as_dict()) for r in result.warmup_losses]
     _write(out_dir / "warmup_losses.jsonl", "\n".join(warm) + ("\n" if warm else ""))
-    _write_manifest(out_dir, "train", echo, [scene_dir / name for name in _SCENE_FILES], t0)
+    _write_manifest(out_dir, "train", echo, inputs, t0)
     final = result.final.metrics.overall_iou
     return f"train: {scene_dir.name} final overall_iou {final:.2f} -> {out_dir}"
 
@@ -540,8 +560,9 @@ def _read_classes_csv(path: Path, grid: LabelGrid) -> dict[int, int]:
 def _eval_one(task: tuple[str, str, str | None, str | None, str]) -> str:
     pred_path, gt_path, pred_cls_path, gt_cls_path, out_path = task
     t0 = time.time()
-    pred = decode_label_pgm(Path(pred_path).read_bytes())
-    gt = decode_label_pgm(Path(gt_path).read_bytes())
+    inputs = _read_inputs([Path(p) for p in (pred_path, gt_path, pred_cls_path, gt_cls_path) if p])
+    pred = _decoded(pred_path, inputs, decode_label_pgm)
+    gt = _decoded(gt_path, inputs, decode_label_pgm)
     pred_classes = _read_classes_csv(Path(pred_cls_path), pred) if pred_cls_path else None
     gt_classes = _read_classes_csv(Path(gt_cls_path), gt) if gt_cls_path else None
     class_aware = pred_classes is not None and gt_classes is not None
@@ -554,7 +575,6 @@ def _eval_one(task: tuple[str, str, str | None, str | None, str]) -> str:
     }
     out_dir = Path(out_path)
     _write(out_dir / "metrics.json", json.dumps(metrics, indent=2) + "\n")
-    inputs = [Path(p) for p in (pred_path, gt_path, pred_cls_path, gt_cls_path) if p]
     _write_manifest(out_dir, "eval", {"class_aware": class_aware}, inputs, t0)
     return f"eval: overall_iou {match.overall_iou:.2f} -> {out_dir / 'metrics.json'}"
 
@@ -597,7 +617,7 @@ def _cmd_render(argv: list[str]) -> int:
     parser.add_argument("--input", required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    grid = decode_label_pgm(Path(args.input).read_bytes())
+    grid = _decoded(args.input, _read_inputs([Path(args.input)]), decode_label_pgm)
     _write(Path(args.out), encode_label_ppm(grid))
     print(f"render: wrote {args.out}")
     return 0

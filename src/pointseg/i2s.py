@@ -99,39 +99,68 @@ def build_affinity_targets(
     differ by at most one unless one side runs out. Sampling is deterministic
     per seed. A radius past the grid samples as the largest radius that fits.
 
-    Each candidate is listed as a key, its offset's index in
-    _half_plane_offsets times H * W plus its window position. Keys are drawn
-    without replacement, positives first, and the pairs come out sorted by
-    key, the order of the full candidate list.
+    Both ends of a candidate lie within pair_radius of the foreground's
+    bounding box, so the draw works on that box alone. Each side marks its
+    candidates on one boolean plane of the box per offset of
+    _half_plane_offsets, at the pair's first end, and counts each plane as it
+    marks it. A candidate's key is its offset's index times the box's size
+    plus its first end's raster index in the box, and its rank is its place
+    in key order: window raster order is box raster order, and box raster
+    order is grid raster order. Ranks are drawn without replacement,
+    positives first. The cumulative plane counts give each drawn rank its
+    plane and its rank within that plane, and one np.flatnonzero of the
+    plane gives its first end. The pairs come out sorted by key, the order
+    of the full candidate list.
     """
-    lab = instances.data
-    h, w = lab.shape
-    fg = lab > 0
-    offsets, pos, neg = [], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for k, (dy, dx) in enumerate(_half_plane_offsets(cfg.pair_radius, h, w)):
-        win_a, win_b = _offset_windows(h, w, dy, dx)
+    h, w = instances.shape
+    fg = instances.data > 0
+    rows, cols = np.flatnonzero(fg.any(axis=1)), np.flatnonzero(fg.any(axis=0))
+    if not len(rows):
+        raise PipelineError("no affinity pairs")
+    r = min(cfg.pair_radius, max(h, w))
+    y0, x0 = max(int(rows[0]) - r, 0), max(int(cols[0]) - r, 0)
+    box = np.s_[y0 : int(rows[-1]) + r + 1, x0 : int(cols[-1]) + r + 1]
+    lab, fg = instances.data[box], fg[box]
+    bh, bw = lab.shape
+    offsets = _half_plane_offsets(cfg.pair_radius, bh, bw)
+    planes = np.zeros((2, len(offsets), bh, bw), dtype=bool)  # positives, negatives
+    counts = np.zeros((2, len(offsets)), dtype=np.int64)
+    for k, (dy, dx) in enumerate(offsets):
+        win_a, win_b = _offset_windows(bh, bw, dy, dx)
         same = (lab[win_a] == lab[win_b]) & fg[win_a]
-        offsets.append((dy, dx, w - abs(dx)))
-        pos.append(k * lab.size + np.flatnonzero(same))
-        neg.append(k * lab.size + np.flatnonzero((fg[win_a] | fg[win_b]) & ~same))
-    pos, neg = np.concatenate(pos), np.concatenate(neg)
-    if len(pos) + len(neg) == 0:
+        # A same-instance pair has both ends in the foreground.
+        for side, marks in enumerate((same, (fg[win_a] | fg[win_b]) ^ same)):
+            planes[side, k][win_a] = marks
+            counts[side, k] = np.count_nonzero(marks)
+    supply = counts.sum(axis=1).tolist()
+    if sum(supply) == 0:
         raise PipelineError("no affinity pairs")
 
     rng = np.random.default_rng(seed)
-    n_pos = min(len(pos), (cfg.max_pairs + 1) // 2)
-    n_neg = min(len(neg), cfg.max_pairs - n_pos)
-    n_pos = min(len(pos), cfg.max_pairs - n_neg)
-    keys, targets = [], []
-    for n_draw, side, target in ((n_pos, pos, 1.0), (n_neg, neg, 0.0)):
-        keys.append(side[rng.choice(len(side), n_draw, replace=False)])
-        targets.append(np.full(n_draw, target))
+    n_pos = min(supply[0], (cfg.max_pairs + 1) // 2)
+    n_neg = min(supply[1], cfg.max_pairs - n_pos)
+    n_pos = min(supply[0], cfg.max_pairs - n_neg)
+    keys = []
+    for side, n_draw in enumerate((n_pos, n_neg)):
+        ranks = np.sort(rng.choice(supply[side], n_draw, replace=False))
+        ends = np.cumsum(counts[side])
+        plane = np.searchsorted(ends, ranks, side="right")
+        within = ranks - (ends[plane] - counts[side, plane])
+        first = np.empty_like(within)
+        # Sorted, the draws on plane k are one run, [lo, hi).
+        lo = 0
+        for k, hi in enumerate(np.searchsorted(plane, np.arange(1, len(offsets) + 1)).tolist()):
+            if hi > lo:
+                first[lo:hi] = np.flatnonzero(planes[side, k])[within[lo:hi]]
+                lo = hi
+        keys.append(plane * lab.size + first)
     keys = np.concatenate(keys)
     order = np.argsort(keys)
     k, at = np.divmod(keys[order], lab.size)
-    dy, dx, width = np.array(offsets)[k].T
-    a = at // width * w + at % width + np.maximum(0, -dx)
-    return AffinitySampleSet(a=a, b=a + dy * w + dx, targets=np.concatenate(targets)[order])
+    dy, dx = np.array(offsets)[k].T
+    a = (at // bw + y0) * w + at % bw + x0
+    targets = np.repeat([1.0, 0.0], [n_pos, n_neg])[order]
+    return AffinitySampleSet(a=a, b=a + dy * w + dx, targets=targets)
 
 
 def refresh_semantic(

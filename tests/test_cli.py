@@ -805,8 +805,22 @@ class TestI2sCli:
                          "--classmap", str(classmap), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: dim/payload mismatch") and err.count("\n") == 1
+        assert err.startswith(f"error: {classmap}: dim/payload mismatch") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_input_overwritten_by_an_output_is_digested_as_read(self, scene_dir, tmp_path):
+        # --classmap names the file that i2s writes its refreshed map to.
+        out = tmp_path / "out"
+        out.mkdir()
+        shape = decode_label_pgm((scene_dir / "gt_instances.pgm").read_bytes()).shape
+        classmap = out / "classmap.mdmt"
+        classmap.write_bytes(encode_tensor(np.random.default_rng(3).random((*shape, 4))))
+        read = classmap.read_bytes()
+        assert dispatch(["i2s", "--instances", str(scene_dir / "gt_instances.pgm"),
+                         "--classmap", str(classmap), "--out", str(out)]) == 0
+        assert classmap.read_bytes() != read
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs[str(classmap)] == f"fnv1a64:{fnv1a64(read):016x}"
 
 
 class TestRuntimeImports:
@@ -900,7 +914,9 @@ class TestSceneValidationCli:
         assert "--lr" not in err
         if damage is _damage_features_nan:
             assert "intensity" in err
-        if damage is not _damage_intensity_dims:  # a scene check: it names the scene
+        if damage is _damage_intensity_dims:  # a decode error: it names the file
+            assert err.startswith(f"error: {scene / 'intensity.mdmt'}: ")
+        else:  # a scene check: it names the scene
             assert err.startswith(f"error: {scene}: ")
         assert not (tmp_path / "t").exists()
 
@@ -1129,6 +1145,64 @@ def test_unparsable_json_input_exit_2(scene_dir, tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not JSON (") and err.count("\n") == 1
     assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("command, target", [
+    ("s2i", "semantic"), ("i2s", "instances"), ("i2s", "classmap"), ("train", "semantic_in"),
+    ("train", "intensity"), ("eval", "pred"), ("eval", "gt"), ("render", "input"),
+])
+def test_undecodable_pgm_or_mdmt_input_names_file_exit_2(
+    scene_dir, tmp_path, capsys, command, target
+):
+    scene = tmp_path / "scene"
+    shutil.copytree(scene_dir, scene)
+    semantic = decode_label_pgm((scene / "semantic_in.pgm").read_bytes())
+    classmap = tmp_path / "classmap.mdmt"
+    classmap.write_bytes(encode_tensor(np.eye(4)[semantic.data]))
+    out = str(tmp_path / "t")
+    bad, argv = {
+        ("s2i", "semantic"): (scene / "semantic_in.pgm",
+                              ["--semantic", str(scene / "semantic_in.pgm"),
+                               "--points", str(scene / "points.csv")]),
+        ("i2s", "instances"): (scene / "gt_instances.pgm",
+                               ["--instances", str(scene / "gt_instances.pgm"),
+                                "--classmap", str(classmap)]),
+        ("i2s", "classmap"): (classmap, ["--instances", str(scene / "gt_instances.pgm"),
+                                         "--classmap", str(classmap)]),
+        ("train", "semantic_in"): (scene / "semantic_in.pgm", ["--scene", str(scene)]),
+        ("train", "intensity"): (scene / "intensity.mdmt", ["--scene", str(scene)]),
+        ("eval", "pred"): (scene / "gt_instances.pgm",
+                           ["--pred", str(scene / "gt_instances.pgm"),
+                            "--gt", str(scene / "gt_semantic.pgm")]),
+        ("eval", "gt"): (scene / "gt_semantic.pgm",
+                         ["--pred", str(scene / "gt_instances.pgm"),
+                          "--gt", str(scene / "gt_semantic.pgm")]),
+        ("render", "input"): (scene / "gt_instances.pgm",
+                              ["--input", str(scene / "gt_instances.pgm")]),
+    }[command, target]
+    bad.write_bytes(bad.read_bytes()[:-1])  # one payload byte short
+    assert dispatch([command, *argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("command", ["s2i", "i2s", "eval", "render"])
+def test_input_paths_with_dot_segments(scene_dir, tmp_path, command):
+    # Each input is read once, keyed by its path: a path spelt with "." and
+    # "//" segments must find its bytes.
+    semantic = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
+    classmap = tmp_path / "classmap.mdmt"
+    classmap.write_bytes(encode_tensor(np.eye(4)[semantic.data]))
+    odd = {name: f"{scene_dir}/.//{name}" for name in ("semantic_in.pgm", "points.csv",
+                                                     "gt_instances.pgm", "gt_semantic.pgm")}
+    argv = {
+        "s2i": ["--semantic", odd["semantic_in.pgm"], "--points", odd["points.csv"]],
+        "i2s": ["--instances", odd["gt_instances.pgm"], "--classmap", f"{tmp_path}/./classmap.mdmt"],
+        "eval": ["--pred", odd["gt_instances.pgm"], "--gt", odd["gt_instances.pgm"]],
+        "render": ["--input", odd["gt_instances.pgm"]],
+    }[command]
+    assert dispatch([command, *argv, "--out", str(tmp_path / "t")]) == 0
 
 
 def _mutate(blob: bytes, rng: np.random.Generator) -> bytes:

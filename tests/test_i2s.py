@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from pointseg.errors import PipelineError
 from pointseg.grids import ClassScoreMap, LabelGrid
 from pointseg.i2s import I2SConfig, build_affinity_targets, refresh_semantic
-from pointseg.loop import _pair_logits
+from pointseg.loop import MdmConfig, _derive_seed, _pair_logits, _points_first, build_stage_targets
 from pointseg.losses import sigmoid, softmax_rows
 from pointseg.synth import generate_scene
+from quality_gate import gate_scene
 
 
 def grid(rows):
@@ -155,6 +157,25 @@ class TestAffinityTargetsOracle:
             for sampler in (build_affinity_targets, materialising_affinity_targets):
                 with pytest.raises(PipelineError, match="no affinity pairs"):
                     sampler(LabelGrid(inst), I2SConfig())
+
+
+class TestAffinityTargetsMemory:
+    def test_peak_of_one_256_build(self):
+        # Stage 0's draw on the 256x256 seed-100 scene. Listing every
+        # candidate as an int64 key, held twice, peaked at 51.2 MiB; two
+        # boolean planes per offset over the foreground's box take 15 MiB.
+        scene, corrupted = gate_scene(100, 256)
+        cfg = MdmConfig()
+        seed = _derive_seed(cfg.seed, 0, 1)
+        pinned = _points_first(corrupted, scene.points)
+        initial = build_stage_targets(pinned, scene.points, cfg, seed).initial
+        tracemalloc.start()
+        try:
+            build_affinity_targets(initial, cfg.i2s, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestBuildAffinityTargets:
