@@ -18,7 +18,8 @@ A scene directory, as synth writes it and train reads it, holds
 gt_instances.pgm, gt_semantic.pgm, semantic_in.pgm (the corrupted semantic
 map), points.csv, intensity.mdmt (the (H, W) image) and scene.json (the
 scene's parameters; train reads its n_classes, an integer from 1 to 65535,
-the largest id a label PGM can carry).
+the largest id a label PGM can carry). train needs at least one point in
+points.csv; a point-less scene is a data error that names its directory.
 """
 from __future__ import annotations
 
@@ -150,27 +151,29 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _read_text(path: Path) -> str:
-    """The text of an input file, which must be UTF-8."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise PointsegError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
-
-
-def _read_json(path: Path):
-    """The value of a JSON input file, which must be UTF-8."""
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as err:
-        raise PointsegError(f"{path}: not JSON ({err})") from None
-
-
 def _read_inputs(paths: list[Path]) -> dict[str, bytes]:
     """The bytes of each input file, read once, before any output is
-    written. Binary inputs are decoded from them and the manifest digests
+    written. Every input is decoded from them and the manifest digests
     them, so an input that an output overwrites is digested as it was read."""
     return {str(p): p.read_bytes() for p in paths}
+
+
+def _text(path: Path, inputs: dict[str, bytes]) -> str:
+    """The text of the input file `path` from its bytes read, which must be
+    UTF-8; CRLF and CR line ends read as LF, as a text-mode read gives them."""
+    try:
+        text = inputs[str(path)].decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise PointsegError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _json(path: Path, inputs: dict[str, bytes]):
+    """The value of the JSON input file `path` from its bytes read."""
+    try:
+        return json.loads(_text(path, inputs))
+    except json.JSONDecodeError as err:
+        raise PointsegError(f"{path}: not JSON ({err})") from None
 
 
 def _decoded(path: str | Path, inputs: dict[str, bytes], decode):
@@ -265,7 +268,8 @@ def _parse(parser: _Parser, argv: list[str], flags: list[_Flag]) -> tuple[argpar
     args = parser.parse_args(argv)
     file_cfg = {}
     if args.config is not None:
-        file_cfg = _read_json(Path(args.config))
+        config = Path(args.config)
+        file_cfg = _json(config, _read_inputs([config]))
         if not isinstance(file_cfg, dict):
             raise CliUsageError("config file must hold a JSON object")
         unknown = sorted(file_cfg.keys() - set(dests))
@@ -368,7 +372,7 @@ def _cmd_s2i(argv: list[str]) -> int:
 
     inputs = _read_inputs([Path(args.semantic), Path(args.points)])
     semantic = _decoded(args.semantic, inputs, decode_label_pgm)
-    points = decode_points_csv(_read_text(Path(args.points)), args.points)
+    points = decode_points_csv(_text(Path(args.points), inputs), args.points)
     try:
         points.validate_on(*semantic.shape)
     except GridError as err:
@@ -431,7 +435,7 @@ def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid, dict[str, bytes]
     """The scene, its corrupted semantic map and the bytes of its files."""
     path = {name: scene_dir / name for name in _SCENE_FILES}
     inputs = _read_inputs(list(path.values()))
-    meta = _read_json(path["scene.json"])
+    meta = _json(path["scene.json"], inputs)
     n_classes = meta.get("n_classes") if isinstance(meta, dict) else None
     # Refused before any array is sized by it.
     if type(n_classes) is not int or not 1 <= n_classes <= PGM_MAX_ID:
@@ -441,7 +445,7 @@ def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid, dict[str, bytes]
     gt_instances = _decoded(path["gt_instances.pgm"], inputs, decode_label_pgm)
     gt_semantic = _decoded(path["gt_semantic.pgm"], inputs, decode_label_pgm)
     semantic_in = _decoded(path["semantic_in.pgm"], inputs, decode_label_pgm)
-    points = decode_points_csv(_read_text(path["points.csv"]), str(path["points.csv"]))
+    points = decode_points_csv(_text(path["points.csv"], inputs), str(path["points.csv"]))
     intensity = _decoded(path["intensity.mdmt"], inputs, decode_tensor)
     scene = Scene(gt_instances, gt_semantic, points, intensity, n_classes)
     return scene, semantic_in, inputs
@@ -544,10 +548,10 @@ def _cmd_train(argv: list[str]) -> int:
 # ---------------------------------------------------------------- eval
 
 
-def _read_classes_csv(path: Path, grid: LabelGrid) -> dict[int, int]:
-    """The instance -> class table of `grid`: one row for each id of the grid."""
+def _read_classes_csv(path: Path, grid: LabelGrid, inputs: dict[str, bytes]) -> dict[int, int]:
+    """The instance -> class table of `grid` from `path`'s bytes read: a row for each id."""
     table, line = {}, {}
-    for n, (inst, cls) in decode_int_csv(_read_text(path), CLASSES_HEADER, str(path)):
+    for n, (inst, cls) in decode_int_csv(_text(path, inputs), CLASSES_HEADER, str(path)):
         if inst in line:
             raise PointsegError(f"{path} lines {line[inst]} and {n}: both give instance_id {inst}")
         table[inst], line[inst] = cls, n
@@ -563,8 +567,8 @@ def _eval_one(task: tuple[str, str, str | None, str | None, str]) -> str:
     inputs = _read_inputs([Path(p) for p in (pred_path, gt_path, pred_cls_path, gt_cls_path) if p])
     pred = _decoded(pred_path, inputs, decode_label_pgm)
     gt = _decoded(gt_path, inputs, decode_label_pgm)
-    pred_classes = _read_classes_csv(Path(pred_cls_path), pred) if pred_cls_path else None
-    gt_classes = _read_classes_csv(Path(gt_cls_path), gt) if gt_cls_path else None
+    pred_classes = _read_classes_csv(Path(pred_cls_path), pred, inputs) if pred_cls_path else None
+    gt_classes = _read_classes_csv(Path(gt_cls_path), gt, inputs) if gt_cls_path else None
     class_aware = pred_classes is not None and gt_classes is not None
     match = greedy_match(pred, gt, pred_classes, gt_classes, class_aware)
     ap = ap_report(pred, gt, pred_classes, gt_classes)  # reads the table matching counted

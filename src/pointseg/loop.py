@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GridError, LossError, PipelineError
+from .errors import GridError, LossError, PipelineError, SceneError
 from .grids import ClassScoreMap, LabelGrid, OffsetField, PointAnnotationSet
 from .i2s import AffinitySampleSet, I2SConfig, Window, build_affinity_targets, refresh_semantic
 from .losses import (
@@ -162,12 +162,13 @@ def predict(params: TinyPredictorParams, x: np.ndarray) -> PredictorOutputs:
 
 @dataclass(frozen=True, eq=False)
 class StageTargets:
-    """Supervision synthesized from one stage's semantic input."""
+    """Supervision synthesized from one stage's semantic input; affinity is
+    None only in the warm-up's copy, which trains without pairs."""
 
     initial: LabelGrid
     regions: Regions  # the input's regions, matched to the points
     classes: LabelGrid
-    offsets: OffsetField | None
+    offsets: OffsetField
     affinity: AffinitySampleSet | None
 
 
@@ -216,7 +217,9 @@ def build_stage_targets(
 ) -> StageTargets:
     """Run the S2I target synthesis for one stage.
 
-    Offset and affinity targets are skipped when no region matched any point.
+    Some region must match a point, or there are no affinity pairs to draw,
+    a PipelineError. A pinned map always matches one: pinning gives each
+    point's own pixel its class.
     """
     regions = attach_points(extract_regions(semantic_in), points)
     initial = assign_points(regions, points)
@@ -225,8 +228,6 @@ def build_stage_targets(
     # point-less foreground from the class supervision would slowly erase
     # every region whose point the corruption displaced.
     classes = semantic_in
-    if int(initial.data.max()) == 0:
-        return StageTargets(initial, regions, classes, None, None)
     offsets = compute_offset_field(initial, points)
     affinity = build_affinity_targets(initial, cfg.i2s, seed=affinity_seed)
     return StageTargets(initial, regions, classes, offsets, affinity)
@@ -281,16 +282,13 @@ class _Objective:
         self.seg_target = ohem_target(
             targets.classes.data, template.n_classes + 1, hard_pixel_ratio
         )
-        n_off = n_pos = n_neg = 0
-        self.off_target = None
-        if targets.offsets is not None:
-            if targets.offsets.shape != (h, w):
-                raise LossError("offset field shape mismatch")
-            vectors, index = offset_target(targets.offsets)
-            self.off_target = (vectors, index)
-            self.off_x = self.xT[:, index]
-            self.off_coeff = LAMBDA_OFF * OFFSET_OUTPUT_SCALE
-            n_off = len(index)
+        if targets.offsets.shape != (h, w):
+            raise LossError("offset field shape mismatch")
+        self.off_target = offset_target(targets.offsets)  # (vectors, index)
+        self.off_x = self.xT[:, self.off_target[1]]
+        self.off_coeff = LAMBDA_OFF * OFFSET_OUTPUT_SCALE
+        n_off = len(self.off_target[1])
+        n_pos = n_neg = 0
         self.aff_target = None
         if targets.affinity is not None:
             self.aff_target = affinity_floor(targets.affinity.targets)
@@ -305,8 +303,7 @@ class _Objective:
         self.y = np.empty((template.theta.shape[1], n))
         self.finite = np.empty(self.y.shape, dtype=bool)
         self.kept_rows = np.empty((self.seg_target[1], len(self.xT)))
-        if self.off_target is not None:
-            self.pred = np.empty((2, n))
+        self.pred = np.empty((2, n))
         if self.aff_target is not None:
             self.ends_y = np.empty((EMBED_DIM, len(self.ends)))
             self.g_ends = np.empty_like(self.ends_y)
@@ -328,13 +325,11 @@ class _Objective:
         kept_x = np.take(self.xT.T, kept, axis=0, out=self.kept_rows, mode="clip").T
         grad[:, cls_sl] = kept_x @ (LAMBDA_SEG * g_seg).T
 
-        off = 0.0
-        if self.off_target is not None:
-            pred = np.multiply(OFFSET_OUTPUT_SCALE, y[off_sl], out=self.pred)
-            if not np.isfinite(pred, out=self.finite[off_sl]).all():
-                raise PipelineError("predicted offsets are non-finite")
-            off, g_off = offset_loss(pred, *self.off_target)
-            grad[:, off_sl] = self.off_x @ (self.off_coeff * g_off).T
+        pred = np.multiply(OFFSET_OUTPUT_SCALE, y[off_sl], out=self.pred)
+        if not np.isfinite(pred, out=self.finite[off_sl]).all():
+            raise PipelineError("predicted offsets are non-finite")
+        off, g_off = offset_loss(pred, *self.off_target)
+        grad[:, off_sl] = self.off_x @ (self.off_coeff * g_off).T
 
         aff = 0.0
         if self.aff_target is not None:
@@ -501,7 +496,12 @@ def run_mdm(scene: Scene, corrupted_semantic: LabelGrid, cfg: MdmConfig) -> MdmR
     targets are built once, from its semantic input pinned: stage 0 reads
     the corrupted map, and stage s >= 1 stage s-1's refreshed map. The
     warm-up trains on stage 0's targets without their affinity pairs.
+
+    A scene without an annotated point has no point-to-instance relation
+    to learn: it is a SceneError, raised before any target is built.
     """
+    if not len(scene.points):
+        raise SceneError("no annotated point: training needs at least one")
     x = expand_features(features_from_semantic(scene, corrupted_semantic))
     points = scene.points
     params = TinyPredictorParams.initialize(

@@ -97,13 +97,14 @@ def _split_shared(
     Squared Euclidean distance; ties go to the lowest instance id, as argmin
     takes the first minimum and owners are sorted ascending.
     """
+    anchors = points.anchor_table()
     for rid, owners in regions.owners.items():
         if len(owners) < 2:
             continue
         owners = np.asarray(owners)
         ys, xs = np.nonzero(regions.labels.data == rid)
         votes = np.stack([ys, xs], axis=1) + (0 if vectors is None else vectors[ys, xs])
-        d2 = ((votes[:, None, :] - points.anchor_table()[owners][None]) ** 2).sum(axis=2)
+        d2 = ((votes[:, None, :] - anchors[owners][None]) ** 2).sum(axis=2)
         labels[ys, xs] = owners[np.argmin(d2, axis=1)]
     return LabelGrid(labels)
 

@@ -14,12 +14,14 @@ import pytest
 
 import pointseg
 from pointseg import cli
-from pointseg.cli import FNV_BLOCK, FNV_OFFSET, FNV_PRIME, dispatch, fnv1a64
+from pointseg.cli import CLASSES_HEADER, FNV_BLOCK, FNV_OFFSET, FNV_PRIME, dispatch, fnv1a64
 from pointseg.grids import (
+    POINTS_HEADER,
     LabelGrid,
     decode_label_pgm,
     decode_points_csv,
     decode_tensor,
+    encode_int_csv,
     encode_label_pgm,
     encode_tensor,
 )
@@ -896,11 +898,20 @@ def _damage_semantic_in_class(scene: Path) -> None:
     (scene / "semantic_in.pgm").write_bytes(encode_label_pgm(LabelGrid(data)))
 
 
+def _damage_no_points(scene: Path) -> None:
+    # No annotated point, so nothing to learn from: this trained and exited
+    # 0 with overall_iou 0.00. Ground truth without instances keeps the
+    # scene otherwise valid.
+    (scene / "points.csv").write_text(POINTS_HEADER + "\n")
+    gt = decode_label_pgm((scene / "gt_instances.pgm").read_bytes())
+    (scene / "gt_instances.pgm").write_bytes(encode_label_pgm(LabelGrid(0 * gt.data)))
+
+
 class TestSceneValidationCli:
     @pytest.mark.parametrize("damage", [
         _damage_features, _damage_point_class, _damage_gt_semantic, _damage_point_position,
         _damage_gt_instance_id, _damage_features_nan, _damage_intensity_dims,
-        _damage_semantic_in_shape, _damage_semantic_in_class,
+        _damage_semantic_in_shape, _damage_semantic_in_class, _damage_no_points,
     ])
     def test_broken_scene_exit_2(self, scene_dir, tmp_path, capsys, damage):
         scene = tmp_path / "scene"
@@ -1147,6 +1158,32 @@ def test_unparsable_json_input_exit_2(scene_dir, tmp_path, capsys, target):
     assert not (tmp_path / "t").exists()
 
 
+def test_text_inputs_decoded_from_the_bytes_read(scene_dir, tmp_path, monkeypatch, capsys):
+    # points.csv, classes.csv, scene.json and --config are each read once,
+    # as bytes, and decoded from them.
+    s2i = tmp_path / "s2i"
+    assert dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
+                     "--points", str(scene_dir / "points.csv"), "--out", str(s2i)]) == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"stages": 1, "warmup": 1, "iters": 1}))
+
+    def second_read(*args, **kwargs):
+        raise AssertionError("an input was read again as text")
+
+    monkeypatch.setattr(Path, "read_text", second_read)
+    classes = str(s2i / "classes.csv")
+    for argv in (
+        ["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
+         "--points", str(scene_dir / "points.csv"), "--out", str(tmp_path / "s2i_again")],
+        ["train", "--scene", str(scene_dir), "--out", str(tmp_path / "train"),
+         "--config", str(config)],
+        ["eval", "--pred", str(s2i / "instances.pgm"), "--gt", str(s2i / "instances.pgm"),
+         "--pred-classes", classes, "--gt-classes", classes, "--out", str(tmp_path / "eval")],
+    ):
+        assert dispatch(argv) == 0, argv[0]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command, target", [
     ("s2i", "semantic"), ("i2s", "instances"), ("i2s", "classmap"), ("train", "semantic_in"),
     ("train", "intensity"), ("eval", "pred"), ("eval", "gt"), ("render", "input"),
@@ -1331,9 +1368,10 @@ class TestCliFlagFuzz:
         capsys.readouterr()
 
 
-def _load_perfbench_tracer():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def _load_perfbench(name):
+    """perfbench's module `name`, loaded from its file, which stays as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -1344,14 +1382,14 @@ class TestPerfbenchLayerNames:
     name deleted from pointseg would break the benchmark, not the suite."""
 
     def test_every_layer_resolves(self):
-        tracer = _load_perfbench_tracer()
+        tracer = _load_perfbench("tracer")
         for module_name, attr, *_ in tracer.LAYERS:
             assert callable(getattr(importlib.import_module(module_name), attr, None)), (
                 module_name, attr
             )
 
     def test_every_subcommand_is_registered(self):
-        tracer = _load_perfbench_tracer()
+        tracer = _load_perfbench("tracer")
         from pointseg.cli import _COMMANDS
 
         assert set(tracer.SUBCOMMANDS) <= set(_COMMANDS)
@@ -1362,7 +1400,7 @@ class TestPerfbenchTracerSpans:
     span, and perfbench would report that layer as 0 s."""
 
     def test_label_pipeline_records_every_label_layer(self, tmp_path, capsys):
-        tracer = _load_perfbench_tracer()
+        tracer = _load_perfbench("tracer")
         scene = tmp_path / "scene_00000005"
         with tracer.Tracer().installed() as trace:
             assert dispatch(["synth", "--out", str(tmp_path), "--seed", "5", "--height", "32",
@@ -1392,7 +1430,7 @@ class TestPerfbenchTracerSpans:
         assert label_layers <= set(names), label_layers - set(names)
 
     def test_train_records_every_loop_layer_and_one_feature_expansion(self, tmp_path, capsys):
-        tracer = _load_perfbench_tracer()
+        tracer = _load_perfbench("tracer")
         assert dispatch(["synth", "--out", str(tmp_path), "--seed", "5", "--height", "24",
                          "--width", "24", "--count", "2"]) == 0
         scenes = [f for d in sorted(tmp_path.glob("scene_*")) for f in ("--scene", str(d))]
@@ -1405,3 +1443,46 @@ class TestPerfbenchTracerSpans:
         assert loop_layers <= set(names), loop_layers - set(names)
         assert names.count("loop.run_mdm") == names.count("loop.expand_features") == 2
         assert names.count("losses.seg_loss_ohem") == 2 * (2 + 2 * 3)
+
+
+class TestPerfbenchOutputChecks:
+    """perfbench checks each subcommand's outputs with pointseg's own API
+    (decode_points_csv, class_of, greedy_match, ap_report); run here, a
+    break of that API fails the suite, not only the benchmark."""
+
+    def test_checks_pass_on_one_24px_scene(self, tmp_path, capsys):
+        checks = _load_perfbench("checks")
+        assert dispatch(["synth", "--out", str(tmp_path), "--seed", "5", "--height", "24",
+                         "--width", "24"]) == 0
+        scene_dir = tmp_path / "scene_00000005"
+        scene = checks.SceneFiles(scene_dir)
+        # i2s reads the one-hot of the corrupted map; the class-aware eval
+        # reads each point's class.
+        n_classes = json.loads((scene_dir / "scene.json").read_text())["n_classes"]
+        classmap = tmp_path / "classmap_in.mdmt"
+        classmap.write_bytes(encode_tensor(np.eye(n_classes + 1)[scene.semantic_in.data]))
+        gt_classes = tmp_path / "gt_classes.csv"
+        rows = ((p.instance_id, p.class_id) for p in scene.points)
+        gt_classes.write_text(encode_int_csv(CLASSES_HEADER, rows))
+        s2i, i2s, ev, train = (tmp_path / name for name in ("s2i", "i2s", "eval", "train"))
+        for argv in (
+            ["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
+             "--points", str(scene_dir / "points.csv"), "--out", str(s2i)],
+            ["i2s", "--instances", str(s2i / "instances.pgm"), "--classmap", str(classmap),
+             "--out", str(i2s)],
+            ["eval", "--pred", str(s2i / "instances.pgm"),
+             "--gt", str(scene_dir / "gt_instances.pgm"),
+             "--pred-classes", str(s2i / "classes.csv"), "--gt-classes", str(gt_classes),
+             "--out", str(ev)],
+            ["train", "--scene", str(scene_dir), "--out", str(train),
+             "--stages", "2", "--warmup", "2", "--iters", "3"],
+        ):
+            assert dispatch(argv) == 0, argv[0]
+        capsys.readouterr()
+        assert len(scene.points) > 1  # instances for the checks to see
+        assert [
+            *checks.check_s2i(scene, s2i),
+            *checks.check_i2s(scene, i2s, s2i),
+            *checks.check_eval(scene, ev, s2i / "instances.pgm", s2i / "classes.csv"),
+            *checks.check_train(scene, train, n_stages=2),
+        ] == []

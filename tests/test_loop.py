@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pointseg import loop, s2i
-from pointseg.errors import PipelineError
+from pointseg.errors import PipelineError, SceneError
 from pointseg.grids import ClassScoreMap, LabelGrid, OffsetField, Point, PointAnnotationSet
 from pointseg.i2s import I2SConfig, build_affinity_targets
 from pointseg.loop import (
@@ -332,6 +332,13 @@ class TestRunStage:
 
 
 class TestRunMdm:
+    def test_scene_without_points_raises_before_any_target_build(self, monkeypatch):
+        zeros = LabelGrid(np.zeros((16, 16), dtype=np.int32))
+        sc = Scene(zeros, zeros, PointAnnotationSet(()), np.zeros((16, 16)), 2)
+        monkeypatch.setattr(loop, "build_stage_targets", lambda *a, **k: pytest.fail("built"))
+        with pytest.raises(SceneError, match="no annotated point"):
+            run_mdm(sc, small_scene().gt_semantic, make_cfg())
+
     def test_single_stage_no_warmup(self):
         sc = small_scene(seed=31)
         cfg = make_cfg(n_stages=1, warmup_iters=0, iters_per_stage=10)
@@ -456,6 +463,14 @@ class TestBuildStageTargets:
             "point (3, 3) ignored: class 2 region 1 has class 1"
         ]
         assert targets.regions.owners == {1: (1,)}
+
+    def test_no_matched_point_raises(self):
+        # Point 1's pixel is background: no region matches, so there are no
+        # pairs to draw, and no empty targets come back.
+        sem = LabelGrid(np.pad(np.ones((3, 3), dtype=np.int32), 2))
+        pts = PointAnnotationSet((Point(0, 0, 1, 1),))
+        with pytest.raises(PipelineError, match="no affinity pairs"):
+            build_stage_targets(sem, pts, make_cfg(), affinity_seed=1)
 
 
 def two_squares_scene():
@@ -644,12 +659,9 @@ def _ref_objective(params, xmat, shape, targets, ratio):
     n_seg = int(math.ceil(ratio * h * w))
     d_y[:, cls_sl] = LAMBDA_SEG * g_seg.reshape(h * w, -1)
 
-    off = 0.0
-    n_off = 0
-    if targets.offsets is not None:
-        off, g_off = _ref_offset_loss(_ref_offset_head(params, y, shape), targets.offsets)
-        n_off = int(targets.offsets.valid.sum())
-        d_y[:, off_sl] = LAMBDA_OFF * OFFSET_OUTPUT_SCALE * g_off.reshape(h * w, 2)
+    off, g_off = _ref_offset_loss(_ref_offset_head(params, y, shape), targets.offsets)
+    n_off = int(targets.offsets.valid.sum())
+    d_y[:, off_sl] = LAMBDA_OFF * OFFSET_OUTPUT_SCALE * g_off.reshape(h * w, 2)
 
     aff = 0.0
     n_pos = n_neg = 0
@@ -709,12 +721,10 @@ def _targets_of_kind(sc, semantic, cfg, kind):
     targets = build_stage_targets(
         semantic, sc.points, cfg, affinity_seed=_derive_seed(cfg.seed, 0, 1)
     )
-    if kind == "warm-up":
-        return replace(targets, affinity=None)
-    return targets if kind == "stage" else replace(targets, offsets=None)
+    return replace(targets, affinity=None) if kind == "warm-up" else targets
 
 
-TARGET_KINDS = ["warm-up", "stage", "no-offsets"]
+TARGET_KINDS = ["warm-up", "stage"]
 
 
 def _close(got, want, rel=1e-12):
@@ -811,7 +821,7 @@ class TestLossNamesSeeEveryEvaluation:
         _fit(params, expand_features(gt_features(sc)), targets, cfg, 7, kind)
         assert calls == {
             "seg_loss_ohem": 7,
-            "offset_loss": 7 if kind != "no-offsets" else 0,
+            "offset_loss": 7,
             "affinity_loss": 7 if kind != "warm-up" else 0,
             "total_loss": 7,
         }
