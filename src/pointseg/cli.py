@@ -6,13 +6,15 @@ configuration echo, FNV-1a digests of the inputs as read, and wall-clock
 seconds. Exit codes: 0 success, 1 usage error, 2 data error (or out of
 memory); an input file that fails to decode is named in its error.
 
-Each subcommand but render declares its settings once, in a flag table.
+synth, i2s, train and eval declare their settings once, in a flag table.
 `--config` names a JSON object whose keys are exactly that table's flags
 (argparse dests such as `pair_radius`); any other key, an input or output
 path among them, is a usage error. A flag beats the file, which beats the
 table's default. The manifest echoes the resolved table in its order: all
-of it for s2i and i2s, all but `jobs` for train; synth echoes each scene's
-parameters and eval whether it was class-aware.
+of it for i2s, all but `jobs` for train; synth echoes each scene's
+parameters and eval whether it was class-aware. s2i and render take paths
+only: s2i's regions are the 8-connected ones that train matches points to
+too, and its manifest echoes {}.
 
 A scene directory, as synth writes it and train reads it, holds
 gt_instances.pgm, gt_semantic.pgm, semantic_in.pgm (the corrupted semantic
@@ -36,7 +38,6 @@ import numpy as np
 from . import __version__
 from .errors import CliUsageError, GridError, PointsegError, SceneError
 from .grids import (
-    DEFAULT_CONNECTIVITY,
     PGM_MAX_ID,
     ClassScoreMap,
     LabelGrid,
@@ -359,15 +360,12 @@ def _cmd_synth(argv: list[str]) -> int:
 # ---------------------------------------------------------------- s2i
 
 
-_S2I_FLAGS = [_Flag("--connectivity", int, DEFAULT_CONNECTIVITY, kw={"choices": [4, 8]})]
-
-
 def _cmd_s2i(argv: list[str]) -> int:
     parser = _Parser(prog="pointseg s2i")
     parser.add_argument("--semantic", required=True)
     parser.add_argument("--points", required=True)
     parser.add_argument("--out", required=True)
-    args, opt = _parse(parser, argv, _S2I_FLAGS)
+    args = parser.parse_args(argv)
     t0 = time.time()
 
     inputs = _read_inputs([Path(args.semantic), Path(args.points)])
@@ -378,7 +376,7 @@ def _cmd_s2i(argv: list[str]) -> int:
     except GridError as err:
         raise GridError(f"{args.points}: {err}") from None
 
-    regions = attach_points(extract_regions(semantic, opt["connectivity"]), points)
+    regions = attach_points(extract_regions(semantic), points)
     instances = assign_points(regions, points)
     offsets = compute_offset_field(instances, points)
     classes = class_grid_from_instances(instances, points)
@@ -388,7 +386,7 @@ def _cmd_s2i(argv: list[str]) -> int:
     _write(out_dir / "offsets.mdmt", encode_tensor(offsets.to_tensor()))
     _write(out_dir / "classes.csv", _classes_csv(instances, points))
     _write(out_dir / "class_grid.pgm", encode_label_pgm(classes))
-    _write_manifest(out_dir, "s2i", opt, inputs, t0)
+    _write_manifest(out_dir, "s2i", {}, inputs, t0)
     print(f"s2i: wrote {out_dir}")
     return 0
 

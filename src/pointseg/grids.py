@@ -41,7 +41,6 @@ __all__ = [
 
 PGM_MAX_ID = 65535
 INT32_MAX = int(np.iinfo(np.int32).max)
-DEFAULT_CONNECTIVITY = 8
 TENSOR_MAGIC = b"MDMT"
 POINTS_HEADER = "y,x,class_id,instance_id"
 
@@ -201,11 +200,10 @@ class PointAnnotationSet:
                 raise GridError(f"point {p} outside {height}x{width} grid")
 
 
-def connected_components(
-    grid: np.ndarray, connectivity: int = DEFAULT_CONNECTIVITY
-) -> LabelGrid:
-    """Label every 4- or 8-connected component of equal nonzero value in an
-    integer grid; a boolean mask is the two-valued case.
+def connected_components(grid: np.ndarray) -> LabelGrid:
+    """Label every 8-connected component of equal nonzero value in an integer
+    grid; a boolean mask is the two-valued case. Pixels that touch at a corner
+    join, as at an edge: this is the one definition of a region.
 
     Component ids are assigned in raster-scan order of each component's first
     pixel, so the labeling is a pure function of the grid.
@@ -213,29 +211,25 @@ def connected_components(
     Run-based union-find (Wu, Otoo & Suzuki 2009), vectorised: the runs of
     equal nonzero value along each row are numbered in raster order, and each
     pair of equal-valued runs that touch across two adjacent rows is a link
-    (pixels straight above for 4-connectivity; also up-left and up-right for
-    8). Each root is hooked to the smallest lower-numbered root it is linked
-    to and the forest is pointer-jumped flat, until each link joins one tree.
-    A root is then its component's smallest run, the run holding the
-    component's first pixel, so numbering the roots in order gives the
-    raster-order ids.
+    (pixels straight above, up-left or up-right). Each root is hooked to the
+    smallest lower-numbered root it is linked to and the forest is
+    pointer-jumped flat, until each link joins one tree. A root is then its
+    component's smallest run, the run holding the component's first pixel,
+    so numbering the roots in order gives the raster-order ids.
     """
     grid = np.asarray(grid)
     if grid.ndim != 2 or grid.size == 0:
         raise GridError("empty raster")
-    if connectivity not in (4, 8):
-        raise GridError(f"connectivity must be 4 or 8, got {connectivity}")
     fg = grid != 0
     starts = fg.copy()
     starts[:, 1:] &= grid[:, 1:] != grid[:, :-1]
     runs = np.cumsum(starts, dtype=np.int32).reshape(grid.shape)
     runs *= fg
-    # (pixel, the pixel above it) row planes: straight up, then for
-    # 8-connectivity up-left and up-right. A run's number is larger than
-    # that of every run above it, so each link is (upper run, lower run).
-    planes = [(np.s_[1:, :], np.s_[:-1, :])]
-    if connectivity == 8:
-        planes += [(np.s_[1:, 1:], np.s_[:-1, :-1]), (np.s_[1:, :-1], np.s_[:-1, 1:])]
+    # (pixel, the pixel above it) row planes: straight up, up-left and
+    # up-right. A run's number is larger than that of every run above it, so
+    # each link is (upper run, lower run).
+    planes = [(np.s_[1:, :], np.s_[:-1, :]), (np.s_[1:, 1:], np.s_[:-1, :-1]),
+              (np.s_[1:, :-1], np.s_[:-1, 1:])]
     touch = [fg[below] & (grid[below] == grid[above]) for below, above in planes]
     lo = np.concatenate([runs[above][t] for (_, above), t in zip(planes, touch)])
     hi = np.concatenate([runs[below][t] for (below, _), t in zip(planes, touch)])

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PipelineError
-from .grids import (
-    DEFAULT_CONNECTIVITY,
-    LabelGrid,
-    OffsetField,
-    PointAnnotationSet,
-    connected_components,
-)
+from .grids import LabelGrid, OffsetField, PointAnnotationSet, connected_components
 
 __all__ = [
     "Regions",
@@ -52,13 +46,15 @@ class Regions:
     owners: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
-def extract_regions(semantic: LabelGrid, connectivity: int = DEFAULT_CONNECTIVITY) -> Regions:
-    """One region per connected component per class, in (class, raster) order.
+def extract_regions(semantic: LabelGrid) -> Regions:
+    """One region per 8-connected component per class, in (class, raster)
+    order: the regions that `pointseg s2i` and every training stage match
+    points to.
 
     One labelling pass numbers the components in raster order; a stable sort
     by class renumbers them class by class.
     """
-    comps = connected_components(semantic.data, connectivity).data
+    comps = connected_components(semantic.data).data
     comp_class = np.zeros(int(comps.max()) + 1, dtype=np.int32)
     comp_class[comps] = semantic.data
     order = np.argsort(comp_class[1:], kind="stable") + 1
@@ -70,19 +66,22 @@ def extract_regions(semantic: LabelGrid, connectivity: int = DEFAULT_CONNECTIVIT
 def attach_points(regions: Regions, points: PointAnnotationSet) -> Regions:
     """Match points to the regions containing them.
 
-    A point whose class disagrees with its region's class is treated as not
-    contained; it is logged and owns no region, so its instance stays empty.
+    A point on background, or whose class disagrees with its region's class,
+    is treated as not contained; it is logged and owns no region, so its
+    instance stays empty.
     """
     points.validate_on(*regions.labels.shape)
     owners: dict[int, tuple[int, ...]] = {}
     for p in points:  # in instance-id order
         rid = int(regions.labels.data[p.y, p.x])
-        if rid and regions.classes[rid] != p.class_id:
+        if not rid:
+            log.warning("point %s ignored: class %d on background", (p.y, p.x), p.class_id)
+        elif regions.classes[rid] != p.class_id:
             log.warning(
                 "point %s ignored: class %d region %d has class %d",
                 (p.y, p.x), p.class_id, rid, regions.classes[rid],
             )
-        elif rid:
+        else:
             owners[rid] = (*owners.get(rid, ()), p.instance_id)
     return replace(regions, owners=owners)
 

@@ -9,11 +9,11 @@ tests/test_quality_gate.py checks that the files are byte-equal), and runs
 overall IoU of stage 0's initial labels, the region-matching labels the
 recurrence starts from; "final" is that of the last stage's pseudo labels.
 "ignored" counts the scene's pointseg.s2i "point ignored" warnings: one per
-point whose region has another class, in each target build that met it, one
-build per stage (the warm-up reuses stage 0's targets). Targets read a map
-with a patch pinned at each point and each point's own pixel pinned last, so
-a point is ignored only where another point of another class shares its
-pixel.
+point that lies on background or in a region of another class, in each
+target build that met it, one build per stage (the warm-up reuses stage 0's
+targets). Targets read a map with a patch pinned at each point and each
+point's own pixel pinned last, so no point lies on background there, and a
+point is ignored only where another point of another class shares its pixel.
 
 There are two disjoint seed sets per size: 100-119 for development, and a
 held-out set on which no default may be tuned, 200-219 at 64x64 and 600-619

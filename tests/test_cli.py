@@ -164,6 +164,45 @@ class TestS2iCli:
         header = (out / "classes.csv").read_text().splitlines()[0]
         assert header == "instance_id,class_id"
 
+    @pytest.mark.parametrize("flag", ["--connectivity", "--config"])
+    def test_removed_flags_exit_1(self, scene_dir, tmp_path, capsys, flag):
+        # Regions are 8-connected, in s2i as in train, so s2i has no
+        # settings: no --connectivity, and no --config to set it from.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{}")
+        value = {"--connectivity": "8", "--config": str(cfg_path)}[flag]
+        code = dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
+                         "--points", str(scene_dir / "points.csv"), flag, value,
+                         "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err
+        assert not (tmp_path / "t").exists()
+
+    def test_point_on_background_warns_once(self, tmp_path):
+        # Point 1 moved to a background pixel owns no region: s2i labels the
+        # rest, and one warning line on stderr says which point it dropped.
+        assert dispatch(["synth", "--height", "32", "--width", "32", "--seed", "100",
+                         "--out", str(tmp_path / "s")]) == 0
+        scene = tmp_path / "s" / "scene_00000100"
+        assert decode_label_pgm((scene / "semantic_in.pgm").read_bytes()).data[0, 0] == 0
+        header, first, *rest = (scene / "points.csv").read_text().splitlines()
+        class_id, instance_id = first.split(",")[2:]
+        assert instance_id == "1"
+        moved = tmp_path / "points.csv"
+        moved.write_text("\n".join([header, f"0,0,{class_id},1", *rest]) + "\n")
+        src = Path(pointseg.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "pointseg.cli", "s2i", "--semantic",
+             str(scene / "semantic_in.pgm"), "--points", str(moved), "--out", str(tmp_path / "t")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stderr == f"point (0, 0) ignored: class {class_id} on background\n"
+        instances = decode_label_pgm((tmp_path / "t" / "instances.pgm").read_bytes())
+        assert 1 not in instances.ids() and len(instances.ids()) == len(rest)
+
 
 class TestTrainEvalCli:
     def test_pipeline_and_identity_eval(self, scene_dir, tmp_path):
@@ -439,7 +478,6 @@ class TestTrainEvalCli:
         ("train", "lr", True, "float"),
         ("synth", "shapes", 5, "str"),
         # A file value must be one of the flag's choices, as a flag value must.
-        ("s2i", "connectivity", 6, "one of 4, 8"),
         ("synth", "shapes", "hex", "one of 'rect', 'ellipse', 'mixed'"),
     ])
     def test_config_value_of_wrong_type_exit_1(
@@ -447,12 +485,7 @@ class TestTrainEvalCli:
     ):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: value}))
-        inputs = {
-            "synth": [],
-            "s2i": ["--semantic", str(scene_dir / "semantic_in.pgm"),
-                    "--points", str(scene_dir / "points.csv")],
-            "train": ["--scene", str(scene_dir)],
-        }[command]
+        inputs = {"synth": [], "train": ["--scene", str(scene_dir)]}[command]
         code = dispatch([command, *inputs, "--out", str(tmp_path / "t"),
                          "--config", str(cfg_path)])
         assert code == 1
@@ -463,21 +496,18 @@ class TestTrainEvalCli:
 
     @pytest.mark.parametrize("command,config,named", [
         ("synth", {"seeds": 3, "seed": 2}, ["'seeds'"]),
-        ("s2i", {"connectivty": 8}, ["'connectivty'"]),
         ("i2s", {"beta": 5, "pair_radius": 3}, ["'beta'"]),
         ("train", {"stagez": 1, "beta": 5}, ["'stagez'"]),
         ("eval", {"class_aware": True, "jobs": 1}, ["'class_aware'"]),
         ("train", {"tua": 1.0, "stagez": 1}, ["'stagez'", "'tua'"]),
         ("synth", {"out": "elsewhere"}, ["'out'"]),
-        ("s2i", {"semantic": "a.pgm", "points": "a.csv"}, ["'points'", "'semantic'"]),
         ("i2s", {"instances": "a.pgm", "classmap": "a.mdmt"}, ["'classmap'", "'instances'"]),
         ("train", {"scene": ["elsewhere"], "config": "a.json"}, ["'config'", "'scene'"]),
         ("eval", {"pred": ["a.pgm"], "gt_classes": ["a.csv"]}, ["'gt_classes'", "'pred'"]),
         ("train", {"tau": 5}, ["'tau'"]),
         ("train", {"box_side": 16}, ["'box_side'"]),
-    ], ids=["synth", "s2i", "i2s-beta", "train", "eval", "train-two-keys", "synth-out",
-            "s2i-paths", "i2s-paths", "train-paths", "eval-paths", "train-tau",
-            "train-box-side"])
+    ], ids=["synth", "i2s-beta", "train", "eval", "train-two-keys", "synth-out",
+            "i2s-paths", "train-paths", "eval-paths", "train-tau", "train-box-side"])
     def test_config_key_naming_no_flag_exit_1(
         self, scene_dir, tmp_path, capsys, command, config, named
     ):
@@ -490,8 +520,6 @@ class TestTrainEvalCli:
         classmap.write_bytes(encode_tensor(np.eye(int(semantic.data.max()) + 1)[semantic.data]))
         inputs = {
             "synth": [],
-            "s2i": ["--semantic", str(scene_dir / "semantic_in.pgm"),
-                    "--points", str(scene_dir / "points.csv")],
             "i2s": ["--instances", str(scene_dir / "gt_instances.pgm"),
                     "--classmap", str(classmap)],
             "train": ["--scene", str(scene_dir)],
@@ -664,7 +692,7 @@ class TestConfigEcho:
                   "corruption": {"dilation_px": 2, "erosion_px": 0, "merge_adjacent": True,
                                  "flip_rate": 0.02, "rng_seed": 1},
                   "count_index": 0},
-        "s2i": {"connectivity": 8},
+        "s2i": {},
         "i2s": {"pair_radius": 8},
         "train": {"stages": 3, "warmup": 25, "iters": 100, "lr": 0.01, "hard_pixel_ratio": 0.2,
                   "beta": 2.0, "pair_radius": 8, "max_pairs": 4096, "seed": 0},
@@ -1066,7 +1094,7 @@ class TestOutputDigests:
     """Label outputs pinned by digest. A change that moves any of these
     labels must update the digest and say why."""
 
-    S2I_256 = {4: 0x411FF0355396E288, 8: 0x09BA5F476AFC25E3}
+    S2I_256 = 0x09BA5F476AFC25E3
     TRAIN_64_STAGE_02 = {
         "pseudo_instances.pgm": 0x0D7477E029F86565,
         "semantic_out.pgm": 0x4D60478A06E83EAE,
@@ -1088,17 +1116,15 @@ class TestOutputDigests:
                          "--out", str(tmp / "train")]) == 0
         return tmp / "train"
 
-    @pytest.mark.parametrize("connectivity", sorted(S2I_256))
-    def test_s2i_instances_256(self, tmp_path, connectivity):
+    def test_s2i_instances_256(self, tmp_path):
         assert dispatch(["synth", "--out", str(tmp_path), "--seed", "100",
                          "--height", "256", "--width", "256"]) == 0
         scene = tmp_path / "scene_00000100"
         assert dispatch(["s2i", "--semantic", str(scene / "semantic_in.pgm"),
                          "--points", str(scene / "points.csv"),
-                         "--connectivity", str(connectivity),
                          "--out", str(tmp_path / "s2i")]) == 0
         digest = fnv1a64((tmp_path / "s2i" / "instances.pgm").read_bytes())
-        assert digest == self.S2I_256[connectivity], f"{digest:016x}"
+        assert digest == self.S2I_256, f"{digest:016x}"
 
     def test_train_64_last_stage(self, train_64):
         for name, expected in self.TRAIN_64_STAGE_02.items():
@@ -1311,8 +1337,8 @@ class TestCliFuzz:
 
 def _numeric_flags() -> dict[str, list[str]]:
     """The int and float flags of each subcommand's flag table, but --jobs."""
-    tables = {"synth": cli._SYNTH_FLAGS, "s2i": cli._S2I_FLAGS, "i2s": cli._I2S_FLAGS,
-              "train": cli._TRAIN_FLAGS, "eval": cli._EVAL_FLAGS}
+    tables = {"synth": cli._SYNTH_FLAGS, "i2s": cli._I2S_FLAGS, "train": cli._TRAIN_FLAGS,
+              "eval": cli._EVAL_FLAGS}
     flags = {
         command: [f.name for f in table if f.kind in (int, float) and f.name != "--jobs"]
         for command, table in tables.items()
@@ -1352,8 +1378,6 @@ class TestCliFlagFuzz:
         scene, classmap = inputs
         base = {
             "synth": ["--height", "24", "--width", "24", "--instances", "3"],
-            "s2i": ["--semantic", str(scene / "semantic_in.pgm"),
-                    "--points", str(scene / "points.csv")],
             "i2s": ["--instances", str(scene / "gt_instances.pgm"),
                     "--classmap", str(classmap)],
             "train": ["--scene", str(scene), "--stages", "1", "--warmup", "1", "--iters", "1"],

@@ -22,14 +22,14 @@ from pointseg.grids import (
 )
 
 
-def flood_fill_count(mask, connectivity):
+# The 8 neighbours of a pixel: components are 8-connected.
+NEIGHBOURS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def flood_fill_count(mask):
     """Independent component counter: plain recursive flood fill."""
     mask = mask.astype(bool)
     seen = np.zeros_like(mask)
-    if connectivity == 4:
-        nbrs = [(-1, 0), (0, -1), (0, 1), (1, 0)]
-    else:
-        nbrs = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
     h, w = mask.shape
     count = 0
     for sy in range(h):
@@ -41,7 +41,7 @@ def flood_fill_count(mask, connectivity):
             seen[sy, sx] = True
             while stack:
                 y, x = stack.pop()
-                for dy, dx in nbrs:
+                for dy, dx in NEIGHBOURS:
                     ny, nx = y + dy, x + dx
                     if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not seen[ny, nx]:
                         seen[ny, nx] = True
@@ -49,14 +49,10 @@ def flood_fill_count(mask, connectivity):
     return count
 
 
-def bfs_components(grid, connectivity):
-    """Breadth-first labeling, one pixel at a time, of each component of equal
-    nonzero value: the ids connected_components must return, numbered in
-    raster order of each component's first pixel."""
-    nbrs = {
-        4: ((-1, 0), (0, -1), (0, 1), (1, 0)),
-        8: ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
-    }[connectivity]
+def bfs_components(grid):
+    """Breadth-first labeling, one pixel at a time, of each 8-connected
+    component of equal nonzero value: the ids connected_components must
+    return, numbered in raster order of each component's first pixel."""
     grid = np.asarray(grid)
     h, w = grid.shape
     labels = np.zeros((h, w), dtype=np.int32)
@@ -71,7 +67,7 @@ def bfs_components(grid, connectivity):
             queue = deque([(sy, sx)])
             while queue:
                 y, x = queue.popleft()
-                for dy, dx in nbrs:
+                for dy, dx in NEIGHBOURS:
                     ny, nx = y + dy, x + dx
                     if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not labels[ny, nx]:
                         labels[ny, nx] = next_id
@@ -186,67 +182,56 @@ class TestIdsMatchUnique:
 
 
 class TestConnectedComponents:
-    def test_plus_shape_4conn_single_component(self):
+    def test_plus_shape_single_component(self):
         mask = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-        out = connected_components(mask, 4)
+        out = connected_components(mask)
         assert out.ids() == [1]
         assert (out.data[mask] == 1).all()
 
-    def test_diagonal_pixels_4conn_two_components(self):
-        mask = np.array([[1, 0], [0, 1]], dtype=bool)
-        assert connected_components(mask, 4).ids() == [1, 2]
-
     def test_diagonal_pixels_8conn_one_component(self):
         mask = np.array([[1, 0], [0, 1]], dtype=bool)
-        assert connected_components(mask, 8).ids() == [1]
+        assert connected_components(mask).ids() == [1]
 
     def test_empty_grid_errors(self):
         with pytest.raises(GridError, match="empty raster"):
             connected_components(np.zeros((0, 0), dtype=bool))
 
-    def test_bad_connectivity(self):
-        with pytest.raises(GridError):
-            connected_components(np.ones((2, 2), dtype=bool), 6)
-
     def test_ids_assigned_in_raster_order(self):
         mask = np.array(
             [[0, 0, 1], [1, 0, 1], [1, 0, 0]], dtype=bool
         )
-        out = connected_components(mask, 4)
+        out = connected_components(mask)
         # First pixel in raster order (0,2) gets id 1, then (1,0) gets id 2.
         assert out.data[0, 2] == 1
         assert out.data[1, 0] == 2
 
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_count_matches_flood_fill_oracle(self, connectivity):
+    def test_count_matches_flood_fill_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(120):
             h, n_w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             mask = rng.random((h, n_w)) < 0.45
-            got = connected_components(mask, connectivity)
+            got = connected_components(mask)
             n_got = int(got.data.max())
-            assert n_got == flood_fill_count(mask, connectivity)
+            assert n_got == flood_fill_count(mask)
             # cross-check against scipy's labeling
-            structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
+            structure = ndimage.generate_binary_structure(2, 2)
             _, n_scipy = ndimage.label(mask, structure=structure)
             assert n_got == n_scipy
 
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_ids_equal_bfs_oracle_on_random_masks(self, connectivity):
+    def test_ids_equal_bfs_oracle_on_random_masks(self):
         rng = np.random.default_rng(11)
         for _ in range(150):
             h, w = (int(v) for v in rng.integers(1, 65, size=2))
             mask = rng.random((h, w)) < rng.random()
-            got = connected_components(mask, connectivity).data
+            got = connected_components(mask).data
             assert got.dtype == np.int32
-            assert np.array_equal(got, bfs_components(mask, connectivity)), (h, w)
+            assert np.array_equal(got, bfs_components(mask)), (h, w)
 
-    @pytest.mark.parametrize("connectivity", [4, 8])
     @pytest.mark.parametrize("name", [
         "serpentine", "serpentine_tall", "spiral", "checkerboard", "all_true",
         "all_false", "1x1_true", "1x1_false", "1xN", "Nx1",
     ])
-    def test_ids_equal_bfs_oracle_on_shapes(self, name, connectivity):
+    def test_ids_equal_bfs_oracle_on_shapes(self, name):
         rng = np.random.default_rng(5)
         mask = {
             "serpentine": lambda: serpentine(63, 64),
@@ -260,11 +245,9 @@ class TestConnectedComponents:
             "1xN": lambda: rng.random((1, 64)) < 0.5,
             "Nx1": lambda: rng.random((64, 1)) < 0.5,
         }[name]()
-        expected = bfs_components(mask, connectivity)
-        assert np.array_equal(connected_components(mask, connectivity).data, expected)
+        assert np.array_equal(connected_components(mask).data, bfs_components(mask))
 
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_ids_equal_bfs_oracle_on_random_integer_grids(self, connectivity):
+    def test_ids_equal_bfs_oracle_on_random_integer_grids(self):
         # Equal-valued neighbours join; a value change starts a new run and
         # breaks every link, so touching classes stay apart.
         rng = np.random.default_rng(13)
@@ -274,26 +257,26 @@ class TestConnectedComponents:
             grid = rng.integers(0, n_values, size=(h, w)).astype(np.int32)
             if rng.random() < 0.5:  # blobs rather than noise
                 grid = np.repeat(np.repeat(grid, 3, axis=0), 3, axis=1)[:h, :w]
-            got = connected_components(grid, connectivity).data
-            assert np.array_equal(got, bfs_components(grid, connectivity)), (h, w)
+            got = connected_components(grid).data
+            assert np.array_equal(got, bfs_components(grid)), (h, w)
 
     def test_touching_values_are_separate_components(self):
         grid = np.array([[1, 1, 2], [3, 2, 2], [3, 3, 0]])
-        assert connected_components(grid, 4).data.tolist() == [[1, 1, 2], [3, 2, 2], [3, 3, 0]]
-        assert connected_components(grid > 0, 4).ids() == [1]
+        assert connected_components(grid).data.tolist() == [[1, 1, 2], [3, 2, 2], [3, 3, 0]]
+        assert connected_components(grid > 0).ids() == [1]
 
     def test_shapes_have_the_intended_components(self):
-        assert bfs_components(serpentine(63, 64), 4).max() == 1
-        assert bfs_components(spiral(64), 4).max() == 1
+        assert bfs_components(serpentine(63, 64)).max() == 1
+        assert bfs_components(spiral(64)).max() == 1
+        # The checkerboard's pixels touch at corners only, and that joins them all.
         checker = np.indices((64, 64)).sum(axis=0) % 2 == 0
-        assert bfs_components(checker, 4).max() == 64 * 64 // 2
-        assert bfs_components(checker, 8).max() == 1
+        assert bfs_components(checker).max() == 1
 
     def test_relabeling_is_pure_function_of_mask(self):
         rng = np.random.default_rng(3)
         mask = rng.random((8, 8)) < 0.5
-        a = connected_components(mask, 8)
-        b = connected_components(mask.copy(), 8)
+        a = connected_components(mask)
+        b = connected_components(mask.copy())
         assert np.array_equal(a.data, b.data)
 
 

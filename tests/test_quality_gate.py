@@ -14,7 +14,7 @@ from pointseg.grids import (
     encode_points_csv,
     encode_tensor,
 )
-from pointseg.loop import MdmConfig, run_mdm
+from pointseg.loop import MdmConfig, _points_first, run_mdm
 from pointseg.synth import Scene
 
 import quality_gate
@@ -115,3 +115,20 @@ def test_gate_scene_is_the_synth_default_scene(tmp_path, capsys, seed, size):
     for name, blob in encoded.items():
         assert (scene_dir / name).read_bytes() == blob, name
     assert json.loads((scene_dir / "scene.json").read_text())["n_classes"] == scene.n_classes
+
+
+@pytest.mark.parametrize("size", [64, 128])
+@pytest.mark.parametrize("seed", range(100, 106))
+def test_s2i_labels_the_regions_that_train_starts_from(tmp_path, capsys, seed, size):
+    # One definition of a region: `pointseg s2i` on the pinned map that a
+    # stage builds its targets from writes that stage's initial labels.
+    scene, corrupted = quality_gate.gate_scene(seed, size)
+    semantic, points = tmp_path / "pinned.pgm", tmp_path / "points.csv"
+    semantic.write_bytes(encode_label_pgm(_points_first(corrupted, scene.points)))
+    points.write_text(encode_points_csv(scene.points))
+    assert dispatch(["s2i", "--semantic", str(semantic), "--points", str(points),
+                     "--out", str(tmp_path / "s2i")]) == 0
+    capsys.readouterr()
+    cfg = MdmConfig(n_stages=1, warmup_iters=0, iters_per_stage=1)
+    initial = run_mdm(scene, corrupted, cfg).stages[0].initial_instances
+    assert (tmp_path / "s2i" / "instances.pgm").read_bytes() == encode_label_pgm(initial)

@@ -58,25 +58,24 @@ class TestExtractRegions:
         assert extract_regions(sem).owners == {}
 
 
-def argwhere_regions(semantic, connectivity):
+def argwhere_regions(semantic):
     """extract_regions as one argwhere per component: the oracle."""
     out = []
     for class_id in semantic.ids():
-        comps = connected_components(semantic.data == class_id, connectivity).data
+        comps = connected_components(semantic.data == class_id).data
         for comp_id in range(1, int(comps.max()) + 1):
             out.append((class_id, np.argwhere(comps == comp_id).astype(np.int32)))
     return out
 
 
 class TestExtractRegionsMatchesArgwhereOracle:
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_random_label_grids(self, connectivity):
-        rng = np.random.default_rng(connectivity)
+    def test_random_label_grids(self):
+        rng = np.random.default_rng(8)
         for _ in range(30):
             h, w = int(rng.integers(1, 20)), int(rng.integers(1, 20))
             sem = LabelGrid(rng.integers(0, 4, size=(h, w)).astype(np.int32))
-            regions = extract_regions(sem, connectivity)
-            expected = argwhere_regions(sem, connectivity)
+            regions = extract_regions(sem)
+            expected = argwhere_regions(sem)
             labels = regions.labels.data
             assert labels.dtype == regions.classes.dtype == np.int32
             assert labels.shape == sem.shape
@@ -128,7 +127,7 @@ class TestAssignPoints:
             if not mask.any():
                 continue
             sem = LabelGrid(mask.astype(np.int32))
-            regions = extract_regions(sem, 8)
+            regions = extract_regions(sem)
             # pick one region and scatter 2-4 points inside it
             region_id = 1 + int(rng.integers(len(regions.classes) - 1))
             pixels = np.argwhere(regions.labels.data == region_id)
@@ -155,13 +154,14 @@ class TestAttachPoints:
     def test_ignored_point_names_its_region(self, caplog):
         # Regions 1 and 2 are class 1, region 3 is class 2. Point 2 (class 1)
         # sits in region 3, so the warning names region 3 and its class, and
-        # point 2 owns nothing; point 3 lies on background.
+        # point 2 owns nothing; point 3 lies on background, and says so.
         sem = grid([[1, 0, 1], [0, 0, 0], [2, 2, 0]])
         pts = points((0, 2, 1, 1), (2, 1, 1, 2), (1, 1, 2, 3))
         with caplog.at_level("WARNING"):
-            regions = attach_points(extract_regions(sem, 4), pts)
+            regions = attach_points(extract_regions(sem), pts)
         assert [r.getMessage() for r in caplog.records] == [
-            "point (2, 1) ignored: class 1 region 3 has class 2"
+            "point (2, 1) ignored: class 1 region 3 has class 2",
+            "point (1, 1) ignored: class 2 on background",
         ]
         assert regions.owners == {2: (1,)}
         assert assign_points(regions, pts).data.tolist() == [[0, 0, 1], [0, 0, 0], [0, 0, 0]]

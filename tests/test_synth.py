@@ -158,7 +158,7 @@ class TestCorruptSemantic:
             np.zeros((32, 32)), 1,
         )
         out = corrupt_semantic(sc, CorruptionConfig(merge_adjacent=True))
-        comps = connected_components(out.data == 1, 8)
+        comps = connected_components(out.data == 1)
         assert int(comps.data.max()) == 1
 
     def test_flip_rate_binomial_band(self):
