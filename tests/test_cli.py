@@ -164,6 +164,19 @@ class TestS2iCli:
         header = (out / "classes.csv").read_text().splitlines()[0]
         assert header == "instance_id,class_id"
 
+    def test_corner_touching_pixels_are_one_instance(self, tmp_path):
+        # s2i joins pixels that touch at a corner, as train does: the
+        # class-1 point at (0, 0) labels both steps of a diagonal region, and
+        # point 2 on background owns none.
+        semantic, pts = tmp_path / "semantic.pgm", tmp_path / "points.csv"
+        semantic.write_bytes(encode_label_pgm(LabelGrid(np.array(
+            [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]], dtype=np.int32))))
+        pts.write_text("y,x,class_id,instance_id\n0,0,1,1\n0,3,1,2\n")
+        assert dispatch(["s2i", "--semantic", str(semantic), "--points", str(pts),
+                         "--out", str(tmp_path / "t")]) == 0
+        instances = decode_label_pgm((tmp_path / "t" / "instances.pgm").read_bytes())
+        assert instances.data.tolist() == [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]]
+
     @pytest.mark.parametrize("flag", ["--connectivity", "--config"])
     def test_removed_flags_exit_1(self, scene_dir, tmp_path, capsys, flag):
         # Regions are 8-connected, in s2i as in train, so s2i has no

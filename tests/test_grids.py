@@ -260,6 +260,32 @@ class TestConnectedComponents:
             got = connected_components(grid).data
             assert np.array_equal(got, bfs_components(grid)), (h, w)
 
+    @pytest.mark.parametrize("rows,expected", [
+        ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),
+        ([[1, 1, 0, 0], [0, 0, 1, 1]], [[1, 1, 0, 0], [0, 0, 1, 1]]),
+        ([[1, 0, 1], [0, 1, 0]], [[1, 0, 1], [0, 1, 0]]),
+        ([[1, 0, 1, 0, 1], [0, 1, 0, 1, 0]], [[1, 0, 1, 0, 1], [0, 1, 0, 1, 0]]),
+        ([[1, 2], [2, 1]], [[1, 2], [2, 1]]),
+        ([[2, 2, 2], [2, 1, 2], [2, 2, 2]], [[1, 1, 1], [1, 2, 1], [1, 1, 1]]),
+    ], ids=["anti_diagonal", "staircase", "v_shape", "zigzag", "crossed_values", "ring"])
+    def test_corner_contact_joins_equal_values_only(self, rows, expected):
+        # Each case leans on one link plane or on a merge of two roots: an
+        # up-right link alone, an up-left link alone, one lower run that
+        # joins two upper runs, a chain of alternating links, and two values
+        # whose diagonals cross or enclose each other but never join.
+        assert connected_components(np.array(rows)).data.tolist() == expected
+
+    def test_component_counts_match_scipy_per_value(self):
+        rng = np.random.default_rng(17)
+        structure = ndimage.generate_binary_structure(2, 2)
+        for _ in range(60):
+            h, w = (int(v) for v in rng.integers(1, 24, size=2))
+            grid = rng.integers(0, 4, size=(h, w)).astype(np.int32)
+            got = connected_components(grid).data
+            for value in range(1, 4):
+                _, n_scipy = ndimage.label(grid == value, structure=structure)
+                assert len(np.unique(got[grid == value])) == n_scipy, (h, w, value)
+
     def test_touching_values_are_separate_components(self):
         grid = np.array([[1, 1, 2], [3, 2, 2], [3, 3, 0]])
         assert connected_components(grid).data.tolist() == [[1, 1, 2], [3, 2, 2], [3, 3, 0]]

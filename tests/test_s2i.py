@@ -57,6 +57,16 @@ class TestExtractRegions:
         sem = grid([[1, 1]])
         assert extract_regions(sem).owners == {}
 
+    def test_corner_touching_pixels_are_one_region(self):
+        # One point owns a class-1 staircase whose steps touch at corners.
+        sem = grid([[1, 1, 0, 0], [0, 0, 1, 1], [2, 0, 0, 0]])
+        regions = extract_regions(sem)
+        assert regions.labels.data.tolist() == [[1, 1, 0, 0], [0, 0, 1, 1], [2, 0, 0, 0]]
+        assert regions.classes.tolist() == [0, 1, 2]
+        pts = points((1, 3, 1, 1))
+        out = assign_points(matched(sem, pts), pts)
+        assert out.data.tolist() == [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]]
+
 
 def argwhere_regions(semantic):
     """extract_regions as one argwhere per component: the oracle."""
