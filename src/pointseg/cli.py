@@ -6,15 +6,12 @@ configuration echo, FNV-1a digests of the inputs as read, and wall-clock
 seconds. Exit codes: 0 success, 1 usage error, 2 data error (or out of
 memory); an input file that fails to decode is named in its error.
 
-synth, i2s, train and eval declare their settings once, in a flag table.
-`--config` names a JSON object whose keys are exactly that table's flags
-(argparse dests such as `pair_radius`); any other key, an input or output
-path among them, is a usage error. A flag beats the file, which beats the
-table's default. The manifest echoes the resolved table in its order: all
-of it for i2s, all but `jobs` for train; synth echoes each scene's
-parameters and eval whether it was class-aware. s2i and render take paths
-only: s2i's regions are the 8-connected ones that train matches points to
-too, and its manifest echoes {}.
+Every setting is a flag; there is no settings file. The manifest echoes
+the settings in flag order: all of i2s's, all but `--jobs` of train's, so
+a run is repeated by passing the echoed values back as flags. synth echoes
+each scene's parameters and eval whether it was class-aware. s2i and render
+take paths only: s2i's regions are the 8-connected ones that train matches
+points to too, and its manifest echoes {}.
 
 A scene directory, as synth writes it and train reads it, holds
 gt_instances.pgm, gt_semantic.pgm, semantic_in.pgm (the corrupted semantic
@@ -31,7 +28,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -206,81 +202,6 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, inputs: dict[s
     _write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, flag: _Flag):
-    """Flags beat the config file, which beats the flag's default.
-
-    A config-file value is converted to the flag's kind and must be one of
-    its choices, if it has them, as a flag's value must; one that does not
-    convert exactly or is not a choice is a usage error naming the key. A
-    JSON null counts as unset.
-    """
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    value = file_cfg.get(key)
-    if value is None:
-        return flag.default
-    kind = flag.kind
-    try:
-        # bool("false") would read as true, int(True) as 1, int(2.7) as 2
-        # and str(5) as "5"
-        if (
-            isinstance(value, bool) != (kind is bool)
-            or (kind is int and isinstance(value, float) and not value.is_integer())
-            or (kind is str and not isinstance(value, str))
-        ):
-            raise ValueError
-        value = kind(value)
-    except (TypeError, ValueError):
-        raise CliUsageError(
-            f"config key {key!r}: expected {kind.__name__}, got {value!r}"
-        ) from None
-    choices = flag.kw.get("choices")
-    if choices is not None and value not in choices:
-        raise CliUsageError(
-            f"config key {key!r}: expected one of {', '.join(map(repr, choices))}, got {value!r}"
-        )
-    return value
-
-
-class _Flag(NamedTuple):
-    """One file-settable flag of a subcommand: its type, its default, the
-    field it sets of the subcommand's config dataclass (dotted where nested)
-    if any, and its further add_argument keywords."""
-
-    name: str
-    kind: type
-    default: object
-    path: str | None = None
-    kw: dict = {}
-
-
-def _parse(parser: _Parser, argv: list[str], flags: list[_Flag]) -> tuple[argparse.Namespace, dict]:
-    """Add `--config` and the table's flags to `parser`, parse `argv`, and
-    resolve each flag: the parsed args and {dest: value} in table order.
-
-    The config file's keys must be table dests, so a misspelt or stale key,
-    or one naming a path flag, cannot pass unused."""
-    parser.add_argument("--config", help="JSON file with values for the flags below")
-    dests = []
-    for flag in flags:
-        kw = flag.kw if "action" in flag.kw else {"type": flag.kind, **flag.kw}
-        dests.append(parser.add_argument(flag.name, **kw).dest)
-    args = parser.parse_args(argv)
-    file_cfg = {}
-    if args.config is not None:
-        config = Path(args.config)
-        file_cfg = _json(config, _read_inputs([config]))
-        if not isinstance(file_cfg, dict):
-            raise CliUsageError("config file must hold a JSON object")
-        unknown = sorted(file_cfg.keys() - set(dests))
-        if unknown:
-            raise CliUsageError(
-                f"config file keys name no flag of this subcommand: {', '.join(map(repr, unknown))}"
-            )
-    return args, {d: _resolve(args, file_cfg, d, f) for d, f in zip(dests, flags)}
-
-
 def _run_tasks(worker, tasks: list, jobs: int) -> None:
     """Print each task's line in task order, over a process pool when jobs > 1,
     of at most one worker per task: a fork pool starts all its workers at once."""
@@ -298,38 +219,32 @@ def _run_tasks(worker, tasks: list, jobs: int) -> None:
 # ---------------------------------------------------------------- synth
 
 
-_SYNTH_FLAGS = [
-    _Flag("--seed", int, 0),
-    _Flag("--count", int, 1),
-    _Flag("--height", int, 64),
-    _Flag("--width", int, 64),
-    _Flag("--instances", int, None, kw={"help": "fixed count; default draws 2-6 per scene"}),
-    _Flag("--classes", int, 3),
-    _Flag("--shapes", str, "mixed", kw={"choices": ["rect", "ellipse", "mixed"]}),
-    _Flag("--dilation", int, 2, "dilation_px"),
-    _Flag("--erosion", int, 0, "erosion_px"),
-    _Flag("--merge-adjacent", bool, True, "merge_adjacent",
-          {"action": argparse.BooleanOptionalAction}),
-    _Flag("--flip-rate", float, 0.02, "flip_rate"),
-]
-
-
 def _cmd_synth(argv: list[str]) -> int:
     parser = _Parser(prog="pointseg synth")
     parser.add_argument("--out", required=True)
-    args, opt = _parse(parser, argv, _SYNTH_FLAGS)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--count", type=int, default=1)
+    parser.add_argument("--height", type=int, default=64)
+    parser.add_argument("--width", type=int, default=64)
+    parser.add_argument("--instances", type=int, help="fixed count; default draws 2-6 per scene")
+    parser.add_argument("--classes", type=int, default=3)
+    parser.add_argument("--shapes", default="mixed", choices=["rect", "ellipse", "mixed"])
+    parser.add_argument("--dilation", type=int, default=2)
+    parser.add_argument("--erosion", type=int, default=0)
+    parser.add_argument("--merge-adjacent", action=argparse.BooleanOptionalAction, default=True)
+    parser.add_argument("--flip-rate", type=float, default=0.02)
+    args = parser.parse_args(argv)
 
     t0 = time.time()
-    seed, count, height, width = opt["seed"], opt["count"], opt["height"], opt["width"]
-    n_classes, shapes = opt["classes"], opt["shapes"]
-    corruption = {f.path: v for f, v in zip(_SYNTH_FLAGS, opt.values(), strict=True) if f.path}
-
-    if count < 1:
-        raise SceneError(f"count must be >= 1, got {count}")
+    corruption = {"dilation_px": args.dilation, "erosion_px": args.erosion,
+                  "merge_adjacent": args.merge_adjacent, "flip_rate": args.flip_rate}
+    if args.count < 1:
+        raise SceneError(f"count must be >= 1, got {args.count}")
     out_root = Path(args.out)
-    for index in range(count):
-        scene_seed = seed + index
-        scene = generate_scene(scene_seed, height, width, opt["instances"], n_classes, shapes)
+    for index in range(args.count):
+        scene_seed = args.seed + index
+        scene = generate_scene(scene_seed, args.height, args.width, args.instances,
+                               args.classes, args.shapes)
         corr_cfg = CorruptionConfig(rng_seed=scene_seed + 1, **corruption)
         corrupted = corrupt_semantic(scene, corr_cfg)
         scene_dir = out_root / f"scene_{scene_seed:08d}"
@@ -340,11 +255,11 @@ def _cmd_synth(argv: list[str]) -> int:
         _write(scene_dir / "intensity.mdmt", encode_tensor(scene.intensity))
         scene_json = {
             "seed": scene_seed,
-            "height": height,
-            "width": width,
+            "height": args.height,
+            "width": args.width,
             "n_instances": len(scene.points),
-            "n_classes": n_classes,
-            "shapes": shapes,
+            "n_classes": args.classes,
+            "shapes": args.shapes,
             "corruption": {**corruption, "rng_seed": scene_seed + 1},
         }
         _write(scene_dir / "scene.json", json.dumps(scene_json, indent=2) + "\n")
@@ -394,27 +309,25 @@ def _cmd_s2i(argv: list[str]) -> int:
 # ---------------------------------------------------------------- i2s
 
 
-# The 0/1 same-instance affinity of --instances is the same under every
-# power, so the affinity's beta has no flag here.
-_I2S_FLAGS = [_Flag("--pair-radius", int, I2SConfig.pair_radius)]
-
-
 def _cmd_i2s(argv: list[str]) -> int:
     parser = _Parser(prog="pointseg i2s")
     parser.add_argument("--instances", required=True)
     parser.add_argument("--classmap", required=True)
     parser.add_argument("--out", required=True)
-    args, opt = _parse(parser, argv, _I2S_FLAGS)
+    # The 0/1 same-instance affinity of --instances is the same under every
+    # power, so the affinity's beta has no flag here.
+    parser.add_argument("--pair-radius", type=int, default=I2SConfig.pair_radius)
+    args = parser.parse_args(argv)
     t0 = time.time()
 
     inputs = _read_inputs([Path(args.instances), Path(args.classmap)])
     instances = _decoded(args.instances, inputs, decode_label_pgm)
     class_map = _decoded(args.classmap, inputs, lambda blob: ClassScoreMap(decode_tensor(blob)))
-    refreshed = refresh_semantic(instances, class_map, I2SConfig(**opt))
+    refreshed = refresh_semantic(instances, class_map, I2SConfig(pair_radius=args.pair_radius))
     out_dir = Path(args.out)
     _write(out_dir / "classmap.mdmt", encode_tensor(refreshed.data))
     _write(out_dir / "semantic_out.pgm", encode_label_pgm(refreshed.argmax_grid()))
-    _write_manifest(out_dir, "i2s", opt, inputs, t0)
+    _write_manifest(out_dir, "i2s", {"pair_radius": args.pair_radius}, inputs, t0)
     print(f"i2s: wrote {out_dir}")
     return 0
 
@@ -447,34 +360,6 @@ def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid, dict[str, bytes]
     intensity = _decoded(path["intensity.mdmt"], inputs, decode_tensor)
     scene = Scene(gt_instances, gt_semantic, points, intensity, n_classes)
     return scene, semantic_in, inputs
-
-
-_TRAIN_FLAGS = [
-    _Flag("--stages", int, MdmConfig.n_stages, "n_stages"),
-    _Flag("--warmup", int, MdmConfig.warmup_iters, "warmup_iters",
-          {"help": f"Adam steps before stage 0 (default {MdmConfig.warmup_iters})"}),
-    _Flag("--iters", int, MdmConfig.iters_per_stage, "iters_per_stage",
-          {"help": f"Adam steps per stage (default {MdmConfig.iters_per_stage})"}),
-    _Flag("--lr", float, MdmConfig.learning_rate, "learning_rate",
-          {"help": f"Adam step size (default {MdmConfig.learning_rate})"}),
-    _Flag("--hard-pixel-ratio", float, MdmConfig.hard_pixel_ratio, "hard_pixel_ratio"),
-    _Flag("--beta", float, I2SConfig.beta, "i2s.beta"),
-    _Flag("--pair-radius", int, I2SConfig.pair_radius, "i2s.pair_radius"),
-    _Flag("--max-pairs", int, I2SConfig.max_pairs, "i2s.max_pairs"),
-    _Flag("--seed", int, MdmConfig.seed, "seed"),
-    _Flag("--jobs", int, 1),
-]
-
-
-def _mdm_config(opt: dict) -> MdmConfig:
-    """The MdmConfig that sets each value of the resolved train table at its
-    row's path."""
-    fields = {"": {}, "i2s": {}}
-    for flag, value in zip(_TRAIN_FLAGS, opt.values(), strict=True):
-        if flag.path:
-            head, _, leaf = flag.path.rpartition(".")
-            fields[head][leaf] = value
-    return MdmConfig(i2s=I2SConfig(**fields["i2s"]), **fields[""])
 
 
 def _classes_csv(grid: LabelGrid, points: PointAnnotationSet) -> str:
@@ -524,9 +409,31 @@ def _cmd_train(argv: list[str]) -> int:
     parser.add_argument("--scene", action="append", required=True,
                         help="scene directory (repeatable)")
     parser.add_argument("--out", required=True)
-    args, opt = _parse(parser, argv, _TRAIN_FLAGS)
-    mdm_cfg = _mdm_config(opt)
-    jobs = opt.pop("jobs")  # the rest is the manifest's echo
+    parser.add_argument("--stages", type=int, default=MdmConfig.n_stages)
+    parser.add_argument("--warmup", type=int, default=MdmConfig.warmup_iters,
+                        help="Adam steps before stage 0 (default %(default)s)")
+    parser.add_argument("--iters", type=int, default=MdmConfig.iters_per_stage,
+                        help="Adam steps per stage (default %(default)s)")
+    parser.add_argument("--lr", type=float, default=MdmConfig.learning_rate,
+                        help="Adam step size (default %(default)s)")
+    parser.add_argument("--hard-pixel-ratio", type=float, default=MdmConfig.hard_pixel_ratio)
+    parser.add_argument("--beta", type=float, default=I2SConfig.beta)
+    parser.add_argument("--pair-radius", type=int, default=I2SConfig.pair_radius)
+    parser.add_argument("--max-pairs", type=int, default=I2SConfig.max_pairs)
+    parser.add_argument("--seed", type=int, default=MdmConfig.seed)
+    parser.add_argument("--jobs", type=int, default=1)
+    args = parser.parse_args(argv)
+    mdm_cfg = MdmConfig(
+        n_stages=args.stages,
+        warmup_iters=args.warmup,
+        iters_per_stage=args.iters,
+        learning_rate=args.lr,
+        hard_pixel_ratio=args.hard_pixel_ratio,
+        i2s=I2SConfig(beta=args.beta, pair_radius=args.pair_radius, max_pairs=args.max_pairs),
+        seed=args.seed,
+    )
+    # The settings in flag order are the manifest's echo.
+    echo = {k: v for k, v in vars(args).items() if k not in ("scene", "out", "jobs")}
 
     names = [Path(p).name for p in args.scene]
     clash = sorted({n for n in names if names.count(n) > 1})
@@ -537,9 +444,9 @@ def _cmd_train(argv: list[str]) -> int:
     for scene_path in args.scene:
         scene_dir = Path(scene_path)
         out_dir = out_root / scene_dir.name if len(args.scene) > 1 else out_root
-        tasks.append((str(scene_dir), str(out_dir), mdm_cfg, opt))
+        tasks.append((str(scene_dir), str(out_dir), mdm_cfg, echo))
 
-    _run_tasks(_train_one, tasks, jobs)
+    _run_tasks(_train_one, tasks, args.jobs)
     return 0
 
 
@@ -547,11 +454,14 @@ def _cmd_train(argv: list[str]) -> int:
 
 
 def _read_classes_csv(path: Path, grid: LabelGrid, inputs: dict[str, bytes]) -> dict[int, int]:
-    """The instance -> class table of `grid` from `path`'s bytes read: a row for each id."""
+    """The instance -> class table of `grid` from `path`'s bytes read: a row for
+    each id, and each class id 1..PGM_MAX_ID, as a point's is."""
     table, line = {}, {}
     for n, (inst, cls) in decode_int_csv(_text(path, inputs), CLASSES_HEADER, str(path)):
         if inst in line:
             raise PointsegError(f"{path} lines {line[inst]} and {n}: both give instance_id {inst}")
+        if not 1 <= cls <= PGM_MAX_ID:
+            raise PointsegError(f"{path} line {n}: class_id must be 1..{PGM_MAX_ID}, got {cls}")
         table[inst], line[inst] = cls, n
     missing = sorted(set(grid.ids()) - table.keys())
     if missing:
@@ -581,9 +491,6 @@ def _eval_one(task: tuple[str, str, str | None, str | None, str]) -> str:
     return f"eval: overall_iou {match.overall_iou:.2f} -> {out_dir / 'metrics.json'}"
 
 
-_EVAL_FLAGS = [_Flag("--jobs", int, 1)]
-
-
 def _cmd_eval(argv: list[str]) -> int:
     parser = _Parser(prog="pointseg eval")
     parser.add_argument("--pred", action="append", required=True)
@@ -591,7 +498,8 @@ def _cmd_eval(argv: list[str]) -> int:
     parser.add_argument("--pred-classes", action="append", dest="pred_classes")
     parser.add_argument("--gt-classes", action="append", dest="gt_classes")
     parser.add_argument("--out", required=True)
-    args, opt = _parse(parser, argv, _EVAL_FLAGS)
+    parser.add_argument("--jobs", type=int, default=1)
+    args = parser.parse_args(argv)
     if len(args.pred) != len(args.gt):
         raise CliUsageError("--pred and --gt must be given the same number of times")
     if (args.pred_classes is None) != (args.gt_classes is None):
@@ -607,7 +515,7 @@ def _cmd_eval(argv: list[str]) -> int:
     for i in range(n):
         out_dir = out_root / f"pair_{i:03d}" if n > 1 else out_root
         tasks.append((args.pred[i], args.gt[i], pred_cls[i], gt_cls[i], str(out_dir)))
-    _run_tasks(_eval_one, tasks, opt["jobs"])
+    _run_tasks(_eval_one, tasks, args.jobs)
     return 0
 
 

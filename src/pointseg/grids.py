@@ -157,7 +157,8 @@ class Point(NamedTuple):
 
 @dataclass(frozen=True)
 class PointAnnotationSet:
-    """One annotated interior point per instance, ids exactly 1..K."""
+    """One annotated interior point per instance, ids exactly 1..K, class ids
+    1..PGM_MAX_ID (a label PGM carries the class)."""
 
     points: tuple[Point, ...]
 
@@ -167,8 +168,8 @@ class PointAnnotationSet:
         if ids != list(range(1, len(pts) + 1)):
             raise GridError(f"instance ids must be exactly 1..K, got {ids}")
         for p in pts:
-            if p.class_id < 1:
-                raise GridError(f"class id must be >= 1, got {p.class_id}")
+            if not 1 <= p.class_id <= PGM_MAX_ID:
+                raise GridError(f"class id must be 1..{PGM_MAX_ID}, got {p.class_id}")
             if p.y < 0 or p.x < 0:
                 raise GridError("negative point coordinate")
         object.__setattr__(self, "points", tuple(sorted(pts, key=lambda p: p.instance_id)))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from pointseg.grids import (
     encode_tensor,
 )
 from pointseg.i2s import I2SConfig
+from pointseg.loop import MdmConfig
 
 # An MDMT header of rank 4 with each dim 65536 and no payload.
 OVERFLOWING_TENSOR = b"MDMT" + np.array([4, *[65536] * 4], dtype="<u4").tobytes()
@@ -84,21 +86,13 @@ class TestSynth:
             assert a == b, name
 
 
-    @pytest.mark.parametrize("flags,file_value,merged", [
-        ([], None, True),
-        (["--merge-adjacent"], None, True),
-        (["--no-merge-adjacent"], None, False),
-        ([], False, False),
-        (["--merge-adjacent"], False, True),
-        (["--no-merge-adjacent"], True, False),
-    ], ids=["default", "flag", "no-flag", "file-off", "flag-beats-file", "no-flag-beats-file"])
-    def test_merge_adjacent_switches_both_ways(self, tmp_path, flags, file_value, merged):
-        config = []
-        if file_value is not None:
-            cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps({"merge_adjacent": file_value}))
-            config = ["--config", str(cfg_path)]
-        for name, argv in (("run", [*flags, *config]), ("on", ["--merge-adjacent"]),
+    @pytest.mark.parametrize("flags,merged", [
+        ([], True),
+        (["--merge-adjacent"], True),
+        (["--no-merge-adjacent"], False),
+    ], ids=["default", "flag", "no-flag"])
+    def test_merge_adjacent_switches_both_ways(self, tmp_path, flags, merged):
+        for name, argv in (("run", flags), ("on", ["--merge-adjacent"]),
                            ("off", ["--no-merge-adjacent"])):
             assert dispatch(["synth", "--out", str(tmp_path / name), "--seed", "0", *argv]) == 0
         scene = tmp_path / "run" / "scene_00000000"
@@ -177,16 +171,28 @@ class TestS2iCli:
         instances = decode_label_pgm((tmp_path / "t" / "instances.pgm").read_bytes())
         assert instances.data.tolist() == [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]]
 
-    @pytest.mark.parametrize("flag", ["--connectivity", "--config"])
-    def test_removed_flags_exit_1(self, scene_dir, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("command,flag", [
+        ("s2i", "--connectivity"),
+        *((command, "--config") for command in sorted(cli._COMMANDS)),
+    ])
+    def test_removed_flags_exit_1(self, scene_dir, tmp_path, capsys, command, flag):
         # Regions are 8-connected, in s2i as in train, so s2i has no
-        # settings: no --connectivity, and no --config to set it from.
+        # --connectivity. Every setting is a flag, so no subcommand reads a
+        # --config file.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{}")
         value = {"--connectivity": "8", "--config": str(cfg_path)}[flag]
-        code = dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
-                         "--points", str(scene_dir / "points.csv"), flag, value,
-                         "--out", str(tmp_path / "t")])
+        gt = str(scene_dir / "gt_instances.pgm")
+        inputs = {
+            "synth": [],
+            "s2i": ["--semantic", str(scene_dir / "semantic_in.pgm"),
+                    "--points", str(scene_dir / "points.csv")],
+            "i2s": ["--instances", gt, "--classmap", str(scene_dir / "intensity.mdmt")],
+            "train": ["--scene", str(scene_dir)],
+            "eval": ["--pred", gt, "--gt", gt],
+            "render": ["--input", gt],
+        }[command]
+        code = dispatch([command, *inputs, flag, value, "--out", str(tmp_path / "t")])
         assert code == 1
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err
@@ -248,20 +254,6 @@ class TestTrainEvalCli:
         metrics = json.loads((eval_out / "metrics.json").read_text())
         assert metrics["overall_iou"] == 100.0
         assert metrics["map50"] == 1.0
-
-    def test_config_file_with_flag_override(self, scene_dir, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"stages": 2, "warmup": 5, "iters": 8}))
-        out = tmp_path / "train_cfg"
-        code = dispatch([
-            "train", "--scene", str(scene_dir), "--out", str(out),
-            "--config", str(cfg_path), "--stages", "1",
-        ])
-        assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["stages"] == 1  # flag wins
-        assert manifest["config"]["iters"] == 8  # file fills the rest
-        assert not (out / "stage_01").exists()
 
     def test_train_deterministic_pseudo_labels(self, scene_dir, tmp_path):
         blobs = []
@@ -334,7 +326,11 @@ class TestTrainEvalCli:
             else:
                 assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
 
-    @pytest.mark.parametrize("row", ["1,x", "1"])
+    # A class id must be 1..65535, an id a label PGM carries; one outside is
+    # refused at its line, not left to overflow in AP or pass unseen.
+    @pytest.mark.parametrize("row", [
+        "1,x", "1", "1,99999999999999999999999", "1,-5", "1,0", "1,65536",
+    ])
     def test_malformed_classes_row_exit_2(self, scene_dir, tmp_path, capsys, row):
         classes = tmp_path / "classes.csv"
         classes.write_text(f"instance_id,class_id\n{row}\n")
@@ -344,7 +340,8 @@ class TestTrainEvalCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "line 2" in err
+        assert f"{classes} line 2" in err
+        assert not (tmp_path / "ev").exists()
 
     @pytest.mark.parametrize("short", ["--pred-classes", "--gt-classes"])
     def test_classes_file_repeating_an_instance_exit_2(
@@ -482,72 +479,6 @@ class TestTrainEvalCli:
         assert value in err
         assert not (tmp_path / "t").exists()
 
-    @pytest.mark.parametrize("command,key,value,kind", [
-        ("train", "stages", "x", "int"),
-        ("train", "lr", "abc", "float"),
-        ("synth", "merge_adjacent", "false", "bool"),
-        ("train", "stages", 2.7, "int"),
-        ("train", "stages", True, "int"),
-        ("train", "lr", True, "float"),
-        ("synth", "shapes", 5, "str"),
-        # A file value must be one of the flag's choices, as a flag value must.
-        ("synth", "shapes", "hex", "one of 'rect', 'ellipse', 'mixed'"),
-    ])
-    def test_config_value_of_wrong_type_exit_1(
-        self, scene_dir, tmp_path, capsys, command, key, value, kind
-    ):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({key: value}))
-        inputs = {"synth": [], "train": ["--scene", str(scene_dir)]}[command]
-        code = dispatch([command, *inputs, "--out", str(tmp_path / "t"),
-                         "--config", str(cfg_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert repr(key) in err and f"expected {kind}" in err
-        assert not (tmp_path / "t").exists()
-
-    @pytest.mark.parametrize("command,config,named", [
-        ("synth", {"seeds": 3, "seed": 2}, ["'seeds'"]),
-        ("i2s", {"beta": 5, "pair_radius": 3}, ["'beta'"]),
-        ("train", {"stagez": 1, "beta": 5}, ["'stagez'"]),
-        ("eval", {"class_aware": True, "jobs": 1}, ["'class_aware'"]),
-        ("train", {"tua": 1.0, "stagez": 1}, ["'stagez'", "'tua'"]),
-        ("synth", {"out": "elsewhere"}, ["'out'"]),
-        ("i2s", {"instances": "a.pgm", "classmap": "a.mdmt"}, ["'classmap'", "'instances'"]),
-        ("train", {"scene": ["elsewhere"], "config": "a.json"}, ["'config'", "'scene'"]),
-        ("eval", {"pred": ["a.pgm"], "gt_classes": ["a.csv"]}, ["'gt_classes'", "'pred'"]),
-        ("train", {"tau": 5}, ["'tau'"]),
-        ("train", {"box_side": 16}, ["'box_side'"]),
-    ], ids=["synth", "i2s-beta", "train", "eval", "train-two-keys", "synth-out",
-            "i2s-paths", "train-paths", "eval-paths", "train-tau", "train-box-side"])
-    def test_config_key_naming_no_flag_exit_1(
-        self, scene_dir, tmp_path, capsys, command, config, named
-    ):
-        # A misspelt or stale key would otherwise leave its default in force
-        # without a word, and a path key would lose to its required flag.
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
-        classmap = tmp_path / "classmap_in.mdmt"
-        semantic = decode_label_pgm((scene_dir / "semantic_in.pgm").read_bytes())
-        classmap.write_bytes(encode_tensor(np.eye(int(semantic.data.max()) + 1)[semantic.data]))
-        inputs = {
-            "synth": [],
-            "i2s": ["--instances", str(scene_dir / "gt_instances.pgm"),
-                    "--classmap", str(classmap)],
-            "train": ["--scene", str(scene_dir)],
-            "eval": ["--pred", str(scene_dir / "gt_instances.pgm"),
-                     "--gt", str(scene_dir / "gt_instances.pgm")],
-        }[command]
-        code = dispatch([command, *inputs, "--out", str(tmp_path / "t"),
-                         "--config", str(cfg_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert "name no flag" in err
-        assert err.count("'") == 2 * len(named) and all(key in err for key in named)
-        assert not (tmp_path / "t").exists()
-
     def test_removed_tau_flag_exit_1(self, scene_dir, tmp_path, capsys):
         # Grouping needs no vote radius, so --tau is no flag of train.
         code = dispatch(["train", "--scene", str(scene_dir), "--out", str(tmp_path / "t"),
@@ -632,7 +563,8 @@ class TestCsvInputs:
     @pytest.mark.parametrize("rows, message", [
         (["1,1,1,1", "2,2,1,3"], "instance ids must be exactly 1..K, got [1, 3]"),
         (["200,1,1,1"], "point Point(y=200, x=1, class_id=1, instance_id=1) outside 64x64 grid"),
-    ], ids=["ids", "off-grid"])
+        (["1,1,99999999999,1"], "class id must be 1..65535, got 99999999999"),
+    ], ids=["ids", "off-grid", "class-id"])
     def test_bad_point_set_names_file(self, scene_dir, tmp_path, capsys, rows, message):
         points = tmp_path / "points.csv"
         points.write_text("\n".join(["y,x,class_id,instance_id", *rows]) + "\n")
@@ -697,7 +629,7 @@ def _ordered(value):
 
 
 class TestConfigEcho:
-    """The manifest's config echo, and the --config keys that feed it."""
+    """The manifest's config echo, and the settings flags that feed it."""
 
     DEFAULTS = {
         "synth": {"seed": 0, "height": 64, "width": 64, "n_instances": 6, "n_classes": 3,
@@ -740,29 +672,45 @@ class TestConfigEcho:
         config = json.loads(manifest.read_text())["config"]
         assert _ordered(config) == _ordered(self.DEFAULTS[command])
 
-    def test_each_train_key_echoes_alike_from_file_and_flag(self, small_scenes, tmp_path, capsys):
-        short = {"stages": 1, "warmup": 1, "iters": 1}
-        echoed = [flag for flag in cli._TRAIN_FLAGS if flag.path]
-        assert [flag.name for flag in cli._TRAIN_FLAGS if not flag.path] == ["--jobs"]
-        for flag in echoed:
-            key = flag.name[2:].replace("-", "_")
-            value = flag.default + 1 if flag.kind is int else (flag.default or 1.0) * 1.5
-            rest = {k: v for k, v in short.items() if k != key}
-            configs = []
-            for source, file_cfg, flags in (("file", {**rest, key: value}, []),
-                                            ("flag", rest, [flag.name, str(value)])):
-                cfg_path = tmp_path / f"{key}_{source}.json"
-                cfg_path.write_text(json.dumps(file_cfg))
-                out = tmp_path / f"{key}_{source}"
-                assert dispatch(["train", "--scene", str(small_scenes[0]), "--out", str(out),
-                                 "--config", str(cfg_path), *flags]) == 0, (key, source)
-                configs.append(json.loads((out / "manifest.json").read_text())["config"])
-            assert configs[0][key] == value, key
-            assert _ordered(configs[0]) == _ordered(configs[1]), key
-        assert list(configs[0]) == [flag.name[2:].replace("-", "_") for flag in echoed]
+    # Each train flag, the MdmConfig field it sets, and a value off its default.
+    TRAIN_FIELDS = [
+        ("--stages", "n_stages", 2),
+        ("--warmup", "warmup_iters", 2),
+        ("--iters", "iters_per_stage", 2),
+        ("--lr", "learning_rate", 0.02),
+        ("--hard-pixel-ratio", "hard_pixel_ratio", 0.3),
+        ("--beta", "i2s.beta", 3.0),
+        ("--pair-radius", "i2s.pair_radius", 5),
+        ("--max-pairs", "i2s.max_pairs", 100),
+        ("--seed", "seed", 7),
+    ]
+
+    def test_each_train_flag_reaches_its_field(self, small_scenes, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def record(scene, semantic_in, cfg, _real=cli.run_mdm):
+            seen.append(cfg)
+            return _real(scene, semantic_in, cfg)
+
+        monkeypatch.setattr(cli, "run_mdm", record)
+        short = {"--stages": 1, "--warmup": 1, "--iters": 1}
+        for flag, path, value in self.TRAIN_FIELDS:
+            argv = [str(a) for f, v in {**short, flag: value}.items() for a in (f, v)]
+            out = tmp_path / flag.strip("-")
+            assert dispatch(["train", "--scene", str(small_scenes[0]), "--out", str(out),
+                             "--jobs", "1", *argv]) == 0, flag
+            base = MdmConfig(n_stages=1, warmup_iters=1, iters_per_stage=1)
+            head, _, leaf = path.rpartition(".")
+            expected = (replace(base, i2s=replace(base.i2s, **{leaf: value})) if head
+                        else replace(base, **{leaf: value}))
+            assert seen.pop() == expected, flag
+            key = flag[2:].replace("-", "_")
+            echo = json.loads((out / "manifest.json").read_text())["config"]
+            assert echo[key] == value, flag
+            assert list(echo) == [f[2:].replace("-", "_") for f, _, _ in self.TRAIN_FIELDS]
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_jobs_from_config_file_reaches_the_pool(
+    def test_jobs_flag_reaches_the_pool(
         self, small_scenes, tmp_path, monkeypatch, capsys, command
     ):
         seen = []
@@ -773,16 +721,13 @@ class TestConfigEcho:
             run_tasks(worker, tasks, 1)
 
         monkeypatch.setattr(cli, "_run_tasks", record)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"jobs": 2}))
         gt = [str(d / "gt_instances.pgm") for d in small_scenes]
         inputs = {
             "train": ["--scene", str(small_scenes[0]), "--scene", str(small_scenes[1]),
                       "--stages", "1", "--warmup", "1", "--iters", "1"],
             "eval": ["--pred", gt[0], "--gt", gt[0], "--pred", gt[1], "--gt", gt[1]],
         }[command]
-        assert dispatch([command, *inputs, "--out", str(tmp_path / "t"),
-                         "--config", str(cfg_path)]) == 0
+        assert dispatch([command, *inputs, "--out", str(tmp_path / "t"), "--jobs", "2"]) == 0
         assert seen == [(2, 2)]
 
 
@@ -1150,15 +1095,13 @@ class TestOutputDigests:
             assert digest == expected, f"{name}: {digest:016x}"
 
 
-@pytest.mark.parametrize("target", ["points", "scene_json", "scene_points", "classes", "config"])
+@pytest.mark.parametrize("target", ["points", "scene_json", "scene_points", "classes"])
 def test_non_utf8_text_input_exit_2(scene_dir, tmp_path, capsys, target):
     scene = tmp_path / "scene"
     shutil.copytree(scene_dir, scene)
     s2i = tmp_path / "s2i"
     assert dispatch(["s2i", "--semantic", str(scene / "semantic_in.pgm"),
                      "--points", str(scene / "points.csv"), "--out", str(s2i)]) == 0
-    config = tmp_path / "cfg.json"
-    config.write_text("{}")
     train = ["train", "--scene", str(scene), "--out", str(tmp_path / "t"),
              "--stages", "1", "--warmup", "1", "--iters", "1"]
     bad, argv = {
@@ -1172,7 +1115,6 @@ def test_non_utf8_text_input_exit_2(scene_dir, tmp_path, capsys, target):
                                           "--pred-classes", str(s2i / "classes.csv"),
                                           "--gt-classes", str(s2i / "classes.csv"),
                                           "--out", str(tmp_path / "t")]),
-        "config": (config, [*train, "--config", str(config)]),
     }[target]
     bad.write_bytes(bad.read_bytes() + b"\xff")
     assert dispatch(argv) == 2
@@ -1182,29 +1124,23 @@ def test_non_utf8_text_input_exit_2(scene_dir, tmp_path, capsys, target):
     assert not (tmp_path / "t").exists()
 
 
-@pytest.mark.parametrize("target", ["scene_json", "config"])
-def test_unparsable_json_input_exit_2(scene_dir, tmp_path, capsys, target):
+def test_unparsable_json_input_exit_2(scene_dir, tmp_path, capsys):
     scene = tmp_path / "scene"
     shutil.copytree(scene_dir, scene)
-    config = tmp_path / "cfg.json"
-    config.write_text("{}")
-    bad = {"scene_json": scene / "scene.json", "config": config}[target]
+    bad = scene / "scene.json"
     bad.write_text("{")
-    assert dispatch(["train", "--scene", str(scene), "--out", str(tmp_path / "t"),
-                     "--config", str(config)]) == 2
+    assert dispatch(["train", "--scene", str(scene), "--out", str(tmp_path / "t")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not JSON (") and err.count("\n") == 1
     assert not (tmp_path / "t").exists()
 
 
 def test_text_inputs_decoded_from_the_bytes_read(scene_dir, tmp_path, monkeypatch, capsys):
-    # points.csv, classes.csv, scene.json and --config are each read once,
-    # as bytes, and decoded from them.
+    # points.csv, classes.csv and scene.json are each read once, as bytes,
+    # and decoded from them.
     s2i = tmp_path / "s2i"
     assert dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
                      "--points", str(scene_dir / "points.csv"), "--out", str(s2i)]) == 0
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"stages": 1, "warmup": 1, "iters": 1}))
 
     def second_read(*args, **kwargs):
         raise AssertionError("an input was read again as text")
@@ -1215,7 +1151,7 @@ def test_text_inputs_decoded_from_the_bytes_read(scene_dir, tmp_path, monkeypatc
         ["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
          "--points", str(scene_dir / "points.csv"), "--out", str(tmp_path / "s2i_again")],
         ["train", "--scene", str(scene_dir), "--out", str(tmp_path / "train"),
-         "--config", str(config)],
+         "--stages", "1", "--warmup", "1", "--iters", "1"],
         ["eval", "--pred", str(s2i / "instances.pgm"), "--gt", str(s2i / "instances.pgm"),
          "--pred-classes", classes, "--gt-classes", classes, "--out", str(tmp_path / "eval")],
     ):
@@ -1348,17 +1284,6 @@ class TestCliFuzz:
         capsys.readouterr()
 
 
-def _numeric_flags() -> dict[str, list[str]]:
-    """The int and float flags of each subcommand's flag table, but --jobs."""
-    tables = {"synth": cli._SYNTH_FLAGS, "i2s": cli._I2S_FLAGS, "train": cli._TRAIN_FLAGS,
-              "eval": cli._EVAL_FLAGS}
-    flags = {
-        command: [f.name for f in table if f.kind in (int, float) and f.name != "--jobs"]
-        for command, table in tables.items()
-    }
-    return {command: names for command, names in flags.items() if names}
-
-
 class TestCliFlagFuzz:
     """Each numeric flag, set alone to -1, 0, nan or inf, must end in exit
     code 0, 1 or 2, never in an exception that escapes dispatch. --jobs is
@@ -1372,7 +1297,14 @@ class TestCliFlagFuzz:
         ("synth", "--count", "0"): 2,
         ("train", "--beta", "inf"): 2,
     }
-    FLAGS = _numeric_flags()
+    # Each subcommand's int and float flags but --jobs; eval has no other.
+    FLAGS = {
+        "synth": ["--seed", "--count", "--height", "--width", "--instances", "--classes",
+                  "--dilation", "--erosion", "--flip-rate"],
+        "i2s": ["--pair-radius"],
+        "train": ["--stages", "--warmup", "--iters", "--lr", "--hard-pixel-ratio", "--beta",
+                  "--pair-radius", "--max-pairs", "--seed"],
+    }
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):

@@ -45,3 +45,17 @@ def test_package_holds_only_its_version():
     done = _fresh("import pointseg; print(sorted(n for n in vars(pointseg) if n[0] != '_'))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_console_script_runs_main():
+    # CI runs `python -m pointseg.cli`; this runs what `pointseg` installs:
+    # the [project.scripts] target, called as the generated script calls it.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["pointseg"]
+    module, _, attr = target.partition(":")
+    for argv, code in ((["--help"], 0), (["train", "--config", "x.json"], 1)):
+        done = _fresh(f"import sys; from {module} import {attr}; "
+                      f"sys.argv = ['pointseg', *{argv!r}]; sys.exit({attr}())")
+        assert done.returncode == code, (argv, done.stderr)
+    assert "usage: pointseg train" in done.stderr and "Traceback" not in done.stderr
