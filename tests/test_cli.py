@@ -479,6 +479,44 @@ class TestTrainEvalCli:
         assert value in err
         assert not (tmp_path / "t").exists()
 
+    # Every int and float flag of synth, i2s, train and eval, with a value
+    # its type refuses, and the two flags of synth that take no number.
+    WRONG_TYPE = [
+        *(("synth", flag, "2.7", "invalid int value: '2.7'")
+          for flag in ["--seed", "--count", "--height", "--width", "--instances",
+                       "--classes", "--dilation", "--erosion"]),
+        ("i2s", "--pair-radius", "2.7", "invalid int value: '2.7'"),
+        *(("train", flag, "2.7", "invalid int value: '2.7'")
+          for flag in ["--stages", "--warmup", "--iters", "--pair-radius", "--max-pairs",
+                       "--seed", "--jobs"]),
+        ("eval", "--jobs", "2.7", "invalid int value: '2.7'"),
+        ("synth", "--flip-rate", "abc", "invalid float value: 'abc'"),
+        *(("train", flag, "abc", "invalid float value: 'abc'")
+          for flag in ["--lr", "--hard-pixel-ratio", "--beta"]),
+        ("synth", "--shapes", "hex", "invalid choice: 'hex'"),
+        ("synth", "--merge-adjacent=false", None, "ignored explicit argument 'false'"),
+    ]
+
+    @pytest.mark.parametrize("command,flag,value,message", WRONG_TYPE,
+                             ids=[f"{case[0]}{case[1].split('=')[0]}" for case in WRONG_TYPE])
+    def test_flag_value_of_wrong_type_exit_1(
+        self, scene_dir, tmp_path, capsys, command, flag, value, message
+    ):
+        # Each flag's add_argument carries its type, so a value of another
+        # type is refused at parsing, before any input is read.
+        gt = str(scene_dir / "gt_instances.pgm")
+        inputs = {
+            "synth": [],
+            "i2s": ["--instances", gt, "--classmap", str(scene_dir / "intensity.mdmt")],
+            "train": ["--scene", str(scene_dir)],
+            "eval": ["--pred", gt, "--gt", gt],
+        }[command]
+        given = [flag] if value is None else [flag, value]
+        assert dispatch([command, *inputs, *given, "--out", str(tmp_path / "t")]) == 1
+        err = capsys.readouterr().err
+        assert flag.split("=")[0] in err and message in err and "Traceback" not in err
+        assert not (tmp_path / "t").exists()
+
     def test_removed_tau_flag_exit_1(self, scene_dir, tmp_path, capsys):
         # Grouping needs no vote radius, so --tau is no flag of train.
         code = dispatch(["train", "--scene", str(scene_dir), "--out", str(tmp_path / "t"),
