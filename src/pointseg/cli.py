@@ -455,13 +455,14 @@ def _cmd_train(argv: list[str]) -> int:
 
 def _read_classes_csv(path: Path, grid: LabelGrid, inputs: dict[str, bytes]) -> dict[int, int]:
     """The instance -> class table of `grid` from `path`'s bytes read: a row for
-    each id, and each class id 1..PGM_MAX_ID, as a point's is."""
+    each id, and each instance and class id 1..PGM_MAX_ID, an id a label PGM carries."""
     table, line = {}, {}
     for n, (inst, cls) in decode_int_csv(_text(path, inputs), CLASSES_HEADER, str(path)):
         if inst in line:
             raise PointsegError(f"{path} lines {line[inst]} and {n}: both give instance_id {inst}")
-        if not 1 <= cls <= PGM_MAX_ID:
-            raise PointsegError(f"{path} line {n}: class_id must be 1..{PGM_MAX_ID}, got {cls}")
+        for name, value in (("instance_id", inst), ("class_id", cls)):
+            if not 1 <= value <= PGM_MAX_ID:
+                raise PointsegError(f"{path} line {n}: {name} must be 1..{PGM_MAX_ID}, got {value}")
         table[inst], line[inst] = cls, n
     missing = sorted(set(grid.ids()) - table.keys())
     if missing:

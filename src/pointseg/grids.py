@@ -1,5 +1,5 @@
-"""Raster types, connected-component labeling by run-based union-find, and
-bit-exact codecs.
+"""Raster types, connected-component labeling by run-based union-find, a
+clipped window sum, and bit-exact codecs.
 
 points.csv and classes.csv share one integer-CSV grammar, read by
 decode_int_csv and written by encode_int_csv: a header line naming the
@@ -28,6 +28,7 @@ __all__ = [
     "Point",
     "PointAnnotationSet",
     "connected_components",
+    "box_sum",
     "encode_label_pgm",
     "decode_label_pgm",
     "encode_tensor",
@@ -247,6 +248,22 @@ def connected_components(grid: np.ndarray) -> LabelGrid:
         lo, hi = np.minimum(lo[split], hi[split]), np.maximum(lo[split], hi[split])
     roots = np.cumsum(parent == np.arange(len(parent)), dtype=np.int32) - 1
     return LabelGrid(roots[parent][runs])
+
+
+def box_sum(values: np.ndarray, r: int) -> np.ndarray:
+    """Sum over each (2r+1)-square window, clipped to the array, of axes 0 and
+    1, from prefix sums along each axis; any further axes are summed apart."""
+    r = min(r, max(values.shape[:2]))  # a wider window holds no more entries
+    for axis in (0, 1):
+        n = values.shape[axis]
+        pad = [(0, 0)] * values.ndim
+        pad[axis] = (1, 0)  # prefix[k] sums the first k entries
+        prefix = np.cumsum(np.pad(values, pad), axis=axis)
+        at = np.arange(n)
+        values = prefix.take(np.minimum(at + r + 1, n), axis=axis) - prefix.take(
+            np.maximum(at - r, 0), axis=axis
+        )
+    return values
 
 
 def encode_label_pgm(grid: LabelGrid) -> bytes:

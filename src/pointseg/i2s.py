@@ -10,8 +10,8 @@ neighborhood radius. The refresh takes one of two affinity sources:
     one vectorised step and added at both of its ends (the predicted
     affinity of the training loop, a sigmoid of embedding dot products);
   * an instance LabelGrid, whose 0/1 same-instance affinity reduces the
-    refresh to box sums over each instance's mask, taken from cumulative
-    sums over the instance's bounding box (`pointseg i2s`).
+    refresh to box sums over each instance's mask, one grids.box_sum over
+    the instance's bounding box (`pointseg i2s`).
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PipelineError
-from .grids import ClassScoreMap, LabelGrid
+from .grids import ClassScoreMap, LabelGrid, box_sum
 
 __all__ = [
     "I2SConfig",
@@ -232,25 +232,10 @@ def refresh_semantic(
     return ClassScoreMap((acc[:ch] / acc[ch]).reshape(ch, h, wp)[:, :, :w].transpose(1, 2, 0))
 
 
-def _box_sum(values: np.ndarray, r: int) -> np.ndarray:
-    """Sum over each (2r+1)-square window, clipped to the array, of axes 0 and 1."""
-    for axis in (0, 1):
-        n = values.shape[axis]
-        pad = [(0, 0)] * values.ndim
-        pad[axis] = (1, 0)  # prefix[k] sums the first k entries
-        prefix = np.cumsum(np.pad(values, pad), axis=axis)
-        at = np.arange(n)
-        values = prefix.take(np.minimum(at + r + 1, n), axis=axis) - prefix.take(
-            np.maximum(at - r, 0), axis=axis
-        )
-    return values
-
-
 def _refresh_by_instances(
     instances: LabelGrid, class_map: ClassScoreMap, r: int
 ) -> ClassScoreMap:
     """The refresh under the 0/1 same-instance affinity of `instances`."""
-    r = min(r, max(instances.shape))  # a wider window holds no more pixels
     scores = class_map.data
     out = scores.copy()  # a background row is affine to itself alone: kept
     width = instances.shape[1]
@@ -268,7 +253,6 @@ def _refresh_by_instances(
         mask = np.zeros((ys.max() - y0 + 1, xs.max() - x0 + 1))
         mask[local] = 1.0
         crop = scores[y0 : y0 + mask.shape[0], x0 : x0 + mask.shape[1]]
-        num = _box_sum(crop * mask[:, :, None], r)[local]
-        den = _box_sum(mask, r)[local]
-        out[ys, xs] = num / den[:, None]
+        sums = box_sum(np.dstack([crop * mask[:, :, None], mask]), r)[local]
+        out[ys, xs] = sums[:, :-1] / sums[:, -1:]
     return ClassScoreMap(out)

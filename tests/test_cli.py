@@ -343,6 +343,29 @@ class TestTrainEvalCli:
         assert f"{classes} line 2" in err
         assert not (tmp_path / "ev").exists()
 
+    # An instance id no label PGM carries names no instance of either grid;
+    # a complete table with such a row is refused at that row, not read unused.
+    @pytest.mark.parametrize("row", ["99999999999999999999,1", "-4,2", "0,1", "65536,1"])
+    def test_classes_row_with_instance_id_out_of_range_exit_2(
+        self, scene_dir, tmp_path, capsys, row
+    ):
+        s2i = tmp_path / "s2i"
+        assert dispatch(["s2i", "--semantic", str(scene_dir / "semantic_in.pgm"),
+                         "--points", str(scene_dir / "points.csv"), "--out", str(s2i)]) == 0
+        instances = s2i / "instances.pgm"
+        lines = (s2i / "classes.csv").read_text().splitlines()
+        assert len(lines) == 4
+        classes = tmp_path / "classes.csv"
+        classes.write_text("\n".join([*lines, row]) + "\n")
+        code = dispatch(["eval", "--pred", str(instances), "--gt", str(instances),
+                         "--pred-classes", str(classes), "--gt-classes", str(classes),
+                         "--out", str(tmp_path / "ev")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{classes} line 5: instance_id must be 1..65535" in err
+        assert not (tmp_path / "ev").exists()
+
     @pytest.mark.parametrize("short", ["--pred-classes", "--gt-classes"])
     def test_classes_file_repeating_an_instance_exit_2(
         self, scene_dir, tmp_path, capsys, short
@@ -1095,12 +1118,21 @@ class TestOutputDigests:
         "pseudo_instances.pgm": 0x0D7477E029F86565,
         "semantic_out.pgm": 0x4D60478A06E83EAE,
     }
-    # The warm-up's losses and stage 0's outputs besides its labels.
+    # The warm-up's losses and stage 0's outputs besides its labels. The loss
+    # logs' last digits follow the summation order of the 3x3 feature means
+    # (grids.box_sum's prefix sums); the labels do not.
     TRAIN_64_EARLY = {
-        "warmup_losses.jsonl": 0xD9BC190F85EBEA0F,
-        "stage_00/losses.jsonl": 0x7A2946CF0EAAEFFB,
+        "warmup_losses.jsonl": 0xA0A349556F5A506D,
+        "stage_00/losses.jsonl": 0xF1A59572E8A6FE0C,
         "stage_00/classes.csv": 0x443CEC1530BD4168,
         "stage_00/metrics.json": 0x9749AFA456D5EA34,
+    }
+    # `pointseg i2s` on stage 2's soft class map and its pseudo-instances:
+    # the box sums of a soft map round by their summation order, where a
+    # one-hot map sums exactly in any order.
+    I2S_SOFT_64 = {
+        "classmap.mdmt": 0x93B105E8B2C2059C,
+        "semantic_out.pgm": 0x1937E4F2DA7AC9F8,
     }
 
     @pytest.fixture(scope="class")
@@ -1130,6 +1162,15 @@ class TestOutputDigests:
     def test_train_64_warmup_and_first_stage(self, train_64):
         for name, expected in self.TRAIN_64_EARLY.items():
             digest = fnv1a64((train_64 / name).read_bytes())
+            assert digest == expected, f"{name}: {digest:016x}"
+
+    def test_i2s_on_a_trained_soft_class_map(self, train_64, tmp_path):
+        stage = train_64 / "stage_02"
+        assert dispatch(["i2s", "--instances", str(stage / "pseudo_instances.pgm"),
+                         "--classmap", str(stage / "classmap.mdmt"),
+                         "--out", str(tmp_path / "i2s")]) == 0
+        for name, expected in self.I2S_SOFT_64.items():
+            digest = fnv1a64((tmp_path / "i2s" / name).read_bytes())
             assert digest == expected, f"{name}: {digest:016x}"
 
 

@@ -9,6 +9,7 @@ from pointseg.grids import (
     LabelGrid,
     Point,
     PointAnnotationSet,
+    box_sum,
     connected_components,
     decode_int_csv,
     decode_label_pgm,
@@ -304,6 +305,30 @@ class TestConnectedComponents:
         a = connected_components(mask)
         b = connected_components(mask.copy())
         assert np.array_equal(a.data, b.data)
+
+
+def brute_box_sum(values, r):
+    """Each pixel's (2r+1)-square window, clipped to the grid, summed directly."""
+    out = np.zeros_like(values)
+    for y in range(values.shape[0]):
+        for x in range(values.shape[1]):
+            window = values[max(0, y - r) : y + r + 1, max(0, x - r) : x + r + 1]
+            out[y, x] = window.sum(axis=(0, 1))
+    return out
+
+
+class TestBoxSum:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 9), (5, 6)])
+    @pytest.mark.parametrize("trailing", [(), (3,)])
+    @pytest.mark.parametrize("radius", ["0", "1", "2", "past the grid"])
+    def test_equals_brute_force_windows(self, shape, trailing, radius):
+        # Integer-valued sums are exact in any order, so the two must be equal.
+        r = max(shape) + 1 if radius == "past the grid" else int(radius)
+        rng = np.random.default_rng([*shape, len(trailing), r])
+        values = rng.integers(-50, 50, (*shape, *trailing)).astype(np.float64)
+        got = box_sum(values, r)
+        assert got.shape == values.shape
+        assert (got == brute_box_sum(values, r)).all()
 
 
 class TestPgmCodec:

@@ -111,6 +111,9 @@ def make_cfg(**kw):
     return MdmConfig(**defaults)
 
 
+FEATURE_SHAPES = [(1, 1), (1, 7), (7, 1), (2, 2), (2, 9), (16, 16), (33, 64)]
+
+
 class TestExpandFeatures:
     def test_shape_doubles_channels(self):
         feats = np.random.default_rng(0).standard_normal((4, 5, 3))
@@ -126,18 +129,32 @@ class TestExpandFeatures:
         x = expand_features(feats)
         assert x[0, 0, 1] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (2, 9), (16, 16), (33, 64)])
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
-    def test_bit_identical_to_two_step_reference(self, shape, scale):
-        # The nine windows are summed in the reference's order from zero, so
-        # every float, each -0.0 among them, is the same bits.
-        rng = np.random.default_rng([*shape, int(math.log10(scale)) + 3])
-        feats = scale * rng.standard_normal((*shape, 5))
+    @pytest.mark.parametrize("shape", FEATURE_SHAPES)
+    def test_bit_identical_to_two_step_reference_on_integers(self, shape):
+        # Integer sums are exact in any order, so the box sums and the
+        # reference's nine adds give the same bits, and a wrong window or
+        # count shows; a -0.0 feature adds into +0.0 means either way.
+        rng = np.random.default_rng([*shape])
+        feats = rng.integers(-1000, 1000, (*shape, 5)).astype(np.float64)
         feats[rng.random(feats.shape) < 0.2] = -0.0
         got = expand_features(feats)
         want = _ref_feature_planes(feats)
         assert got.shape == want.shape == (*shape, 11)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", FEATURE_SHAPES)
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_within_rounding_of_two_step_reference(self, shape, scale):
+        # Prefix sums round apart from the nine adds: the means agree within
+        # 4 eps of the largest feature, the features and the ones exactly.
+        rng = np.random.default_rng([*shape, int(math.log10(scale)) + 3])
+        feats = scale * rng.standard_normal((*shape, 5))
+        got = expand_features(feats)
+        want = _ref_feature_planes(feats)
+        assert got.shape == want.shape == (*shape, 11)
+        assert np.array_equal(got[:, :, :5], feats) and (got[:, :, -1] == 1.0).all()
+        tol = 4 * np.finfo(np.float64).eps * np.abs(feats).max()
+        assert np.abs(got - want).max() <= tol
 
 
 class TestPredict:
@@ -748,8 +765,11 @@ class TestObjectiveMatchesReference:
             _derive_seed(cfg.seed, 0, 0), feats.shape[2], sc.n_classes
         )
         trained, _ = _ref_fit(initial, feats, targets, cfg, 50)
-        objective = _Objective(initial, expand_features(feats), targets, cfg.hard_pixel_ratio)
-        xmat = _ref_expand_features(feats)
+        x = expand_features(feats)
+        objective = _Objective(initial, x, targets, cfg.hard_pixel_ratio)
+        # The reference reads the same feature planes, so its sums stay in
+        # the objective's order; TestExpandFeatures checks the planes.
+        xmat = x[:, :, :-1].reshape(-1, x.shape[2] - 1)
         for params in (initial, trained):
             got, grad = objective(params)
             gw, gb = grad[:-1], grad[-1]
