@@ -4,7 +4,9 @@ Subcommands: synth | s2i | i2s | train | eval | render. Every
 output directory receives a manifest.json with the tool version, the full
 configuration echo, FNV-1a digests of the inputs as read, and wall-clock
 seconds. Exit codes: 0 success, 1 usage error, 2 data error (or out of
-memory); an input file that fails to decode is named in its error.
+memory). Every refusal of an input reads `<path>: <reason>`; only `_decoded`
+adds the path, as each check of an input runs in the callable that decodes
+it. A broken scene, or a run that fails on one, names its directory.
 
 Every setting is a flag; there is no settings file. The manifest echoes
 the settings in flag order: all of i2s's, all but `--jobs` of train's, so
@@ -18,7 +20,7 @@ gt_instances.pgm, gt_semantic.pgm, semantic_in.pgm (the corrupted semantic
 map), points.csv, intensity.mdmt (the (H, W) image) and scene.json (the
 scene's parameters; train reads its n_classes, an integer from 1 to 65535,
 the largest id a label PGM can carry). train needs at least one point in
-points.csv; a point-less scene is a data error that names its directory.
+points.csv.
 """
 from __future__ import annotations
 
@@ -155,31 +157,33 @@ def _read_inputs(paths: list[Path]) -> dict[str, bytes]:
     return {str(p): p.read_bytes() for p in paths}
 
 
-def _text(path: Path, inputs: dict[str, bytes]) -> str:
-    """The text of the input file `path` from its bytes read, which must be
-    UTF-8; CRLF and CR line ends read as LF, as a text-mode read gives them."""
+def _text(blob: bytes) -> str:
+    """UTF-8 `blob` as text, each CRLF or CR read as LF, as a text-mode read gives them."""
     try:
-        text = inputs[str(path)].decode("utf-8")
+        text = blob.decode("utf-8")
     except UnicodeDecodeError as err:
-        raise PointsegError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+        raise PointsegError(f"not UTF-8 text ({err.reason} at byte {err.start})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _json(path: Path, inputs: dict[str, bytes]):
-    """The value of the JSON input file `path` from its bytes read."""
-    try:
-        return json.loads(_text(path, inputs))
-    except json.JSONDecodeError as err:
-        raise PointsegError(f"{path}: not JSON ({err})") from None
-
-
 def _decoded(path: str | Path, inputs: dict[str, bytes], decode):
-    """decode(the bytes read of the input file `path`); a payload it refuses
-    is a GridError that names the file."""
+    """decode(the bytes read of the input file `path`). The one place that
+    names an input file: an error decode raises gains the prefix `<path>: `,
+    and JSON that does not parse reads `<path>: not JSON (...)`."""
     try:
         return decode(inputs[str(Path(path))])
-    except GridError as err:
-        raise GridError(f"{path}: {err}") from None
+    except json.JSONDecodeError as err:
+        raise PointsegError(f"{path}: not JSON ({err})") from None
+    except PointsegError as err:
+        raise type(err)(f"{path}: {err}") from None
+
+
+def _on_grid(value, grid: LabelGrid, path: str):
+    """`value`, a LabelGrid or ClassScoreMap, if it lies on `grid`, read from `path`."""
+    shape = value.data.shape[:2]
+    if shape != grid.shape:
+        raise GridError(f"grid {shape} differs from the grid {grid.shape} of {path}")
+    return value
 
 
 def _write(path: Path, payload) -> None:
@@ -285,12 +289,13 @@ def _cmd_s2i(argv: list[str]) -> int:
 
     inputs = _read_inputs([Path(args.semantic), Path(args.points)])
     semantic = _decoded(args.semantic, inputs, decode_label_pgm)
-    points = decode_points_csv(_text(Path(args.points), inputs), args.points)
-    try:
-        points.validate_on(*semantic.shape)
-    except GridError as err:
-        raise GridError(f"{args.points}: {err}") from None
 
+    def points_on_grid(blob: bytes) -> PointAnnotationSet:
+        points = decode_points_csv(_text(blob))
+        points.validate_on(*semantic.shape)
+        return points
+
+    points = _decoded(args.points, inputs, points_on_grid)
     regions = attach_points(extract_regions(semantic), points)
     instances = assign_points(regions, points)
     offsets = compute_offset_field(instances, points)
@@ -322,7 +327,8 @@ def _cmd_i2s(argv: list[str]) -> int:
 
     inputs = _read_inputs([Path(args.instances), Path(args.classmap)])
     instances = _decoded(args.instances, inputs, decode_label_pgm)
-    class_map = _decoded(args.classmap, inputs, lambda blob: ClassScoreMap(decode_tensor(blob)))
+    class_map = _decoded(args.classmap, inputs, lambda blob: _on_grid(
+        ClassScoreMap(decode_tensor(blob)), instances, args.instances))
     refreshed = refresh_semantic(instances, class_map, I2SConfig(pair_radius=args.pair_radius))
     out_dir = Path(args.out)
     _write(out_dir / "classmap.mdmt", encode_tensor(refreshed.data))
@@ -342,24 +348,13 @@ _SCENE_FILES = (
 )
 
 
-def _load_scene_dir(scene_dir: Path) -> tuple[Scene, LabelGrid, dict[str, bytes]]:
-    """The scene, its corrupted semantic map and the bytes of its files."""
-    path = {name: scene_dir / name for name in _SCENE_FILES}
-    inputs = _read_inputs(list(path.values()))
-    meta = _json(path["scene.json"], inputs)
+def _n_classes(blob: bytes) -> int:
+    """The n_classes of a scene.json, refused before any array is sized by it."""
+    meta = json.loads(_text(blob))
     n_classes = meta.get("n_classes") if isinstance(meta, dict) else None
-    # Refused before any array is sized by it.
     if type(n_classes) is not int or not 1 <= n_classes <= PGM_MAX_ID:
-        raise PointsegError(
-            f"{path['scene.json']}: expected a JSON object with n_classes 1..{PGM_MAX_ID}"
-        )
-    gt_instances = _decoded(path["gt_instances.pgm"], inputs, decode_label_pgm)
-    gt_semantic = _decoded(path["gt_semantic.pgm"], inputs, decode_label_pgm)
-    semantic_in = _decoded(path["semantic_in.pgm"], inputs, decode_label_pgm)
-    points = decode_points_csv(_text(path["points.csv"], inputs), str(path["points.csv"]))
-    intensity = _decoded(path["intensity.mdmt"], inputs, decode_tensor)
-    scene = Scene(gt_instances, gt_semantic, points, intensity, n_classes)
-    return scene, semantic_in, inputs
+        raise PointsegError(f"expected a JSON object with n_classes 1..{PGM_MAX_ID}")
+    return n_classes
 
 
 def _classes_csv(grid: LabelGrid, points: PointAnnotationSet) -> str:
@@ -378,11 +373,19 @@ def _train_one(task: tuple[str, str, MdmConfig, dict]) -> str:
     scene_path, out_path, cfg, echo = task
     scene_dir, out_dir = Path(scene_path), Path(out_path)
     t0 = time.time()
-    try:
-        scene, semantic_in, inputs = _load_scene_dir(scene_dir)
+    path = {name: scene_dir / name for name in _SCENE_FILES}
+    inputs = _read_inputs(list(path.values()))
+    n_classes = _decoded(path["scene.json"], inputs, _n_classes)
+    gt_instances = _decoded(path["gt_instances.pgm"], inputs, decode_label_pgm)
+    gt_semantic = _decoded(path["gt_semantic.pgm"], inputs, decode_label_pgm)
+    semantic_in = _decoded(path["semantic_in.pgm"], inputs, decode_label_pgm)
+    points = _decoded(path["points.csv"], inputs, lambda blob: decode_points_csv(_text(blob)))
+    intensity = _decoded(path["intensity.mdmt"], inputs, decode_tensor)
+    try:  # a broken scene, or a run that fails on it, names its directory
+        scene = Scene(gt_instances, gt_semantic, points, intensity, n_classes)
         result = run_mdm(scene, semantic_in, cfg)
-    except SceneError as err:  # a broken scene names its directory
-        raise SceneError(f"{scene_dir}: {err}") from None
+    except PointsegError as err:
+        raise type(err)(f"{scene_dir}: {err}") from None
     for stage in result.stages:
         stage_dir = out_dir / f"stage_{stage.stage_idx:02d}"
         _write(stage_dir / "pseudo_instances.pgm", encode_label_pgm(stage.pseudo_instances))
@@ -453,20 +456,20 @@ def _cmd_train(argv: list[str]) -> int:
 # ---------------------------------------------------------------- eval
 
 
-def _read_classes_csv(path: Path, grid: LabelGrid, inputs: dict[str, bytes]) -> dict[int, int]:
-    """The instance -> class table of `grid` from `path`'s bytes read: a row for
-    each id, and each instance and class id 1..PGM_MAX_ID, an id a label PGM carries."""
+def _class_table(blob: bytes, grid: LabelGrid) -> dict[int, int]:
+    """The instance -> class table of `grid` in a classes.csv: a row per id, each
+    instance and class id 1..PGM_MAX_ID, an id a label PGM carries."""
     table, line = {}, {}
-    for n, (inst, cls) in decode_int_csv(_text(path, inputs), CLASSES_HEADER, str(path)):
+    for n, (inst, cls) in decode_int_csv(_text(blob), CLASSES_HEADER):
         if inst in line:
-            raise PointsegError(f"{path} lines {line[inst]} and {n}: both give instance_id {inst}")
+            raise PointsegError(f"lines {line[inst]} and {n}: both give instance_id {inst}")
         for name, value in (("instance_id", inst), ("class_id", cls)):
             if not 1 <= value <= PGM_MAX_ID:
-                raise PointsegError(f"{path} line {n}: {name} must be 1..{PGM_MAX_ID}, got {value}")
+                raise PointsegError(f"line {n}: {name} must be 1..{PGM_MAX_ID}, got {value}")
         table[inst], line[inst] = cls, n
     missing = sorted(set(grid.ids()) - table.keys())
     if missing:
-        raise PointsegError(f"{path}: no row for instance ids {missing} of the label grid")
+        raise PointsegError(f"no row for instance ids {missing} of the label grid")
     return table
 
 
@@ -475,10 +478,12 @@ def _eval_one(task: tuple[str, str, str | None, str | None, str]) -> str:
     t0 = time.time()
     inputs = _read_inputs([Path(p) for p in (pred_path, gt_path, pred_cls_path, gt_cls_path) if p])
     pred = _decoded(pred_path, inputs, decode_label_pgm)
-    gt = _decoded(gt_path, inputs, decode_label_pgm)
-    pred_classes = _read_classes_csv(Path(pred_cls_path), pred, inputs) if pred_cls_path else None
-    gt_classes = _read_classes_csv(Path(gt_cls_path), gt, inputs) if gt_cls_path else None
-    class_aware = pred_classes is not None and gt_classes is not None
+    gt = _decoded(gt_path, inputs, lambda blob: _on_grid(decode_label_pgm(blob), pred, pred_path))
+    pred_classes = gt_classes = None
+    if pred_cls_path:  # eval's flags give both tables or neither
+        pred_classes = _decoded(pred_cls_path, inputs, lambda blob: _class_table(blob, pred))
+        gt_classes = _decoded(gt_cls_path, inputs, lambda blob: _class_table(blob, gt))
+    class_aware = pred_classes is not None
     match = greedy_match(pred, gt, pred_classes, gt_classes, class_aware)
     ap = ap_report(pred, gt, pred_classes, gt_classes)  # reads the table matching counted
     metrics = {

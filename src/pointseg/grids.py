@@ -5,6 +5,9 @@ points.csv and classes.csv share one integer-CSV grammar, read by
 decode_int_csv and written by encode_int_csv: a header line naming the
 fields, then a row of comma-separated integers per non-blank line.
 
+Codecs name lines, not files: a CSV error names its line, and the caller
+that read a payload adds the file it came from.
+
 Conventions shared by the whole package:
   * coordinates are (y, x) with the origin at the top-left pixel
   * offset vectors are stored as (dy, dx) in pixel units
@@ -381,20 +384,20 @@ def encode_int_csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
-def decode_int_csv(text: str, header: str, source: str) -> Iterator[tuple[int, list[int]]]:
+def decode_int_csv(text: str, header: str) -> Iterator[tuple[int, list[int]]]:
     """Inverse of :func:`encode_int_csv`: yields (file line, fields) of each
     row after `header`. Lines split as str.splitlines splits them, blank ones
-    skipped; an error names `source` and the line."""
+    skipped; a row error names its line."""
     lines = [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines or lines[0][1].replace(" ", "") != header:
-        raise GridError(f"{source}: expected header {header}")
+        raise GridError(f"expected header {header}")
     for n, line in lines[1:]:
         try:
             fields = [int(f) for f in line.split(",")]
         except ValueError:
             fields = []
         if len(fields) != header.count(",") + 1:
-            raise GridError(f"{source} line {n}: expected integers {header}, got {line!r}")
+            raise GridError(f"line {n}: expected integers {header}, got {line!r}")
         yield n, fields
 
 
@@ -402,10 +405,6 @@ def encode_points_csv(points: PointAnnotationSet) -> str:
     return encode_int_csv(POINTS_HEADER, points)
 
 
-def decode_points_csv(text: str, source: str = "points csv") -> PointAnnotationSet:
-    """The points of a points.csv; every error names `source`."""
-    rows = tuple(Point(*fields) for _, fields in decode_int_csv(text, POINTS_HEADER, source))
-    try:
-        return PointAnnotationSet(rows)
-    except GridError as err:  # the row errors above carry the source already
-        raise GridError(f"{source}: {err}") from None
+def decode_points_csv(text: str) -> PointAnnotationSet:
+    """The points of a points.csv."""
+    return PointAnnotationSet(tuple(row for _, row in decode_int_csv(text, POINTS_HEADER)))

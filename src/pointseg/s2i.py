@@ -36,9 +36,10 @@ log = logging.getLogger(__name__)
 class Regions:
     """The connected same-class components of a semantic map.
 
-    labels holds region ids 1..R in (class, raster) order, 0 on background;
-    classes[r] is region r's class, classes[0] = 0; owners maps each region
-    that holds matched points to their instance ids, ascending.
+    labels holds region ids 1..R in raster order of each region's first
+    pixel, 0 on background; classes[r] is region r's class, classes[0] = 0;
+    owners maps each region that holds matched points to their instance
+    ids, ascending.
     """
 
     labels: LabelGrid
@@ -47,20 +48,14 @@ class Regions:
 
 
 def extract_regions(semantic: LabelGrid) -> Regions:
-    """One region per 8-connected component per class, in (class, raster)
-    order: the regions that `pointseg s2i` and every training stage match
-    points to.
-
-    One labelling pass numbers the components in raster order; a stable sort
-    by class renumbers them class by class.
+    """One region per 8-connected component per class: the regions that
+    `pointseg s2i` and every training stage match points to. They keep
+    connected_components' ids, in raster order of each region's first pixel.
     """
-    comps = connected_components(semantic.data).data
-    comp_class = np.zeros(int(comps.max()) + 1, dtype=np.int32)
-    comp_class[comps] = semantic.data
-    order = np.argsort(comp_class[1:], kind="stable") + 1
-    relabel = np.zeros_like(comp_class)
-    relabel[order] = np.arange(1, len(order) + 1, dtype=np.int32)
-    return Regions(LabelGrid(relabel[comps]), comp_class[np.r_[0, order]])
+    labels = connected_components(semantic.data)
+    classes = np.zeros(int(labels.data.max()) + 1, dtype=np.int32)
+    classes[labels.data] = semantic.data
+    return Regions(labels, classes)
 
 
 def attach_points(regions: Regions, points: PointAnnotationSet) -> Regions:

@@ -340,7 +340,7 @@ class TestTrainEvalCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert f"{classes} line 2" in err
+        assert f"{classes}: line 2: " in err
         assert not (tmp_path / "ev").exists()
 
     # An instance id no label PGM carries names no instance of either grid;
@@ -363,7 +363,7 @@ class TestTrainEvalCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert f"{classes} line 5: instance_id must be 1..65535" in err
+        assert f"{classes}: line 5: instance_id must be 1..65535" in err
         assert not (tmp_path / "ev").exists()
 
     @pytest.mark.parametrize("short", ["--pred-classes", "--gt-classes"])
@@ -592,18 +592,45 @@ class TestTrainEvalCli:
         # stage's own outputs must name it, with nothing else on stderr.
         assert dispatch(["synth", "--height", "32", "--width", "32",
                          "--out", str(tmp_path / "s")]) == 0
+        scene = tmp_path / "s" / "scene_00000000"
         src = Path(pointseg.__file__).resolve().parents[1]
         done = subprocess.run(
             [sys.executable, "-m", "pointseg.cli", "train",
-             "--scene", str(tmp_path / "s" / "scene_00000000"), "--out", str(tmp_path / "t"),
+             "--scene", str(scene), "--out", str(tmp_path / "t"),
              "--stages", "2", "--warmup", "0", "--iters", "1", "--lr", "1e300"],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 2
-        assert done.stderr.startswith("error: diverged:") and done.stderr.count("\n") == 1
+        assert done.stderr.startswith(f"error: {scene}: diverged:")
+        assert done.stderr.count("\n") == 1
         assert "in stage 0, after its last step" in done.stderr and "(--lr)" in done.stderr
         assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_run_names_its_scene(self, scene_dir, tmp_path, monkeypatch, capsys, jobs):
+        # Of two scenes, only the second one's run diverges (its learning rate
+        # is raised before the run); the error names that scene's directory.
+        assert dispatch(["synth", "--height", "24", "--width", "24", "--seed", "3",
+                         "--out", str(tmp_path / "s")]) == 0
+        failing = tmp_path / "s" / "scene_00000003"
+        run_mdm = cli.run_mdm
+
+        def diverging_on_24px(scene, semantic_in, cfg):
+            if scene.intensity.shape == (24, 24):
+                cfg = replace(cfg, learning_rate=1e300)
+            return run_mdm(scene, semantic_in, cfg)
+
+        monkeypatch.setattr(cli, "run_mdm", diverging_on_24px)  # a forked worker inherits it
+        code = dispatch(["train", "--scene", str(scene_dir), "--scene", str(failing),
+                         "--out", str(tmp_path / "t"), "--stages", "1", "--warmup", "0",
+                         "--iters", "2", "--jobs", jobs])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {failing}: diverged: ") and err.count("\n") == 1
+        assert str(scene_dir) not in err
+        assert not (tmp_path / "t" / failing.name).exists()
+
 
 class TestCsvInputs:
     """points.csv and classes.csv are read by one integer-CSV reader: one
@@ -617,7 +644,7 @@ class TestCsvInputs:
                          "--points", str(points), "--out", str(tmp_path / "s2i")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == (f"error: {points} line 6: expected integers y,x,class_id,instance_id,"
+        assert err == (f"error: {points}: line 6: expected integers y,x,class_id,instance_id,"
                        " got '1,2,x,2'\n")
         assert not (tmp_path / "s2i").exists()
 
@@ -644,7 +671,7 @@ class TestCsvInputs:
         assert code == 2
         lines = (scene / "points.csv").read_text().splitlines()
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {scene / 'points.csv'} line {len(lines)}: ")
+        assert err.startswith(f"error: {scene / 'points.csv'}: line {len(lines)}: ")
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_line_endings_read_as_lf(self, scene_dir, tmp_path, newline):
@@ -678,7 +705,7 @@ class TestCsvInputs:
                          "--gt-classes", str(classes), "--out", str(tmp_path / "ev")])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {classes} line 5: expected integers instance_id,class_id, got '1'\n"
+            f"error: {classes}: line 5: expected integers instance_id,class_id, got '1'\n"
         )
 
 
@@ -1278,6 +1305,108 @@ def test_undecodable_pgm_or_mdmt_input_names_file_exit_2(
     assert not (tmp_path / "t").exists()
 
 
+@pytest.fixture(scope="module")
+def scene_24(tmp_path_factory):
+    """A 24x24 synth scene: its grids differ from scene_dir's 64x64."""
+    root = tmp_path_factory.mktemp("scene_24")
+    assert dispatch(["synth", "--out", str(root), "--seed", "3", "--height", "24",
+                     "--width", "24"]) == 0
+    return root / "scene_00000003"
+
+
+def _onehot_classmap(semantic_pgm: Path, path: Path) -> None:
+    semantic = decode_label_pgm(semantic_pgm.read_bytes())
+    path.write_bytes(encode_tensor(np.eye(int(semantic.data.max()) + 1)[semantic.data]))
+
+
+# (command, input, damage, what the reason holds). Each input a subcommand
+# reads, broken in each way that applies to it: bytes its codec refuses, a
+# bad CSV row, a point off the grid, a grid unlike the other input's and a
+# scene.json without n_classes.
+REFUSALS = [
+    ("s2i", "semantic", "bytes", "unexpected end of data"),
+    ("s2i", "points", "bytes", "not UTF-8 text"),
+    ("s2i", "points", "row", "expected integers y,x,class_id,instance_id"),
+    ("s2i", "points", "off-grid", "outside 64x64 grid"),
+    ("i2s", "instances", "bytes", "unexpected end of data"),
+    ("i2s", "classmap", "bytes", "dim/payload mismatch"),
+    ("i2s", "classmap", "grid", "grid (24, 24) differs from the grid (64, 64) of "),
+    ("train", "gt_instances", "bytes", "unexpected end of data"),
+    ("train", "gt_semantic", "bytes", "unexpected end of data"),
+    ("train", "semantic_in", "bytes", "unexpected end of data"),
+    ("train", "intensity", "bytes", "dim/payload mismatch"),
+    ("train", "points", "bytes", "not UTF-8 text"),
+    ("train", "points", "row", "expected integers y,x,class_id,instance_id"),
+    ("train", "scene_json", "bytes", "not UTF-8 text"),
+    ("train", "scene_json", "n_classes", "n_classes 1..65535"),
+    ("eval", "pred", "bytes", "unexpected end of data"),
+    ("eval", "gt", "bytes", "unexpected end of data"),
+    ("eval", "gt", "grid", "grid (24, 24) differs from the grid (64, 64) of "),
+    ("eval", "pred_classes", "bytes", "not UTF-8 text"),
+    ("eval", "pred_classes", "row", "expected integers instance_id,class_id"),
+    ("eval", "gt_classes", "row", "expected integers instance_id,class_id"),
+    ("eval", "gt_classes", "missing", "no row for instance ids"),
+    ("render", "input", "bytes", "unexpected end of data"),
+]
+
+
+@pytest.mark.parametrize("command, target, damage, reason", REFUSALS,
+                         ids=["-".join(case[:3]) for case in REFUSALS])
+def test_every_refused_input_is_named_once(
+    scene_dir, scene_24, tmp_path, capsys, command, target, damage, reason
+):
+    scene = shutil.copytree(scene_dir, tmp_path / "scene")
+    s2i = tmp_path / "s2i"
+    assert dispatch(["s2i", "--semantic", str(scene / "semantic_in.pgm"),
+                     "--points", str(scene / "points.csv"), "--out", str(s2i)]) == 0
+    classmap, gt_classes = tmp_path / "classmap.mdmt", tmp_path / "gt_classes.csv"
+    _onehot_classmap(scene / "semantic_in.pgm", classmap)
+    points = decode_points_csv((scene / "points.csv").read_text())
+    gt_classes.write_text(encode_int_csv(CLASSES_HEADER, ((p.instance_id, p.class_id)
+                                                          for p in points)))
+    path = {
+        "semantic": scene / "semantic_in.pgm", "points": scene / "points.csv",
+        "instances": s2i / "instances.pgm", "classmap": classmap,
+        "gt_instances": scene / "gt_instances.pgm", "gt_semantic": scene / "gt_semantic.pgm",
+        "semantic_in": scene / "semantic_in.pgm", "intensity": scene / "intensity.mdmt",
+        "scene_json": scene / "scene.json", "pred": s2i / "instances.pgm",
+        "gt": scene / "gt_instances.pgm", "pred_classes": s2i / "classes.csv",
+        "gt_classes": gt_classes, "input": s2i / "instances.pgm",
+    }
+    out = tmp_path / "out"
+    argv = {
+        "s2i": ["--semantic", path["semantic"], "--points", path["points"]],
+        "i2s": ["--instances", path["instances"], "--classmap", path["classmap"]],
+        "train": ["--scene", scene, "--stages", "1", "--warmup", "0", "--iters", "1"],
+        "eval": ["--pred", path["pred"], "--gt", path["gt"], "--pred-classes",
+                 path["pred_classes"], "--gt-classes", path["gt_classes"]],
+        "render": ["--input", path["input"]],
+    }[command]
+    bad = path[target]
+    blob = bad.read_bytes()
+    if damage == "bytes":  # a binary payload one byte short, a text one not UTF-8
+        bad.write_bytes(blob[:-1] if bad.suffix in (".pgm", ".mdmt") else blob + b"\xff")
+    elif damage == "row":
+        bad.write_bytes(blob + b"1,x\n")
+    elif damage == "off-grid":
+        bad.write_bytes(blob + f"200,1,1,{len(points) + 1}\n".encode())
+    elif damage == "grid" and target == "classmap":
+        _onehot_classmap(scene_24 / "semantic_in.pgm", bad)
+    elif damage == "grid":
+        bad.write_bytes((scene_24 / "gt_instances.pgm").read_bytes())
+    elif damage == "n_classes":
+        bad.write_text('{"height": 64}')
+    elif damage == "missing":
+        bad.write_text("\n".join(bad.read_text().splitlines()[:-1]) + "\n")
+    assert dispatch([command, *map(str, argv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+    assert err.count(str(bad)) == 1 and reason in err, err
+    if damage == "grid":  # the other input, whose grid it differs from
+        assert err.endswith(f" of {path['instances' if command == 'i2s' else 'pred']}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["s2i", "i2s", "eval", "render"])
 def test_input_paths_with_dot_segments(scene_dir, tmp_path, command):
     # Each input is read once, keyed by its path: a path spelt with "." and
@@ -1491,6 +1620,9 @@ class TestPerfbenchTracerSpans:
         assert loop_layers <= set(names), loop_layers - set(names)
         assert names.count("loop.run_mdm") == names.count("loop.expand_features") == 2
         assert names.count("losses.seg_loss_ohem") == 2 * (2 + 2 * 3)
+        # Per scene: 3 label PGMs, points.csv and intensity.mdmt decoded, and
+        # per stage 2 label PGMs and a class map encoded.
+        assert names.count("grids.codec") == 2 * (5 + 2 * 3)
 
 
 class TestPerfbenchOutputChecks:

@@ -630,17 +630,23 @@ class TestPointsCsv:
         want = PointAnnotationSet((Point(1, 2, 3, 1), Point(4, 5, 1, 2)))
         assert decode_points_csv(text) == want
         bad = newline.join(["y,x,class_id,instance_id", "", "1,2,3,1", "", "4,5,x,2"])
-        with pytest.raises(GridError, match=r"^points csv line 5: expected integers "):
+        with pytest.raises(GridError, match=r"^line 5: expected integers "):
             decode_points_csv(bad)
 
     @pytest.mark.parametrize("row", ["1,2,3", "1,2,3,1,5", "1,2,,1", "1;2;3;1"])
-    def test_bad_row_names_source_and_line(self, row):
+    def test_bad_row_names_its_line(self, row):
+        # A codec names the line; the caller that read the file names the file.
         text = f"\n y, x, class_id, instance_id\n\n\n{row}\n"
         with pytest.raises(GridError) as err:
-            decode_points_csv(text, "scene/points.csv")
+            decode_points_csv(text)
         assert str(err.value) == (
-            f"scene/points.csv line 5: expected integers y,x,class_id,instance_id, got {row!r}"
+            f"line 5: expected integers y,x,class_id,instance_id, got {row!r}"
         )
+
+    def test_point_set_error_names_no_file(self):
+        # The set's own error, with no source put in front of it.
+        with pytest.raises(GridError, match=r"^instance ids must be exactly 1\.\.K, got \[1, 3\]$"):
+            decode_points_csv("y,x,class_id,instance_id\n1,1,1,1\n2,2,1,3\n")
 
 
 class TestIntCsv:
@@ -649,19 +655,19 @@ class TestIntCsv:
     def test_round_trip_keeps_file_lines(self):
         text = encode_int_csv(self.HEADER, [(1, 2), (3, 4)])
         assert text == "instance_id,class_id\n1,2\n3,4\n"
-        assert list(decode_int_csv(text, self.HEADER, "t")) == [(2, [1, 2]), (3, [3, 4])]
+        assert list(decode_int_csv(text, self.HEADER)) == [(2, [1, 2]), (3, [3, 4])]
         spaced = "\n\n" + text.replace("1,2\n", "1,2\n\n  \n")
-        assert list(decode_int_csv(spaced, self.HEADER, "t")) == [(4, [1, 2]), (7, [3, 4])]
+        assert list(decode_int_csv(spaced, self.HEADER)) == [(4, [1, 2]), (7, [3, 4])]
 
     def test_int_literals_as_int_reads_them(self):
-        rows = list(decode_int_csv("instance_id,class_id\n+3, 1_0\n-1,007\n", self.HEADER, "t"))
+        rows = list(decode_int_csv("instance_id,class_id\n+3, 1_0\n-1,007\n", self.HEADER))
         assert rows == [(2, [3, 10]), (3, [-1, 7])]
 
     @pytest.mark.parametrize("text", ["", "\n\n", "1,2\n", "instance_id\n1\n",
                                       "class_id,instance_id\n"])
     def test_header_required(self, text):
-        with pytest.raises(GridError, match=r"^t: expected header instance_id,class_id$"):
-            list(decode_int_csv(text, self.HEADER, "t"))
+        with pytest.raises(GridError, match=r"^expected header instance_id,class_id$"):
+            list(decode_int_csv(text, self.HEADER))
 
 
     def test_instance_ids_must_be_dense(self):

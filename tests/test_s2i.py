@@ -69,13 +69,14 @@ class TestExtractRegions:
 
 
 def argwhere_regions(semantic):
-    """extract_regions as one argwhere per component: the oracle."""
+    """extract_regions as one argwhere per component of each class's mask,
+    in raster order of each component's first pixel: the oracle."""
     out = []
     for class_id in semantic.ids():
         comps = connected_components(semantic.data == class_id).data
         for comp_id in range(1, int(comps.max()) + 1):
             out.append((class_id, np.argwhere(comps == comp_id).astype(np.int32)))
-    return out
+    return sorted(out, key=lambda region: tuple(region[1][0]))
 
 
 class TestExtractRegionsMatchesArgwhereOracle:
